@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from enum import Enum
-from typing import Protocol, Sequence
+from functools import partial
+from typing import Any, Callable, Protocol, Sequence
 
 import requests
 
@@ -280,8 +281,9 @@ NEWS_SENTIMENT_TERMS = (
 )
 
 
-def _contains_term(text: str, term: str) -> bool:
-    return re.search(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", text, re.IGNORECASE) is not None
+def _word(term: str) -> re.Pattern:
+    """Case-insensitive match of `term` as a whole word."""
+    return re.compile(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", re.IGNORECASE)
 
 
 def allocation_tokens(btc_fraction: float) -> list[str]:
@@ -304,11 +306,11 @@ def lint_bundle(
     violations = []
     if bundle.role == Role.SIGNALS:
         for term in INDICATOR_TERMS:
-            if _contains_term(text, term):
+            if _word(term).search(text):
                 violations.append(f"signals prompt mentions indicator term '{term}'")
     elif bundle.role == Role.QUANTS:
         for term in NEWS_SENTIMENT_TERMS:
-            if _contains_term(text, term):
+            if _word(term).search(text):
                 violations.append(f"quants prompt mentions news/sentiment term '{term}'")
     elif bundle.role == Role.DECISION:
         for frac in upstream_allocations:
@@ -491,38 +493,53 @@ class DecideOutcome:
     fallback_used: bool = False
 
 
+def ask_until_parsed(
+    client: CompletionClient,
+    bundle: PromptBundle,
+    parse: Callable[[str], Any],
+    reminder: str,
+    rounds: int,
+) -> tuple[Any, list[dict]]:
+    """Invoke and parse up to `rounds` times, appending `reminder` to the
+    prompt after each malformed reply. A failed call, a 200 reply with a
+    malformed body included, ends the loop.
+
+    Returns the parsed reply (None if there is none) and every attempt in
+    the journal's {"raw", "error"} form.
+    """
+    attempts: list[dict] = []
+    for _ in range(rounds):
+        try:
+            result = client.complete(bundle)
+        except (NetworkError, TimeoutError, SchemaError) as exc:
+            attempts.append({"raw": None, "error": f"{type(exc).__name__}: {exc}"})
+            break
+        try:
+            parsed = parse(result.text)
+        except (ParseError, SchemaError, RangeError) as exc:
+            attempts.append({"raw": result.text, "error": f"{type(exc).__name__}: {exc}"})
+            bundle = replace(bundle, user_text=bundle.user_text + "\n\n" + reminder)
+            continue
+        attempts.append({"raw": result.text, "error": None})
+        return parsed, attempts
+    return None, attempts
+
+
 def decide_with_retry(
     client: CompletionClient,
     bundle: PromptBundle,
     retry_limit: int = 1,
     fallback_allocation: float = 0.5,
 ) -> DecideOutcome:
-    """Invoke, parse, and on malformed output re-ask with a format reminder.
+    """Ask for a decision, with up to `retry_limit` format-reminder re-asks.
 
-    After `retry_limit` re-asks (or on transport failure) the fallback
-    allocation is applied with a neutral state and the failure chain is
-    preserved for the journal.
+    When no reply parses, the fallback allocation is applied with a neutral
+    state and the failure chain is preserved for the journal.
     """
-    attempts: list[dict] = []
-    current = bundle
-    for round_no in range(retry_limit + 1):
-        try:
-            result = client.complete(current)
-        except (NetworkError, TimeoutError) as exc:
-            attempts.append({"raw": None, "error": f"{type(exc).__name__}: {exc}"})
-            break
-        try:
-            decision = parse_agent_output(result.text, role=bundle.role.value)
-        except (ParseError, SchemaError, RangeError) as exc:
-            attempts.append({"raw": result.text, "error": f"{type(exc).__name__}: {exc}"})
-            current = replace(
-                current, user_text=current.user_text + "\n\n" + FORMAT_REMINDER
-            )
-            continue
-        attempts.append({"raw": result.text, "error": None})
-        return DecideOutcome(
-            decision=decision, raw_used=result.text, attempts=tuple(attempts)
-        )
+    parse = partial(parse_agent_output, role=bundle.role.value)
+    decision, attempts = ask_until_parsed(client, bundle, parse, FORMAT_REMINDER, retry_limit + 1)
+    if decision is not None:
+        return DecideOutcome(decision=decision, raw_used=attempts[-1]["raw"], attempts=tuple(attempts))
     fallback = AgentDecision(
         prediction=Prediction(
             state=MarketState.NEUTRAL,

@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import date as Date
 from pathlib import Path
 
-from .agents import ChatClient, ChatClientConfig, ScriptedResponder
-from .errors import BtAgentsError
-from .indicators import IndicatorParams
+from .agents import ChatClient, ScriptedResponder
+from .errors import BtAgentsError, ConfigError
 from .journal import read_journal, write_journal
 from .market_data import (
     GAP_CARRY,
@@ -25,9 +23,22 @@ from .market_data import (
     load_onchain,
     load_sentiment,
 )
-from .orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
-from .regime import RegimeParams, load_segmentation
+from .orchestrator import RunConfig, outputs_from_journal, run_backtest
+from .regime import load_segmentation
 from .report import cumrets_csv, render, resolve_segmentation, table_csv
+
+
+# config-file keys that are not RunConfig field names; every other key in the
+# "run" and "feedback" sections is one
+RENAMED_KEYS = {
+    "feedback.daily": "daily_feedback",
+    "feedback.weekly": "weekly_feedback",
+    "feedback.templates": "weekly_template_path",
+    "indicators": "indicator_params",
+    "regime": "regime_params",
+}
+TOP_KEYS = ("data", "journal", "run", "feedback", "indicators", "regime", "client")
+DATA_KEYS = ("bars", "onchain", "sentiment", "news", "gap_policy")
 
 
 def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
@@ -37,37 +48,27 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
             cfg = json.load(fh)
     except ValueError as exc:
         raise BtAgentsError(f"{path}: config is not valid JSON: {exc}") from exc
-
     try:
         data = cfg["data"]
-        run = cfg["run"]
-        start = Date.fromisoformat(run["start"])
-        end = Date.fromisoformat(run["end"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BtAgentsError(f"{path}: missing or invalid config key: {exc}") from exc
-
-    feedback = cfg.get("feedback", {})
-    try:
-        run_config = RunConfig(
-            start=start,
-            end=end,
-            initial_value_usd=run.get("initial_value_usd", 10_000.0),
-            lookback_days=run.get("lookback_days", 30),
-            neutral_band=run.get("neutral_band", 0.005),
-            fee_bps=run.get("fee_bps", 0.0),
-            parse_retry_limit=run.get("parse_retry_limit", 1),
-            indicator_params=IndicatorParams(**cfg.get("indicators", {})),
-            regime_params=RegimeParams(**cfg.get("regime", {})),
-            daily_feedback=feedback.get("daily", True),
-            weekly_feedback=feedback.get("weekly", True),
-            praise_threshold=feedback.get("praise_threshold", 0.0),
-            regret_threshold=feedback.get("regret_threshold", 0.01),
-            weekly_template_path=feedback.get("templates"),
-            client=ChatClientConfig(**cfg.get("client", {})),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BtAgentsError(f"{path}: bad config value: {exc}") from exc
-    return run_config, data, cfg.get("journal", "journal.jsonl")
+        unknown = [k for k in cfg if k not in TOP_KEYS] + [
+            f"data.{k}" for k in data if k not in DATA_KEYS
+        ]
+        if unknown:
+            raise ConfigError(f"unknown config key '{unknown[0]}'")
+        if "bars" not in data:
+            raise KeyError("data.bars")
+        tree = {}
+        for section in ("run", "feedback"):
+            for key, value in cfg.get(section, {}).items():
+                tree[RENAMED_KEYS.get(f"{section}.{key}", key)] = value
+        for section in ("indicators", "regime", "client"):
+            if section in cfg:
+                tree[RENAMED_KEYS.get(section, section)] = cfg[section]
+        return RunConfig.from_dict(tree), data, cfg.get("journal", "journal.jsonl")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: missing or invalid config key: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build_dataset(data: dict):
@@ -139,16 +140,12 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
-    journal = read_journal(args.journal)
-    outputs = replay(journal, neutral_band=args.neutral_band)
-    print(_emit_report(outputs, args.segmentation, args.out_dir), end="")
-    return 0
-
-
 def cmd_report(args) -> int:
+    """`report` reads the recorded values; `replay` recomputes them first."""
     journal = read_journal(args.journal)
-    outputs = outputs_from_journal(journal, neutral_band=args.neutral_band)
+    outputs = outputs_from_journal(
+        journal, neutral_band=args.neutral_band, recompute=args.recompute
+    )
     print(_emit_report(outputs, args.segmentation, args.out_dir), end="")
     return 0
 
@@ -179,19 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.add_argument("--report-dir", help="also write report files here")
     p_backtest.set_defaults(func=cmd_backtest)
 
-    p_replay = sub.add_parser("replay", help="recompute a run from its journal")
-    p_replay.add_argument("--journal", required=True)
-    p_replay.add_argument("--neutral-band", type=float, default=None)
-    p_replay.add_argument("--segmentation", help="override segmentation CSV")
-    p_replay.add_argument("--out-dir", help="write report files here")
-    p_replay.set_defaults(func=cmd_replay)
-
-    p_report = sub.add_parser("report", help="render the report from a journal")
-    p_report.add_argument("--journal", required=True)
-    p_report.add_argument("--neutral-band", type=float, default=None)
-    p_report.add_argument("--segmentation", help="override segmentation CSV")
-    p_report.add_argument("--out-dir", help="write report files here")
-    p_report.set_defaults(func=cmd_report)
+    for name, help_text, recompute in (
+        ("replay", "recompute a run from its journal", True),
+        ("report", "render the report from a journal", False),
+    ):
+        p_journal = sub.add_parser(name, help=help_text)
+        p_journal.add_argument("--journal", required=True)
+        p_journal.add_argument("--neutral-band", type=float, default=None)
+        p_journal.add_argument("--segmentation", help="override segmentation CSV")
+        p_journal.add_argument("--out-dir", help="write report files here")
+        p_journal.set_defaults(func=cmd_report, recompute=recompute)
 
     return parser
 

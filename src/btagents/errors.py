@@ -108,3 +108,7 @@ class IncompleteWeek(BtAgentsError):
 
 class JournalCorrupt(BtAgentsError):
     """A journal record fails its digest check or cannot be recomputed."""
+
+
+class ConfigError(BtAgentsError):
+    """A run config has an unknown key, a missing key or a bad value."""

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import JournalCorrupt
-from .market_data import MarketDataset
+from .market_data import MarketDataset, MarketRecord
 
 JOURNAL_VERSION = 1
 
@@ -22,9 +22,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _sha256(obj) -> str:
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def record_digest(record: dict) -> str:
-    body = {k: v for k, v in record.items() if k != "digest"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return _sha256({k: v for k, v in record.items() if k != "digest"})
 
 
 def seal(record: dict) -> dict:
@@ -43,24 +46,30 @@ def verify_record(record: dict) -> None:
         )
 
 
+def inputs_payload(rec: MarketRecord) -> dict:
+    """Every input value of one dataset record, in the form the digests hash."""
+    return {
+        "bar": [rec.bar.open, rec.bar.high, rec.bar.low, rec.bar.close, rec.bar.volume],
+        "onchain": None
+        if rec.onchain is None
+        else [rec.onchain.tx_count, rec.onchain.active_addresses, rec.onchain.transfer_volume_usd],
+        "sentiment": None
+        if rec.sentiment is None
+        else [rec.sentiment.social_score_mean, rec.sentiment.fgi_value, rec.sentiment.fgi_label],
+        "news": [[n.source, n.headline, n.summary] for n in rec.news],
+    }
+
+
+def inputs_digest(rec: MarketRecord) -> str:
+    """Digest of one day's inputs, as a day record carries it."""
+    return _sha256(inputs_payload(rec))
+
+
 def dataset_digest(dataset: MarketDataset) -> str:
     """Stable digest of every input value the run can see."""
-    payload = []
-    for rec in dataset.records:
-        payload.append(
-            {
-                "date": rec.date.isoformat(),
-                "bar": [rec.bar.open, rec.bar.high, rec.bar.low, rec.bar.close, rec.bar.volume],
-                "onchain": None
-                if rec.onchain is None
-                else [rec.onchain.tx_count, rec.onchain.active_addresses, rec.onchain.transfer_volume_usd],
-                "sentiment": None
-                if rec.sentiment is None
-                else [rec.sentiment.social_score_mean, rec.sentiment.fgi_value, rec.sentiment.fgi_label],
-                "news": [[n.source, n.headline, n.summary] for n in rec.news],
-            }
-        )
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(
+        [{"date": rec.date.isoformat(), **inputs_payload(rec)} for rec in dataset.records]
+    )
 
 
 @dataclass
@@ -80,6 +89,8 @@ class RunJournal:
 
     def verify(self) -> None:
         verify_record(self.header)
+        if self.header.get("version") != JOURNAL_VERSION:
+            raise JournalCorrupt(f"journal version {self.header.get('version')!r} is not {JOURNAL_VERSION}")
         for entry in self.entries:
             verify_record(entry)
 

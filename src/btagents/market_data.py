@@ -11,6 +11,7 @@ One CSV file per series, UTF-8, ISO-8601 dates, header required:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
 from typing import Callable, Iterable, Sequence
@@ -40,11 +41,13 @@ class Bar:
     volume: float
 
     def __post_init__(self):
+        # written as bounds on both sides so that NaN, for which every
+        # comparison is false, fails them too
         for name in ("open", "high", "low", "close"):
-            if getattr(self, name) <= 0:
-                raise InvariantViolation(f"{self.date}: {name} must be > 0")
-        if self.volume < 0:
-            raise InvariantViolation(f"{self.date}: volume must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantViolation(f"{self.date}: {name} must be finite and > 0")
+        if not 0 <= self.volume < math.inf:
+            raise InvariantViolation(f"{self.date}: volume must be finite and >= 0")
         if self.low > min(self.open, self.close):
             raise InvariantViolation(f"{self.date}: low above open/close")
         if self.high < max(self.open, self.close):
@@ -65,8 +68,8 @@ class OnChainDaily:
     def __post_init__(self):
         if self.tx_count < 0 or self.active_addresses < 0:
             raise InvariantViolation(f"{self.date}: on-chain counts must be >= 0")
-        if self.transfer_volume_usd < 0:
-            raise InvariantViolation(f"{self.date}: transfer volume must be >= 0")
+        if not 0 <= self.transfer_volume_usd < math.inf:
+            raise InvariantViolation(f"{self.date}: transfer volume must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -106,15 +106,11 @@ def accuracy(
     return correct / len(predictions)
 
 
-def regret(agent_values: Sequence[float], baseline_values: Sequence[float]) -> float:
-    """Clamped shortfall of the agent's total return versus the baseline's."""
-    if len(agent_values) != len(baseline_values):
-        raise LengthMismatch("agent and baseline value series differ in length")
-    if len(agent_values) < 2:
-        return 0.0
-    agent_total = agent_values[-1] / agent_values[0] - 1.0
-    baseline_total = baseline_values[-1] / baseline_values[0] - 1.0
-    return max(0.0, baseline_total - agent_total)
+def regret(agent_returns: Sequence[float], baseline_returns: Sequence[float]) -> float:
+    """Clamped shortfall of the agent's compounded return versus the baseline's."""
+    if len(agent_returns) != len(baseline_returns):
+        raise LengthMismatch("agent and baseline return series differ in length")
+    return max(0.0, total_return(baseline_returns) - total_return(agent_returns))
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,7 @@ def _row(
     acc = None
     if predictions is not None and len(predictions) == len(returns) and returns:
         acc = accuracy(predictions, returns, neutral_band)
-    reg = None
-    if baseline_returns is not None:
-        if len(baseline_returns) != len(returns):
-            raise LengthMismatch("baseline returns misaligned with agent returns")
-        reg = max(0.0, total_return(baseline_returns) - total_return(returns))
+    reg = None if baseline_returns is None else regret(returns, baseline_returns)
     return MetricsRow(
         label=label,
         n_days=len(returns),

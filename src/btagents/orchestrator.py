@@ -11,17 +11,16 @@ verbatim, so the journal alone reproduces the run.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from datetime import date as Date
 from typing import Mapping
 
-from . import journal as journal_mod
 from .agents import (
     Allocation,
     ChatClientConfig,
     CompletionClient,
     MarketState,
+    PromptBundle,
     build_decision_prompt,
     build_quants_prompt,
     build_signals_prompt,
@@ -29,11 +28,12 @@ from .agents import (
     lint_bundle,
     parse_agent_output,
 )
-from .errors import DateNotFound, GapError, JournalCorrupt, WindowTooShort
+from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowTooShort
 from .indicators import IndicatorParams, snapshot
-from .journal import RunJournal, canonical_json, dataset_digest, seal
+from .journal import JOURNAL_VERSION, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, slice_window
 from .portfolio import FeeModel, PortfolioState, mark, rebalance
+from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
     AGENT_ROLES,
     evaluate_day,
@@ -80,32 +80,37 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunConfig":
-        kwargs = dict(d)
-        kwargs["start"] = Date.fromisoformat(kwargs["start"])
-        kwargs["end"] = Date.fromisoformat(kwargs["end"])
-        kwargs["indicator_params"] = IndicatorParams(**kwargs.get("indicator_params", {}))
-        kwargs["regime_params"] = RegimeParams(**kwargs.get("regime_params", {}))
-        kwargs["client"] = ChatClientConfig(**kwargs.get("client", {}))
-        return cls(**kwargs)
+        """Inverse of to_dict. Absent keys take the dataclass defaults; unknown
+        keys at any level and values the dataclasses reject raise ConfigError."""
+        try:
+            kwargs = _typed(cls, d)
+            kwargs["start"] = Date.fromisoformat(kwargs["start"])
+            kwargs["end"] = Date.fromisoformat(kwargs["end"])
+            for name, kind in (
+                ("indicator_params", IndicatorParams),
+                ("regime_params", RegimeParams),
+                ("client", ChatClientConfig),
+            ):
+                kwargs[name] = kind(**_typed(kind, kwargs.get(name, {})))
+            return cls(**kwargs)
+        except KeyError as exc:
+            raise ConfigError(f"config has no {exc} key") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config: {exc}") from exc
 
 
-def _static5050_value(initial: float, p0: float, price: float) -> float:
-    half = initial / 2.0
-    return half + half * price / p0
+# the JSON types a config value may take, by the type of its field's default
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
 
 
-def _buyhold_value(initial: float, p0: float, price: float) -> float:
-    return initial * price / p0
-
-
-def _inputs_digest(rec) -> str:
-    payload = {
-        "bar": [rec.bar.open, rec.bar.high, rec.bar.low, rec.bar.close, rec.bar.volume],
-        "onchain": [rec.onchain.tx_count, rec.onchain.active_addresses, rec.onchain.transfer_volume_usd],
-        "sentiment": [rec.sentiment.social_score_mean, rec.sentiment.fgi_value, rec.sentiment.fgi_label],
-        "news": [[n.source, n.headline, n.summary] for n in rec.news],
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+def _typed(kind, tree: Mapping) -> dict:
+    """`tree` as keyword arguments for `kind`, each value's JSON type checked
+    against its field default's (the caller converts fields without one)."""
+    for f in dataclasses.fields(kind):
+        value = tree.get(f.name, f.default)
+        if f.default is not dataclasses.MISSING and type(value) not in _JSON_TYPES[type(f.default)]:
+            raise ConfigError(f"config key '{f.name}' has a bad value {value!r}")
+    return dict(tree)
 
 
 def _portfolio_dict(state: PortfolioState) -> dict:
@@ -115,6 +120,36 @@ def _portfolio_dict(state: PortfolioState) -> dict:
         "mark_price": state.mark_price,
         "value_usd": state.value_usd,
     }
+
+
+def step_day(
+    books: Mapping[str, PortfolioState],
+    allocations: Mapping[str, Allocation],
+    close_t: float,
+    next_date: Date,
+    close_next: float,
+    fees: FeeModel,
+    initial: float,
+    p0: float,
+) -> tuple[dict[str, PortfolioState], dict[str, float], dict[str, float]]:
+    """One simulated day: trade each book to its allocation at close_t, mark
+    it at close_next, and value the baselines bought at p0.
+
+    Returns (new books, per-role day returns, the journal's baseline record).
+    """
+    new_books = {}
+    day_returns = {}
+    for role in AGENT_ROLES:
+        traded = rebalance(books[role], allocations[role], close_t, fees)
+        new_books[role] = mark(traded, next_date, close_next)
+        day_returns[role] = new_books[role].value_usd / traded.value_usd - 1.0
+    _, bl_now, bl_next = baseline_static_5050(initial, (p0, close_t, close_next))
+    baseline = {
+        "static5050_value": bl_next,
+        "buyhold_value": baseline_buy_and_hold(initial, (p0, close_next))[1],
+        "day_return_5050": bl_next / bl_now - 1.0,
+    }
+    return new_books, day_returns, baseline
 
 
 def run_backtest(
@@ -151,8 +186,17 @@ def run_backtest(
         role: PortfolioState.all_cash(days[0], config.initial_value_usd, p0)
         for role in AGENT_ROLES
     }
-    prev_alloc: dict[str, float | None] = {role: None for role in AGENT_ROLES}
+    prev_alloc = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
     counts = {role: (0, 0) for role in AGENT_ROLES}
+
+    def decide(bundle: PromptBundle):
+        return decide_with_retry(
+            client,
+            bundle,
+            retry_limit=config.parse_retry_limit,
+            fallback_allocation=prev_alloc[bundle.role.value],
+        )
+
     packets = []
     entries: list[dict] = []
     pending_daily = None  # reflection from day t, injected into day t+1
@@ -161,7 +205,7 @@ def run_backtest(
     header = seal(
         {
             "type": "header",
-            "version": journal_mod.JOURNAL_VERSION,
+            "version": JOURNAL_VERSION,
             "config": config.to_dict(),
             "dataset_digest": dataset_digest(dataset),
             "n_days": len(days),
@@ -204,19 +248,7 @@ def run_backtest(
             "signals": lint_bundle(signals_bundle),
         }
 
-        outcomes = {}
-        outcomes["quants"] = decide_with_retry(
-            client,
-            quants_bundle,
-            retry_limit=config.parse_retry_limit,
-            fallback_allocation=prev_alloc["quants"] if prev_alloc["quants"] is not None else 0.5,
-        )
-        outcomes["signals"] = decide_with_retry(
-            client,
-            signals_bundle,
-            retry_limit=config.parse_retry_limit,
-            fallback_allocation=prev_alloc["signals"] if prev_alloc["signals"] is not None else 0.5,
-        )
+        outcomes = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
 
         decision_value = ports["decision"].btc_units * close_t + ports["decision"].cash_usd
         decision_bundle = build_decision_prompt(
@@ -234,25 +266,19 @@ def run_backtest(
                 outcomes["signals"].decision.allocation.btc_fraction,
             ],
         )
-        outcomes["decision"] = decide_with_retry(
-            client,
-            decision_bundle,
-            retry_limit=config.parse_retry_limit,
-            fallback_allocation=prev_alloc["decision"] if prev_alloc["decision"] is not None else 0.5,
-        )
+        outcomes["decision"] = decide(decision_bundle)
 
         bundles = {"quants": quants_bundle, "signals": signals_bundle, "decision": decision_bundle}
-        day_returns = {}
-        new_states = {}
-        for role in AGENT_ROLES:
-            traded = rebalance(ports[role], outcomes[role].decision.allocation, close_t, fees)
-            marked = mark(traded, next_rec.date, close_next)
-            day_returns[role] = marked.value_usd / traded.value_usd - 1.0
-            new_states[role] = marked
-
-        bl_now = _static5050_value(config.initial_value_usd, p0, close_t)
-        bl_next = _static5050_value(config.initial_value_usd, p0, close_next)
-        baseline_return = bl_next / bl_now - 1.0
+        new_states, day_returns, baseline = step_day(
+            ports,
+            {role: outcomes[role].decision.allocation for role in AGENT_ROLES},
+            close_t,
+            next_rec.date,
+            close_next,
+            fees,
+            config.initial_value_usd,
+            p0,
+        )
         btc_return = close_next / close_t - 1.0
 
         packet = evaluate_day(
@@ -260,7 +286,7 @@ def run_backtest(
             realized_btc_return=btc_return,
             decisions={role: outcomes[role].decision for role in AGENT_ROLES},
             portfolio_returns=day_returns,
-            baseline_return=baseline_return,
+            baseline_return=baseline["day_return_5050"],
             neutral_band=config.neutral_band,
             prior_counts=counts,
         )
@@ -321,16 +347,12 @@ def run_backtest(
                     "close": close_t,
                     "next_date": next_rec.date.isoformat(),
                     "next_close": close_next,
-                    "inputs_digest": _inputs_digest(rec),
+                    "inputs_digest": inputs_digest(rec),
                     "btc_return": btc_return,
                     "daily_feedback_in": {k: v for k, v in daily_texts.items() if v},
                     "weekly_feedback_in": {k: v for k, v in weekly_texts.items() if v},
                     "roles": roles_entry,
-                    "baseline": {
-                        "static5050_value": bl_next,
-                        "buyhold_value": _buyhold_value(config.initial_value_usd, p0, close_next),
-                        "day_return_5050": baseline_return,
-                    },
+                    "baseline": baseline,
                     "reflect": reflect_entry,
                     "lint": lint,
                 }
@@ -407,76 +429,52 @@ def outputs_from_journal(
     start_date = Date.fromisoformat(first["date"])
     p0 = first["close"]
     initial = config.initial_value_usd
+    fees = FeeModel(fee_bps=config.fee_bps)
 
     value_dates = [start_date]
     closes = [p0]
     values: dict[str, list[float]] = {name: [initial] for name in (*AGENT_ROLES, *BASELINE_NAMES)}
     predictions: dict[str, list[str]] = {role: [] for role in AGENT_ROLES}
     fallback_days = {role: 0 for role in AGENT_ROLES}
-
-    sim_ports = {
-        role: PortfolioState.all_cash(start_date, initial, p0) for role in AGENT_ROLES
-    }
-    prev_alloc: dict[str, float | None] = {role: None for role in AGENT_ROLES}
+    books = {role: PortfolioState.all_cash(start_date, initial, p0) for role in AGENT_ROLES}
+    prev_alloc = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
 
     for day in days:
-        date = Date.fromisoformat(day["date"])
         next_date = Date.fromisoformat(day["next_date"])
-        close_t = day["close"]
-        close_next = day["next_close"]
         value_dates.append(next_date)
-        closes.append(close_next)
-
-        for role in AGENT_ROLES:
-            role_rec = day["roles"][role]
-            predictions[role].append(role_rec["state"])
-            if role_rec["fallback"]:
-                fallback_days[role] += 1
-
-            if recompute:
-                if role_rec["fallback"]:
-                    expected = prev_alloc[role] if prev_alloc[role] is not None else 0.5
-                    state_name = MarketState.NEUTRAL.value
-                else:
-                    decision = parse_agent_output(role_rec["raw"], role=role)
-                    expected = decision.allocation.btc_fraction
-                    state_name = decision.prediction.state.value
-                if expected != role_rec["allocation"]:
-                    raise JournalCorrupt(
-                        f"{date} {role}: recorded allocation {role_rec['allocation']} "
-                        f"does not reproduce ({expected})"
-                    )
-                if state_name != role_rec["state"]:
-                    raise JournalCorrupt(f"{date} {role}: recorded state does not reproduce")
-                traded = rebalance(
-                    sim_ports[role],
-                    Allocation(btc_fraction=expected),
-                    close_t,
-                    FeeModel(fee_bps=config.fee_bps),
-                )
-                marked = mark(traded, next_date, close_next)
-                recorded = role_rec["portfolio"]
-                if (
-                    marked.btc_units != recorded["btc_units"]
-                    or marked.cash_usd != recorded["cash_usd"]
-                    or marked.mark_price != recorded["mark_price"]
-                ):
-                    raise JournalCorrupt(
-                        f"{date} {role}: recorded portfolio state does not reproduce"
-                    )
-                sim_ports[role] = marked
-                values[role].append(marked.value_usd)
-            else:
-                values[role].append(day["roles"][role]["portfolio"]["value_usd"])
-            prev_alloc[role] = day["roles"][role]["allocation"]
-
-        bl5050 = _static5050_value(initial, p0, close_next)
-        blbh = _buyhold_value(initial, p0, close_next)
+        closes.append(day["next_close"])
+        roles = day["roles"]
         if recompute:
-            if bl5050 != day["baseline"]["static5050_value"]:
-                raise JournalCorrupt(f"{date}: recorded 50/50 baseline does not reproduce")
-            if blbh != day["baseline"]["buyhold_value"]:
-                raise JournalCorrupt(f"{date}: recorded buy-and-hold does not reproduce")
+            # re-parse each response and re-run the day step: every recorded
+            # allocation, state, book, day return and baseline must reproduce exactly
+            decisions = {}
+            for role in AGENT_ROLES:
+                if roles[role]["fallback"]:
+                    decisions[role] = (Allocation(btc_fraction=prev_alloc[role]), MarketState.NEUTRAL)
+                else:
+                    parsed = parse_agent_output(roles[role]["raw"], role=role)
+                    decisions[role] = (parsed.allocation, parsed.prediction.state)
+            allocations = {role: allocation for role, (allocation, _) in decisions.items()}
+            books, day_returns, baseline = step_day(
+                books, allocations, day["close"], next_date, day["next_close"], fees, initial, p0
+            )
+            for role, (allocation, state) in decisions.items():
+                reproduced = {
+                    "allocation": allocation.btc_fraction,
+                    "state": state.value,
+                    "portfolio": _portfolio_dict(books[role]),
+                    "portfolio_return": day_returns[role],
+                }
+                for key, value in reproduced.items():
+                    if value != roles[role][key]:
+                        raise JournalCorrupt(f"{day['date']} {role}: recorded {key} does not reproduce")
+            if baseline != day["baseline"]:
+                raise JournalCorrupt(f"{day['date']}: recorded baselines do not reproduce")
+        for role in AGENT_ROLES:
+            predictions[role].append(roles[role]["state"])
+            fallback_days[role] += 1 if roles[role]["fallback"] else 0
+            values[role].append(roles[role]["portfolio"]["value_usd"])
+            prev_alloc[role] = roles[role]["allocation"]
         values["static5050"].append(day["baseline"]["static5050_value"])
         values["buyhold"].append(day["baseline"]["buyhold_value"])
 

@@ -23,17 +23,18 @@ from .agents import (
     PromptBundle,
     Role,
     _iter_json_objects,
+    _word,
+    ask_until_parsed,
 )
 from .errors import (
     IncompleteWeek,
     InvariantViolation,
     MissingAgentRecord,
-    NetworkError,
     ParseError,
     SchemaError,
     ZeroDispersion,
 )
-from .metrics import prediction_correct, sharpe, total_return
+from .metrics import prediction_correct, regret, sharpe, total_return
 
 AGENT_ROLES = ("quants", "signals", "decision")
 
@@ -242,10 +243,6 @@ ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
 _PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*%")
 
 
-def _word(term: str) -> re.Pattern:
-    return re.compile(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", re.IGNORECASE)
-
-
 def _has_allocation_directive(text: str) -> bool:
     # a percentage figure sharing a sentence with an allocation verb and noun
     for sentence in re.split(r"[.!?\n]", text):
@@ -314,39 +311,18 @@ def run_daily_reflection(
     without it.
     """
     bundle = build_reflect_prompt(packet)
-    attempts: list[dict] = []
-    flags: list[str] = []
-
-    def try_parse(b: PromptBundle, rounds: int) -> dict[str, str] | None:
-        current = b
-        for _ in range(rounds):
-            try:
-                result = client.complete(current)
-            except (NetworkError, TimeoutError) as exc:
-                attempts.append({"raw": None, "error": f"{type(exc).__name__}: {exc}"})
-                return None
-            try:
-                texts = parse_reflect_output(result.text)
-            except (ParseError, SchemaError) as exc:
-                attempts.append({"raw": result.text, "error": f"{type(exc).__name__}: {exc}"})
-                current = replace(
-                    current, user_text=current.user_text + "\n\n" + REFLECT_FORMAT_REMINDER
-                )
-                continue
-            attempts.append({"raw": result.text, "error": None})
-            return texts
-        return None
-
-    texts = try_parse(bundle, retry_limit + 1)
+    texts, attempts = ask_until_parsed(
+        client, bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, retry_limit + 1
+    )
     if texts is None:
-        flags.append("reflect_fallback_empty")
         return ReflectionOutcome(
             feedback=DailyFeedback.empty(packet.date),
             bundle=bundle,
             attempts=tuple(attempts),
-            flags=tuple(flags),
+            flags=("reflect_fallback_empty",),
         )
 
+    flags: list[str] = []
     violations = scope_filter(texts, signals_banned_terms)
     if violations:
         flags.append("reflect_scope_retry")
@@ -358,7 +334,10 @@ def run_daily_reflection(
             + note
             + "). Rewrite it within each agent's own data scope.",
         )
-        retry_texts = try_parse(retry_bundle, 1)
+        retry_texts, retry_attempts = ask_until_parsed(
+            client, retry_bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, 1
+        )
+        attempts += retry_attempts
         if retry_texts is not None:
             still = {v.role for v in scope_filter(retry_texts, signals_banned_terms)}
             for role in AGENT_ROLES:
@@ -441,7 +420,8 @@ def weekly_feedback(
         if b.date <= a.date:
             raise InvariantViolation("weekly packets must be in date order")
 
-    baseline_week = total_return([p.baseline_return for p in packets])
+    baseline_returns = [p.baseline_return for p in packets]
+    baseline_week = total_return(baseline_returns)
     texts: dict[str, str] = {}
     stats: dict[str, WeeklyRoleStats] = {}
     kinds: dict[str, str] = {}
@@ -449,7 +429,7 @@ def weekly_feedback(
         returns = [p.agents[role].portfolio_return for p in packets]
         week_return = total_return(returns)
         diff = week_return - baseline_week
-        reg = max(0.0, baseline_week - week_return)
+        reg = regret(returns, baseline_returns)
         try:
             sharpe_value = sharpe(returns)
         except ZeroDispersion:

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from btagents.cli import main
-from btagents.journal import read_journal
+from btagents.journal import read_journal, seal
 
 from conftest import FIXTURE_DIR
 
@@ -39,6 +40,16 @@ class TestIngest:
         assert code == 0
         out = capsys.readouterr().out
         assert "aligned dataset: 37 records" in out
+
+    def test_nan_close_is_runtime_error(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        bars.write_text(
+            "date,open,high,low,close,volume\n"
+            "2024-01-01,1,2,0.5,1,10\n"
+            "2024-01-02,1,2,0.5,nan,10\n"
+        )
+        assert main(["ingest", "--bars", str(bars)]) == 1
+        assert "close must be finite" in capsys.readouterr().err
 
     def test_bad_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bars.csv"
@@ -146,3 +157,97 @@ class TestReplayAndReport:
         assert main(["report", "--journal", journal_path, "--segmentation", str(seg)]) == 0
         out = capsys.readouterr().out
         assert "Bullish" in out
+
+
+def reseal_header(journal_path, edit):
+    with open(journal_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    header.pop("digest")
+    lines[0] = json.dumps(seal(header))
+    with open(journal_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestStrictConfig:
+    def run_backtest(self, tmp_path, **overrides):
+        config_path = write_config(tmp_path, **overrides)
+        return main(
+            [
+                "backtest",
+                "--config", str(config_path),
+                "--fixtures", str(FIXTURE_DIR / "responses.json"),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"run": {"start": "2024-11-04", "end": "2024-11-05", "neutal_band": 0.01}}, "neutal_band"),
+            ({"feedback": {"dialy": False}}, "dialy"),
+            ({"indicators": {"sma_windw": 10}}, "sma_windw"),
+            ({"client": {"model": "x"}}, "model"),
+            ({"jounral": "j.jsonl"}, "jounral"),
+        ],
+    )
+    def test_unknown_key_is_runtime_error(self, tmp_path, capsys, overrides, key):
+        assert self.run_backtest(tmp_path, **overrides) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"run": {"start": "2024-11-04", "end": "2024-11-05", "neutral_band": "0.01"}},
+            {"run": {"start": "2024-11-04", "end": "2024-11-05", "lookback_days": 30.5}},
+            {"run": {"start": "2024-11-05", "end": "2024-11-04"}},
+            {"run": {"start": "11/04/2024", "end": "2024-11-05"}},
+            {"run": {"end": "2024-11-05"}},
+            {"feedback": {"daily": "yes"}},
+            {"regime": {"ma_window": 1}},
+            {"client": {"max_retries": -1}},
+            {"indicators": [20]},
+        ],
+    )
+    def test_bad_value_is_runtime_error(self, tmp_path, capsys, overrides):
+        assert self.run_backtest(tmp_path, **overrides) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_readme_example_loads(self, tmp_path, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config file", 1)[1]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        example["data"] = {
+            "bars": str(FIXTURE_DIR / "bars.csv"),
+            "onchain": str(FIXTURE_DIR / "onchain.csv"),
+            "sentiment": str(FIXTURE_DIR / "sentiment.csv"),
+            "news": str(FIXTURE_DIR / "news.csv"),
+            "gap_policy": example["data"]["gap_policy"],
+        }
+        example["journal"] = str(tmp_path / "journal.jsonl")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(example), encoding="utf-8")
+        assert main(["backtest", "--config", str(path), "--fixtures", str(FIXTURE_DIR / "responses.json")]) == 0
+        assert len(read_journal(example["journal"]).days) == 2
+
+
+class TestForeignJournalHeader:
+    @pytest.fixture()
+    def journal_path(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        args = ["backtest", "--config", str(config_path), "--fixtures", str(FIXTURE_DIR / "responses.json")]
+        assert main(args) == 0
+        capsys.readouterr()
+        return str(tmp_path / "journal.jsonl")
+
+    def test_unknown_config_key_in_header(self, journal_path, capsys):
+        reseal_header(journal_path, lambda h: h["config"].update(neutal_band=0.01))
+        assert main(["replay", "--journal", journal_path]) == 1
+        assert "'neutal_band'" in capsys.readouterr().err
+
+    def test_foreign_version(self, journal_path, capsys):
+        reseal_header(journal_path, lambda h: h.update(version=99))
+        assert main(["replay", "--journal", journal_path]) == 1
+        assert "journal version 99" in capsys.readouterr().err

@@ -309,3 +309,32 @@ class TestBarInvariants:
     def test_zero_volume_allowed(self):
         bar = Bar(date=date(2024, 1, 1), open=1, high=2, low=0.5, close=1, volume=0)
         assert bar.volume == 0
+
+    @pytest.mark.parametrize("name", ["open", "high", "low", "close", "volume"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(open=1.0, high=2.0, low=0.5, close=1.0, volume=10.0)
+        fields[name] = value
+        with pytest.raises(InvariantViolation):
+            Bar(date=date(2024, 1, 1), **fields)
+
+
+class TestOnChainInvariants:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_transfer_volume_rejected(self, value):
+        with pytest.raises(InvariantViolation):
+            OnChainDaily(
+                date=date(2024, 1, 1),
+                tx_count=1,
+                active_addresses=1,
+                transfer_volume_usd=value,
+            )
+
+    def test_nan_in_csv_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "onchain.csv",
+            "date,tx_count,active_addresses,transfer_volume_usd\n2024-01-01,5,3,nan\n",
+        )
+        with pytest.raises(InvariantViolation):
+            load_onchain(path)

@@ -122,30 +122,27 @@ class TestAccuracy:
 
 class TestRegret:
     def test_equal_is_zero(self):
-        assert regret([100.0, 105.0], [100.0, 105.0]) == 0.0
+        assert regret([0.05], [0.05]) == 0.0
 
     def test_shortfall(self):
-        assert regret([100.0, 105.0], [100.0, 108.0]) == pytest.approx(0.03, abs=1e-12)
+        assert regret([0.05], [0.08]) == pytest.approx(0.03, abs=1e-12)
 
     def test_outperformance_clamped(self):
-        assert regret([100.0, 110.0], [100.0, 102.0]) == 0.0
+        assert regret([0.10], [0.02]) == 0.0
 
     def test_always_non_negative(self):
         rng = random.Random(45)
         for _ in range(200):
-            a = [100.0]
-            b = [100.0]
-            for _ in range(10):
-                a.append(a[-1] * (1.0 + rng.uniform(-0.05, 0.05)))
-                b.append(b[-1] * (1.0 + rng.uniform(-0.05, 0.05)))
+            a = [rng.uniform(-0.05, 0.05) for _ in range(10)]
+            b = [rng.uniform(-0.05, 0.05) for _ in range(10)]
             value = regret(a, b)
             assert value >= 0.0
-            if a[-1] / a[0] >= b[-1] / b[0]:
+            if total_return(a) >= total_return(b):
                 assert value == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            regret([1.0, 2.0], [1.0])
+            regret([0.01, 0.02], [0.01])
 
 
 class TestTotalReturnComposition:
