@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Protocol, Sequence
 
 import requests
@@ -281,9 +281,27 @@ NEWS_SENTIMENT_TERMS = (
 )
 
 
+@lru_cache(maxsize=256)
 def _word(term: str) -> re.Pattern:
     """Case-insensitive match of `term` as a whole word."""
     return re.compile(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", re.IGNORECASE)
+
+
+@lru_cache(maxsize=16)
+def _any_word(terms: tuple[str, ...]) -> re.Pattern:
+    """One pattern that matches exactly where `_word(t)` matches for some t.
+
+    The leading lookahead on the terms' first characters lets the scan skip
+    most positions before the lookbehind runs; IGNORECASE applies to it too.
+    """
+    first = "".join(sorted({re.escape(t[:1]) for t in terms}))
+    lead = rf"(?=[{first}])" if terms and all(terms) else ""
+    alts = "|".join(re.escape(t) for t in terms)
+    return re.compile(rf"{lead}(?<![a-z0-9_])(?:{alts})(?![a-z0-9_])", re.IGNORECASE)
+
+
+_INDICATOR_RE = _any_word(INDICATOR_TERMS)
+_NEWS_SENTIMENT_RE = _any_word(NEWS_SENTIMENT_TERMS)
 
 
 def allocation_tokens(btc_fraction: float) -> list[str]:
@@ -294,7 +312,7 @@ def allocation_tokens(btc_fraction: float) -> list[str]:
 
 
 def _contains_token(text: str, token: str) -> bool:
-    return re.search(rf"(?<![\d.]){re.escape(token)}(?!\d)", text) is not None
+    return token in text and re.search(rf"(?<![\d.]){re.escape(token)}(?!\d)", text) is not None
 
 
 def lint_bundle(
@@ -304,11 +322,12 @@ def lint_bundle(
     """Scope violations in a prompt: empty list means the bundle is clean."""
     text = bundle.system_text + "\n" + bundle.user_text
     violations = []
-    if bundle.role == Role.SIGNALS:
+    # each alternation gates its per-term loop, which names every term found
+    if bundle.role == Role.SIGNALS and _INDICATOR_RE.search(text):
         for term in INDICATOR_TERMS:
             if _word(term).search(text):
                 violations.append(f"signals prompt mentions indicator term '{term}'")
-    elif bundle.role == Role.QUANTS:
+    elif bundle.role == Role.QUANTS and _NEWS_SENTIMENT_RE.search(text):
         for term in NEWS_SENTIMENT_TERMS:
             if _word(term).search(text):
                 violations.append(f"quants prompt mentions news/sentiment term '{term}'")

@@ -8,8 +8,10 @@ journal alone is enough to replay a run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 from .errors import JournalCorrupt
@@ -96,10 +98,19 @@ class RunJournal:
 
 
 def write_journal(journal: RunJournal, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(journal.header) + "\n")
-        for entry in journal.entries:
-            fh.write(canonical_json(entry) + "\n")
+    """Write to a temp file beside `path`, then rename it onto `path`, so a
+    failed write leaves no partial journal and any earlier file untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(journal.header) + "\n")
+            for entry in journal.entries:
+                fh.write(canonical_json(entry) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_journal(path: str, verify: bool = True) -> RunJournal:

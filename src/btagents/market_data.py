@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -127,11 +128,19 @@ class MarketDataset:
     def dates(self) -> tuple[Date, ...]:
         return tuple(r.date for r in self.records)
 
-    def index_of(self, date: Date) -> int:
+    @cached_property
+    def _positions(self) -> dict[Date, int]:
+        # first position wins, as a scan from the start would find it
+        positions: dict[Date, int] = {}
         for i, r in enumerate(self.records):
-            if r.date == date:
-                return i
-        raise DateNotFound(f"{date} not in dataset")
+            positions.setdefault(r.date, i)
+        return positions
+
+    def index_of(self, date: Date) -> int:
+        try:
+            return self._positions[date]
+        except KeyError:
+            raise DateNotFound(f"{date} not in dataset") from None
 
     def record(self, date: Date) -> MarketRecord:
         return self.records[self.index_of(date)]

@@ -67,6 +67,15 @@ class RunConfig:
     client: ChatClientConfig = field(default_factory=ChatClientConfig)
 
     def __post_init__(self):
+        # a RunConfig built in Python gets the same type check as a config file
+        if not (isinstance(self.start, Date) and isinstance(self.end, Date)):
+            raise ConfigError("config keys 'start' and 'end' must be dates")
+        _check_types(RunConfig, vars(self))
+        for name, kind in _PARTS:
+            part = getattr(self, name)
+            if not isinstance(part, kind):
+                raise ConfigError(f"config key '{name}' must be a {kind.__name__}")
+            _check_types(kind, vars(part))
         if self.end < self.start:
             raise ValueError("end date before start date")
         if self.initial_value_usd <= 0:
@@ -83,15 +92,13 @@ class RunConfig:
         """Inverse of to_dict. Absent keys take the dataclass defaults; unknown
         keys at any level and values the dataclasses reject raise ConfigError."""
         try:
-            kwargs = _typed(cls, d)
+            kwargs = dict(d)
             kwargs["start"] = Date.fromisoformat(kwargs["start"])
             kwargs["end"] = Date.fromisoformat(kwargs["end"])
-            for name, kind in (
-                ("indicator_params", IndicatorParams),
-                ("regime_params", RegimeParams),
-                ("client", ChatClientConfig),
-            ):
-                kwargs[name] = kind(**_typed(kind, kwargs.get(name, {})))
+            for name, kind in _PARTS:
+                tree = kwargs.get(name, {})
+                _check_types(kind, tree)  # before the part's own checks compare values
+                kwargs[name] = kind(**tree)
             return cls(**kwargs)
         except KeyError as exc:
             raise ConfigError(f"config has no {exc} key") from None
@@ -103,14 +110,20 @@ class RunConfig:
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
 
 
-def _typed(kind, tree: Mapping) -> dict:
-    """`tree` as keyword arguments for `kind`, each value's JSON type checked
-    against its field default's (the caller converts fields without one)."""
+_PARTS = (
+    ("indicator_params", IndicatorParams),
+    ("regime_params", RegimeParams),
+    ("client", ChatClientConfig),
+)
+
+
+def _check_types(kind, values: Mapping) -> None:
+    """Check each value's JSON type against that of its field default in `kind`
+    (fields without a default are the caller's to check)."""
     for f in dataclasses.fields(kind):
-        value = tree.get(f.name, f.default)
+        value = values.get(f.name, f.default)
         if f.default is not dataclasses.MISSING and type(value) not in _JSON_TYPES[type(f.default)]:
             raise ConfigError(f"config key '{f.name}' has a bad value {value!r}")
-    return dict(tree)
 
 
 def _portfolio_dict(state: PortfolioState) -> dict:

@@ -22,6 +22,7 @@ from .agents import (
     INDICATOR_TERMS,
     PromptBundle,
     Role,
+    _any_word,
     _iter_json_objects,
     _word,
     ask_until_parsed,
@@ -241,15 +242,17 @@ ALLOCATION_VERBS = (
 )
 ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
 _PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*%")
+_ALLOCATION_VERB_RE = _any_word(ALLOCATION_VERBS)
+_ALLOCATION_NOUN_RE = _any_word(ALLOCATION_NOUNS)
 
 
 def _has_allocation_directive(text: str) -> bool:
     # a percentage figure sharing a sentence with an allocation verb and noun
     for sentence in re.split(r"[.!?\n]", text):
-        if not _PERCENT_RE.search(sentence):
-            continue
-        if any(_word(v).search(sentence) for v in ALLOCATION_VERBS) and any(
-            _word(n).search(sentence) for n in ALLOCATION_NOUNS
+        if (
+            _PERCENT_RE.search(sentence)
+            and _ALLOCATION_VERB_RE.search(sentence)
+            and _ALLOCATION_NOUN_RE.search(sentence)
         ):
             return True
     return False
@@ -267,12 +270,14 @@ def scope_filter(
     """
     violations = []
     signals_text = feedback.get("signals", "")
-    for term in signals_banned_terms:
-        if _word(term).search(signals_text):
-            violations.append(
-                ScopeViolation(role="signals", reason=f"mentions indicator term '{term}'")
-            )
-            break
+    # the alternation gates the per-term loop, which names the first term listed
+    if _any_word(tuple(signals_banned_terms)).search(signals_text):
+        for term in signals_banned_terms:
+            if _word(term).search(signals_text):
+                violations.append(
+                    ScopeViolation(role="signals", reason=f"mentions indicator term '{term}'")
+                )
+                break
     for role in AGENT_ROLES:
         if _has_allocation_directive(feedback.get(role, "")):
             violations.append(
@@ -338,17 +343,14 @@ def run_daily_reflection(
             client, retry_bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, 1
         )
         attempts += retry_attempts
+        still = violations
         if retry_texts is not None:
-            still = {v.role for v in scope_filter(retry_texts, signals_banned_terms)}
-            for role in AGENT_ROLES:
-                if role in still:
-                    retry_texts[role] = ""
-                    flags.append(f"reflect_scope_dropped_{role}")
-            texts = retry_texts
-        else:
-            for v in violations:
-                texts[v.role] = ""
-                flags.append(f"reflect_scope_dropped_{v.role}")
+            texts, still = retry_texts, scope_filter(retry_texts, signals_banned_terms)
+        dropped = {v.role for v in still}
+        for role in AGENT_ROLES:
+            if role in dropped:
+                texts[role] = ""
+                flags.append(f"reflect_scope_dropped_{role}")
 
     return ReflectionOutcome(
         feedback=DailyFeedback(date=packet.date, **{r: texts[r] for r in AGENT_ROLES}),

@@ -108,13 +108,13 @@ def segment(
     if len(closes) < warmup:
         raise WindowTooShort(f"segment needs {warmup} closes, got {len(closes)}")
 
-    labels: list[RegimeLabel] = []
+    # classify_day reads only the last `warmup` closes, so each day gets the
+    # same label from a fixed-length window as from its whole prefix
     first_label = classify_day(closes[:warmup], params)
-    for i in range(len(dates)):
-        if i + 1 < warmup:
-            labels.append(first_label)
-        else:
-            labels.append(classify_day(closes[: i + 1], params))
+    labels = [first_label] * (warmup - 1) + [
+        classify_day(closes[i + 1 - warmup : i + 1], params)
+        for i in range(warmup - 1, len(dates))
+    ]
 
     # collapse per-day labels into runs
     runs: list[list] = []  # [label, start_idx, end_idx]

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles the indicator and metric tests check against.
+"""Independent brute-force oracles the indicator, metric and scope-check tests check against.
 
 These deliberately recompute everything from scratch (closed-form weights,
 explicit loops, no shared helpers with the package) so a bug in the
@@ -6,6 +6,15 @@ implementation cannot hide in its own oracle.
 """
 
 import math
+import re
+
+from btagents.agents import INDICATOR_TERMS, NEWS_SENTIMENT_TERMS
+from btagents.reflection import (
+    AGENT_ROLES,
+    ALLOCATION_NOUNS,
+    ALLOCATION_VERBS,
+    SIGNALS_BANNED_TERMS,
+)
 
 
 def oracle_sma(closes, n):
@@ -114,3 +123,55 @@ def oracle_adx(bars, n):
     for d in dxs[n:]:
         adx = (adx * (n - 1) + d) / n
     return adx
+
+
+def _oracle_word(term, text):
+    # whole word, any case: no ASCII letter, digit or underscore on either side
+    pattern = r"(?<![a-z0-9_])" + re.escape(term) + r"(?![a-z0-9_])"
+    return re.search(pattern, text, re.IGNORECASE) is not None
+
+
+def oracle_lint(role, text, upstream_allocations=()):
+    """Prompt-lint messages, one regex search per term and per token."""
+    if role == "signals":
+        return [
+            f"signals prompt mentions indicator term '{t}'"
+            for t in INDICATOR_TERMS
+            if _oracle_word(t, text)
+        ]
+    if role == "quants":
+        return [
+            f"quants prompt mentions news/sentiment term '{t}'"
+            for t in NEWS_SENTIMENT_TERMS
+            if _oracle_word(t, text)
+        ]
+    if role != "decision":
+        return []
+    found = []
+    for frac in upstream_allocations:
+        pct = frac * 100.0
+        tokens = {f"{pct:.0f}%", f"{pct:.1f}%", f"{pct:.2f}%", f"{frac:.2f}", f"{frac:.3f}"}
+        for token in sorted(tokens):
+            if re.search(r"(?<![\d.])" + re.escape(token) + r"(?!\d)", text):
+                found.append(f"decision prompt leaks upstream allocation token '{token}'")
+    return found
+
+
+def oracle_scope_filter(feedback):
+    """(role, reason) pairs of reflect scope violations, term by term."""
+    found = []
+    signals = feedback.get("signals", "")
+    for term in SIGNALS_BANNED_TERMS:
+        if _oracle_word(term, signals):
+            found.append(("signals", f"mentions indicator term '{term}'"))
+            break
+    for role in AGENT_ROLES:
+        for sentence in re.split(r"[.!?\n]", feedback.get(role, "")):
+            if (
+                re.search(r"\d+(?:\.\d+)?\s*%", sentence)
+                and any(_oracle_word(v, sentence) for v in ALLOCATION_VERBS)
+                and any(_oracle_word(n, sentence) for n in ALLOCATION_NOUNS)
+            ):
+                found.append((role, "contains an explicit allocation directive"))
+                break
+    return found

@@ -13,6 +13,8 @@ from btagents.errors import (
 )
 from btagents.market_data import (
     Bar,
+    MarketDataset,
+    MarketRecord,
     NewsItem,
     OnChainDaily,
     SentimentDaily,
@@ -299,6 +301,26 @@ class TestSlice:
     def test_window_ordered_and_ends_at_date(self):
         window = slice_window(self.ds, self.ds.dates[8], 4)
         assert [r.date for r in window] == list(self.ds.dates[5:9])
+
+
+class TestIndexOf:
+    def setup_method(self):
+        # built directly, so nothing enforces contiguous dates: day 3 and 4 are missing
+        bars = bars_from_closes([float(100 + i) for i in range(8)], date(2024, 7, 1))
+        kept = bars[:3] + bars[5:]
+        self.ds = MarketDataset(
+            records=tuple(MarketRecord(bar=b, onchain=None, sentiment=None, news=()) for b in kept)
+        )
+
+    def test_every_date_maps_to_its_position(self):
+        for i, d in enumerate(self.ds.dates):
+            assert self.ds.index_of(d) == i
+            assert self.ds.record(d).date == d
+
+    def test_missing_date_raises(self):
+        for missing in (date(2024, 7, 4), date(2024, 6, 30), date(2024, 7, 9)):
+            with pytest.raises(DateNotFound):
+                self.ds.index_of(missing)
 
 
 class TestBarInvariants:

@@ -3,8 +3,13 @@ from datetime import date
 
 import pytest
 
-from btagents.agents import DAILY_FEEDBACK_HEADER, ScriptedResponder, WEEKLY_FEEDBACK_HEADER
-from btagents.errors import DateNotFound, JournalCorrupt, WindowTooShort
+from btagents.agents import (
+    DAILY_FEEDBACK_HEADER,
+    WEEKLY_FEEDBACK_HEADER,
+    ChatClientConfig,
+    ScriptedResponder,
+)
+from btagents.errors import ConfigError, DateNotFound, JournalCorrupt, WindowTooShort
 from btagents.journal import read_journal, seal, write_journal
 from btagents.orchestrator import (
     RunConfig,
@@ -110,6 +115,27 @@ class TestPreflight:
         with pytest.raises(ValueError):
             RunConfig(start=date(2024, 11, 5), end=date(2024, 11, 4))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"neutral_band": "0.01"},
+            {"lookback_days": 30.5},
+            {"daily_feedback": 1},
+            {"weekly_template_path": 3},
+            {"end": "2024-11-05"},
+            {"client": ChatClientConfig(temperature="0")},
+            {"indicator_params": {"sma_window": 10}},
+        ],
+    )
+    def test_python_config_types_checked(self, overrides):
+        kwargs = {"start": date(2024, 11, 4), "end": date(2024, 11, 5), **overrides}
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+
+    def test_mistyped_config_stops_before_the_run(self):
+        with pytest.raises(ConfigError, match="neutral_band"):
+            run_synth(3, daily=False, weekly=False, neutral_band="0.01")
+
 
 class TestJournalRoundTrip:
     def test_write_read_verify(self, tmp_path, case_study_dataset, case_study_responder, case_study_config):
@@ -119,6 +145,17 @@ class TestJournalRoundTrip:
         loaded = read_journal(str(path))
         assert loaded.header == journal.header
         assert loaded.entries == journal.entries
+
+    def test_failed_write_leaves_old_file(self, tmp_path, case_study_dataset, case_study_responder, case_study_config):
+        journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)
+        path = tmp_path / "run.jsonl"
+        write_journal(journal, str(path))
+        before = path.read_bytes()
+        journal.entries.append({"type": "day", "unserializable": object()})
+        with pytest.raises(TypeError):
+            write_journal(journal, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
 
     def test_edited_response_breaks_digest(self, tmp_path, case_study_dataset, case_study_responder, case_study_config):
         journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)

@@ -8,6 +8,7 @@ from btagents.agents import AgentDecision, Allocation, InvokeResult, MarketState
 from btagents.errors import (
     IncompleteWeek,
     MissingAgentRecord,
+    NetworkError,
     ParseError,
     SchemaError,
 )
@@ -243,6 +244,22 @@ class TestRunDailyReflection:
         assert outcome.feedback.signals == ""
         assert outcome.feedback.quants != ""
         assert "reflect_scope_dropped_signals" in outcome.flags
+
+    def test_failed_rewrite_flags_each_dropped_role_once(self):
+        dirty = reflect_json(
+            quants="trim the exposure to 20% next time",
+            signals="check the RSI and raise your allocation to 80%",
+        )
+        client = SeqClient([dirty, NetworkError("connection reset", 3)])
+        outcome = run_daily_reflection(client, packet_for())
+        assert [v.role for v in outcome.violations] == ["signals", "quants", "signals"]
+        assert outcome.flags == (
+            "reflect_scope_retry",
+            "reflect_scope_dropped_quants",
+            "reflect_scope_dropped_signals",
+        )
+        assert (outcome.feedback.quants, outcome.feedback.signals) == ("", "")
+        assert outcome.feedback.decision == "balanced"
 
     def test_total_parse_failure_gives_empty_feedback(self):
         client = SeqClient(["junk", "junk"])

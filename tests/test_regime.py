@@ -119,10 +119,11 @@ class TestSegment:
 
     def test_matches_merge_oracle_random(self):
         rng = random.Random(22)
-        for trial in range(10):
+        # the last trial is four years long, as a full backtest's report is
+        for trial in range(11):
             closes = [1000.0]
             drift = rng.choice([-0.004, 0.0, 0.006])
-            for i in range(rng.randint(80, 200)):
+            for i in range(rng.randint(80, 200) if trial < 10 else 1460):
                 if i % 37 == 0:
                     drift = rng.choice([-0.008, -0.002, 0.0, 0.004, 0.009])
                 closes.append(round(closes[-1] * (1.0 + drift + rng.uniform(-0.002, 0.002)), 6))
