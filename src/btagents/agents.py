@@ -10,9 +10,7 @@ reasoning only, never their allocations) plus the portfolio value.
 from __future__ import annotations
 
 import json
-import os
 import re
-import time
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from enum import Enum
@@ -32,6 +30,7 @@ from .errors import (
 from .indicators import IndicatorSnapshot
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
 from .portfolio import Allocation
+from .transport import bearer_headers, send_with_retries
 
 
 class MarketState(str, Enum):
@@ -287,7 +286,6 @@ def _word(term: str) -> re.Pattern:
     return re.compile(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", re.IGNORECASE)
 
 
-@lru_cache(maxsize=16)
 def _any_word(terms: tuple[str, ...]) -> re.Pattern:
     """One pattern that matches exactly where `_word(t)` matches for some t.
 
@@ -347,64 +345,38 @@ def lint_bundle(
 class ChatClient:
     """Minimal chat-completions client with bounded retries.
 
-    Retries transport failures and 5xx responses with exponential backoff;
-    4xx responses fail immediately. `max_retries` caps total attempts.
+    Retries follow `transport.send_with_retries`; `max_retries` caps total attempts.
     """
 
     def __init__(self, config: ChatClientConfig, session=None):
         self.config = config
         self._session = session if session is not None else requests.Session()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.config.api_key_env_var, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, bundle: PromptBundle) -> InvokeResult:
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
+        cfg = self.config
+        url = cfg.base_url.rstrip("/") + "/chat/completions"
         payload = {
-            "model": self.config.model_name,
+            "model": cfg.model_name,
             "messages": [
                 {"role": "system", "content": bundle.system_text},
                 {"role": "user", "content": bundle.user_text},
             ],
-            "temperature": self.config.temperature,
+            "temperature": cfg.temperature,
         }
-        attempts_allowed = max(1, self.config.max_retries)
-        last_error: Exception | None = None
-        timed_out = False
-        for attempt in range(1, attempts_allowed + 1):
-            if attempt > 1 and self.config.backoff_seconds > 0:
-                time.sleep(self.config.backoff_seconds * 2 ** (attempt - 2))
-            try:
-                resp = self._session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.config.timeout
-                )
-            except requests.Timeout as exc:
-                last_error, timed_out = exc, True
-                continue
-            except requests.RequestException as exc:
-                last_error, timed_out = exc, False
-                continue
-            if resp.status_code >= 500:
-                last_error = NetworkError(f"server error {resp.status_code}", attempt)
-                continue
-            if resp.status_code >= 400:
-                raise NetworkError(f"request rejected: {resp.status_code}", attempt)
-            try:
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise SchemaError(f"malformed completion body: {exc}") from exc
-            if not isinstance(content, str):
-                raise SchemaError("completion content is not text")
-            return InvokeResult(text=content, attempts=attempt)
-        if timed_out:
-            raise TimeoutError(
-                f"chat completion timed out after {attempts_allowed} attempt(s)"
-            )
-        raise NetworkError(f"chat completion failed: {last_error}", attempts_allowed)
+        headers = {"Content-Type": "application/json", **bearer_headers(cfg.api_key_env_var)}
+
+        def send():
+            resp = self._session.post(url, json=payload, headers=headers, timeout=cfg.timeout)
+            return resp.status_code, resp
+
+        resp, attempt = send_with_retries(send, cfg.max_retries, cfg.backoff_seconds, "chat completion")
+        try:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise SchemaError(f"malformed completion body: {exc}") from exc
+        if not isinstance(content, str):
+            raise SchemaError("completion content is not text")
+        return InvokeResult(text=content, attempts=attempt)
 
 
 class ScriptedResponder:

@@ -23,7 +23,7 @@ from .market_data import (
     load_onchain,
     load_sentiment,
 )
-from .orchestrator import RunConfig, outputs_from_journal, run_backtest
+from .orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from .regime import load_segmentation
 from .report import cumrets_csv, render, resolve_segmentation, table_csv
 
@@ -143,9 +143,7 @@ def cmd_backtest(args) -> int:
 def cmd_report(args) -> int:
     """`report` reads the recorded values; `replay` recomputes them first."""
     journal = read_journal(args.journal)
-    outputs = outputs_from_journal(
-        journal, neutral_band=args.neutral_band, recompute=args.recompute
-    )
+    outputs = args.outputs(journal, args.neutral_band)
     print(_emit_report(outputs, args.segmentation, args.out_dir), end="")
     return 0
 
@@ -176,16 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.add_argument("--report-dir", help="also write report files here")
     p_backtest.set_defaults(func=cmd_backtest)
 
-    for name, help_text, recompute in (
-        ("replay", "recompute a run from its journal", True),
-        ("report", "render the report from a journal", False),
+    for name, help_text, outputs in (
+        ("replay", "recompute a run from its journal", replay),
+        ("report", "render the report from a journal", outputs_from_journal),
     ):
         p_journal = sub.add_parser(name, help=help_text)
         p_journal.add_argument("--journal", required=True)
         p_journal.add_argument("--neutral-band", type=float, default=None)
         p_journal.add_argument("--segmentation", help="override segmentation CSV")
         p_journal.add_argument("--out-dir", help="write report files here")
-        p_journal.set_defaults(func=cmd_report, recompute=recompute)
+        p_journal.set_defaults(func=cmd_report, outputs=outputs)
 
     return parser
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import time
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta, timezone
 from pathlib import Path
@@ -19,8 +17,9 @@ from typing import Callable, Sequence
 
 import requests
 
-from .errors import NetworkError, SchemaError
+from .errors import SchemaError
 from .market_data import NewsItem, SentimentDaily, dedupe_news
+from .transport import bearer_headers, send_with_retries
 
 logger = logging.getLogger(__name__)
 
@@ -95,30 +94,16 @@ def _cache_write(config: EndpointConfig, source: str, date: Date, body: str) -> 
 def _get(
     config: EndpointConfig, url: str, params: dict, transport: Transport | None
 ) -> str:
-    """GET with bounded retries on transport failures and 5xx responses."""
+    """GET with the retry policy of `transport.send_with_retries`."""
     transport = transport or _requests_transport
-    headers = {}
-    if config.api_key_env_var:
-        key = os.environ.get(config.api_key_env_var, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-    attempts_allowed = max(1, config.max_retries)
-    last_error = None
-    for attempt in range(1, attempts_allowed + 1):
-        if attempt > 1 and config.backoff_seconds > 0:
-            time.sleep(config.backoff_seconds * 2 ** (attempt - 2))
-        try:
-            status, body = transport(url, params, headers, config.timeout)
-        except requests.RequestException as exc:
-            last_error = exc
-            continue
-        if status >= 500:
-            last_error = f"server error {status}"
-            continue
-        if status >= 400:
-            raise NetworkError(f"GET {url} rejected with {status}", attempt)
-        return body
-    raise NetworkError(f"GET {url} failed: {last_error}", attempts_allowed)
+    headers = bearer_headers(config.api_key_env_var)
+    body, _ = send_with_retries(
+        lambda: transport(url, params, headers, config.timeout),
+        config.max_retries,
+        config.backoff_seconds,
+        f"GET {url}",
+    )
+    return body
 
 
 def _parse_json(body: str, context: str):

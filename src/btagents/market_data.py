@@ -23,7 +23,6 @@ from .errors import (
     GapError,
     InvariantViolation,
     MalformedRow,
-    WindowTooShort,
 )
 
 GAP_CARRY = "carry"
@@ -144,9 +143,6 @@ class MarketDataset:
 
     def record(self, date: Date) -> MarketRecord:
         return self.records[self.index_of(date)]
-
-    def closes(self) -> list[float]:
-        return [r.bar.close for r in self.records]
 
 
 def _parse_date(raw: str) -> Date:
@@ -325,21 +321,9 @@ def align(
     return MarketDataset(records=tuple(records))
 
 
-def slice_window(
-    dataset: MarketDataset,
-    date: Date,
-    lookback_days: int,
-    allow_partial: bool = True,
-) -> tuple[MarketRecord, ...]:
+def slice_window(dataset: MarketDataset, date: Date, lookback_days: int) -> tuple[MarketRecord, ...]:
     """Window of up to lookback_days records ending at (and including) date."""
     if lookback_days < 1:
         raise ValueError("lookback_days must be >= 1")
     end = dataset.index_of(date)
-    start = end - lookback_days + 1
-    if start < 0:
-        if not allow_partial:
-            raise WindowTooShort(
-                f"need {lookback_days} days ending {date}, have {end + 1}"
-            )
-        start = 0
-    return dataset.records[start : end + 1]
+    return dataset.records[max(0, end - lookback_days + 1) : end + 1]

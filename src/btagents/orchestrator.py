@@ -419,75 +419,48 @@ class RunOutputs:
     fallback_days: dict[str, int]
 
 
-def outputs_from_journal(
-    journal: RunJournal,
-    neutral_band: float | None = None,
-    recompute: bool = False,
-) -> RunOutputs:
-    """Read (or re-derive) the run's value paths from its journal.
+def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
+    """Read the run's value paths from its journal.
 
-    With recompute=True every recorded response is re-parsed and every
-    portfolio state re-simulated from the recorded closes; any divergence
-    from the recorded numbers raises JournalCorrupt. Metrics downstream of
-    the returned outputs are bit-identical either way.
+    Checks every digest and the journal's structure: the header's `n_days`
+    day records, numbered in order, each starting on the date the one before
+    it ends, and a weekly record after every seventh day when weekly
+    feedback is on, and only then. Raises JournalCorrupt otherwise.
     """
     journal.verify()
     config = RunConfig.from_dict(journal.header["config"])
     band = config.neutral_band if neutral_band is None else neutral_band
+    n_days = journal.header.get("n_days", 0)
+    kinds = []  # the record types a run of n_days writes, in order
+    for i in range(n_days):
+        kinds += ["day", "weekly"] if config.weekly_feedback and (i + 1) % 7 == 0 else ["day"]
+    if [e.get("type") for e in journal.entries] != kinds:
+        raise JournalCorrupt(
+            f"records are not those of a {n_days}-day run: one day record"
+            " per day and, with weekly feedback on, a weekly record after every seventh"
+        )
     days = journal.days
     if not days:
         raise JournalCorrupt("journal has no day records")
+    for i, day in enumerate(days):
+        if day["seq"] != i or (i > 0 and day["date"] != days[i - 1]["next_date"]):
+            raise JournalCorrupt(f"day record {i} ({day['date']}) is out of sequence")
 
-    first = days[0]
-    start_date = Date.fromisoformat(first["date"])
-    p0 = first["close"]
     initial = config.initial_value_usd
-    fees = FeeModel(fee_bps=config.fee_bps)
-
-    value_dates = [start_date]
-    closes = [p0]
+    value_dates = [Date.fromisoformat(days[0]["date"])]
+    closes = [days[0]["close"]]
     values: dict[str, list[float]] = {name: [initial] for name in (*AGENT_ROLES, *BASELINE_NAMES)}
     predictions: dict[str, list[str]] = {role: [] for role in AGENT_ROLES}
     fallback_days = {role: 0 for role in AGENT_ROLES}
-    books = {role: PortfolioState.all_cash(start_date, initial, p0) for role in AGENT_ROLES}
-    prev_alloc = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
 
     for day in days:
-        next_date = Date.fromisoformat(day["next_date"])
-        value_dates.append(next_date)
+        value_dates.append(Date.fromisoformat(day["next_date"]))
         closes.append(day["next_close"])
         roles = day["roles"]
-        if recompute:
-            # re-parse each response and re-run the day step: every recorded
-            # allocation, state, book, day return and baseline must reproduce exactly
-            decisions = {}
-            for role in AGENT_ROLES:
-                if roles[role]["fallback"]:
-                    decisions[role] = (Allocation(btc_fraction=prev_alloc[role]), MarketState.NEUTRAL)
-                else:
-                    parsed = parse_agent_output(roles[role]["raw"], role=role)
-                    decisions[role] = (parsed.allocation, parsed.prediction.state)
-            allocations = {role: allocation for role, (allocation, _) in decisions.items()}
-            books, day_returns, baseline = step_day(
-                books, allocations, day["close"], next_date, day["next_close"], fees, initial, p0
-            )
-            for role, (allocation, state) in decisions.items():
-                reproduced = {
-                    "allocation": allocation.btc_fraction,
-                    "state": state.value,
-                    "portfolio": _portfolio_dict(books[role]),
-                    "portfolio_return": day_returns[role],
-                }
-                for key, value in reproduced.items():
-                    if value != roles[role][key]:
-                        raise JournalCorrupt(f"{day['date']} {role}: recorded {key} does not reproduce")
-            if baseline != day["baseline"]:
-                raise JournalCorrupt(f"{day['date']}: recorded baselines do not reproduce")
         for role in AGENT_ROLES:
             predictions[role].append(roles[role]["state"])
             fallback_days[role] += 1 if roles[role]["fallback"] else 0
             values[role].append(roles[role]["portfolio"]["value_usd"])
-            prev_alloc[role] = roles[role]["allocation"]
         values["static5050"].append(day["baseline"]["static5050_value"])
         values["buyhold"].append(day["baseline"]["buyhold_value"])
 
@@ -503,5 +476,47 @@ def outputs_from_journal(
 
 
 def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
-    """Recompute the whole run from recorded responses; no network involved."""
-    return outputs_from_journal(journal, neutral_band=neutral_band, recompute=True)
+    """Recompute the whole run from recorded responses; no network involved.
+
+    Reads the journal with `outputs_from_journal`, then re-parses every
+    recorded response and re-runs every day step from the recorded closes:
+    each recorded allocation, state, book, day return and baseline must
+    reproduce exactly, or JournalCorrupt is raised.
+    """
+    outputs = outputs_from_journal(journal, neutral_band)
+    config = outputs.config
+    days = journal.days
+    p0 = days[0]["close"]
+    initial = config.initial_value_usd
+    fees = FeeModel(fee_bps=config.fee_bps)
+    start = outputs.value_dates[0]
+    books = {role: PortfolioState.all_cash(start, initial, p0) for role in AGENT_ROLES}
+    # the allocation a fallback holds; 0.5 before any decision
+    prev = {role: Allocation(btc_fraction=0.5) for role in AGENT_ROLES}
+
+    for day, next_date in zip(days, outputs.value_dates[1:]):
+        roles = day["roles"]
+        decisions = {}
+        for role in AGENT_ROLES:
+            if roles[role]["fallback"]:
+                decisions[role] = (prev[role], MarketState.NEUTRAL)
+            else:
+                parsed = parse_agent_output(roles[role]["raw"], role=role)
+                decisions[role] = (parsed.allocation, parsed.prediction.state)
+        prev = {role: allocation for role, (allocation, _) in decisions.items()}
+        books, day_returns, baseline = step_day(
+            books, prev, day["close"], next_date, day["next_close"], fees, initial, p0
+        )
+        for role, (allocation, state) in decisions.items():
+            reproduced = {
+                "allocation": allocation.btc_fraction,
+                "state": state.value,
+                "portfolio": _portfolio_dict(books[role]),
+                "portfolio_return": day_returns[role],
+            }
+            for key, value in reproduced.items():
+                if value != roles[role][key]:
+                    raise JournalCorrupt(f"{day['date']} {role}: recorded {key} does not reproduce")
+        if baseline != day["baseline"]:
+            raise JournalCorrupt(f"{day['date']}: recorded baselines do not reproduce")
+    return outputs

@@ -156,18 +156,3 @@ def baseline_static_5050(initial_value: float, prices: Sequence[float]) -> list[
     p0 = prices[0]
     half = initial_value / 2.0
     return [half + half * p / p0 for p in prices]
-
-
-def baseline_rebalanced(
-    initial_value: float, prices: Sequence[float], btc_fraction: float = 0.5
-) -> list[float]:
-    """Daily-rebalanced constant-mix variant, for sensitivity runs only."""
-    if not prices:
-        return []
-    if any(p <= 0 for p in prices):
-        raise InvariantViolation("prices must be > 0")
-    values = [initial_value]
-    for prev, cur in zip(prices, prices[1:]):
-        r = cur / prev - 1.0
-        values.append(values[-1] * (1.0 + btc_fraction * r))
-    return values

@@ -244,11 +244,14 @@ ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
 _PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*%")
 _ALLOCATION_VERB_RE = _any_word(ALLOCATION_VERBS)
 _ALLOCATION_NOUN_RE = _any_word(ALLOCATION_NOUNS)
+_SIGNALS_BANNED_RE = _any_word(SIGNALS_BANNED_TERMS)
+# a sentence ends at "!", "?", a newline or a "." that is not a decimal point
+_SENTENCE_END_RE = re.compile(r"[!?\n]|(?<!\d)\.|\.(?!\d)")
 
 
 def _has_allocation_directive(text: str) -> bool:
     # a percentage figure sharing a sentence with an allocation verb and noun
-    for sentence in re.split(r"[.!?\n]", text):
+    for sentence in _SENTENCE_END_RE.split(text):
         if (
             _PERCENT_RE.search(sentence)
             and _ALLOCATION_VERB_RE.search(sentence)
@@ -258,10 +261,7 @@ def _has_allocation_directive(text: str) -> bool:
     return False
 
 
-def scope_filter(
-    feedback: Mapping[str, str],
-    signals_banned_terms: Sequence[str] = SIGNALS_BANNED_TERMS,
-) -> list[ScopeViolation]:
+def scope_filter(feedback: Mapping[str, str]) -> list[ScopeViolation]:
     """Detect out-of-scope feedback. Empty result means all texts pass.
 
     The signals agent must not be told about technical-indicator data it
@@ -271,8 +271,8 @@ def scope_filter(
     violations = []
     signals_text = feedback.get("signals", "")
     # the alternation gates the per-term loop, which names the first term listed
-    if _any_word(tuple(signals_banned_terms)).search(signals_text):
-        for term in signals_banned_terms:
+    if _SIGNALS_BANNED_RE.search(signals_text):
+        for term in SIGNALS_BANNED_TERMS:
             if _word(term).search(signals_text):
                 violations.append(
                     ScopeViolation(role="signals", reason=f"mentions indicator term '{term}'")
@@ -306,7 +306,6 @@ def run_daily_reflection(
     client: CompletionClient,
     packet: DailyOutcomePacket,
     retry_limit: int = 1,
-    signals_banned_terms: Sequence[str] = SIGNALS_BANNED_TERMS,
 ) -> ReflectionOutcome:
     """Invoke the critic, parse, and scope-filter its feedback.
 
@@ -328,7 +327,7 @@ def run_daily_reflection(
         )
 
     flags: list[str] = []
-    violations = scope_filter(texts, signals_banned_terms)
+    violations = scope_filter(texts)
     if violations:
         flags.append("reflect_scope_retry")
         note = "; ".join(f"{v.role}: {v.reason}" for v in violations)
@@ -345,7 +344,7 @@ def run_daily_reflection(
         attempts += retry_attempts
         still = violations
         if retry_texts is not None:
-            texts, still = retry_texts, scope_filter(retry_texts, signals_banned_terms)
+            texts, still = retry_texts, scope_filter(retry_texts)
         dropped = {v.role for v in still}
         for role in AGENT_ROLES:
             if role in dropped:

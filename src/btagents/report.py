@@ -183,10 +183,9 @@ def report_from_journal(
     journal: RunJournal,
     segmentation: RegimeSegmentation | None = None,
     neutral_band: float | None = None,
-    recompute: bool = False,
 ) -> ReportArtifacts:
     """One-call report: journal in, rendered artifacts out."""
-    outputs = outputs_from_journal(journal, neutral_band=neutral_band, recompute=recompute)
+    outputs = outputs_from_journal(journal, neutral_band=neutral_band)
     return render(outputs, resolve_segmentation(outputs, segmentation))
 
 

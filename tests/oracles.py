@@ -166,7 +166,8 @@ def oracle_scope_filter(feedback):
             found.append(("signals", f"mentions indicator term '{term}'"))
             break
     for role in AGENT_ROLES:
-        for sentence in re.split(r"[.!?\n]", feedback.get(role, "")):
+        # sentences end at "!", "?", a newline or a "." outside a decimal number
+        for sentence in re.split(r"[!?\n]|(?<!\d)\.|\.(?!\d)", feedback.get(role, "")):
             if (
                 re.search(r"\d+(?:\.\d+)?\s*%", sentence)
                 and any(_oracle_word(v, sentence) for v in ALLOCATION_VERBS)

@@ -9,7 +9,6 @@ from btagents.errors import (
     GapError,
     InvariantViolation,
     MalformedRow,
-    WindowTooShort,
 )
 from btagents.market_data import (
     Bar,
@@ -289,10 +288,6 @@ class TestSlice:
         window = slice_window(self.ds, self.ds.dates[4], 30)
         assert len(window) == 5
         assert window[-1].date == self.ds.dates[4]
-
-    def test_strict_partial_raises(self):
-        with pytest.raises(WindowTooShort):
-            slice_window(self.ds, self.ds.dates[4], 30, allow_partial=False)
 
     def test_date_not_found(self):
         with pytest.raises(DateNotFound):

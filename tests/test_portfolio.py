@@ -9,7 +9,6 @@ from btagents.portfolio import (
     FeeModel,
     PortfolioState,
     baseline_buy_and_hold,
-    baseline_rebalanced,
     baseline_static_5050,
     mark,
     rebalance,
@@ -156,12 +155,6 @@ class TestBaselines:
         units = (initial / 2.0) / prices[0]
         simulated = [units * p + initial / 2.0 for p in prices]
         assert values == simulated
-
-    def test_rebalanced_variant_compounds_half_returns(self):
-        prices = [100.0, 110.0, 99.0]
-        values = baseline_rebalanced(1000.0, prices, 0.5)
-        expected = [1000.0, 1000.0 * 1.05, 1000.0 * 1.05 * (1.0 + 0.5 * (99.0 / 110.0 - 1.0))]
-        assert values == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_non_positive_prices(self):
         with pytest.raises(InvariantViolation):

@@ -175,6 +175,13 @@ class TestScopeFilter:
         )
         assert [v.role for v in violations] == ["decision"]
 
+    def test_decimal_percentage_directive_rejected(self):
+        # the decimal point does not end the sentence
+        violations = scope_filter({"decision": "raise your allocation to 12.5% tomorrow"})
+        assert [v.role for v in violations] == ["decision"]
+        # a full stop after a number does
+        assert scope_filter({"decision": "raise your allocation to 12. 5% was the move"}) == []
+
     def test_indicator_words_fine_for_quants(self):
         violations = scope_filter(
             {"quants": "your MACD read ignored the RSI divergence", "signals": "ok", "decision": "ok"}

@@ -19,11 +19,11 @@ from btagents.agents import (
     ScriptedResponder,
 )
 from btagents.errors import JournalCorrupt
-from btagents.journal import seal, write_journal
+from btagents.journal import read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from btagents.reflection import REFLECT_SYSTEM
 
-from conftest import scripted_plan, synth_dataset
+from conftest import run_synth, scripted_plan, synth_dataset
 from test_agents import FakeResponse
 
 CASE_STUDY_SHA256 = "993ebe83fe28d1d365c1edd5f0d96c32296c0f8b11e8c1175f87932cf819fbdf"
@@ -104,6 +104,53 @@ class TestResealedTamper:
         reseal_day(journal, 3, edit)
         with pytest.raises(JournalCorrupt):
             replay(journal)
+
+
+@pytest.fixture(scope="module")
+def written_lines(tmp_path_factory):
+    """The lines of a 10-day journal as written, with weekly feedback on and off."""
+    out = {}
+    for weekly in (True, False):
+        journal, _, _, _ = run_synth(10, weekly=weekly)
+        path = tmp_path_factory.mktemp("journal") / "run.jsonl"
+        write_journal(journal, str(path))
+        out[weekly] = path.read_text(encoding="utf-8").splitlines()
+    return out
+
+
+# each edit keeps every line's digest valid; line 0 is the header and, with
+# weekly feedback on, line 8 is the weekly record after the seventh day
+STRUCTURE_EDITS = {
+    "dropped last day": lambda on, off: on[:-1],
+    "dropped weekly record": lambda on, off: on[:8] + on[9:],
+    "duplicated day": lambda on, off: on[:3] + on[2:],
+    "swapped days": lambda on, off: on[:1] + [on[2], on[1]] + on[3:],
+    "weekly record with weekly feedback off": lambda on, off: off[:8] + [on[8]] + off[8:],
+}
+
+
+class TestJournalStructure:
+    @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
+    @pytest.mark.parametrize("edit", STRUCTURE_EDITS)
+    def test_edit_is_corrupt(self, written_lines, tmp_path, edit, read):
+        lines = STRUCTURE_EDITS[edit](written_lines[True], written_lines[False])
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        journal = read_journal(str(path))  # every digest still holds
+        with pytest.raises(JournalCorrupt):
+            read(journal)
+
+    @pytest.mark.parametrize("weekly", [True, False])
+    def test_unedited_journal_replays(self, written_lines, tmp_path, weekly):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(written_lines[weekly]) + "\n", encoding="utf-8")
+        assert len(replay(read_journal(str(path))).value_dates) == 11
+
+    def test_day_not_starting_where_the_last_ended(self):
+        journal, _, _, _ = run_synth(10)
+        reseal_day(journal, 5, lambda rec: rec.update(date=rec["next_date"]))
+        with pytest.raises(JournalCorrupt, match="out of sequence"):
+            outputs_from_journal(journal)
 
 
 ROLE_BY_SYSTEM = {

@@ -63,6 +63,8 @@ def test_lint_equals_per_term_oracle(role, text, upstream):
 @given(quants=texts, signals=texts, decision=texts)
 @example(quants="", signals="watch the \u017fMA", decision="")
 @example(quants="raise your exposure to 60%", signals="", decision="cut the split by 5 %")
+@example(quants="raise your allocation to 12.5% tomorrow", signals="", decision="trim the split. 12.5%")
+@example(quants="set the position to 12.5. 1%", signals="raise 3.5% exposure", decision="")
 def test_scope_filter_equals_per_term_oracle(quants, signals, decision):
     feedback = {"quants": quants, "signals": signals, "decision": decision}
     got = [(v.role, v.reason) for v in scope_filter(feedback)]

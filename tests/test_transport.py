@@ -1,0 +1,109 @@
+"""The one retry loop, as the chat client and the feed fetchers both use it."""
+
+from datetime import date
+
+import pytest
+import requests
+
+from btagents.agents import ChatClient, ChatClientConfig
+from btagents.errors import NetworkError
+from btagents.fetchers import EndpointConfig, fetch_social
+from btagents.transport import bearer_headers
+
+from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
+from test_fetchers import StubTransport
+
+
+# a plan lists what each attempt gets: an HTTP status (200 is a usable reply)
+# or an exception raised by the transport
+
+
+def chat(plan, **retry):
+    """A call through ChatClient, and its fake session holding the unused plan."""
+    session = FakeSession(
+        [a if isinstance(a, Exception) else FakeResponse(a) if a != 200 else ok_response("ok") for a in plan]
+    )
+    client = ChatClient(ChatClientConfig(base_url="http://fake/v1", **retry), session=session)
+    return lambda: client.complete(any_bundle()), session
+
+
+def fetch(plan, **retry):
+    """A call through fetch_social, and its stub transport holding the unused plan."""
+    transport = StubTransport([a if isinstance(a, Exception) else (a, '{"mean": 0.1}') for a in plan])
+    config = EndpointConfig(base_url="http://social.test", **retry)
+    day = date(2024, 11, 4)
+    return lambda: fetch_social(config, day, day, transport=transport), transport
+
+
+CLIENTS = pytest.mark.parametrize("client", [chat, fetch], ids=["chat", "fetch"])
+
+
+@CLIENTS
+def test_backoff_doubles_before_each_retry(client, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, fake = client([503, requests.ConnectionError("reset"), 200], max_retries=3, backoff_seconds=0.5)
+    call()
+    assert sleeps == [0.5, 1.0]
+    assert fake.plan == []
+
+
+@CLIENTS
+def test_no_sleep_without_backoff(client, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, _ = client([503, 200], max_retries=3, backoff_seconds=0.0)
+    call()
+    assert sleeps == []
+
+
+@CLIENTS
+def test_4xx_uses_one_attempt(client):
+    call, fake = client([404, 200], max_retries=3, backoff_seconds=0.0)
+    with pytest.raises(NetworkError) as exc:
+        call()
+    assert exc.value.attempts == 1
+    assert "rejected with 404" in str(exc.value)
+    assert len(fake.plan) == 1
+
+
+@CLIENTS
+def test_last_failure_sets_the_error(client):
+    call, _ = client([requests.Timeout("slow"), 503, 503], max_retries=3, backoff_seconds=0.0)
+    with pytest.raises(NetworkError) as exc:
+        call()
+    assert exc.value.attempts == 3
+
+
+@CLIENTS
+def test_every_attempt_timing_out_raises_timeout(client):
+    call, fake = client([requests.Timeout("slow")] * 3, max_retries=3, backoff_seconds=0.0)
+    with pytest.raises(TimeoutError, match=r"timed out after 3 attempt\(s\)"):
+        call()
+    assert fake.plan == []
+
+
+@CLIENTS
+def test_5xx_exhaustion_names_the_attempts_once(client):
+    call, _ = client([500, 502, 503], max_retries=3, backoff_seconds=0.0)
+    with pytest.raises(NetworkError) as exc:
+        call()
+    assert str(exc.value).count("(after 3 attempt(s))") == 1
+    assert "server error 503" in str(exc.value)
+
+
+@CLIENTS
+def test_zero_retries_still_makes_one_attempt(client):
+    call, fake = client([503, 200], max_retries=0, backoff_seconds=0.0)
+    with pytest.raises(NetworkError) as exc:
+        call()
+    assert exc.value.attempts == 1
+    assert len(fake.plan) == 1
+
+
+def test_bearer_headers(monkeypatch):
+    monkeypatch.setenv("FEED_KEY", "k1")
+    monkeypatch.delenv("UNSET_KEY", raising=False)
+    assert bearer_headers("FEED_KEY") == {"Authorization": "Bearer k1"}
+    assert bearer_headers("UNSET_KEY") == {}
+    assert bearer_headers("") == {}
