@@ -414,12 +414,14 @@ class ScriptedResponder:
 # ---------------------------------------------------------------------------
 # output parsing
 
+_DECODER = json.JSONDecoder()
+
+
 def _iter_json_objects(text: str):
-    decoder = json.JSONDecoder()
     i = text.find("{")
     while i != -1:
         try:
-            obj, end = decoder.raw_decode(text, i)
+            obj, end = _DECODER.raw_decode(text, i)
         except ValueError:
             i = text.find("{", i + 1)
             continue
@@ -429,6 +431,9 @@ def _iter_json_objects(text: str):
 
 
 REQUIRED_KEYS = ("state", "allocation_btc_pct", "reasoning")
+PARSE_ERRORS = (ParseError, SchemaError, RangeError)  # what a reply that does not parse raises
+_REQUIRED = frozenset(REQUIRED_KEYS)
+STATE_VALUES = frozenset(s.value for s in MarketState)
 
 
 def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
@@ -438,17 +443,15 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
     allocations convert to fractions; an optional numeric `confidence`
     field is preserved but unused downstream.
     """
-    if not raw or not raw.strip():
+    if not raw or raw.isspace():
         raise ParseError(f"{role}: empty response")
     found_any = False
     for obj in _iter_json_objects(raw):
         found_any = True
-        if not all(k in obj for k in REQUIRED_KEYS):
+        if not obj.keys() >= _REQUIRED:
             continue
         state_raw = obj["state"]
-        if not isinstance(state_raw, str) or state_raw.lower() not in (
-            s.value for s in MarketState
-        ):
+        if not isinstance(state_raw, str) or state_raw.lower() not in STATE_VALUES:
             raise SchemaError(f"{role}: invalid state {state_raw!r}")
         pct = obj["allocation_btc_pct"]
         if isinstance(pct, bool) or not isinstance(pct, (int, float)):
@@ -507,13 +510,19 @@ def ask_until_parsed(
             break
         try:
             parsed = parse(result.text)
-        except (ParseError, SchemaError, RangeError) as exc:
+        except PARSE_ERRORS as exc:
             attempts.append({"raw": result.text, "error": f"{type(exc).__name__}: {exc}"})
             bundle = replace(bundle, user_text=bundle.user_text + "\n\n" + reminder)
             continue
         attempts.append({"raw": result.text, "error": None})
         return parsed, attempts
     return None, attempts
+
+
+def fallback_decision(btc_fraction: float) -> AgentDecision:
+    """The decision taken when no reply parses: hold `btc_fraction`, state neutral."""
+    reasoning = "fallback: previous allocation held after unusable responses"
+    return AgentDecision(Prediction(MarketState.NEUTRAL, reasoning), Allocation(btc_fraction))
 
 
 def decide_with_retry(
@@ -531,13 +540,5 @@ def decide_with_retry(
     decision, attempts = ask_until_parsed(client, bundle, parse, FORMAT_REMINDER, retry_limit + 1)
     if decision is not None:
         return DecideOutcome(decision=decision, raw_used=attempts[-1]["raw"], attempts=tuple(attempts))
-    fallback = AgentDecision(
-        prediction=Prediction(
-            state=MarketState.NEUTRAL,
-            reasoning="fallback: previous allocation held after unusable responses",
-        ),
-        allocation=Allocation(btc_fraction=fallback_allocation),
-    )
-    return DecideOutcome(
-        decision=fallback, raw_used=None, attempts=tuple(attempts), fallback_used=True
-    )
+    fallback = fallback_decision(fallback_allocation)
+    return DecideOutcome(decision=fallback, raw_used=None, attempts=tuple(attempts), fallback_used=True)

@@ -125,6 +125,8 @@ def read_journal(path: str, verify: bool = True) -> RunJournal:
                 record = json.loads(line)
             except ValueError as exc:
                 raise JournalCorrupt(f"{path}:{line_no}: not valid JSON") from exc
+            if not isinstance(record, dict):
+                raise JournalCorrupt(f"{path}:{line_no}: not a JSON object")
             if line_no == 1:
                 if record.get("type") != "header":
                     raise JournalCorrupt(f"{path}: first record is not a header")

@@ -16,15 +16,17 @@ from datetime import date as Date
 from typing import Mapping
 
 from .agents import (
-    Allocation,
+    PARSE_ERRORS,
+    STATE_VALUES,
+    AgentDecision,
     ChatClientConfig,
     CompletionClient,
-    MarketState,
     PromptBundle,
     build_decision_prompt,
     build_quants_prompt,
     build_signals_prompt,
     decide_with_retry,
+    fallback_decision,
     lint_bundle,
     parse_agent_output,
 )
@@ -36,6 +38,8 @@ from .portfolio import FeeModel, PortfolioState, mark, rebalance
 from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
     AGENT_ROLES,
+    TEMPLATE_KINDS,
+    DailyOutcomePacket,
     evaluate_day,
     load_weekly_templates,
     run_daily_reflection,
@@ -135,34 +139,98 @@ def _portfolio_dict(state: PortfolioState) -> dict:
     }
 
 
-def step_day(
-    books: Mapping[str, PortfolioState],
-    allocations: Mapping[str, Allocation],
-    close_t: float,
-    next_date: Date,
-    close_next: float,
-    fees: FeeModel,
-    initial: float,
-    p0: float,
-) -> tuple[dict[str, PortfolioState], dict[str, float], dict[str, float]]:
-    """One simulated day: trade each book to its allocation at close_t, mark
-    it at close_next, and value the baselines bought at p0.
+class Ledger:
+    """What each simulated day hands the next, in a run and in its replay: the
+    books, the running prediction scores, the allocation a fallback holds, the
+    last seven outcome packets and the records the next day's feedback comes from."""
 
-    Returns (new books, per-role day returns, the journal's baseline record).
-    """
-    new_books = {}
-    day_returns = {}
-    for role in AGENT_ROLES:
-        traded = rebalance(books[role], allocations[role], close_t, fees)
-        new_books[role] = mark(traded, next_date, close_next)
-        day_returns[role] = new_books[role].value_usd / traded.value_usd - 1.0
-    _, bl_now, bl_next = baseline_static_5050(initial, (p0, close_t, close_next))
-    baseline = {
-        "static5050_value": bl_next,
-        "buyhold_value": baseline_buy_and_hold(initial, (p0, close_next))[1],
-        "day_return_5050": bl_next / bl_now - 1.0,
-    }
-    return new_books, day_returns, baseline
+    def __init__(self, config: RunConfig, start: Date, p0: float):
+        self.config = config
+        self.fees = FeeModel(fee_bps=config.fee_bps)
+        self.p0 = p0  # the first close, at which the baselines buy
+        cash = config.initial_value_usd
+        self.books = {role: PortfolioState.all_cash(start, cash, p0) for role in AGENT_ROLES}
+        self.counts = {role: (0, 0) for role in AGENT_ROLES}  # (correct, scored)
+        self.held = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
+        self.packets: list[DailyOutcomePacket] = []
+        self.last_day: dict | None = None
+        self.last_weekly: dict | None = None
+
+    def feedback_in(self) -> tuple[dict, dict]:
+        """The non-empty daily and weekly feedback texts the next day's prompts
+        carry: the last day's reflect feedback and the last weekly record's texts."""
+        reflect = self.last_day and self.last_day["reflect"]  # None with daily feedback off
+        daily = reflect["feedback"] if reflect else {}
+        weekly = self.last_weekly["texts"] if self.last_weekly else {}
+        return {k: v for k, v in daily.items() if v}, {k: v for k, v in weekly.items() if v}
+
+    def settle(
+        self,
+        day: Date,
+        decisions: Mapping[str, AgentDecision],
+        close_t: float,
+        next_date: Date,
+        close_next: float,
+    ) -> tuple[DailyOutcomePacket, dict]:
+        """Settle one day: trade each book to its decision's allocation at close_t,
+        mark it at close_next, value the baselines and score the predictions.
+        Returns the day's outcome packet and the fields of the day record derived
+        from them: `btc_return`, `baseline` and each role's outcome."""
+        config = self.config
+        day_returns = {}
+        for role in AGENT_ROLES:
+            traded = rebalance(self.books[role], decisions[role].allocation, close_t, self.fees)
+            self.books[role] = mark(traded, next_date, close_next)
+            day_returns[role] = self.books[role].value_usd / traded.value_usd - 1.0
+        initial = config.initial_value_usd
+        _, bl_now, bl_next = baseline_static_5050(initial, (self.p0, close_t, close_next))
+        baseline = {
+            "static5050_value": bl_next,
+            "buyhold_value": baseline_buy_and_hold(initial, (self.p0, close_next))[1],
+            "day_return_5050": bl_next / bl_now - 1.0,
+        }
+        btc_return = close_next / close_t - 1.0
+        packet = evaluate_day(
+            date=day,
+            realized_btc_return=btc_return,
+            decisions=decisions,
+            portfolio_returns=day_returns,
+            baseline_return=baseline["day_return_5050"],
+            neutral_band=config.neutral_band,
+            prior_counts=self.counts,
+        )
+        self.packets = [*self.packets[-6:], packet]
+        roles = {}
+        for role in AGENT_ROLES:
+            a = packet.agents[role]
+            self.counts[role] = (self.counts[role][0] + a.correct, self.counts[role][1] + 1)
+            self.held[role] = a.allocation
+            roles[role] = {
+                "state": a.state,
+                "allocation": a.allocation,
+                "reasoning": a.reasoning,
+                "confidence": decisions[role].confidence,
+                "portfolio": _portfolio_dict(self.books[role]),
+                "portfolio_return": a.portfolio_return,
+                "correct": a.correct,
+                "running_accuracy": a.running_accuracy,
+            }
+        return packet, {"btc_return": btc_return, "baseline": baseline, "roles": roles}
+
+    def weekly_record(self, templates: Mapping) -> dict:
+        """The weekly record written after the last seven settled days."""
+        wf = weekly_feedback(
+            self.packets, templates, self.config.praise_threshold, self.config.regret_threshold
+        )
+        return {
+            "type": "weekly",
+            "after_day": wf.week_end.isoformat(),
+            "week_start": wf.week_start.isoformat(),
+            "week_end": wf.week_end.isoformat(),
+            "texts": dict(wf.texts),
+            "kinds": dict(wf.kinds),
+            "stats": {role: dict(vars(wf.stats[role])) for role in AGENT_ROLES},
+        }
 
 
 def run_backtest(
@@ -193,27 +261,17 @@ def run_backtest(
         raise GapError("sentiment", days[0])
 
     templates = load_weekly_templates(config.weekly_template_path)
-    fees = FeeModel(fee_bps=config.fee_bps)
-    p0 = dataset.record(days[0]).bar.close
-    ports = {
-        role: PortfolioState.all_cash(days[0], config.initial_value_usd, p0)
-        for role in AGENT_ROLES
-    }
-    prev_alloc = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
-    counts = {role: (0, 0) for role in AGENT_ROLES}
+    ledger = Ledger(config, days[0], first_rec.bar.close)
 
     def decide(bundle: PromptBundle):
         return decide_with_retry(
             client,
             bundle,
             retry_limit=config.parse_retry_limit,
-            fallback_allocation=prev_alloc[bundle.role.value],
+            fallback_allocation=ledger.held[bundle.role.value],
         )
 
-    packets = []
     entries: list[dict] = []
-    pending_daily = None  # reflection from day t, injected into day t+1
-    active_weekly = None  # (WeeklyFeedback, first_day_index, last_day_index)
 
     header = seal(
         {
@@ -232,13 +290,7 @@ def run_backtest(
         next_rec = dataset.records[idx + 1]
         close_t = rec.bar.close
         close_next = next_rec.bar.close
-
-        daily_texts = {role: "" for role in AGENT_ROLES}
-        if config.daily_feedback and pending_daily is not None:
-            daily_texts = {role: pending_daily.text_for(role) for role in AGENT_ROLES}
-        weekly_texts = {role: "" for role in AGENT_ROLES}
-        if active_weekly is not None and active_weekly[1] <= i <= active_weekly[2]:
-            weekly_texts = {role: active_weekly[0].text_for(role) for role in AGENT_ROLES}
+        daily_in, weekly_in = ledger.feedback_in()
 
         window = slice_window(dataset, day, config.lookback_days)
         snap = snapshot([r.bar for r in window], config.indicator_params)
@@ -247,14 +299,14 @@ def run_backtest(
             bars=[r.bar for r in window],
             snapshot=snap,
             onchain=[r.onchain for r in window],
-            daily_feedback=daily_texts["quants"] or None,
-            weekly_feedback=weekly_texts["quants"] or None,
+            daily_feedback=daily_in.get("quants"),
+            weekly_feedback=weekly_in.get("quants"),
         )
         signals_bundle = build_signals_prompt(
             news=rec.news,
             sentiment=rec.sentiment,
-            daily_feedback=daily_texts["signals"] or None,
-            weekly_feedback=weekly_texts["signals"] or None,
+            daily_feedback=daily_in.get("signals"),
+            weekly_feedback=weekly_in.get("signals"),
         )
         lint: dict[str, list[str]] = {
             "quants": lint_bundle(quants_bundle),
@@ -263,14 +315,14 @@ def run_backtest(
 
         outcomes = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
 
-        decision_value = ports["decision"].btc_units * close_t + ports["decision"].cash_usd
+        decision_value = ledger.books["decision"].btc_units * close_t + ledger.books["decision"].cash_usd
         decision_bundle = build_decision_prompt(
             date=day,
             quants=outcomes["quants"].decision.prediction,
             signals=outcomes["signals"].decision.prediction,
             portfolio_value=decision_value,
-            daily_feedback=daily_texts["decision"] or None,
-            weekly_feedback=weekly_texts["decision"] or None,
+            daily_feedback=daily_in.get("decision"),
+            weekly_feedback=weekly_in.get("decision"),
         )
         lint["decision"] = lint_bundle(
             decision_bundle,
@@ -282,42 +334,14 @@ def run_backtest(
         outcomes["decision"] = decide(decision_bundle)
 
         bundles = {"quants": quants_bundle, "signals": signals_bundle, "decision": decision_bundle}
-        new_states, day_returns, baseline = step_day(
-            ports,
-            {role: outcomes[role].decision.allocation for role in AGENT_ROLES},
-            close_t,
-            next_rec.date,
-            close_next,
-            fees,
-            config.initial_value_usd,
-            p0,
-        )
-        btc_return = close_next / close_t - 1.0
-
-        packet = evaluate_day(
-            date=day,
-            realized_btc_return=btc_return,
-            decisions={role: outcomes[role].decision for role in AGENT_ROLES},
-            portfolio_returns=day_returns,
-            baseline_return=baseline["day_return_5050"],
-            neutral_band=config.neutral_band,
-            prior_counts=counts,
-        )
-        counts = {
-            role: (
-                counts[role][0] + (1 if packet.agents[role].correct else 0),
-                counts[role][1] + 1,
-            )
-            for role in AGENT_ROLES
-        }
-        packets.append(packet)
+        decisions = {role: outcomes[role].decision for role in AGENT_ROLES}
+        packet, derived = ledger.settle(day, decisions, close_t, next_rec.date, close_next)
 
         reflect_entry = None
         if config.daily_feedback:
             reflection = run_daily_reflection(
                 client, packet, retry_limit=config.parse_retry_limit
             )
-            pending_daily = reflection.feedback
             reflect_entry = {
                 "system": reflection.bundle.system_text,
                 "user": reflection.bundle.user_text,
@@ -328,77 +352,38 @@ def run_backtest(
                 ],
                 "flags": list(reflection.flags),
             }
-        else:
-            pending_daily = None
 
-        roles_entry = {}
         for role in AGENT_ROLES:
             out = outcomes[role]
-            a = packet.agents[role]
-            roles_entry[role] = {
-                "system": bundles[role].system_text,
-                "user": bundles[role].user_text,
-                "raw": out.raw_used,
-                "attempts": [dict(x) for x in out.attempts],
-                "fallback": out.fallback_used,
-                "state": a.state,
-                "allocation": a.allocation,
-                "reasoning": a.reasoning,
-                "confidence": out.decision.confidence,
-                "portfolio": _portfolio_dict(new_states[role]),
-                "portfolio_return": a.portfolio_return,
-                "correct": a.correct,
-                "running_accuracy": a.running_accuracy,
-            }
-
-        entries.append(
-            seal(
-                {
-                    "type": "day",
-                    "seq": i,
-                    "date": day.isoformat(),
-                    "close": close_t,
-                    "next_date": next_rec.date.isoformat(),
-                    "next_close": close_next,
-                    "inputs_digest": inputs_digest(rec),
-                    "btc_return": btc_return,
-                    "daily_feedback_in": {k: v for k, v in daily_texts.items() if v},
-                    "weekly_feedback_in": {k: v for k, v in weekly_texts.items() if v},
-                    "roles": roles_entry,
-                    "baseline": baseline,
-                    "reflect": reflect_entry,
-                    "lint": lint,
-                }
+            derived["roles"][role].update(
+                system=bundles[role].system_text,
+                user=bundles[role].user_text,
+                raw=out.raw_used,
+                attempts=[dict(x) for x in out.attempts],
+                fallback=out.fallback_used,
             )
-        )
 
-        ports = new_states
-        for role in AGENT_ROLES:
-            prev_alloc[role] = outcomes[role].decision.allocation.btc_fraction
+        ledger.last_day = seal(
+            {
+                "type": "day",
+                "seq": i,
+                "date": day.isoformat(),
+                "close": close_t,
+                "next_date": next_rec.date.isoformat(),
+                "next_close": close_next,
+                "inputs_digest": inputs_digest(rec),
+                "daily_feedback_in": daily_in,
+                "weekly_feedback_in": weekly_in,
+                **derived,
+                "reflect": reflect_entry,
+                "lint": lint,
+            }
+        )
+        entries.append(ledger.last_day)
 
         if config.weekly_feedback and (i + 1) % 7 == 0:
-            wf = weekly_feedback(
-                packets[i - 6 : i + 1],
-                templates,
-                praise_threshold=config.praise_threshold,
-                regret_threshold=config.regret_threshold,
-            )
-            entries.append(
-                seal(
-                    {
-                        "type": "weekly",
-                        "after_day": day.isoformat(),
-                        "week_start": wf.week_start.isoformat(),
-                        "week_end": wf.week_end.isoformat(),
-                        "texts": dict(wf.texts),
-                        "kinds": dict(wf.kinds),
-                        "stats": {
-                            role: dataclasses.asdict(wf.stats[role]) for role in AGENT_ROLES
-                        },
-                    }
-                )
-            )
-            active_weekly = (wf, i + 1, i + 7)
+            ledger.last_weekly = seal(ledger.weekly_record(templates))
+            entries.append(ledger.last_weekly)
 
     return RunJournal(header=header, entries=entries)
 
@@ -419,18 +404,76 @@ class RunOutputs:
     fallback_days: dict[str, int]
 
 
+def _checker(shape: dict):
+    """Compile a shape into a function that returns the key path to the first
+    part of a value that does not fit it, or None. A shape maps each key a JSON
+    object must have to a type, a tuple of types or a nested shape."""
+    nested = {key: _checker(sub) for key, sub in shape.items() if isinstance(sub, dict)}
+
+    def misfit(value):
+        if not isinstance(value, dict):
+            return ()
+        for key, sub in shape.items():
+            if key not in value:
+                return (key,)
+            if key in nested:
+                bad = nested[key](value[key])
+                if bad is not None:
+                    return (key, *bad)
+            elif not isinstance(value[key], sub):
+                return (key,)
+        return None
+
+    return misfit
+
+
+def _record_checkers(daily_feedback: bool) -> dict:
+    """The fields `report` and `replay` read in day and weekly records."""
+    number = (int, float)
+    texts = dict.fromkeys(AGENT_ROLES, str)
+    role = {
+        "raw": (str, type(None)),
+        "fallback": bool,
+        "state": str,
+        "portfolio": {"value_usd": number},
+    }
+    day = {
+        "seq": int,
+        "date": str,
+        "close": number,
+        "next_date": str,
+        "next_close": number,
+        "roles": dict.fromkeys(AGENT_ROLES, role),
+        "baseline": {"static5050_value": number, "buyhold_value": number},
+        "reflect": {"feedback": texts} if daily_feedback else type(None),
+    }
+    return {"day": _checker(day), "weekly": _checker({"after_day": str, "texts": texts})}
+
+
+_HEADER_MISFIT = _checker({"config": dict, "n_days": int})
+_RECORD_MISFITS = {daily: _record_checkers(daily) for daily in (True, False)}
+
+
+def _check_shape(record: dict, misfit, where: str) -> None:
+    bad = misfit(record)
+    if bad is not None:
+        raise JournalCorrupt(f"{where}: field {'.'.join(bad)} is missing or of the wrong type")
+
+
 def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
     """Read the run's value paths from its journal.
 
-    Checks every digest and the journal's structure: the header's `n_days`
-    day records, numbered in order, each starting on the date the one before
-    it ends, and a weekly record after every seventh day when weekly
-    feedback is on, and only then. Raises JournalCorrupt otherwise.
+    Checks every digest, the type of every field `report` and `replay` read,
+    and the journal's structure: the header's `n_days` day records, numbered
+    in order, each starting on the date the one before it ends, and a weekly
+    record after every seventh day when weekly feedback is on, and only then.
+    Raises JournalCorrupt otherwise.
     """
     journal.verify()
+    _check_shape(journal.header, _HEADER_MISFIT, "journal header")
     config = RunConfig.from_dict(journal.header["config"])
     band = config.neutral_band if neutral_band is None else neutral_band
-    n_days = journal.header.get("n_days", 0)
+    n_days = journal.header["n_days"]
     kinds = []  # the record types a run of n_days writes, in order
     for i in range(n_days):
         kinds += ["day", "weekly"] if config.weekly_feedback and (i + 1) % 7 == 0 else ["day"]
@@ -439,22 +482,28 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
             f"records are not those of a {n_days}-day run: one day record"
             " per day and, with weekly feedback on, a weekly record after every seventh"
         )
+    misfits = _RECORD_MISFITS[config.daily_feedback]
+    for line, entry in enumerate(journal.entries, start=2):
+        _check_shape(entry, misfits[entry["type"]], f"journal line {line}")
     days = journal.days
     if not days:
         raise JournalCorrupt("journal has no day records")
     for i, day in enumerate(days):
         if day["seq"] != i or (i > 0 and day["date"] != days[i - 1]["next_date"]):
             raise JournalCorrupt(f"day record {i} ({day['date']}) is out of sequence")
+    try:
+        value_dates = [Date.fromisoformat(days[0]["date"])]
+        value_dates += [Date.fromisoformat(day["next_date"]) for day in days]
+    except ValueError as exc:
+        raise JournalCorrupt(f"bad day record date: {exc}") from None
 
     initial = config.initial_value_usd
-    value_dates = [Date.fromisoformat(days[0]["date"])]
     closes = [days[0]["close"]]
     values: dict[str, list[float]] = {name: [initial] for name in (*AGENT_ROLES, *BASELINE_NAMES)}
     predictions: dict[str, list[str]] = {role: [] for role in AGENT_ROLES}
     fallback_days = {role: 0 for role in AGENT_ROLES}
 
     for day in days:
-        value_dates.append(Date.fromisoformat(day["next_date"]))
         closes.append(day["next_close"])
         roles = day["roles"]
         for role in AGENT_ROLES:
@@ -463,6 +512,9 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
             values[role].append(roles[role]["portfolio"]["value_usd"])
         values["static5050"].append(day["baseline"]["static5050_value"])
         values["buyhold"].append(day["baseline"]["buyhold_value"])
+    for role in AGENT_ROLES:
+        if not STATE_VALUES.issuperset(predictions[role]):
+            raise JournalCorrupt(f"a recorded {role} state is not a market state")
 
     return RunOutputs(
         config=config,
@@ -475,48 +527,55 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     )
 
 
+def _check_reproduced(where: str, derived: dict, recorded: dict) -> None:
+    """Raise JournalCorrupt unless every derived field equals the recorded one.
+    `roles` maps each role to its derived fields, beside others only recorded."""
+    for role, fields in derived.pop("roles", {}).items():
+        if not fields.items() <= recorded["roles"][role].items():
+            _check_reproduced(f"{where} {role}", fields, recorded["roles"][role])
+    if not derived.items() <= recorded.items():
+        key = next(k for k in derived if k not in recorded or recorded[k] != derived[k])
+        raise JournalCorrupt(f"{where}: recorded {key} does not reproduce")
+
+
 def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
     """Recompute the whole run from recorded responses; no network involved.
 
-    Reads the journal with `outputs_from_journal`, then re-parses every
-    recorded response and re-runs every day step from the recorded closes:
-    each recorded allocation, state, book, day return and baseline must
-    reproduce exactly, or JournalCorrupt is raised.
+    After `outputs_from_journal`, rebuilds each decision from its recorded
+    reply (with no reply, the run's fallback) and settles each day and builds
+    each weekly record with the run's own `Ledger`. Raises JournalCorrupt
+    unless every field so derived, and each day's feedback in, equals the
+    recorded one.
     """
     outputs = outputs_from_journal(journal, neutral_band)
-    config = outputs.config
-    days = journal.days
-    p0 = days[0]["close"]
-    initial = config.initial_value_usd
-    fees = FeeModel(fee_bps=config.fee_bps)
-    start = outputs.value_dates[0]
-    books = {role: PortfolioState.all_cash(start, initial, p0) for role in AGENT_ROLES}
-    # the allocation a fallback holds; 0.5 before any decision
-    prev = {role: Allocation(btc_fraction=0.5) for role in AGENT_ROLES}
-
-    for day, next_date in zip(days, outputs.value_dates[1:]):
-        roles = day["roles"]
+    dates = outputs.value_dates
+    ledger = Ledger(outputs.config, dates[0], outputs.closes[0])
+    for record in journal.entries:
+        if record["type"] == "weekly":
+            # the texts come from a template file replay does not read; the
+            # next days' weekly_feedback_in checks them
+            texts = record["texts"]
+            templates = {role: dict.fromkeys(TEMPLATE_KINDS, texts[role]) for role in texts}
+            where = f"weekly record after {record['after_day']}"
+            _check_reproduced(where, ledger.weekly_record(templates), record)
+            ledger.last_weekly = record
+            continue
+        i, where, roles = record["seq"], record["date"], record["roles"]
+        daily_in, weekly_in = ledger.feedback_in()
         decisions = {}
         for role in AGENT_ROLES:
-            if roles[role]["fallback"]:
-                decisions[role] = (prev[role], MarketState.NEUTRAL)
-            else:
-                parsed = parse_agent_output(roles[role]["raw"], role=role)
-                decisions[role] = (parsed.allocation, parsed.prediction.state)
-        prev = {role: allocation for role, (allocation, _) in decisions.items()}
-        books, day_returns, baseline = step_day(
-            books, prev, day["close"], next_date, day["next_close"], fees, initial, p0
+            raw = roles[role]["raw"]  # None when the run fell back
+            try:
+                parsed = None if raw is None else parse_agent_output(raw, role=role)
+            except PARSE_ERRORS as exc:
+                raise JournalCorrupt(f"{where} {role}: recorded reply does not parse: {exc}") from None
+            decisions[role] = parsed or fallback_decision(ledger.held[role])
+        _, derived = ledger.settle(
+            dates[i], decisions, record["close"], dates[i + 1], record["next_close"]
         )
-        for role, (allocation, state) in decisions.items():
-            reproduced = {
-                "allocation": allocation.btc_fraction,
-                "state": state.value,
-                "portfolio": _portfolio_dict(books[role]),
-                "portfolio_return": day_returns[role],
-            }
-            for key, value in reproduced.items():
-                if value != roles[role][key]:
-                    raise JournalCorrupt(f"{day['date']} {role}: recorded {key} does not reproduce")
-        if baseline != day["baseline"]:
-            raise JournalCorrupt(f"{day['date']}: recorded baselines do not reproduce")
+        for role in AGENT_ROLES:
+            derived["roles"][role]["fallback"] = roles[role]["raw"] is None
+        derived["daily_feedback_in"], derived["weekly_feedback_in"] = daily_in, weekly_in
+        _check_reproduced(where, derived, record)
+        ledger.last_day = record
     return outputs

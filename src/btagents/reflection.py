@@ -43,6 +43,7 @@ AGENT_ROLES = ("quants", "signals", "decision")
 PRAISE_PHRASE = "your signals consistently beat the baseline"
 CORRECTIVE_QUANTS_PHRASE = "reconstruct your indicator selection"
 NEUTRAL_PHRASE = "prioritize high-confidence inputs"
+TEMPLATE_KINDS = ("praise", "corrective", "neutral")
 
 NO_ALLOCATION_ADVICE = (
     "Never tell any agent to set, raise, or lower a specific allocation "
@@ -382,7 +383,7 @@ def load_weekly_templates(path: str | None = None) -> dict[str, dict[str, str]]:
     for role in AGENT_ROLES:
         if role not in pool:
             raise SchemaError(f"weekly templates missing role '{role}'")
-        for kind in ("praise", "corrective", "neutral"):
+        for kind in TEMPLATE_KINDS:
             text = pool[role].get(kind)
             if not isinstance(text, str) or not text.strip():
                 raise SchemaError(f"weekly template {role}/{kind} must be a non-empty string")

@@ -159,15 +159,19 @@ class TestReplayAndReport:
         assert "Bullish" in out
 
 
-def reseal_header(journal_path, edit):
+def reseal_line(journal_path, index, edit):
     with open(journal_path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = json.loads(lines[0])
-    edit(header)
-    header.pop("digest")
-    lines[0] = json.dumps(seal(header))
+    record = json.loads(lines[index])
+    edit(record)
+    record.pop("digest")
+    lines[index] = json.dumps(seal(record))
     with open(journal_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reseal_header(journal_path, edit):
+    reseal_line(journal_path, 0, edit)
 
 
 class TestStrictConfig:
@@ -251,3 +255,40 @@ class TestForeignJournalHeader:
         reseal_header(journal_path, lambda h: h.update(version=99))
         assert main(["replay", "--journal", journal_path]) == 1
         assert "journal version 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+class TestMalformedJournal:
+    """Sealed journals whose records lack a field or have one of the wrong type."""
+
+    @pytest.fixture()
+    def journal_path(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        args = ["backtest", "--config", str(config_path), "--fixtures", str(FIXTURE_DIR / "responses.json")]
+        assert main(args) == 0
+        capsys.readouterr()
+        return str(tmp_path / "journal.jsonl")
+
+    def fails(self, command, journal_path, capsys, message):
+        assert main([command, "--journal", journal_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_header_without_config(self, command, journal_path, capsys):
+        reseal_header(journal_path, lambda h: h.pop("config"))
+        self.fails(command, journal_path, capsys, "field config is missing")
+
+    def test_n_days_not_an_int(self, command, journal_path, capsys):
+        reseal_header(journal_path, lambda h: h.update(n_days=str(h["n_days"])))
+        self.fails(command, journal_path, capsys, "field n_days is missing or of the wrong type")
+
+    def test_day_without_roles(self, command, journal_path, capsys):
+        reseal_line(journal_path, 1, lambda day: day.pop("roles"))
+        self.fails(command, journal_path, capsys, "journal line 2: field roles is missing")
+
+    def test_first_line_not_an_object(self, command, journal_path, capsys):
+        with open(journal_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(journal_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(["3"] + lines[1:]) + "\n")
+        self.fails(command, journal_path, capsys, ":1: not a JSON object")

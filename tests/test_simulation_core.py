@@ -4,6 +4,7 @@ The sha256 pins hold the exact journal bytes of two runs. The run and replay
 paths may change only in ways that leave them unchanged.
 """
 
+import fnmatch
 import hashlib
 import json
 import re
@@ -16,10 +17,11 @@ from btagents.agents import (
     SIGNALS_SYSTEM,
     ChatClient,
     ChatClientConfig,
+    InvokeResult,
     ScriptedResponder,
 )
 from btagents.errors import JournalCorrupt
-from btagents.journal import read_journal, seal, write_journal
+from btagents.journal import RunJournal, read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from btagents.reflection import REFLECT_SYSTEM
 
@@ -68,53 +70,116 @@ def reseal_day(journal, index, edit):
     journal.entries[journal.entries.index(journal.days[index])] = seal(record)
 
 
-class TestResealedTamper:
-    @pytest.fixture()
-    def journal(self):
-        return fees_fallback_run()
+def leaves(value, path=()):
+    """The key path of every scalar under a record; list items are keyed by index."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            if path or key != "digest":
+                yield from leaves(sub, (*path, key))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from leaves(sub, (*path, i))
+    else:
+        yield path
 
-    def test_cash(self, journal):
-        def edit(rec):
-            rec["roles"]["quants"]["portfolio"]["cash_usd"] += 0.01
 
-        reseal_day(journal, 3, edit)
-        with pytest.raises(JournalCorrupt):
+def edited(value):
+    """A different value for a leaf: bools flip, numbers move, the rest becomes text."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 1e-9
+    return "edited"
+
+
+# the leaves replay checks by digest only; an edit of any other leaf of a day
+# or weekly record, resealed so its digest holds, must fail replay
+DIGEST_ONLY = (
+    "inputs_digest",
+    "lint.*",
+    "roles.*.system",
+    "roles.*.user",
+    "roles.*.attempts.*",
+    "reflect.system",
+    "reflect.user",
+    "reflect.attempts.*",
+    "reflect.violations.*",
+    "reflect.flags.*",
+)
+
+FEES_FALLBACK = fees_fallback_run()
+# day 3, the decision fallback of day 9 and the first weekly record
+SWEPT = {
+    "day3": FEES_FALLBACK.days[3],
+    "day9": FEES_FALLBACK.days[9],
+    "weekly0": FEES_FALLBACK.weeklies[0],
+}
+LEAVES = {
+    f"{name}.{'.'.join(map(str, path))}": (name, path)
+    for name, record in SWEPT.items()
+    for path in leaves(record)
+}
+
+
+def resealed_leaf_edit(name, path):
+    """A copy of the fees/fallback journal with one leaf edited and its record resealed."""
+    entries = json.loads(json.dumps(FEES_FALLBACK.entries))
+    journal = RunJournal(header=FEES_FALLBACK.header, entries=entries)
+    index = FEES_FALLBACK.entries.index(SWEPT[name])
+    record = journal.entries[index]
+    owner = record
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = edited(owner[path[-1]])
+    record.pop("digest")
+    journal.entries[index] = seal(record)
+    return journal
+
+
+class TestResealedLeaves:
+    def test_sweep_covers_the_derived_fields(self):
+        for leaf in (
+            "day3.btc_return",
+            "day3.roles.quants.correct",
+            "day3.roles.decision.running_accuracy",
+            "day3.daily_feedback_in.signals",
+            "day3.roles.quants.portfolio.cash_usd",
+            "day3.baseline.day_return_5050",
+            "day9.roles.decision.raw",
+            "day9.roles.decision.fallback",
+            "day9.weekly_feedback_in.quants",
+            "weekly0.kinds.quants",
+            "weekly0.stats.signals.regret",
+            "weekly0.texts.decision",
+        ):
+            assert leaf in LEAVES
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_edit_fails_replay_unless_digest_only(self, leaf):
+        name, path = LEAVES[leaf]
+        journal = resealed_leaf_edit(name, path)
+        journal.verify()  # the edit keeps every digest valid
+        if any(fnmatch.fnmatchcase(leaf.partition(".")[2], pattern) for pattern in DIGEST_ONLY):
             replay(journal)
+        else:
+            with pytest.raises(JournalCorrupt):
+                replay(journal)
 
-    def test_portfolio_return(self, journal):
-        def edit(rec):
-            rec["roles"]["decision"]["portfolio_return"] += 1e-9
 
-        reseal_day(journal, 3, edit)
-        with pytest.raises(JournalCorrupt):
-            replay(journal)
-
-    def test_buyhold_value(self, journal):
-        def edit(rec):
-            rec["baseline"]["buyhold_value"] *= 1.0001
-
-        reseal_day(journal, 3, edit)
-        with pytest.raises(JournalCorrupt):
-            replay(journal)
-
-    def test_day_return_5050(self, journal):
-        def edit(rec):
-            rec["baseline"]["day_return_5050"] += 1e-9
-
-        reseal_day(journal, 3, edit)
-        with pytest.raises(JournalCorrupt):
-            replay(journal)
+FEEDBACK_TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
 
 
 @pytest.fixture(scope="module")
 def written_lines(tmp_path_factory):
-    """The lines of a 10-day journal as written, with weekly feedback on and off."""
+    """The lines of a 10-day journal as written, for each (daily, weekly) feedback toggle."""
     out = {}
-    for weekly in (True, False):
-        journal, _, _, _ = run_synth(10, weekly=weekly)
+    for daily, weekly in FEEDBACK_TOGGLES:
+        journal, _, _, _ = run_synth(10, daily=daily, weekly=weekly)
         path = tmp_path_factory.mktemp("journal") / "run.jsonl"
         write_journal(journal, str(path))
-        out[weekly] = path.read_text(encoding="utf-8").splitlines()
+        out[daily, weekly] = path.read_text(encoding="utf-8").splitlines()
     return out
 
 
@@ -133,24 +198,68 @@ class TestJournalStructure:
     @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
     @pytest.mark.parametrize("edit", STRUCTURE_EDITS)
     def test_edit_is_corrupt(self, written_lines, tmp_path, edit, read):
-        lines = STRUCTURE_EDITS[edit](written_lines[True], written_lines[False])
+        lines = STRUCTURE_EDITS[edit](written_lines[True, True], written_lines[True, False])
         path = tmp_path / "edited.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         journal = read_journal(str(path))  # every digest still holds
         with pytest.raises(JournalCorrupt):
             read(journal)
 
-    @pytest.mark.parametrize("weekly", [True, False])
-    def test_unedited_journal_replays(self, written_lines, tmp_path, weekly):
+    # the ids of the daily-on toggles name the weekly toggle alone
+    @pytest.mark.parametrize(
+        "daily, weekly",
+        FEEDBACK_TOGGLES,
+        ids=["True", "False", "no daily-True", "no daily-False"],
+    )
+    def test_unedited_journal_replays(self, written_lines, tmp_path, daily, weekly):
         path = tmp_path / "run.jsonl"
-        path.write_text("\n".join(written_lines[weekly]) + "\n", encoding="utf-8")
-        assert len(replay(read_journal(str(path))).value_dates) == 11
+        path.write_text("\n".join(written_lines[daily, weekly]) + "\n", encoding="utf-8")
+        journal = read_journal(str(path))
+        assert replay(journal).values == outputs_from_journal(journal).values
 
     def test_day_not_starting_where_the_last_ended(self):
         journal, _, _, _ = run_synth(10)
         reseal_day(journal, 5, lambda rec: rec.update(date=rec["next_date"]))
         with pytest.raises(JournalCorrupt, match="out of sequence"):
             outputs_from_journal(journal)
+
+
+class QueueResponder:
+    """Scripted replies keyed "role:date"; a list answers one item per call,
+    and its last item after that."""
+
+    def __init__(self, plan):
+        self.plan = {key: reply if isinstance(reply, list) else [reply] for key, reply in plan.items()}
+
+    def complete(self, bundle):
+        replies = self.plan[f"{bundle.role.value}:{bundle.date.isoformat()}"]
+        return InvokeResult(text=replies.pop(0) if len(replies) > 1 else replies[0], attempts=1)
+
+
+class TestEveryRecoveryPathReplays:
+    KEYS = (("quants", 2), ("decision", 4), ("reflect", 5))  # re-ask, fallback, scope drop
+
+    def test_reask_fallback_and_scope_drop(self):
+        dataset = synth_dataset(32 + 10 + 2)
+        days = dataset.dates[32 : 32 + 10]
+        plan = scripted_plan(days)
+        reask, fallback, scope = (f"{role}:{days[i].isoformat()}" for role, i in self.KEYS)
+        plan[reask] = ["prose without any object", plan[reask]]
+        plan[fallback] = "no structure in this reply"
+        off_scope = json.loads(plan[scope])
+        off_scope["signals"] = "the RSI reading contradicted the crowd mood"
+        plan[scope] = json.dumps(off_scope)
+        config = RunConfig(start=days[0], end=days[-1], fee_bps=10.0)
+        journal = run_backtest(config, dataset, QueueResponder(plan))
+
+        quants = journal.days[2]["roles"]["quants"]
+        assert [a["error"] is None for a in quants["attempts"]] == [False, True]
+        assert quants["fallback"] is False
+        assert journal.days[4]["roles"]["decision"]["fallback"] is True
+        flags = journal.days[5]["reflect"]["flags"]
+        assert flags == ["reflect_scope_retry", "reflect_scope_dropped_signals"]
+        assert "signals" not in journal.days[6]["daily_feedback_in"]
+        assert replay(journal).values == outputs_from_journal(journal).values
 
 
 ROLE_BY_SYSTEM = {
