@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from enum import Enum
@@ -440,8 +441,8 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
     """Extract the first JSON object carrying a full decision from a reply.
 
     The reply may contain prose before or after the object. Percent
-    allocations convert to fractions; an optional numeric `confidence`
-    field is preserved but unused downstream.
+    allocations convert to fractions; an optional finite numeric
+    `confidence` field is preserved but unused downstream.
     """
     if not raw or raw.isspace():
         raise ParseError(f"{role}: empty response")
@@ -462,7 +463,12 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
         if not isinstance(reasoning, str) or not reasoning.strip():
             raise SchemaError(f"{role}: reasoning must be a non-empty string")
         confidence = obj.get("confidence")
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+        # NaN, which equals nothing, the infinities and ints too large for a float are dropped too
+        if (
+            isinstance(confidence, bool)
+            or not isinstance(confidence, (int, float))
+            or not abs(confidence) <= sys.float_info.max
+        ):
             confidence = None
         return AgentDecision(
             prediction=Prediction(state=MarketState(state_raw.lower()), reasoning=reasoning),

@@ -407,8 +407,10 @@ class RunOutputs:
 def _checker(shape: dict):
     """Compile a shape into a function that returns the key path to the first
     part of a value that does not fit it, or None. A shape maps each key a JSON
-    object must have to a type, a tuple of types or a nested shape."""
+    object must have to a type, a tuple of types or a nested shape. Types match
+    exactly, so a bool is not an int."""
     nested = {key: _checker(sub) for key, sub in shape.items() if isinstance(sub, dict)}
+    shape = {key: sub if isinstance(sub, (tuple, dict)) else (sub,) for key, sub in shape.items()}
 
     def misfit(value):
         if not isinstance(value, dict):
@@ -420,7 +422,7 @@ def _checker(shape: dict):
                 bad = nested[key](value[key])
                 if bad is not None:
                     return (key, *bad)
-            elif not isinstance(value[key], sub):
+            elif type(value[key]) not in sub:
                 return (key,)
         return None
 
@@ -428,14 +430,21 @@ def _checker(shape: dict):
 
 
 def _record_checkers(daily_feedback: bool) -> dict:
-    """The fields `report` and `replay` read in day and weekly records."""
+    """The fields `report` and `replay` read in day and weekly records, and
+    every number and bool `replay` re-derives."""
     number = (int, float)
+    maybe_number = (int, float, type(None))
     texts = dict.fromkeys(AGENT_ROLES, str)
     role = {
         "raw": (str, type(None)),
         "fallback": bool,
         "state": str,
-        "portfolio": {"value_usd": number},
+        "allocation": number,
+        "confidence": maybe_number,
+        "portfolio": dict.fromkeys(("btc_units", "cash_usd", "mark_price", "value_usd"), number),
+        "portfolio_return": number,
+        "correct": bool,
+        "running_accuracy": number,
     }
     day = {
         "seq": int,
@@ -443,11 +452,18 @@ def _record_checkers(daily_feedback: bool) -> dict:
         "close": number,
         "next_date": str,
         "next_close": number,
+        "btc_return": number,
         "roles": dict.fromkeys(AGENT_ROLES, role),
-        "baseline": {"static5050_value": number, "buyhold_value": number},
+        "baseline": dict.fromkeys(("static5050_value", "buyhold_value", "day_return_5050"), number),
         "reflect": {"feedback": texts} if daily_feedback else type(None),
     }
-    return {"day": _checker(day), "weekly": _checker({"after_day": str, "texts": texts})}
+    stats = dict.fromkeys(("week_return", "baseline_return", "return_diff", "regret"), number)
+    weekly = {
+        "after_day": str,
+        "texts": texts,
+        "stats": dict.fromkeys(AGENT_ROLES, {**stats, "sharpe": maybe_number}),
+    }
+    return {"day": _checker(day), "weekly": _checker(weekly)}
 
 
 _HEADER_MISFIT = _checker({"config": dict, "n_days": int})
@@ -463,8 +479,8 @@ def _check_shape(record: dict, misfit, where: str) -> None:
 def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
     """Read the run's value paths from its journal.
 
-    Checks every digest, the type of every field `report` and `replay` read,
-    and the journal's structure: the header's `n_days` day records, numbered
+    Checks every digest, the type of every field `report` and `replay` read
+    or `replay` re-derives, and the journal's structure: the header's `n_days` day records, numbered
     in order, each starting on the date the one before it ends, and a weekly
     record after every seventh day when weekly feedback is on, and only then.
     Raises JournalCorrupt otherwise.
@@ -529,7 +545,9 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
 
 def _check_reproduced(where: str, derived: dict, recorded: dict) -> None:
     """Raise JournalCorrupt unless every derived field equals the recorded one.
-    `roles` maps each role to its derived fields, beside others only recorded."""
+    `roles` maps each role to its derived fields, beside others only recorded.
+    `==` takes 1 and 1.0 for one JSON number, and true for 1; the shape check
+    in `outputs_from_journal` keeps a bool from standing for a number."""
     for role, fields in derived.pop("roles", {}).items():
         if not fields.items() <= recorded["roles"][role].items():
             _check_reproduced(f"{where} {role}", fields, recorded["roles"][role])

@@ -244,6 +244,17 @@ class TestParseAgentOutput:
         )
         assert decision.confidence == 0.8
 
+    @pytest.mark.parametrize(
+        "confidence",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"],
+    )
+    def test_confidence_beyond_floats_dropped(self, confidence):
+        decision = parse_agent_output(
+            '{"state":"bullish","allocation_btc_pct":55,"reasoning":"x","confidence":%s}' % confidence
+        )
+        assert decision.confidence is None
+
     def test_round_trip_full_grid(self):
         for state in MarketState:
             for pct in range(0, 101):

@@ -23,7 +23,7 @@ from btagents.agents import (
 from btagents.errors import JournalCorrupt
 from btagents.journal import RunJournal, read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
-from btagents.reflection import REFLECT_SYSTEM
+from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
 
 from conftest import run_synth, scripted_plan, synth_dataset
 from test_agents import FakeResponse
@@ -83,6 +83,12 @@ def leaves(value, path=()):
         yield path
 
 
+def leaf_value(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
 def edited(value):
     """A different value for a leaf: bools flip, numbers move, the rest becomes text."""
     if isinstance(value, bool):
@@ -92,6 +98,16 @@ def edited(value):
     if isinstance(value, float):
         return value + 1e-9
     return "edited"
+
+
+def retyped(value):
+    """The same value under `==` as another JSON type, or None: a bool becomes
+    a number and a number equal to 0 or 1 becomes a bool."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)) and value in (0, 1):
+        return bool(value)
+    return None
 
 
 # the leaves replay checks by digest only; an edit of any other leaf of a day
@@ -123,7 +139,15 @@ LEAVES = {
 }
 
 
-def resealed_leaf_edit(name, path):
+# the leaves whose value another JSON type can equal: bools, and numbers equal to 0 or 1
+RETYPED_LEAVES = [
+    leaf
+    for leaf, (name, path) in LEAVES.items()
+    if retyped(leaf_value(SWEPT[name], path)) is not None
+]
+
+
+def resealed_leaf_edit(name, path, edit=edited):
     """A copy of the fees/fallback journal with one leaf edited and its record resealed."""
     entries = json.loads(json.dumps(FEES_FALLBACK.entries))
     journal = RunJournal(header=FEES_FALLBACK.header, entries=entries)
@@ -132,7 +156,7 @@ def resealed_leaf_edit(name, path):
     owner = record
     for key in path[:-1]:
         owner = owner[key]
-    owner[path[-1]] = edited(owner[path[-1]])
+    owner[path[-1]] = edit(owner[path[-1]])
     record.pop("digest")
     journal.entries[index] = seal(record)
     return journal
@@ -158,8 +182,24 @@ class TestResealedLeaves:
 
     @pytest.mark.parametrize("leaf", LEAVES)
     def test_edit_fails_replay_unless_digest_only(self, leaf):
+        self.check(leaf, edited)
+
+    def test_retype_sweep_covers_bools_and_numbers(self):
+        for leaf in (
+            "day3.roles.quants.correct",
+            "day9.roles.decision.fallback",
+            "weekly0.stats.signals.regret",
+        ):
+            assert leaf in RETYPED_LEAVES
+
+    @pytest.mark.parametrize("leaf", RETYPED_LEAVES)
+    def test_retype_fails_replay_unless_digest_only(self, leaf):
+        self.check(leaf, retyped)
+
+    @staticmethod
+    def check(leaf, edit):
         name, path = LEAVES[leaf]
-        journal = resealed_leaf_edit(name, path)
+        journal = resealed_leaf_edit(name, path, edit)
         journal.verify()  # the edit keeps every digest valid
         if any(fnmatch.fnmatchcase(leaf.partition(".")[2], pattern) for pattern in DIGEST_ONLY):
             replay(journal)
@@ -172,14 +212,19 @@ FEEDBACK_TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
 
 
 @pytest.fixture(scope="module")
-def written_lines(tmp_path_factory):
-    """The lines of a 10-day journal as written, for each (daily, weekly) feedback toggle."""
+def synth_runs():
+    """A 10-day journal as run, for each (daily, weekly) feedback toggle."""
+    return {toggles: run_synth(10, *toggles)[0] for toggles in FEEDBACK_TOGGLES}
+
+
+@pytest.fixture(scope="module")
+def written_lines(synth_runs, tmp_path_factory):
+    """The lines of each journal of `synth_runs` as written."""
     out = {}
-    for daily, weekly in FEEDBACK_TOGGLES:
-        journal, _, _, _ = run_synth(10, daily=daily, weekly=weekly)
+    for toggles, journal in synth_runs.items():
         path = tmp_path_factory.mktemp("journal") / "run.jsonl"
         write_journal(journal, str(path))
-        out[daily, weekly] = path.read_text(encoding="utf-8").splitlines()
+        out[toggles] = path.read_text(encoding="utf-8").splitlines()
     return out
 
 
@@ -211,11 +256,22 @@ class TestJournalStructure:
         FEEDBACK_TOGGLES,
         ids=["True", "False", "no daily-True", "no daily-False"],
     )
-    def test_unedited_journal_replays(self, written_lines, tmp_path, daily, weekly):
+    def test_unedited_journal_replays(self, synth_runs, written_lines, tmp_path, daily, weekly):
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join(written_lines[daily, weekly]) + "\n", encoding="utf-8")
-        journal = read_journal(str(path))
-        assert replay(journal).values == outputs_from_journal(journal).values
+        replayed = replay(read_journal(str(path)))
+        assert len(replayed.value_dates) == 11
+        run = synth_runs[daily, weekly]
+        for role in AGENT_ROLES:
+            values = [day["roles"][role]["portfolio"]["value_usd"] for day in run.days]
+            assert replayed.values[role][1:] == values
+
+    @pytest.mark.parametrize("seq", [True, 1.0])
+    def test_day_number_not_an_int(self, seq):
+        journal, _, _, _ = run_synth(10)
+        reseal_day(journal, 1, lambda rec: rec.update(seq=seq))  # == 1 holds
+        with pytest.raises(JournalCorrupt, match="field seq"):
+            outputs_from_journal(journal)
 
     def test_day_not_starting_where_the_last_ended(self):
         journal, _, _, _ = run_synth(10)
@@ -259,7 +315,21 @@ class TestEveryRecoveryPathReplays:
         flags = journal.days[5]["reflect"]["flags"]
         assert flags == ["reflect_scope_retry", "reflect_scope_dropped_signals"]
         assert "signals" not in journal.days[6]["daily_feedback_in"]
-        assert replay(journal).values == outputs_from_journal(journal).values
+        assert len(replay(journal).value_dates) == 11
+
+    def test_confidence_beyond_floats_replays(self, tmp_path):
+        dataset = synth_dataset(32 + 3 + 2)
+        days = dataset.dates[32 : 32 + 3]
+        plan = scripted_plan(days)
+        for role, confidence in (("quants", "NaN"), ("signals", "Infinity"), ("decision", "1" + "0" * 400)):
+            key = f"{role}:{days[1].isoformat()}"
+            plan[key] = plan[key][:-1] + f', "confidence": {confidence}}}'
+        config = RunConfig(start=days[0], end=days[-1])
+        journal = run_backtest(config, dataset, QueueResponder(plan))
+        assert [role["confidence"] for role in journal.days[1]["roles"].values()] == [None] * 3
+        path = tmp_path / "run.jsonl"
+        write_journal(journal, str(path))
+        assert len(replay(read_journal(str(path))).value_dates) == 4
 
 
 ROLE_BY_SYSTEM = {
@@ -310,4 +380,4 @@ class TestMalformedCompletionBody:
         assert reflect["flags"] == ["reflect_fallback_empty"]
         assert reflect["attempts"][0]["error"].startswith("SchemaError: ")
         assert journal.days[4]["daily_feedback_in"] == {}
-        assert replay(journal).values == outputs_from_journal(journal).values
+        assert len(replay(journal).value_dates) == 6
