@@ -27,9 +27,8 @@ from .market_data import (
 )
 from .orchestrator import RunConfig, RunOutputs, outputs_from_journal, replay, run_backtest
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
-from .report import report_from_journal
 from .regime import RegimeParams, RegimeSegmentation, segment
-from .reflection import DailyFeedback, DailyOutcomePacket, WeeklyFeedback
+from .reflection import DailyOutcomePacket
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "Bar",
     "ChatClient",
     "ChatClientConfig",
-    "DailyFeedback",
     "DailyOutcomePacket",
     "FeeModel",
     "IndicatorParams",
@@ -59,7 +57,6 @@ __all__ = [
     "RunOutputs",
     "ScriptedResponder",
     "SentimentDaily",
-    "WeeklyFeedback",
     "align",
     "load_bars",
     "load_news",
@@ -70,7 +67,6 @@ __all__ = [
     "read_journal",
     "rebalance",
     "replay",
-    "report_from_journal",
     "run_backtest",
     "segment",
     "slice_window",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from enum import Enum
 from functools import lru_cache, partial
@@ -437,6 +437,22 @@ _REQUIRED = frozenset(REQUIRED_KEYS)
 STATE_VALUES = frozenset(s.value for s in MarketState)
 
 
+def _first_object_with(raw: str, keys: frozenset, who: str, missing: str) -> dict:
+    """The first JSON object in a reply that has every key in `keys`; prose
+    may surround it. Raises ParseError for an empty reply or one with no
+    object, and SchemaError, naming what is `missing`, when no object has them."""
+    if not raw or raw.isspace():
+        raise ParseError(f"{who}: empty response")
+    found_any = False
+    for obj in _iter_json_objects(raw):
+        if obj.keys() >= keys:
+            return obj
+        found_any = True
+    if found_any:
+        raise SchemaError(f"{who}: no JSON object with {missing}")
+    raise ParseError(f"{who}: no JSON object found in response")
+
+
 def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
     """Extract the first JSON object carrying a full decision from a reply.
 
@@ -444,53 +460,36 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
     allocations convert to fractions; an optional finite numeric
     `confidence` field is preserved but unused downstream.
     """
-    if not raw or raw.isspace():
-        raise ParseError(f"{role}: empty response")
-    found_any = False
-    for obj in _iter_json_objects(raw):
-        found_any = True
-        if not obj.keys() >= _REQUIRED:
-            continue
-        state_raw = obj["state"]
-        if not isinstance(state_raw, str) or state_raw.lower() not in STATE_VALUES:
-            raise SchemaError(f"{role}: invalid state {state_raw!r}")
-        pct = obj["allocation_btc_pct"]
-        if isinstance(pct, bool) or not isinstance(pct, (int, float)):
-            raise SchemaError(f"{role}: allocation_btc_pct must be a number")
-        if not 0.0 <= float(pct) <= 100.0:
-            raise RangeError(f"{role}: allocation_btc_pct {pct} outside [0, 100]")
-        reasoning = obj["reasoning"]
-        if not isinstance(reasoning, str) or not reasoning.strip():
-            raise SchemaError(f"{role}: reasoning must be a non-empty string")
-        confidence = obj.get("confidence")
-        # NaN, which equals nothing, the infinities and ints too large for a float are dropped too
-        if (
-            isinstance(confidence, bool)
-            or not isinstance(confidence, (int, float))
-            or not abs(confidence) <= sys.float_info.max
-        ):
-            confidence = None
-        return AgentDecision(
-            prediction=Prediction(state=MarketState(state_raw.lower()), reasoning=reasoning),
-            allocation=Allocation(btc_fraction=float(pct) / 100.0),
-            confidence=float(confidence) if confidence is not None else None,
-        )
-    if found_any:
-        raise SchemaError(f"{role}: no JSON object with fields {', '.join(REQUIRED_KEYS)}")
-    raise ParseError(f"{role}: no JSON object found in response")
+    obj = _first_object_with(raw, _REQUIRED, role, f"fields {', '.join(REQUIRED_KEYS)}")
+    state_raw = obj["state"]
+    if not isinstance(state_raw, str) or state_raw.lower() not in STATE_VALUES:
+        raise SchemaError(f"{role}: invalid state {state_raw!r}")
+    pct = obj["allocation_btc_pct"]
+    if isinstance(pct, bool) or not isinstance(pct, (int, float)):
+        raise SchemaError(f"{role}: allocation_btc_pct must be a number")
+    if not 0.0 <= float(pct) <= 100.0:
+        raise RangeError(f"{role}: allocation_btc_pct {pct} outside [0, 100]")
+    reasoning = obj["reasoning"]
+    if not isinstance(reasoning, str) or not reasoning.strip():
+        raise SchemaError(f"{role}: reasoning must be a non-empty string")
+    confidence = obj.get("confidence")
+    # NaN, which equals nothing, the infinities and ints too large for a float are dropped too
+    if (
+        isinstance(confidence, bool)
+        or not isinstance(confidence, (int, float))
+        or not abs(confidence) <= sys.float_info.max
+    ):
+        confidence = None
+    return AgentDecision(
+        prediction=Prediction(state=MarketState(state_raw.lower()), reasoning=reasoning),
+        allocation=Allocation(btc_fraction=float(pct) / 100.0),
+        confidence=float(confidence) if confidence is not None else None,
+    )
 
 
 FORMAT_REMINDER = (
     "Your previous reply could not be parsed. " + OUTPUT_CONTRACT
 )
-
-
-@dataclass(frozen=True)
-class DecideOutcome:
-    decision: AgentDecision
-    raw_used: str | None
-    attempts: tuple[dict, ...] = field(default_factory=tuple)
-    fallback_used: bool = False
 
 
 def ask_until_parsed(
@@ -536,15 +535,17 @@ def decide_with_retry(
     bundle: PromptBundle,
     retry_limit: int = 1,
     fallback_allocation: float = 0.5,
-) -> DecideOutcome:
+) -> tuple[AgentDecision, dict]:
     """Ask for a decision, with up to `retry_limit` format-reminder re-asks.
 
     When no reply parses, the fallback allocation is applied with a neutral
-    state and the failure chain is preserved for the journal.
+    state. Returns the decision and the role's journal fields: `raw`, the
+    reply it was parsed from (None on a fallback), every attempt and `fallback`.
     """
     parse = partial(parse_agent_output, role=bundle.role.value)
     decision, attempts = ask_until_parsed(client, bundle, parse, FORMAT_REMINDER, retry_limit + 1)
-    if decision is not None:
-        return DecideOutcome(decision=decision, raw_used=attempts[-1]["raw"], attempts=tuple(attempts))
-    fallback = fallback_decision(fallback_allocation)
-    return DecideOutcome(decision=fallback, raw_used=None, attempts=tuple(attempts), fallback_used=True)
+    fallback = decision is None
+    if fallback:
+        decision = fallback_decision(fallback_allocation)
+    raw = None if fallback else attempts[-1]["raw"]
+    return decision, {"raw": raw, "attempts": attempts, "fallback": fallback}

@@ -85,10 +85,6 @@ class RunJournal:
     def days(self) -> list[dict]:
         return [e for e in self.entries if e.get("type") == "day"]
 
-    @property
-    def weeklies(self) -> list[dict]:
-        return [e for e in self.entries if e.get("type") == "weekly"]
-
     def verify(self) -> None:
         verify_record(self.header)
         if self.header.get("version") != JOURNAL_VERSION:

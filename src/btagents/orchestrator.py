@@ -80,6 +80,9 @@ class RunConfig:
             if not isinstance(part, kind):
                 raise ConfigError(f"config key '{name}' must be a {kind.__name__}")
             _check_types(kind, vars(part))
+        for name in ("parse_retry_limit", "neutral_band"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config key '{name}' must be >= 0")
         if self.end < self.start:
             raise ValueError("end date before start date")
         if self.initial_value_usd <= 0:
@@ -219,18 +222,10 @@ class Ledger:
 
     def weekly_record(self, templates: Mapping) -> dict:
         """The weekly record written after the last seven settled days."""
-        wf = weekly_feedback(
+        week = weekly_feedback(
             self.packets, templates, self.config.praise_threshold, self.config.regret_threshold
         )
-        return {
-            "type": "weekly",
-            "after_day": wf.week_end.isoformat(),
-            "week_start": wf.week_start.isoformat(),
-            "week_end": wf.week_end.isoformat(),
-            "texts": dict(wf.texts),
-            "kinds": dict(wf.kinds),
-            "stats": {role: dict(vars(wf.stats[role])) for role in AGENT_ROLES},
-        }
+        return {"type": "weekly", "after_day": week["week_end"], **week}
 
 
 def run_backtest(
@@ -313,55 +308,34 @@ def run_backtest(
             "signals": lint_bundle(signals_bundle),
         }
 
-        outcomes = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
+        decided = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
+        quants, signals = decided["quants"][0], decided["signals"][0]
 
         decision_value = ledger.books["decision"].btc_units * close_t + ledger.books["decision"].cash_usd
         decision_bundle = build_decision_prompt(
             date=day,
-            quants=outcomes["quants"].decision.prediction,
-            signals=outcomes["signals"].decision.prediction,
+            quants=quants.prediction,
+            signals=signals.prediction,
             portfolio_value=decision_value,
             daily_feedback=daily_in.get("decision"),
             weekly_feedback=weekly_in.get("decision"),
         )
         lint["decision"] = lint_bundle(
             decision_bundle,
-            upstream_allocations=[
-                outcomes["quants"].decision.allocation.btc_fraction,
-                outcomes["signals"].decision.allocation.btc_fraction,
-            ],
+            upstream_allocations=[quants.allocation.btc_fraction, signals.allocation.btc_fraction],
         )
-        outcomes["decision"] = decide(decision_bundle)
+        decided["decision"] = decide(decision_bundle)
 
         bundles = {"quants": quants_bundle, "signals": signals_bundle, "decision": decision_bundle}
-        decisions = {role: outcomes[role].decision for role in AGENT_ROLES}
+        decisions = {role: decided[role][0] for role in AGENT_ROLES}
         packet, derived = ledger.settle(day, decisions, close_t, next_rec.date, close_next)
-
-        reflect_entry = None
-        if config.daily_feedback:
-            reflection = run_daily_reflection(
-                client, packet, retry_limit=config.parse_retry_limit
-            )
-            reflect_entry = {
-                "system": reflection.bundle.system_text,
-                "user": reflection.bundle.user_text,
-                "attempts": [dict(a) for a in reflection.attempts],
-                "feedback": {role: reflection.feedback.text_for(role) for role in AGENT_ROLES},
-                "violations": [
-                    {"role": v.role, "reason": v.reason} for v in reflection.violations
-                ],
-                "flags": list(reflection.flags),
-            }
-
         for role in AGENT_ROLES:
-            out = outcomes[role]
             derived["roles"][role].update(
-                system=bundles[role].system_text,
-                user=bundles[role].user_text,
-                raw=out.raw_used,
-                attempts=[dict(x) for x in out.attempts],
-                fallback=out.fallback_used,
+                system=bundles[role].system_text, user=bundles[role].user_text, **decided[role][1]
             )
+        reflect = None
+        if config.daily_feedback:
+            reflect = run_daily_reflection(client, packet, retry_limit=config.parse_retry_limit)
 
         ledger.last_day = seal(
             {
@@ -375,7 +349,7 @@ def run_backtest(
                 "daily_feedback_in": daily_in,
                 "weekly_feedback_in": weekly_in,
                 **derived,
-                "reflect": reflect_entry,
+                "reflect": reflect,
                 "lint": lint,
             }
         )
@@ -437,6 +411,7 @@ def _record_checkers(daily_feedback: bool) -> dict:
     texts = dict.fromkeys(AGENT_ROLES, str)
     role = {
         "raw": (str, type(None)),
+        "attempts": list,
         "fallback": bool,
         "state": str,
         "allocation": number,
@@ -563,7 +538,8 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
     reply (with no reply, the run's fallback) and settles each day and builds
     each weekly record with the run's own `Ledger`. Raises JournalCorrupt
     unless every field so derived, and each day's feedback in, equals the
-    recorded one.
+    recorded one, and unless each role's last attempt is its recorded reply
+    with no error or, on a fallback, carries an error.
     """
     outputs = outputs_from_journal(journal, neutral_band)
     dates = outputs.value_dates
@@ -582,7 +558,12 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
         daily_in, weekly_in = ledger.feedback_in()
         decisions = {}
         for role in AGENT_ROLES:
-            raw = roles[role]["raw"]  # None when the run fell back
+            raw, attempts = roles[role]["raw"], roles[role]["attempts"]  # raw is None on a fallback
+            last = attempts[-1] if attempts else None
+            if raw is None and not (isinstance(last, dict) and isinstance(last.get("error"), str)):
+                raise JournalCorrupt(f"{where} {role}: the fallback's last attempt has no error")
+            if raw is not None and last != {"raw": raw, "error": None}:
+                raise JournalCorrupt(f"{where} {role}: recorded reply is not the last attempt's")
             try:
                 parsed = None if raw is None else parse_agent_output(raw, role=role)
             except PARSE_ERRORS as exc:

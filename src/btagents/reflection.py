@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from importlib import resources
 from typing import Mapping, Sequence
@@ -23,7 +23,7 @@ from .agents import (
     PromptBundle,
     Role,
     _any_word,
-    _iter_json_objects,
+    _first_object_with,
     _word,
     ask_until_parsed,
 )
@@ -31,13 +31,13 @@ from .errors import (
     IncompleteWeek,
     InvariantViolation,
     MissingAgentRecord,
-    ParseError,
     SchemaError,
     ZeroDispersion,
 )
 from .metrics import prediction_correct, regret, sharpe, total_return
 
 AGENT_ROLES = ("quants", "signals", "decision")
+_REFLECT_KEYS = frozenset(AGENT_ROLES)
 
 # verbatim phrases the default weekly templates are built around
 PRAISE_PHRASE = "your signals consistently beat the baseline"
@@ -78,47 +78,9 @@ class DailyOutcomePacket:
 
 
 @dataclass(frozen=True)
-class DailyFeedback:
-    """Per-role critique texts; an empty string means no feedback that day."""
-
-    date: Date
-    quants: str
-    signals: str
-    decision: str
-
-    def text_for(self, role: str) -> str:
-        return getattr(self, role)
-
-    @classmethod
-    def empty(cls, date: Date) -> "DailyFeedback":
-        return cls(date=date, quants="", signals="", decision="")
-
-
-@dataclass(frozen=True)
 class ScopeViolation:
     role: str
     reason: str
-
-
-@dataclass(frozen=True)
-class WeeklyRoleStats:
-    week_return: float
-    baseline_return: float
-    return_diff: float
-    sharpe: float | None
-    regret: float
-
-
-@dataclass(frozen=True)
-class WeeklyFeedback:
-    week_start: Date
-    week_end: Date
-    texts: Mapping[str, str]
-    stats: Mapping[str, WeeklyRoleStats]
-    kinds: Mapping[str, str]
-
-    def text_for(self, role: str) -> str:
-        return self.texts.get(role, "")
 
 
 def evaluate_day(
@@ -213,23 +175,14 @@ def build_reflect_prompt(packet: DailyOutcomePacket) -> PromptBundle:
 
 def parse_reflect_output(raw: str) -> dict[str, str]:
     """Extract the per-role feedback object from a critic reply."""
-    if not raw or not raw.strip():
-        raise ParseError("reflect: empty response")
-    found_any = False
-    for obj in _iter_json_objects(raw):
-        found_any = True
-        if not all(role in obj for role in AGENT_ROLES):
-            continue
-        texts = {}
-        for role in AGENT_ROLES:
-            value = obj[role]
-            if not isinstance(value, str) or not value.strip():
-                raise SchemaError(f"reflect: feedback for {role} must be a non-empty string")
-            texts[role] = value.strip()
-        return texts
-    if found_any:
-        raise SchemaError("reflect: no JSON object with quants/signals/decision keys")
-    raise ParseError("reflect: no JSON object found in response")
+    obj = _first_object_with(raw, _REFLECT_KEYS, "reflect", "quants/signals/decision keys")
+    texts = {}
+    for role in AGENT_ROLES:
+        value = obj[role]
+        if not isinstance(value, str) or not value.strip():
+            raise SchemaError(f"reflect: feedback for {role} must be a non-empty string")
+        texts[role] = value.strip()
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -294,41 +247,30 @@ REFLECT_FORMAT_REMINDER = (
 )
 
 
-@dataclass(frozen=True)
-class ReflectionOutcome:
-    feedback: DailyFeedback
-    bundle: PromptBundle
-    attempts: tuple[dict, ...] = field(default_factory=tuple)
-    violations: tuple[ScopeViolation, ...] = ()
-    flags: tuple[str, ...] = ()
-
-
 def run_daily_reflection(
     client: CompletionClient,
     packet: DailyOutcomePacket,
     retry_limit: int = 1,
-) -> ReflectionOutcome:
+) -> dict:
     """Invoke the critic, parse, and scope-filter its feedback.
 
     Malformed replies get `retry_limit` format-reminder re-asks; a scope
     violation gets exactly one re-ask naming the violation. Roles that
     still violate end up with empty feedback so the next day simply runs
-    without it.
+    without it. Returns the day record's `reflect` entry: the prompt, every
+    attempt, the feedback per role, the first pass's violations and the flags.
     """
     bundle = build_reflect_prompt(packet)
     texts, attempts = ask_until_parsed(
         client, bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, retry_limit + 1
     )
-    if texts is None:
-        return ReflectionOutcome(
-            feedback=DailyFeedback.empty(packet.date),
-            bundle=bundle,
-            attempts=tuple(attempts),
-            flags=("reflect_fallback_empty",),
-        )
-
+    violations: list[ScopeViolation] = []
     flags: list[str] = []
-    violations = scope_filter(texts)
+    if texts is None:
+        texts = dict.fromkeys(AGENT_ROLES, "")
+        flags.append("reflect_fallback_empty")
+    else:
+        violations = scope_filter(texts)
     if violations:
         flags.append("reflect_scope_retry")
         note = "; ".join(f"{v.role}: {v.reason}" for v in violations)
@@ -352,13 +294,14 @@ def run_daily_reflection(
                 texts[role] = ""
                 flags.append(f"reflect_scope_dropped_{role}")
 
-    return ReflectionOutcome(
-        feedback=DailyFeedback(date=packet.date, **{r: texts[r] for r in AGENT_ROLES}),
-        bundle=bundle,
-        attempts=tuple(attempts),
-        violations=tuple(violations),
-        flags=tuple(flags),
-    )
+    return {
+        "system": bundle.system_text,
+        "user": bundle.user_text,
+        "attempts": attempts,
+        "feedback": texts,
+        "violations": [{"role": v.role, "reason": v.reason} for v in violations],
+        "flags": flags,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +352,14 @@ def weekly_feedback(
     templates: Mapping[str, Mapping[str, str]],
     praise_threshold: float = 0.0,
     regret_threshold: float = 0.01,
-) -> WeeklyFeedback:
+) -> dict:
     """Condense exactly seven completed days into per-role template feedback.
 
     Stats (weekly return vs the passive baseline, weekly Sharpe, weekly
     regret) drive template selection; nothing numeric flows back into the
-    agents, only the selected text.
+    agents, only the selected text. Returns the weekly record's fields:
+    `week_start` and `week_end` as ISO dates, and `texts`, `kinds` and
+    `stats` per role.
     """
     if len(packets) != 7:
         raise IncompleteWeek(f"weekly feedback needs 7 days, got {len(packets)}")
@@ -425,7 +370,7 @@ def weekly_feedback(
     baseline_returns = [p.baseline_return for p in packets]
     baseline_week = total_return(baseline_returns)
     texts: dict[str, str] = {}
-    stats: dict[str, WeeklyRoleStats] = {}
+    stats: dict[str, dict] = {}
     kinds: dict[str, str] = {}
     for role in AGENT_ROLES:
         returns = [p.agents[role].portfolio_return for p in packets]
@@ -439,17 +384,17 @@ def weekly_feedback(
         kind = select_template_kind(diff, reg, praise_threshold, regret_threshold)
         texts[role] = templates[role][kind]
         kinds[role] = kind
-        stats[role] = WeeklyRoleStats(
-            week_return=week_return,
-            baseline_return=baseline_week,
-            return_diff=diff,
-            sharpe=sharpe_value,
-            regret=reg,
-        )
-    return WeeklyFeedback(
-        week_start=packets[0].date,
-        week_end=packets[-1].date,
-        texts=texts,
-        stats=stats,
-        kinds=kinds,
-    )
+        stats[role] = {
+            "week_return": week_return,
+            "baseline_return": baseline_week,
+            "return_diff": diff,
+            "sharpe": sharpe_value,
+            "regret": reg,
+        }
+    return {
+        "week_start": packets[0].date.isoformat(),
+        "week_end": packets[-1].date.isoformat(),
+        "texts": texts,
+        "kinds": kinds,
+        "stats": stats,
+    }

@@ -14,9 +14,8 @@ import io
 from dataclasses import dataclass
 
 from .errors import WindowTooShort
-from .journal import RunJournal
 from .metrics import MetricsReport, ReturnSeries, daily_returns, regime_report
-from .orchestrator import AGENT_ROLES, RunOutputs, outputs_from_journal
+from .orchestrator import AGENT_ROLES, RunOutputs
 from .regime import RegimeSegmentation, segment
 
 COLUMNS = ("quants", "signals", "decision", "baseline")
@@ -177,16 +176,6 @@ def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> Repo
         cumret_rows=cumret_rows,
         reports=reports,
     )
-
-
-def report_from_journal(
-    journal: RunJournal,
-    segmentation: RegimeSegmentation | None = None,
-    neutral_band: float | None = None,
-) -> ReportArtifacts:
-    """One-call report: journal in, rendered artifacts out."""
-    outputs = outputs_from_journal(journal, neutral_band=neutral_band)
-    return render(outputs, resolve_segmentation(outputs, segmentation))
 
 
 def table_csv(artifacts: ReportArtifacts) -> str:

@@ -22,6 +22,11 @@ from btagents.orchestrator import RunConfig, run_backtest
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "case_study"
 
+
+def weeklies(journal):
+    """The weekly records of a journal, in order."""
+    return [e for e in journal.entries if e["type"] == "weekly"]
+
 STATES = ("bullish", "neutral", "bearish")
 
 

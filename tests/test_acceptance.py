@@ -56,7 +56,7 @@ from btagents.reflection import (
 from btagents.regime import RegimeLabel, RegimeParams, segment
 from btagents.report import cumrets_csv, render, resolve_segmentation, table_csv
 
-from conftest import random_bars, run_synth
+from conftest import random_bars, run_synth, weeklies
 from oracles import (
     oracle_adx,
     oracle_bollinger,
@@ -243,7 +243,7 @@ def test_criterion_06_feedback_injection_windows():
     )
     days = journal_on.days
     assert len(days) == 21
-    assert len(journal_on.weeklies) == 3
+    assert len(weeklies(journal_on)) == 3
 
     # daily feedback from day t shows up in day t+1 prompts and nowhere else
     for t, day in enumerate(days):
@@ -253,7 +253,7 @@ def test_criterion_06_feedback_injection_windows():
                 assert (marker in other["roles"][role]["user"]) == (u == t + 1)
 
     # weekly feedback from days 1-7 covers exactly days 8-14
-    week1 = journal_on.weeklies[0]["texts"]
+    week1 = weeklies(journal_on)[0]["texts"]
     for i, day in enumerate(days):
         injected = day["weekly_feedback_in"]
         if 7 <= i < 14:
@@ -351,20 +351,20 @@ def test_criterion_09_template_selection():
         return weekly_feedback(packets, templates)
 
     outperform = week(0.02, 0.01)
-    assert all(outperform.kinds[r] == "praise" for r in AGENT_ROLES)
-    assert all(PRAISE_PHRASE in outperform.texts[r] for r in AGENT_ROLES)
+    assert all(outperform["kinds"][r] == "praise" for r in AGENT_ROLES)
+    assert all(PRAISE_PHRASE in outperform["texts"][r] for r in AGENT_ROLES)
 
     underperform = week(0.0, 0.01)
-    assert underperform.stats["quants"].regret > 0.01
-    assert all(underperform.kinds[r] == "corrective" for r in AGENT_ROLES)
-    assert CORRECTIVE_QUANTS_PHRASE in underperform.texts["quants"]
+    assert underperform["stats"]["quants"]["regret"] > 0.01
+    assert all(underperform["kinds"][r] == "corrective" for r in AGENT_ROLES)
+    assert CORRECTIVE_QUANTS_PHRASE in underperform["texts"]["quants"]
 
     near = week(0.01, 0.01)
-    assert all(near.kinds[r] == "neutral" for r in AGENT_ROLES)
-    assert all(NEUTRAL_PHRASE in near.texts[r] for r in AGENT_ROLES)
+    assert all(near["kinds"][r] == "neutral" for r in AGENT_ROLES)
+    assert all(NEUTRAL_PHRASE in near["texts"][r] for r in AGENT_ROLES)
 
     again = week(0.02, 0.01)
-    assert again.texts == outperform.texts
+    assert again["texts"] == outperform["texts"]
     ok(9, "weekly stats select praise/corrective/neutral templates with the "
           "required phrases, deterministically")
 

@@ -395,33 +395,33 @@ GOOD = '{"state":"bullish","allocation_btc_pct":60,"reasoning":"fine"}'
 class TestDecideWithRetry:
     def test_malformed_then_valid(self):
         client = SeqClient(["not json at all", GOOD])
-        outcome = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.5)
-        assert not outcome.fallback_used
-        assert outcome.decision.allocation.btc_fraction == 0.60
-        assert len(outcome.attempts) == 2
-        assert outcome.attempts[0]["error"] is not None
+        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.5)
+        assert not fields["fallback"]
+        assert decision.allocation.btc_fraction == 0.60
+        assert len(fields["attempts"]) == 2
+        assert fields["attempts"][0]["error"] is not None
         # the re-ask carried a format reminder
         assert FORMAT_REMINDER in client.bundles[1].user_text
 
     def test_all_malformed_falls_back(self):
         client = SeqClient(["junk", "junk", "junk"])
-        outcome = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
-        assert outcome.fallback_used
-        assert outcome.decision.allocation.btc_fraction == 0.5
-        assert outcome.decision.prediction.state is MarketState.NEUTRAL
-        assert len(outcome.attempts) == 3
+        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
+        assert fields["fallback"]
+        assert decision.allocation.btc_fraction == 0.5
+        assert decision.prediction.state is MarketState.NEUTRAL
+        assert len(fields["attempts"]) == 3
 
     def test_carries_previous_allocation(self):
         client = SeqClient(["junk", "junk"])
-        outcome = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.35)
-        assert outcome.fallback_used
-        assert outcome.decision.allocation.btc_fraction == 0.35
+        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.35)
+        assert fields["fallback"]
+        assert decision.allocation.btc_fraction == 0.35
 
     def test_transport_failure_falls_back(self):
         client = SeqClient([NetworkError("down", 3)])
-        outcome = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
-        assert outcome.fallback_used
-        assert outcome.attempts[0]["raw"] is None
+        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
+        assert fields["fallback"]
+        assert fields["attempts"][0]["raw"] is None
 
 
 class TestAllocationTokens:

@@ -138,7 +138,8 @@ class TestReplayAndReport:
         wide = capsys.readouterr().out
         assert base != wide
 
-    def test_corrupt_journal_fails(self, journal_path, capsys):
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    def test_corrupt_journal_fails(self, command, journal_path, capsys):
         with open(journal_path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         record = json.loads(lines[1])
@@ -146,8 +147,18 @@ class TestReplayAndReport:
         lines[1] = json.dumps(record)
         with open(journal_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+        assert main([command, "--journal", journal_path]) == 1
+        assert "digest mismatch" in capsys.readouterr().err
+
+    def test_resealed_raw_edit_fails_replay(self, journal_path, capsys):
+        def add_prose(day):
+            day["roles"]["quants"]["raw"] += " and some added prose"
+
+        reseal_line(journal_path, 1, add_prose)
+        assert main(["report", "--journal", journal_path]) == 0
+        capsys.readouterr()
         assert main(["replay", "--journal", journal_path]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert "not the last attempt's" in capsys.readouterr().err
 
     def test_segmentation_override(self, journal_path, tmp_path, capsys):
         seg = tmp_path / "seg.csv"
@@ -218,6 +229,12 @@ class TestStrictConfig:
     def test_bad_value_is_runtime_error(self, tmp_path, capsys, overrides):
         assert self.run_backtest(tmp_path, **overrides) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5)])
+    def test_negative_value_is_runtime_error(self, tmp_path, capsys, key, value):
+        assert self.run_backtest(tmp_path, run={"start": "2024-11-04", "end": "2024-11-05", key: value}) == 1
+        assert f"'{key}' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "journal.jsonl").exists()
 
     def test_readme_example_loads(self, tmp_path, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and the
+package exports every public name its `__init__` imports."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,15 @@ def test_checker_finds_an_unused_import():
         "os",
         "c",
     ]
+
+
+def test_package_exports_match_its_imports():
+    source = Path(btagents.__file__).read_text(encoding="utf-8")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert all(hasattr(btagents, name) for name in btagents.__all__)
+    assert {name for name in imported if not name.startswith("_")} <= set(btagents.__all__)

@@ -20,7 +20,7 @@ from btagents.orchestrator import (
 from btagents.reflection import AGENT_ROLES
 from btagents.report import render, resolve_segmentation
 
-from conftest import run_synth, scripted_plan
+from conftest import run_synth, scripted_plan, weeklies
 
 
 class TestCaseStudyRun:
@@ -60,7 +60,7 @@ class TestCaseStudyRun:
             assert day["lint"] == {"quants": [], "signals": [], "decision": []}
 
     def test_no_weekly_entries_for_two_day_run(self):
-        assert self.journal.weeklies == []
+        assert weeklies(self.journal) == []
 
     def test_journal_record_shape(self):
         day = self.days[0]
@@ -227,7 +227,7 @@ class TestTwentyOneDayRun:
             21, alloc_plan=two_phase_alloc, price_step=lambda i: 0.02
         )
         self.days = self.journal.days
-        self.weeklies = self.journal.weeklies
+        self.weeklies = weeklies(self.journal)
 
     def test_journal_completeness(self):
         assert len(self.days) == 21
@@ -273,7 +273,7 @@ class TestWeeklyToggle:
         journal_off, config_off, _, _ = run_synth(
             21, weekly=False, alloc_plan=two_phase_alloc, price_step=lambda i: 0.02
         )
-        assert journal_off.weeklies == []
+        assert weeklies(journal_off) == []
         for day_on, day_off in zip(journal_on.days, journal_off.days):
             for role in AGENT_ROLES:
                 text_on = day_on["roles"][role]["user"]
@@ -366,6 +366,12 @@ class TestRunConfigDict:
     def test_round_trip(self, case_study_config):
         again = RunConfig.from_dict(case_study_config.to_dict())
         assert again == case_study_config
+
+    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5)])
+    def test_negative_value_rejected(self, key, value):
+        tree = {"start": "2024-11-04", "end": "2024-11-05", key: value}
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
+            RunConfig.from_dict(tree)
 
     def test_header_snapshot_matches_config(self, case_study_dataset, case_study_responder, case_study_config):
         journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)

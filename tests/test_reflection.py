@@ -225,13 +225,13 @@ class TestRunDailyReflection:
     def test_clean_path(self):
         client = SeqClient([reflect_json()])
         outcome = run_daily_reflection(client, packet_for())
-        assert outcome.feedback.quants == "fine sizing"
-        assert outcome.flags == ()
+        assert outcome["feedback"]["quants"] == "fine sizing"
+        assert outcome["flags"] == []
 
     def test_malformed_then_valid_with_reminder(self):
         client = SeqClient(["garbage", reflect_json()])
         outcome = run_daily_reflection(client, packet_for(), retry_limit=1)
-        assert outcome.feedback.signals == "good reads"
+        assert outcome["feedback"]["signals"] == "good reads"
         assert "could not be parsed" in client.bundles[1].user_text
 
     def test_scope_violation_reinvoked_once(self):
@@ -239,8 +239,8 @@ class TestRunDailyReflection:
             [reflect_json(signals="use the MACD crossover"), reflect_json(signals="clean note")]
         )
         outcome = run_daily_reflection(client, packet_for())
-        assert outcome.feedback.signals == "clean note"
-        assert "reflect_scope_retry" in outcome.flags
+        assert outcome["feedback"]["signals"] == "clean note"
+        assert "reflect_scope_retry" in outcome["flags"]
         assert "crossed role boundaries" in client.bundles[1].user_text
 
     def test_persistent_violation_drops_role(self):
@@ -248,9 +248,9 @@ class TestRunDailyReflection:
             [reflect_json(signals="use the MACD"), reflect_json(signals="still watch RSI")]
         )
         outcome = run_daily_reflection(client, packet_for())
-        assert outcome.feedback.signals == ""
-        assert outcome.feedback.quants != ""
-        assert "reflect_scope_dropped_signals" in outcome.flags
+        assert outcome["feedback"]["signals"] == ""
+        assert outcome["feedback"]["quants"] != ""
+        assert "reflect_scope_dropped_signals" in outcome["flags"]
 
     def test_failed_rewrite_flags_each_dropped_role_once(self):
         dirty = reflect_json(
@@ -259,22 +259,22 @@ class TestRunDailyReflection:
         )
         client = SeqClient([dirty, NetworkError("connection reset", 3)])
         outcome = run_daily_reflection(client, packet_for())
-        assert [v.role for v in outcome.violations] == ["signals", "quants", "signals"]
-        assert outcome.flags == (
+        assert [v["role"] for v in outcome["violations"]] == ["signals", "quants", "signals"]
+        assert outcome["flags"] == [
             "reflect_scope_retry",
             "reflect_scope_dropped_quants",
             "reflect_scope_dropped_signals",
-        )
-        assert (outcome.feedback.quants, outcome.feedback.signals) == ("", "")
-        assert outcome.feedback.decision == "balanced"
+        ]
+        assert (outcome["feedback"]["quants"], outcome["feedback"]["signals"]) == ("", "")
+        assert outcome["feedback"]["decision"] == "balanced"
 
     def test_total_parse_failure_gives_empty_feedback(self):
         client = SeqClient(["junk", "junk"])
         outcome = run_daily_reflection(client, packet_for(), retry_limit=1)
-        assert outcome.feedback.quants == ""
-        assert outcome.feedback.signals == ""
-        assert outcome.feedback.decision == ""
-        assert "reflect_fallback_empty" in outcome.flags
+        assert outcome["feedback"]["quants"] == ""
+        assert outcome["feedback"]["signals"] == ""
+        assert outcome["feedback"]["decision"] == ""
+        assert "reflect_fallback_empty" in outcome["flags"]
 
 
 def week_of_packets(agent_daily, baseline_daily, start=date(2024, 11, 4)):
@@ -302,22 +302,22 @@ class TestWeeklyFeedback:
         packets = week_of_packets(agent_daily=0.02, baseline_daily=0.01)
         wf = weekly_feedback(packets, self.templates)
         for role in AGENT_ROLES:
-            assert wf.kinds[role] == "praise"
-            assert PRAISE_PHRASE in wf.texts[role]
+            assert wf["kinds"][role] == "praise"
+            assert PRAISE_PHRASE in wf["texts"][role]
 
     def test_underperformance_with_regret_selects_corrective(self):
         packets = week_of_packets(agent_daily=0.0, baseline_daily=0.01)
         wf = weekly_feedback(packets, self.templates)
-        assert wf.kinds["quants"] == "corrective"
-        assert CORRECTIVE_QUANTS_PHRASE in wf.texts["quants"]
-        assert wf.stats["quants"].regret > 0.01
+        assert wf["kinds"]["quants"] == "corrective"
+        assert CORRECTIVE_QUANTS_PHRASE in wf["texts"]["quants"]
+        assert wf["stats"]["quants"]["regret"] > 0.01
 
     def test_near_baseline_selects_neutral(self):
         packets = week_of_packets(agent_daily=0.01, baseline_daily=0.01)
         wf = weekly_feedback(packets, self.templates)
         for role in AGENT_ROLES:
-            assert wf.kinds[role] == "neutral"
-            assert NEUTRAL_PHRASE in wf.texts[role]
+            assert wf["kinds"][role] == "neutral"
+            assert NEUTRAL_PHRASE in wf["texts"][role]
 
     def test_requires_exactly_seven_days(self):
         packets = week_of_packets(0.01, 0.01)
@@ -330,20 +330,20 @@ class TestWeeklyFeedback:
         packets = week_of_packets(0.016, 0.01)
         a = weekly_feedback(packets, self.templates)
         b = weekly_feedback(packets, self.templates)
-        assert a.texts == b.texts
-        assert a.kinds == b.kinds
+        assert a["texts"] == b["texts"]
+        assert a["kinds"] == b["kinds"]
 
     def test_weekly_stats_compound_returns(self):
         packets = week_of_packets(agent_daily=0.01, baseline_daily=0.005)
         wf = weekly_feedback(packets, self.templates)
-        assert wf.stats["quants"].week_return == pytest.approx(1.01 ** 7 - 1.0, abs=1e-12)
-        assert wf.stats["quants"].baseline_return == pytest.approx(1.005 ** 7 - 1.0, abs=1e-12)
+        assert wf["stats"]["quants"]["week_return"] == pytest.approx(1.01 ** 7 - 1.0, abs=1e-12)
+        assert wf["stats"]["quants"]["baseline_return"] == pytest.approx(1.005 ** 7 - 1.0, abs=1e-12)
 
     def test_window_dates(self):
         packets = week_of_packets(0.01, 0.01)
         wf = weekly_feedback(packets, self.templates)
-        assert wf.week_start == packets[0].date
-        assert wf.week_end == packets[-1].date
+        assert wf["week_start"] == packets[0].date.isoformat()
+        assert wf["week_end"] == packets[-1].date.isoformat()
 
     def test_selection_rule_edges(self):
         assert select_template_kind(0.001, 0.0) == "praise"

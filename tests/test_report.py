@@ -4,12 +4,13 @@ from datetime import date
 import pytest
 
 from btagents.agents import ScriptedResponder
+from btagents.cli import main
+from btagents.journal import write_journal
 from btagents.orchestrator import outputs_from_journal, run_backtest
 from btagents.regime import RegimeLabel, RegimeSegmentation, RegimeSpan
 from btagents.report import (
     cumrets_csv,
     render,
-    report_from_journal,
     resolve_segmentation,
     table_csv,
 )
@@ -75,16 +76,24 @@ class TestRender:
     def test_short_run_resolves_to_no_segmentation(self):
         assert resolve_segmentation(self.outputs) is None
 
-    def test_report_from_journal_matches_manual_composition(self):
-        direct = report_from_journal(self.journal)
-        manual = render(self.outputs, resolve_segmentation(self.outputs))
-        assert direct.text == manual.text
+    def test_cli_report_matches_the_composition(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        write_journal(self.journal, str(path))
+        assert main(["report", "--journal", str(path)]) == 0
+        composed = render(self.outputs, resolve_segmentation(self.outputs))
+        assert capsys.readouterr().out == composed.text
+
+
+def report_of(journal):
+    """The report the CLI renders from a journal."""
+    outputs = outputs_from_journal(journal)
+    return render(outputs, resolve_segmentation(outputs))
 
 
 class TestSpecialCases:
     def test_single_day_run_all_periods_only(self):
         journal, _, _, _ = run_synth(1, weekly=False)
-        artifacts = report_from_journal(journal)
+        artifacts = report_of(journal)
         assert {row["regime"] for row in artifacts.table_rows} == {"All Periods"}
         outputs = outputs_from_journal(journal)
         expected = outputs.values["decision"][-1] / outputs.values["decision"][0] - 1.0
@@ -105,7 +114,7 @@ class TestSpecialCases:
                 {"state": "bullish", "allocation_btc_pct": 100, "reasoning": "ride the market"}
             )
         mirrored = run_backtest(config, dataset, ScriptedResponder(plan))
-        artifacts = report_from_journal(mirrored)
+        artifacts = report_of(mirrored)
         for row in artifacts.table_rows:
             if row["metric"] in ("total_return_pct", "daily_mean_std", "sharpe"):
                 assert row["decision"] == row["baseline"]
@@ -116,6 +125,6 @@ class TestSpecialCases:
         plan = dict(responder.responses)
         plan[f"quants:{days[1]}"] = "unusable"
         broken = run_backtest(config, dataset, ScriptedResponder(plan))
-        artifacts = report_from_journal(broken)
+        artifacts = report_of(broken)
         assert "Fallback days" in artifacts.text
         assert "quants: 1" in artifacts.text

@@ -25,7 +25,7 @@ from btagents.journal import RunJournal, read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
 
-from conftest import run_synth, scripted_plan, synth_dataset
+from conftest import run_synth, scripted_plan, synth_dataset, weeklies
 from test_agents import FakeResponse
 
 CASE_STUDY_SHA256 = "993ebe83fe28d1d365c1edd5f0d96c32296c0f8b11e8c1175f87932cf819fbdf"
@@ -58,7 +58,7 @@ class TestPinnedJournalBytes:
     def test_fees_and_fallback_journal(self, tmp_path):
         journal = fees_fallback_run()
         assert journal.days[9]["roles"]["decision"]["fallback"] is True
-        assert len(journal.weeklies) == 3
+        assert len(weeklies(journal)) == 3
         assert journal_sha256(journal, tmp_path) == FEES_FALLBACK_SHA256
         replay(journal)
 
@@ -110,19 +110,22 @@ def retyped(value):
     return None
 
 
-# the leaves replay checks by digest only; an edit of any other leaf of a day
-# or weekly record, resealed so its digest holds, must fail replay
+# the leaves replay checks by digest only, as patterns over the swept leaf
+# names; an edit of any other leaf of a day or weekly record, resealed so its
+# digest holds, must fail replay. A role's last attempt must be its recorded
+# reply with no error, so only a fallback's attempts, here day 9's decision,
+# are digest only: its last attempt need only carry an error
 DIGEST_ONLY = (
-    "inputs_digest",
-    "lint.*",
-    "roles.*.system",
-    "roles.*.user",
-    "roles.*.attempts.*",
-    "reflect.system",
-    "reflect.user",
-    "reflect.attempts.*",
-    "reflect.violations.*",
-    "reflect.flags.*",
+    "*.inputs_digest",
+    "*.lint.*",
+    "*.roles.*.system",
+    "*.roles.*.user",
+    "day9.roles.decision.attempts.*",
+    "*.reflect.system",
+    "*.reflect.user",
+    "*.reflect.attempts.*",
+    "*.reflect.violations.*",
+    "*.reflect.flags.*",
 )
 
 FEES_FALLBACK = fees_fallback_run()
@@ -130,7 +133,7 @@ FEES_FALLBACK = fees_fallback_run()
 SWEPT = {
     "day3": FEES_FALLBACK.days[3],
     "day9": FEES_FALLBACK.days[9],
-    "weekly0": FEES_FALLBACK.weeklies[0],
+    "weekly0": weeklies(FEES_FALLBACK)[0],
 }
 LEAVES = {
     f"{name}.{'.'.join(map(str, path))}": (name, path)
@@ -196,12 +199,34 @@ class TestResealedLeaves:
     def test_retype_fails_replay_unless_digest_only(self, leaf):
         self.check(leaf, retyped)
 
+    def test_raw_edit_that_parses_alike_fails_replay(self):
+        def add_prose(raw):
+            return raw + " and some added prose"
+
+        journal = resealed_leaf_edit("day3", ("roles", "quants", "raw"), add_prose)
+        with pytest.raises(JournalCorrupt, match="not the last attempt's"):
+            replay(journal)
+
+    def test_fallback_without_an_error_fails_replay(self):
+        journal = resealed_leaf_edit("day9", ("roles", "decision", "attempts", 1, "error"), lambda e: None)
+        with pytest.raises(JournalCorrupt, match="has no error"):
+            replay(journal)
+
+    @pytest.mark.parametrize(
+        "attempts", ["text", [], [3], [["raw", None]]], ids=["text", "empty", "number", "list"]
+    )
+    @pytest.mark.parametrize("name", ["day3", "day9"])
+    def test_malformed_attempts_fail_replay(self, name, attempts):
+        journal = resealed_leaf_edit(name, ("roles", "decision", "attempts"), lambda _: attempts)
+        with pytest.raises(JournalCorrupt):
+            replay(journal)
+
     @staticmethod
     def check(leaf, edit):
         name, path = LEAVES[leaf]
         journal = resealed_leaf_edit(name, path, edit)
         journal.verify()  # the edit keeps every digest valid
-        if any(fnmatch.fnmatchcase(leaf.partition(".")[2], pattern) for pattern in DIGEST_ONLY):
+        if any(fnmatch.fnmatchcase(leaf, pattern) for pattern in DIGEST_ONLY):
             replay(journal)
         else:
             with pytest.raises(JournalCorrupt):
@@ -278,6 +303,13 @@ class TestJournalStructure:
         reseal_day(journal, 5, lambda rec: rec.update(date=rec["next_date"]))
         with pytest.raises(JournalCorrupt, match="out of sequence"):
             outputs_from_journal(journal)
+
+    @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
+    def test_unsealed_edit_in_memory_is_corrupt(self, read):
+        journal, _, _, _ = run_synth(10)
+        journal.days[0]["roles"]["quants"]["user"] += " and one more line"
+        with pytest.raises(JournalCorrupt, match="digest mismatch"):
+            read(journal)
 
 
 class QueueResponder:
