@@ -28,7 +28,6 @@ from .market_data import (
 from .orchestrator import RunConfig, RunOutputs, outputs_from_journal, replay, run_backtest
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
 from .regime import RegimeParams, RegimeSegmentation, segment
-from .reflection import DailyOutcomePacket
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,6 @@ __all__ = [
     "Bar",
     "ChatClient",
     "ChatClientConfig",
-    "DailyOutcomePacket",
     "FeeModel",
     "IndicatorParams",
     "IndicatorSnapshot",

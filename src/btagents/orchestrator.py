@@ -11,6 +11,7 @@ verbatim, so the journal alone reproduces the run.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from datetime import date as Date
 from typing import Mapping
@@ -39,9 +40,9 @@ from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
     AGENT_ROLES,
     TEMPLATE_KINDS,
-    DailyOutcomePacket,
     evaluate_day,
     load_weekly_templates,
+    parse_reflect_output,
     run_daily_reflection,
     weekly_feedback,
 )
@@ -125,11 +126,14 @@ _PARTS = (
 
 
 def _check_types(kind, values: Mapping) -> None:
-    """Check each value's JSON type against that of its field default in `kind`
-    (fields without a default are the caller's to check)."""
+    """Check each value's JSON type against that of its field default in `kind`, and
+    that a float field's is finite (fields without a default are the caller's to check)."""
     for f in dataclasses.fields(kind):
         value = values.get(f.name, f.default)
-        if f.default is not dataclasses.MISSING and type(value) not in _JSON_TYPES[type(f.default)]:
+        if f.default is not dataclasses.MISSING and (
+            type(value) not in _JSON_TYPES[type(f.default)]
+            or (type(f.default) is float and not abs(value) <= sys.float_info.max)
+        ):
             raise ConfigError(f"config key '{f.name}' has a bad value {value!r}")
 
 
@@ -145,7 +149,7 @@ def _portfolio_dict(state: PortfolioState) -> dict:
 class Ledger:
     """What each simulated day hands the next, in a run and in its replay: the
     books, the running prediction scores, the allocation a fallback holds, the
-    last seven outcome packets and the records the next day's feedback comes from."""
+    last seven settled days and the records the next day's feedback comes from."""
 
     def __init__(self, config: RunConfig, start: Date, p0: float):
         self.config = config
@@ -155,7 +159,7 @@ class Ledger:
         self.books = {role: PortfolioState.all_cash(start, cash, p0) for role in AGENT_ROLES}
         self.counts = {role: (0, 0) for role in AGENT_ROLES}  # (correct, scored)
         self.held = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
-        self.packets: list[DailyOutcomePacket] = []
+        self.week: list[dict] = []  # the settled days the weekly review reads
         self.last_day: dict | None = None
         self.last_weekly: dict | None = None
 
@@ -174,11 +178,12 @@ class Ledger:
         close_t: float,
         next_date: Date,
         close_next: float,
-    ) -> tuple[DailyOutcomePacket, dict]:
+    ) -> dict:
         """Settle one day: trade each book to its decision's allocation at close_t,
         mark it at close_next, value the baselines and score the predictions.
-        Returns the day's outcome packet and the fields of the day record derived
-        from them: `btc_return`, `baseline` and each role's outcome."""
+        Returns the settled day, the day record's fields derived here: `date` (ISO),
+        `btc_return`, `baseline` and `roles`, each role's `evaluate_day` outcome and
+        `portfolio`. The critic and the weekly review read it as it is."""
         config = self.config
         day_returns = {}
         for role in AGENT_ROLES:
@@ -193,37 +198,19 @@ class Ledger:
             "day_return_5050": bl_next / bl_now - 1.0,
         }
         btc_return = close_next / close_t - 1.0
-        packet = evaluate_day(
-            date=day,
-            realized_btc_return=btc_return,
-            decisions=decisions,
-            portfolio_returns=day_returns,
-            baseline_return=baseline["day_return_5050"],
-            neutral_band=config.neutral_band,
-            prior_counts=self.counts,
-        )
-        self.packets = [*self.packets[-6:], packet]
-        roles = {}
-        for role in AGENT_ROLES:
-            a = packet.agents[role]
-            self.counts[role] = (self.counts[role][0] + a.correct, self.counts[role][1] + 1)
-            self.held[role] = a.allocation
-            roles[role] = {
-                "state": a.state,
-                "allocation": a.allocation,
-                "reasoning": a.reasoning,
-                "confidence": decisions[role].confidence,
-                "portfolio": _portfolio_dict(self.books[role]),
-                "portfolio_return": a.portfolio_return,
-                "correct": a.correct,
-                "running_accuracy": a.running_accuracy,
-            }
-        return packet, {"btc_return": btc_return, "baseline": baseline, "roles": roles}
+        roles = evaluate_day(decisions, day_returns, btc_return, config.neutral_band, self.counts)
+        for role, outcome in roles.items():
+            self.counts[role] = (self.counts[role][0] + outcome["correct"], self.counts[role][1] + 1)
+            self.held[role] = outcome["allocation"]
+            outcome["portfolio"] = _portfolio_dict(self.books[role])
+        settled = {"date": day.isoformat(), "btc_return": btc_return, "baseline": baseline, "roles": roles}
+        self.week = [*self.week[-6:], settled]
+        return settled
 
     def weekly_record(self, templates: Mapping) -> dict:
         """The weekly record written after the last seven settled days."""
         week = weekly_feedback(
-            self.packets, templates, self.config.praise_threshold, self.config.regret_threshold
+            self.week, templates, self.config.praise_threshold, self.config.regret_threshold
         )
         return {"type": "weekly", "after_day": week["week_end"], **week}
 
@@ -328,27 +315,26 @@ def run_backtest(
 
         bundles = {"quants": quants_bundle, "signals": signals_bundle, "decision": decision_bundle}
         decisions = {role: decided[role][0] for role in AGENT_ROLES}
-        packet, derived = ledger.settle(day, decisions, close_t, next_rec.date, close_next)
+        settled = ledger.settle(day, decisions, close_t, next_rec.date, close_next)
         for role in AGENT_ROLES:
-            derived["roles"][role].update(
+            settled["roles"][role].update(
                 system=bundles[role].system_text, user=bundles[role].user_text, **decided[role][1]
             )
         reflect = None
         if config.daily_feedback:
-            reflect = run_daily_reflection(client, packet, retry_limit=config.parse_retry_limit)
+            reflect = run_daily_reflection(client, settled, retry_limit=config.parse_retry_limit)
 
         ledger.last_day = seal(
             {
                 "type": "day",
                 "seq": i,
-                "date": day.isoformat(),
                 "close": close_t,
                 "next_date": next_rec.date.isoformat(),
                 "next_close": close_next,
                 "inputs_digest": inputs_digest(rec),
                 "daily_feedback_in": daily_in,
                 "weekly_feedback_in": weekly_in,
-                **derived,
+                **settled,
                 "reflect": reflect,
                 "lint": lint,
             }
@@ -430,7 +416,7 @@ def _record_checkers(daily_feedback: bool) -> dict:
         "btc_return": number,
         "roles": dict.fromkeys(AGENT_ROLES, role),
         "baseline": dict.fromkeys(("static5050_value", "buyhold_value", "day_return_5050"), number),
-        "reflect": {"feedback": texts} if daily_feedback else type(None),
+        "reflect": {"feedback": texts, "attempts": list} if daily_feedback else type(None),
     }
     stats = dict.fromkeys(("week_return", "baseline_return", "return_diff", "regret"), number)
     weekly = {
@@ -443,6 +429,7 @@ def _record_checkers(daily_feedback: bool) -> dict:
 
 _HEADER_MISFIT = _checker({"config": dict, "n_days": int})
 _RECORD_MISFITS = {daily: _record_checkers(daily) for daily in (True, False)}
+_ATTEMPT_MISFIT = _checker({"raw": (str, type(None)), "error": (str, type(None))})
 
 
 def _check_shape(record: dict, misfit, where: str) -> None:
@@ -463,7 +450,9 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     journal.verify()
     _check_shape(journal.header, _HEADER_MISFIT, "journal header")
     config = RunConfig.from_dict(journal.header["config"])
-    band = config.neutral_band if neutral_band is None else neutral_band
+    band = config.neutral_band
+    if neutral_band is not None:  # an override passes the config's own checks
+        band = dataclasses.replace(config, neutral_band=neutral_band).neutral_band
     n_days = journal.header["n_days"]
     kinds = []  # the record types a run of n_days writes, in order
     for i in range(n_days):
@@ -521,14 +510,29 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
 def _check_reproduced(where: str, derived: dict, recorded: dict) -> None:
     """Raise JournalCorrupt unless every derived field equals the recorded one.
     `roles` maps each role to its derived fields, beside others only recorded.
-    `==` takes 1 and 1.0 for one JSON number, and true for 1; the shape check
-    in `outputs_from_journal` keeps a bool from standing for a number."""
-    for role, fields in derived.pop("roles", {}).items():
-        if not fields.items() <= recorded["roles"][role].items():
-            _check_reproduced(f"{where} {role}", fields, recorded["roles"][role])
-    if not derived.items() <= recorded.items():
-        key = next(k for k in derived if k not in recorded or recorded[k] != derived[k])
-        raise JournalCorrupt(f"{where}: recorded {key} does not reproduce")
+    Neither argument is changed. `==` takes 1 and 1.0 for one JSON number, and
+    true for 1; the shape check in `outputs_from_journal` keeps a bool from
+    standing for a number."""
+    for key, value in derived.items():
+        if key == "roles":
+            for role, fields in value.items():
+                _check_reproduced(f"{where} {role}", fields, recorded["roles"][role])
+        elif key not in recorded or recorded[key] != value:
+            raise JournalCorrupt(f"{where}: recorded {key} does not reproduce")
+
+
+def _check_feedback(where: str, reflect: dict) -> None:
+    """Raise JournalCorrupt unless each role's reflect feedback is "" (dropped) or the
+    text the last error-free attempt parses to; with no such attempt, all are ""."""
+    if any(_ATTEMPT_MISFIT(attempt) is not None for attempt in reflect["attempts"]):
+        raise JournalCorrupt(f"{where} reflect: an attempt is not a raw reply and an error")
+    raws = [attempt["raw"] for attempt in reflect["attempts"] if attempt["error"] is None]
+    try:
+        texts = parse_reflect_output(raws[-1]) if raws else {}
+    except PARSE_ERRORS as exc:
+        raise JournalCorrupt(f"{where} reflect: last error-free reply does not parse: {exc}") from None
+    if any(text not in ("", texts.get(role)) for role, text in reflect["feedback"].items()):
+        raise JournalCorrupt(f"{where} reflect: recorded feedback is not the last reply's")
 
 
 def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
@@ -538,8 +542,8 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
     reply (with no reply, the run's fallback) and settles each day and builds
     each weekly record with the run's own `Ledger`. Raises JournalCorrupt
     unless every field so derived, and each day's feedback in, equals the
-    recorded one, and unless each role's last attempt is its recorded reply
-    with no error or, on a fallback, carries an error.
+    recorded one, unless each role's last attempt is its recorded reply with no
+    error or, on a fallback, carries an error, and unless `_check_feedback` passes.
     """
     outputs = outputs_from_journal(journal, neutral_band)
     dates = outputs.value_dates
@@ -555,6 +559,8 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
             ledger.last_weekly = record
             continue
         i, where, roles = record["seq"], record["date"], record["roles"]
+        if record["reflect"] is not None:
+            _check_feedback(where, record["reflect"])
         daily_in, weekly_in = ledger.feedback_in()
         decisions = {}
         for role in AGENT_ROLES:
@@ -569,12 +575,10 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
             except PARSE_ERRORS as exc:
                 raise JournalCorrupt(f"{where} {role}: recorded reply does not parse: {exc}") from None
             decisions[role] = parsed or fallback_decision(ledger.held[role])
-        _, derived = ledger.settle(
-            dates[i], decisions, record["close"], dates[i + 1], record["next_close"]
-        )
+        settled = ledger.settle(dates[i], decisions, record["close"], dates[i + 1], record["next_close"])
         for role in AGENT_ROLES:
-            derived["roles"][role]["fallback"] = roles[role]["raw"] is None
-        derived["daily_feedback_in"], derived["weekly_feedback_in"] = daily_in, weekly_in
+            settled["roles"][role]["fallback"] = roles[role]["raw"] is None
+        derived = {**settled, "daily_feedback_in": daily_in, "weekly_feedback_in": weekly_in}
         _check_reproduced(where, derived, record)
         ledger.last_day = record
     return outputs

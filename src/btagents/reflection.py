@@ -1,10 +1,12 @@
 """Daily critic and weekly template feedback.
 
-The daily critic is an LLM pass over each agent's outcome packet; its
+Both read settled days: the dict `Ledger.settle` returns, whose fields the
+day record carries (`date`, `btc_return`, `baseline` and each role's
+outcome). The daily critic is an LLM pass over one settled day; its
 feedback is lexically scope-filtered before it may enter the next day's
 prompts. The weekly reviewer is deliberately not an LLM: it selects one
-hardcoded template per role from the week's stats and never touches any
-quantitative parameter.
+hardcoded template per role from the stats of the last seven settled days
+and never touches any quantitative parameter.
 """
 
 from __future__ import annotations
@@ -52,72 +54,36 @@ NO_ALLOCATION_ADVICE = (
 
 
 @dataclass(frozen=True)
-class AgentDayOutcome:
-    role: str
-    state: str
-    allocation: float
-    reasoning: str
-    portfolio_return: float
-    correct: bool
-    running_accuracy: float
-
-
-@dataclass(frozen=True)
-class DailyOutcomePacket:
-    """Everything the critic needs about one completed day. No LLM content."""
-
-    date: Date
-    realized_btc_return: float
-    agents: Mapping[str, AgentDayOutcome]
-    baseline_return: float
-
-    def __post_init__(self):
-        for role in AGENT_ROLES:
-            if role not in self.agents:
-                raise MissingAgentRecord(f"packet for {self.date} missing {role}")
-
-
-@dataclass(frozen=True)
 class ScopeViolation:
     role: str
     reason: str
 
 
 def evaluate_day(
-    date: Date,
-    realized_btc_return: float,
     decisions: Mapping[str, AgentDecision],
     portfolio_returns: Mapping[str, float],
-    baseline_return: float,
+    btc_return: float,
     neutral_band: float,
-    prior_counts: Mapping[str, tuple[int, int]] | None = None,
-) -> DailyOutcomePacket:
-    """Assemble the day's outcome packet from already-computed pieces."""
-    prior_counts = prior_counts or {}
-    agents: dict[str, AgentDayOutcome] = {}
+    prior_counts: Mapping[str, tuple[int, int]],
+) -> dict[str, dict]:
+    """Each role's outcome fields of the day record: its decision, scored against btc_return."""
+    roles = {}
     for role in AGENT_ROLES:
         if role not in decisions or role not in portfolio_returns:
-            raise MissingAgentRecord(f"{role} has no record for {date}")
-        decision = decisions[role]
-        correct = prediction_correct(
-            decision.prediction.state.value, realized_btc_return, neutral_band
-        )
-        prev_ok, prev_n = prior_counts.get(role, (0, 0))
-        agents[role] = AgentDayOutcome(
-            role=role,
-            state=decision.prediction.state.value,
-            allocation=decision.allocation.btc_fraction,
-            reasoning=decision.prediction.reasoning,
-            portfolio_return=portfolio_returns[role],
-            correct=correct,
-            running_accuracy=(prev_ok + (1 if correct else 0)) / (prev_n + 1),
-        )
-    return DailyOutcomePacket(
-        date=date,
-        realized_btc_return=realized_btc_return,
-        agents=agents,
-        baseline_return=baseline_return,
-    )
+            raise MissingAgentRecord(f"{role} has no record for the day")
+        decision, (prev_ok, prev_n) = decisions[role], prior_counts[role]
+        state = decision.prediction.state.value
+        correct = prediction_correct(state, btc_return, neutral_band)
+        roles[role] = {
+            "state": state,
+            "allocation": decision.allocation.btc_fraction,
+            "reasoning": decision.prediction.reasoning,
+            "confidence": decision.confidence,
+            "portfolio_return": portfolio_returns[role],
+            "correct": correct,
+            "running_accuracy": (prev_ok + correct) / (prev_n + 1),
+        }
+    return roles
 
 
 REFLECT_SYSTEM = (
@@ -137,11 +103,12 @@ REFLECT_SYSTEM = (
 )
 
 
-def build_reflect_prompt(packet: DailyOutcomePacket) -> PromptBundle:
+def build_reflect_prompt(day: Mapping) -> PromptBundle:
+    """The critic's prompt for one settled day (see `Ledger.settle`)."""
     lines = [
-        f"Date: {packet.date.isoformat()}",
-        f"Realized BTC move next day: {packet.realized_btc_return * 100:+.4f}%",
-        f"Passive half-BTC baseline day return: {packet.baseline_return * 100:+.4f}%",
+        f"Date: {day['date']}",
+        f"Realized BTC move next day: {day['btc_return'] * 100:+.4f}%",
+        f"Passive half-BTC baseline day return: {day['baseline']['day_return_5050'] * 100:+.4f}%",
         "",
     ]
     titles = {
@@ -150,15 +117,15 @@ def build_reflect_prompt(packet: DailyOutcomePacket) -> PromptBundle:
         "decision": "Final decision maker (decision)",
     }
     for role in AGENT_ROLES:
-        a = packet.agents[role]
+        a = day["roles"][role]
         lines += [
             f"{titles[role]}:",
-            f"  predicted: {a.state}",
-            f"  allocation taken: {a.allocation * 100:.0f}% BTC",
-            f"  day portfolio return: {a.portfolio_return * 100:+.4f}%",
-            f"  prediction correct: {'yes' if a.correct else 'no'}"
-            f" (running accuracy {a.running_accuracy:.2f})",
-            f"  reasoning given: {a.reasoning}",
+            f"  predicted: {a['state']}",
+            f"  allocation taken: {a['allocation'] * 100:.0f}% BTC",
+            f"  day portfolio return: {a['portfolio_return'] * 100:+.4f}%",
+            f"  prediction correct: {'yes' if a['correct'] else 'no'}"
+            f" (running accuracy {a['running_accuracy']:.2f})",
+            f"  reasoning given: {a['reasoning']}",
             "",
         ]
     lines.append(
@@ -167,7 +134,7 @@ def build_reflect_prompt(packet: DailyOutcomePacket) -> PromptBundle:
     )
     return PromptBundle(
         role=Role.REFLECT,
-        date=packet.date,
+        date=Date.fromisoformat(day["date"]),
         system_text=REFLECT_SYSTEM,
         user_text="\n".join(lines),
     )
@@ -249,10 +216,10 @@ REFLECT_FORMAT_REMINDER = (
 
 def run_daily_reflection(
     client: CompletionClient,
-    packet: DailyOutcomePacket,
+    day: Mapping,
     retry_limit: int = 1,
 ) -> dict:
-    """Invoke the critic, parse, and scope-filter its feedback.
+    """Invoke the critic on one settled day, parse, and scope-filter its feedback.
 
     Malformed replies get `retry_limit` format-reminder re-asks; a scope
     violation gets exactly one re-ask naming the violation. Roles that
@@ -260,7 +227,7 @@ def run_daily_reflection(
     without it. Returns the day record's `reflect` entry: the prompt, every
     attempt, the feedback per role, the first pass's violations and the flags.
     """
-    bundle = build_reflect_prompt(packet)
+    bundle = build_reflect_prompt(day)
     texts, attempts = ask_until_parsed(
         client, bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, retry_limit + 1
     )
@@ -348,12 +315,12 @@ def select_template_kind(
 
 
 def weekly_feedback(
-    packets: Sequence[DailyOutcomePacket],
+    days: Sequence[Mapping],
     templates: Mapping[str, Mapping[str, str]],
     praise_threshold: float = 0.0,
     regret_threshold: float = 0.01,
 ) -> dict:
-    """Condense exactly seven completed days into per-role template feedback.
+    """Condense exactly seven settled days into per-role template feedback.
 
     Stats (weekly return vs the passive baseline, weekly Sharpe, weekly
     regret) drive template selection; nothing numeric flows back into the
@@ -361,19 +328,19 @@ def weekly_feedback(
     `week_start` and `week_end` as ISO dates, and `texts`, `kinds` and
     `stats` per role.
     """
-    if len(packets) != 7:
-        raise IncompleteWeek(f"weekly feedback needs 7 days, got {len(packets)}")
-    for a, b in zip(packets, packets[1:]):
-        if b.date <= a.date:
-            raise InvariantViolation("weekly packets must be in date order")
+    if len(days) != 7:
+        raise IncompleteWeek(f"weekly feedback needs 7 days, got {len(days)}")
+    for a, b in zip(days, days[1:]):
+        if b["date"] <= a["date"]:
+            raise InvariantViolation("weekly days must be in date order")
 
-    baseline_returns = [p.baseline_return for p in packets]
+    baseline_returns = [d["baseline"]["day_return_5050"] for d in days]
     baseline_week = total_return(baseline_returns)
     texts: dict[str, str] = {}
     stats: dict[str, dict] = {}
     kinds: dict[str, str] = {}
     for role in AGENT_ROLES:
-        returns = [p.agents[role].portfolio_return for p in packets]
+        returns = [d["roles"][role]["portfolio_return"] for d in days]
         week_return = total_return(returns)
         diff = week_return - baseline_week
         reg = regret(returns, baseline_returns)
@@ -392,8 +359,8 @@ def weekly_feedback(
             "regret": reg,
         }
     return {
-        "week_start": packets[0].date.isoformat(),
-        "week_end": packets[-1].date.isoformat(),
+        "week_start": days[0]["date"],
+        "week_end": days[-1]["date"],
         "texts": texts,
         "kinds": kinds,
         "stats": stats,

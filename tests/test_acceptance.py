@@ -48,7 +48,6 @@ from btagents.reflection import (
     CORRECTIVE_QUANTS_PHRASE,
     NEUTRAL_PHRASE,
     PRAISE_PHRASE,
-    evaluate_day,
     load_weekly_templates,
     scope_filter,
     weekly_feedback,
@@ -67,7 +66,7 @@ from oracles import (
     oracle_vwap,
 )
 from test_agents import SNAPSHOT_FIELD_NAMES
-from test_reflection import decision_for
+from test_reflection import decision_for, settled_day
 
 
 def ok(n, text):
@@ -336,19 +335,17 @@ def test_criterion_09_template_selection():
     templates = load_weekly_templates()
 
     def week(agent_daily, baseline_daily):
-        packets = []
-        for i in range(7):
-            packets.append(
-                evaluate_day(
-                    date=date(2024, 5, 1) + timedelta(days=i),
-                    realized_btc_return=agent_daily,
-                    decisions={r: decision_for("bullish", 60) for r in AGENT_ROLES},
-                    portfolio_returns={r: agent_daily for r in AGENT_ROLES},
-                    baseline_return=baseline_daily,
-                    neutral_band=0.005,
-                )
+        days = [
+            settled_day(
+                date(2024, 5, 1) + timedelta(days=i),
+                agent_daily,
+                {r: decision_for("bullish", 60) for r in AGENT_ROLES},
+                {r: agent_daily for r in AGENT_ROLES},
+                baseline_daily,
             )
-        return weekly_feedback(packets, templates)
+            for i in range(7)
+        ]
+        return weekly_feedback(days, templates)
 
     outperform = week(0.02, 0.01)
     assert all(outperform["kinds"][r] == "praise" for r in AGENT_ROLES)

@@ -138,6 +138,14 @@ class TestReplayAndReport:
         wide = capsys.readouterr().out
         assert base != wide
 
+    @pytest.mark.parametrize("band", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    def test_bad_neutral_band_is_runtime_error(self, command, band, journal_path, capsys):
+        assert main([command, "--journal", journal_path, f"--neutral-band={band}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config key 'neutral_band'" in captured.err
+
     @pytest.mark.parametrize("command", ["replay", "report"])
     def test_corrupt_journal_fails(self, command, journal_path, capsys):
         with open(journal_path, encoding="utf-8") as fh:
@@ -159,6 +167,15 @@ class TestReplayAndReport:
         capsys.readouterr()
         assert main(["replay", "--journal", journal_path]) == 1
         assert "not the last attempt's" in capsys.readouterr().err
+
+    def test_resealed_reflect_reply_edit_fails_replay(self, journal_path, capsys):
+        def edit_reply(day):
+            attempt = day["reflect"]["attempts"][0]
+            attempt["raw"] = json.dumps({**json.loads(attempt["raw"]), "quants": "another note"})
+
+        reseal_line(journal_path, 1, edit_reply)
+        assert main(["replay", "--journal", journal_path]) == 1
+        assert "recorded feedback is not the last reply's" in capsys.readouterr().err
 
     def test_segmentation_override(self, journal_path, tmp_path, capsys):
         seg = tmp_path / "seg.csv"
@@ -187,7 +204,10 @@ def reseal_header(journal_path, edit):
 
 class TestStrictConfig:
     def run_backtest(self, tmp_path, **overrides):
-        config_path = write_config(tmp_path, **overrides)
+        return self.run_backtest_at(write_config(tmp_path, **overrides))
+
+    @staticmethod
+    def run_backtest_at(config_path):
         return main(
             [
                 "backtest",
@@ -234,6 +254,21 @@ class TestStrictConfig:
     def test_negative_value_is_runtime_error(self, tmp_path, capsys, key, value):
         assert self.run_backtest(tmp_path, run={"start": "2024-11-04", "end": "2024-11-05", key: value}) == 1
         assert f"'{key}' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"run": {"start": "2024-11-04", "end": "2024-11-05", "fee_bps": 0.125}}, "fee_bps"),
+            ({"client": {"timeout": 0.125}}, "timeout"),
+        ],
+    )
+    def test_non_finite_number_is_runtime_error(self, tmp_path, capsys, overrides, key, text):
+        path = write_config(tmp_path, **overrides)
+        path.write_text(path.read_text(encoding="utf-8").replace("0.125", text), encoding="utf-8")
+        assert self.run_backtest_at(path) == 1
+        assert f"config key '{key}' has a bad value" in capsys.readouterr().err
         assert not (tmp_path / "journal.jsonl").exists()
 
     def test_readme_example_loads(self, tmp_path, capsys):

@@ -1,12 +1,20 @@
-"""Every module-level import in the package is used by its module, and the
-package exports every public name its `__init__` imports."""
+"""Every module-level import in the package is used by its module, the
+package exports every public name its `__init__` imports, and the traced
+benchmark's wrap targets are still the names the program calls."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import btagents
+from btagents.agents import ScriptedResponder
+from btagents.orchestrator import RunConfig, outputs_from_journal, run_backtest
+from btagents.report import render, resolve_segmentation
+
+from conftest import scripted_plan, synth_dataset
 
 MODULES = sorted(p for p in Path(btagents.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -45,3 +53,36 @@ def test_package_exports_match_its_imports():
     }
     assert all(hasattr(btagents, name) for name in btagents.__all__)
     assert {name for name in imported if not name.startswith("_")} <= set(btagents.__all__)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_bench_wraps_names_the_program_calls(monkeypatch):
+    """Each function the traced benchmark wraps is still looked up where it is
+    wrapped: an 8-day run and its report record every span name wrapped."""
+    monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    dataset = synth_dataset(32 + 8 + 2)
+    days = dataset.dates[32 : 32 + 8]
+    client = ScriptedResponder(scripted_plan(days))
+    rec = bench.Recorder()
+    wrapped = set()
+
+    def wrap(owner, attr, name, **kwargs):
+        wrapped.add(name)
+        bench.Recorder.wrap(rec, owner, attr, name, **kwargs)
+
+    rec.wrap = wrap
+    try:
+        bench.wrap_program(rec, client)
+        outputs = outputs_from_journal(run_backtest(RunConfig(start=days[0], end=days[-1]), dataset, client))
+        render(outputs, resolve_segmentation(outputs))
+    finally:
+        restored = rec.restore()
+    assert restored
+    assert len(wrapped) > 10
+    assert wrapped - {span[0] for span in rec.spans} == set()

@@ -211,6 +211,13 @@ class TestReplay:
         ret_wide = [r for r in wide_art.table_rows if r["metric"] == "total_return_pct"]
         assert ret_base == ret_wide
 
+    @pytest.mark.parametrize("band", [-0.5, float("nan"), float("inf"), "0.1"])
+    @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
+    def test_bad_neutral_band_override_rejected(self, read, band):
+        journal = run_synth(3, daily=False, weekly=False)[0]
+        with pytest.raises(ConfigError, match="config key 'neutral_band'"):
+            read(journal, band)
+
 
 def two_phase_alloc(i):
     if i < 7:
@@ -372,6 +379,24 @@ class TestRunConfigDict:
         tree = {"start": "2024-11-04", "end": "2024-11-05", key: value}
         with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
             RunConfig.from_dict(tree)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge"]
+    )
+    @pytest.mark.parametrize("part, key", [(None, "fee_bps"), (None, "neutral_band"), ("client", "timeout")])
+    def test_non_finite_value_rejected(self, part, key, value):
+        tree = {"start": "2024-11-04", "end": "2024-11-05"}
+        if part:
+            tree[part] = {key: value}
+        else:
+            tree[key] = value
+        with pytest.raises(ConfigError, match=f"config key '{key}' has a bad value"):
+            RunConfig.from_dict(tree)
+
+    @pytest.mark.parametrize("key", ["fee_bps", "neutral_band", "initial_value_usd"])
+    def test_non_finite_value_rejected_in_python(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' has a bad value"):
+            RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), **{key: float("nan")})
 
     def test_header_snapshot_matches_config(self, case_study_dataset, case_study_responder, case_study_config):
         journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)

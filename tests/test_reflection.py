@@ -39,7 +39,17 @@ def decision_for(state, pct, reasoning="view"):
     )
 
 
-def packet_for(
+def settled_day(day, btc_return, decisions, returns, baseline_return):
+    """A settled day as `Ledger.settle` returns it, less each role's portfolio."""
+    return {
+        "date": day.isoformat(),
+        "btc_return": btc_return,
+        "baseline": {"day_return_5050": baseline_return},
+        "roles": evaluate_day(decisions, returns, btc_return, 0.005, dict.fromkeys(AGENT_ROLES, (0, 0))),
+    }
+
+
+def day_for(
     day=D,
     btc_return=0.0224,
     states=("bullish", "bullish", "bullish"),
@@ -51,78 +61,67 @@ def packet_for(
         role: decision_for(state, pct, f"{role} reasoning text")
         for role, state, pct in zip(AGENT_ROLES, states, allocations)
     }
-    return evaluate_day(
-        date=day,
-        realized_btc_return=btc_return,
-        decisions=decisions,
-        portfolio_returns=dict(zip(AGENT_ROLES, returns)),
-        baseline_return=baseline_return,
-        neutral_band=0.005,
-    )
+    return settled_day(day, btc_return, decisions, dict(zip(AGENT_ROLES, returns)), baseline_return)
 
 
 class TestEvaluateDay:
     def test_bullish_calls_on_a_rally_are_correct(self):
-        packet = packet_for()
-        assert all(packet.agents[r].correct for r in AGENT_ROLES)
-        assert packet.agents["decision"].running_accuracy == 1.0
+        roles = day_for()["roles"]
+        assert all(roles[r]["correct"] for r in AGENT_ROLES)
+        assert roles["decision"]["running_accuracy"] == 1.0
 
     def test_neutral_on_flat_day_is_correct(self):
-        packet = packet_for(btc_return=0.0, states=("neutral", "neutral", "neutral"))
-        assert all(packet.agents[r].correct for r in AGENT_ROLES)
+        roles = day_for(btc_return=0.0, states=("neutral", "neutral", "neutral"))["roles"]
+        assert all(roles[r]["correct"] for r in AGENT_ROLES)
 
     def test_flags_match_metrics_rule(self):
         rng = random.Random(61)
         for _ in range(50):
             states = tuple(rng.choice(["bullish", "bearish", "neutral"]) for _ in range(3))
             r = rng.uniform(-0.03, 0.03)
-            packet = packet_for(btc_return=r, states=states)
+            roles = day_for(btc_return=r, states=states)["roles"]
             for role, state in zip(AGENT_ROLES, states):
-                assert packet.agents[role].correct == prediction_correct(state, r, 0.005)
+                assert roles[role]["correct"] == prediction_correct(state, r, 0.005)
 
     def test_running_accuracy_accumulates(self):
-        packet = evaluate_day(
-            date=D,
-            realized_btc_return=0.02,
+        roles = evaluate_day(
             decisions={r: decision_for("bullish", 50) for r in AGENT_ROLES},
             portfolio_returns={r: 0.01 for r in AGENT_ROLES},
-            baseline_return=0.01,
+            btc_return=0.02,
             neutral_band=0.005,
             prior_counts={r: (1, 3) for r in AGENT_ROLES},
         )
-        assert packet.agents["quants"].running_accuracy == pytest.approx(2 / 4)
+        assert roles["quants"]["running_accuracy"] == pytest.approx(2 / 4)
 
     def test_missing_role_raises(self):
         with pytest.raises(MissingAgentRecord):
             evaluate_day(
-                date=D,
-                realized_btc_return=0.0,
                 decisions={"quants": decision_for("neutral", 50)},
                 portfolio_returns={"quants": 0.0},
-                baseline_return=0.0,
+                btc_return=0.0,
                 neutral_band=0.005,
+                prior_counts={"quants": (0, 0)},
             )
 
 
 class TestReflectPrompt:
     def test_includes_outcomes_and_reasonings(self):
-        packet = packet_for(states=("bearish", "bullish", "neutral"))
-        bundle = build_reflect_prompt(packet)
+        bundle = build_reflect_prompt(day_for(states=("bearish", "bullish", "neutral")))
         assert "quants reasoning text" in bundle.user_text
         assert "signals reasoning text" in bundle.user_text
         assert "bearish" in bundle.user_text
         assert "bullish" in bundle.user_text
 
     def test_no_allocation_advice_instruction_always_present(self):
-        bundle = build_reflect_prompt(packet_for())
+        bundle = build_reflect_prompt(day_for())
         assert NO_ALLOCATION_ADVICE in bundle.system_text
 
     def test_baseline_comparison_always_present(self):
-        bundle = build_reflect_prompt(packet_for())
+        bundle = build_reflect_prompt(day_for())
         assert "baseline" in bundle.user_text.lower()
 
     def test_requires_json_output_contract(self):
-        bundle = build_reflect_prompt(packet_for())
+        bundle = build_reflect_prompt(day_for())
         assert '"quants"' in bundle.system_text
         assert '"signals"' in bundle.system_text
         assert '"decision"' in bundle.system_text
@@ -224,13 +223,13 @@ def reflect_json(quants="fine sizing", signals="good reads", decision="balanced"
 class TestRunDailyReflection:
     def test_clean_path(self):
         client = SeqClient([reflect_json()])
-        outcome = run_daily_reflection(client, packet_for())
+        outcome = run_daily_reflection(client, day_for())
         assert outcome["feedback"]["quants"] == "fine sizing"
         assert outcome["flags"] == []
 
     def test_malformed_then_valid_with_reminder(self):
         client = SeqClient(["garbage", reflect_json()])
-        outcome = run_daily_reflection(client, packet_for(), retry_limit=1)
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert outcome["feedback"]["signals"] == "good reads"
         assert "could not be parsed" in client.bundles[1].user_text
 
@@ -238,7 +237,7 @@ class TestRunDailyReflection:
         client = SeqClient(
             [reflect_json(signals="use the MACD crossover"), reflect_json(signals="clean note")]
         )
-        outcome = run_daily_reflection(client, packet_for())
+        outcome = run_daily_reflection(client, day_for())
         assert outcome["feedback"]["signals"] == "clean note"
         assert "reflect_scope_retry" in outcome["flags"]
         assert "crossed role boundaries" in client.bundles[1].user_text
@@ -247,7 +246,7 @@ class TestRunDailyReflection:
         client = SeqClient(
             [reflect_json(signals="use the MACD"), reflect_json(signals="still watch RSI")]
         )
-        outcome = run_daily_reflection(client, packet_for())
+        outcome = run_daily_reflection(client, day_for())
         assert outcome["feedback"]["signals"] == ""
         assert outcome["feedback"]["quants"] != ""
         assert "reflect_scope_dropped_signals" in outcome["flags"]
@@ -258,7 +257,7 @@ class TestRunDailyReflection:
             signals="check the RSI and raise your allocation to 80%",
         )
         client = SeqClient([dirty, NetworkError("connection reset", 3)])
-        outcome = run_daily_reflection(client, packet_for())
+        outcome = run_daily_reflection(client, day_for())
         assert [v["role"] for v in outcome["violations"]] == ["signals", "quants", "signals"]
         assert outcome["flags"] == [
             "reflect_scope_retry",
@@ -270,28 +269,24 @@ class TestRunDailyReflection:
 
     def test_total_parse_failure_gives_empty_feedback(self):
         client = SeqClient(["junk", "junk"])
-        outcome = run_daily_reflection(client, packet_for(), retry_limit=1)
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert outcome["feedback"]["quants"] == ""
         assert outcome["feedback"]["signals"] == ""
         assert outcome["feedback"]["decision"] == ""
         assert "reflect_fallback_empty" in outcome["flags"]
 
 
-def week_of_packets(agent_daily, baseline_daily, start=date(2024, 11, 4)):
-    packets = []
-    for i in range(7):
-        decisions = {r: decision_for("bullish", 60) for r in AGENT_ROLES}
-        packets.append(
-            evaluate_day(
-                date=start + timedelta(days=i),
-                realized_btc_return=agent_daily,
-                decisions=decisions,
-                portfolio_returns={r: agent_daily for r in AGENT_ROLES},
-                baseline_return=baseline_daily,
-                neutral_band=0.005,
-            )
+def week_of_days(agent_daily, baseline_daily, start=date(2024, 11, 4)):
+    return [
+        settled_day(
+            start + timedelta(days=i),
+            agent_daily,
+            {r: decision_for("bullish", 60) for r in AGENT_ROLES},
+            {r: agent_daily for r in AGENT_ROLES},
+            baseline_daily,
         )
-    return packets
+        for i in range(7)
+    ]
 
 
 class TestWeeklyFeedback:
@@ -299,51 +294,51 @@ class TestWeeklyFeedback:
         self.templates = load_weekly_templates()
 
     def test_outperformance_selects_praise(self):
-        packets = week_of_packets(agent_daily=0.02, baseline_daily=0.01)
-        wf = weekly_feedback(packets, self.templates)
+        days = week_of_days(agent_daily=0.02, baseline_daily=0.01)
+        wf = weekly_feedback(days, self.templates)
         for role in AGENT_ROLES:
             assert wf["kinds"][role] == "praise"
             assert PRAISE_PHRASE in wf["texts"][role]
 
     def test_underperformance_with_regret_selects_corrective(self):
-        packets = week_of_packets(agent_daily=0.0, baseline_daily=0.01)
-        wf = weekly_feedback(packets, self.templates)
+        days = week_of_days(agent_daily=0.0, baseline_daily=0.01)
+        wf = weekly_feedback(days, self.templates)
         assert wf["kinds"]["quants"] == "corrective"
         assert CORRECTIVE_QUANTS_PHRASE in wf["texts"]["quants"]
         assert wf["stats"]["quants"]["regret"] > 0.01
 
     def test_near_baseline_selects_neutral(self):
-        packets = week_of_packets(agent_daily=0.01, baseline_daily=0.01)
-        wf = weekly_feedback(packets, self.templates)
+        days = week_of_days(agent_daily=0.01, baseline_daily=0.01)
+        wf = weekly_feedback(days, self.templates)
         for role in AGENT_ROLES:
             assert wf["kinds"][role] == "neutral"
             assert NEUTRAL_PHRASE in wf["texts"][role]
 
     def test_requires_exactly_seven_days(self):
-        packets = week_of_packets(0.01, 0.01)
+        days = week_of_days(0.01, 0.01)
         with pytest.raises(IncompleteWeek):
-            weekly_feedback(packets[:6], self.templates)
+            weekly_feedback(days[:6], self.templates)
         with pytest.raises(IncompleteWeek):
-            weekly_feedback(packets + [packets[-1]], self.templates)
+            weekly_feedback(days + [days[-1]], self.templates)
 
     def test_deterministic_selection(self):
-        packets = week_of_packets(0.016, 0.01)
-        a = weekly_feedback(packets, self.templates)
-        b = weekly_feedback(packets, self.templates)
+        days = week_of_days(0.016, 0.01)
+        a = weekly_feedback(days, self.templates)
+        b = weekly_feedback(days, self.templates)
         assert a["texts"] == b["texts"]
         assert a["kinds"] == b["kinds"]
 
     def test_weekly_stats_compound_returns(self):
-        packets = week_of_packets(agent_daily=0.01, baseline_daily=0.005)
-        wf = weekly_feedback(packets, self.templates)
+        days = week_of_days(agent_daily=0.01, baseline_daily=0.005)
+        wf = weekly_feedback(days, self.templates)
         assert wf["stats"]["quants"]["week_return"] == pytest.approx(1.01 ** 7 - 1.0, abs=1e-12)
         assert wf["stats"]["quants"]["baseline_return"] == pytest.approx(1.005 ** 7 - 1.0, abs=1e-12)
 
     def test_window_dates(self):
-        packets = week_of_packets(0.01, 0.01)
-        wf = weekly_feedback(packets, self.templates)
-        assert wf["week_start"] == packets[0].date.isoformat()
-        assert wf["week_end"] == packets[-1].date.isoformat()
+        days = week_of_days(0.01, 0.01)
+        wf = weekly_feedback(days, self.templates)
+        assert wf["week_start"] == days[0]["date"]
+        assert wf["week_end"] == days[-1]["date"]
 
     def test_selection_rule_edges(self):
         assert select_template_kind(0.001, 0.0) == "praise"

@@ -23,7 +23,13 @@ from btagents.agents import (
 from btagents.errors import JournalCorrupt
 from btagents.journal import RunJournal, read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
-from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
+from btagents.reflection import (
+    AGENT_ROLES,
+    REFLECT_SYSTEM,
+    build_reflect_prompt,
+    load_weekly_templates,
+    weekly_feedback,
+)
 
 from conftest import run_synth, scripted_plan, synth_dataset, weeklies
 from test_agents import FakeResponse
@@ -123,7 +129,6 @@ DIGEST_ONLY = (
     "day9.roles.decision.attempts.*",
     "*.reflect.system",
     "*.reflect.user",
-    "*.reflect.attempts.*",
     "*.reflect.violations.*",
     "*.reflect.flags.*",
 )
@@ -219,6 +224,28 @@ class TestResealedLeaves:
     def test_malformed_attempts_fail_replay(self, name, attempts):
         journal = resealed_leaf_edit(name, ("roles", "decision", "attempts"), lambda _: attempts)
         with pytest.raises(JournalCorrupt):
+            replay(journal)
+
+    @pytest.mark.parametrize(
+        "attempts",
+        ["text", [3], [["raw", None]], [{"raw": 3, "error": None}], [{"raw": "{}", "error": 3}]],
+        ids=["text", "number", "list", "raw-number", "error-number"],
+    )
+    @pytest.mark.parametrize("name", ["day3", "day9"])
+    def test_malformed_reflect_attempts_fail_replay(self, name, attempts):
+        journal = resealed_leaf_edit(name, ("reflect", "attempts"), lambda _: attempts)
+        with pytest.raises(JournalCorrupt, match="reflect"):
+            replay(journal)
+
+    def test_reflect_feedback_is_the_last_error_free_reply(self):
+        # an error after the reply: the reply still holds the feedback
+        journal = resealed_leaf_edit(
+            "day3", ("reflect", "attempts"), lambda a: [*a, {"raw": None, "error": "NetworkError: reset"}]
+        )
+        replay(journal)
+        # the reply turned into an error: no reply holds the feedback
+        journal = resealed_leaf_edit("day3", ("reflect", "attempts", 0, "error"), lambda _: "ParseError: x")
+        with pytest.raises(JournalCorrupt, match="recorded feedback is not the last reply's"):
             replay(journal)
 
     @staticmethod
@@ -324,22 +351,27 @@ class QueueResponder:
         return InvokeResult(text=replies.pop(0) if len(replies) > 1 else replies[0], attempts=1)
 
 
+def recovery_paths_run():
+    """10 scripted days at 10 bps: a quants re-ask on day 2, a decision fallback
+    on day 4 and a reflect scope drop of signals on day 5."""
+    dataset = synth_dataset(32 + 10 + 2)
+    days = dataset.dates[32 : 32 + 10]
+    plan = scripted_plan(days)
+    reask, fallback, scope = (
+        f"{role}:{days[i].isoformat()}" for role, i in (("quants", 2), ("decision", 4), ("reflect", 5))
+    )
+    plan[reask] = ["prose without any object", plan[reask]]
+    plan[fallback] = "no structure in this reply"
+    off_scope = json.loads(plan[scope])
+    off_scope["signals"] = "the RSI reading contradicted the crowd mood"
+    plan[scope] = json.dumps(off_scope)
+    config = RunConfig(start=days[0], end=days[-1], fee_bps=10.0)
+    return run_backtest(config, dataset, QueueResponder(plan))
+
+
 class TestEveryRecoveryPathReplays:
-    KEYS = (("quants", 2), ("decision", 4), ("reflect", 5))  # re-ask, fallback, scope drop
-
     def test_reask_fallback_and_scope_drop(self):
-        dataset = synth_dataset(32 + 10 + 2)
-        days = dataset.dates[32 : 32 + 10]
-        plan = scripted_plan(days)
-        reask, fallback, scope = (f"{role}:{days[i].isoformat()}" for role, i in self.KEYS)
-        plan[reask] = ["prose without any object", plan[reask]]
-        plan[fallback] = "no structure in this reply"
-        off_scope = json.loads(plan[scope])
-        off_scope["signals"] = "the RSI reading contradicted the crowd mood"
-        plan[scope] = json.dumps(off_scope)
-        config = RunConfig(start=days[0], end=days[-1], fee_bps=10.0)
-        journal = run_backtest(config, dataset, QueueResponder(plan))
-
+        journal = recovery_paths_run()
         quants = journal.days[2]["roles"]["quants"]
         assert [a["error"] is None for a in quants["attempts"]] == [False, True]
         assert quants["fallback"] is False
@@ -362,6 +394,28 @@ class TestEveryRecoveryPathReplays:
         path = tmp_path / "run.jsonl"
         write_journal(journal, str(path))
         assert len(replay(read_journal(str(path))).value_dates) == 4
+
+
+@pytest.fixture(scope="module", params=["fees_fallback", "recovery_paths"])
+def recorded_run(request):
+    return FEES_FALLBACK if request.param == "fees_fallback" else recovery_paths_run()
+
+
+class TestRecordIsTheCriticsInput:
+    def test_reflect_prompt_rebuilds_from_the_day_record(self, recorded_run):
+        for day in recorded_run.days:
+            bundle = build_reflect_prompt(day)
+            assert (bundle.system_text, bundle.user_text) == (day["reflect"]["system"], day["reflect"]["user"])
+
+    def test_weekly_review_rebuilds_from_the_day_records(self, recorded_run):
+        templates = load_weekly_templates()
+        entries = recorded_run.entries
+        for i, record in enumerate(entries):
+            if record["type"] == "weekly":
+                week = [e for e in entries[:i] if e["type"] == "day"][-7:]
+                skip = ("type", "after_day", "digest")
+                assert weekly_feedback(week, templates) == {k: v for k, v in record.items() if k not in skip}
+        assert len(weeklies(recorded_run)) >= 1
 
 
 ROLE_BY_SYSTEM = {
