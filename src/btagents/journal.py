@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 from .errors import JournalCorrupt
@@ -86,11 +88,43 @@ class RunJournal:
         return [e for e in self.entries if e.get("type") == "day"]
 
     def verify(self) -> None:
-        verify_record(self.header)
-        if self.header.get("version") != JOURNAL_VERSION:
-            raise JournalCorrupt(f"journal version {self.header.get('version')!r} is not {JOURNAL_VERSION}")
-        for entry in self.entries:
-            verify_record(entry)
+        """Check every digest by re-encoding each record in memory, so an
+        edit made after the journal was read is caught."""
+        _verify([self.header, *self.entries], itertools.repeat(False))
+
+
+def _verify(records: list[dict], sealed_lines) -> None:
+    """Check the header's digest, then its version, then each entry's digest.
+    `records` is the header and then the entries; a record whose flag in
+    `sealed_lines` is true was read from the very text its digest seals, and
+    its digest is not checked again."""
+    for line, (record, sealed) in enumerate(zip(records, sealed_lines), start=1):
+        if not sealed:
+            try:
+                verify_record(record)
+            except UnicodeEncodeError:
+                raise JournalCorrupt(f"journal line {line}: not valid UTF-8") from None
+        if line == 1 and record.get("version") != JOURNAL_VERSION:
+            raise JournalCorrupt(f"journal version {record.get('version')!r} is not {JOURNAL_VERSION}")
+
+
+def _seals_own_line(line: bytes, record: dict) -> bool:
+    """Whether `record`'s digest is the sha256 of `line` with its
+    `"digest":"<hex>"` member and one comma beside it cut out. A canonical
+    line, as `write_journal` writes it, passes without being re-encoded."""
+    digest = record.get("digest")
+    if not isinstance(digest, str):
+        return False
+    member = b'"digest":"' + digest.encode("utf-8") + b'"'
+    start = line.find(member)
+    if start < 0:
+        return False
+    end = start + len(member)
+    if line[end : end + 1] == b",":
+        end += 1
+    elif line[start - 1 : start] == b",":
+        start -= 1
+    return hashlib.sha256(line[:start] + line[end:]).hexdigest() == digest
 
 
 def write_journal(journal: RunJournal, path: str) -> None:
@@ -109,16 +143,31 @@ def write_journal(journal: RunJournal, path: str) -> None:
         raise
 
 
+# a JSON escape of a UTF-16 surrogate, which may decode to a lone one
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
 def read_journal(path: str, verify: bool = True) -> RunJournal:
+    """Read a journal, failing with JournalCorrupt on a line that is not UTF-8
+    (or escapes a lone surrogate), not JSON or not an object. With `verify`,
+    then run `RunJournal.verify`'s checks in its order; a record whose line is
+    the text its digest seals skips the re-encode."""
     header = None
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    sealed_lines = []  # per record read, whether its line is the text its digest seals
+    # bytes that are not UTF-8 decode to lone surrogates, which `encode` rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                raw = line.encode("utf-8")
                 record = json.loads(line)
+                if _SURROGATE_ESCAPE.search(raw):
+                    canonical_json(record).encode("utf-8")
+            except UnicodeEncodeError:  # a ValueError too, so caught first
+                raise JournalCorrupt(f"{path}:{line_no}: not valid UTF-8") from None
             except ValueError as exc:
                 raise JournalCorrupt(f"{path}:{line_no}: not valid JSON") from exc
             if not isinstance(record, dict):
@@ -129,9 +178,9 @@ def read_journal(path: str, verify: bool = True) -> RunJournal:
                 header = record
             else:
                 entries.append(record)
+            sealed_lines.append(verify and _seals_own_line(raw, record))
     if header is None:
         raise JournalCorrupt(f"{path}: empty journal")
-    journal = RunJournal(header=header, entries=entries)
     if verify:
-        journal.verify()
-    return journal
+        _verify([header, *entries], sealed_lines)
+    return RunJournal(header=header, entries=entries)

@@ -85,9 +85,9 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key '{name}' must be >= 0")
         if self.end < self.start:
-            raise ValueError("end date before start date")
+            raise ConfigError("end date before start date")
         if self.initial_value_usd <= 0:
-            raise ValueError("initial value must be > 0")
+            raise ConfigError("initial value must be > 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -542,8 +542,9 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
     reply (with no reply, the run's fallback) and settles each day and builds
     each weekly record with the run's own `Ledger`. Raises JournalCorrupt
     unless every field so derived, and each day's feedback in, equals the
-    recorded one, unless each role's last attempt is its recorded reply with no
-    error or, on a fallback, carries an error, and unless `_check_feedback` passes.
+    recorded one, unless each role's attempts are all raw replies and errors
+    and its last one is its recorded reply with no error or, on a fallback,
+    carries an error, and unless `_check_feedback` passes.
     """
     outputs = outputs_from_journal(journal, neutral_band)
     dates = outputs.value_dates
@@ -565,8 +566,11 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
         decisions = {}
         for role in AGENT_ROLES:
             raw, attempts = roles[role]["raw"], roles[role]["attempts"]  # raw is None on a fallback
+            # the last attempt is checked below; most lists hold only that one
+            if len(attempts) > 1 and any(_ATTEMPT_MISFIT(a) is not None for a in attempts[:-1]):
+                raise JournalCorrupt(f"{where} {role}: an attempt is not a raw reply and an error")
             last = attempts[-1] if attempts else None
-            if raw is None and not (isinstance(last, dict) and isinstance(last.get("error"), str)):
+            if raw is None and (_ATTEMPT_MISFIT(last) is not None or last["error"] is None):
                 raise JournalCorrupt(f"{where} {role}: the fallback's last attempt has no error")
             if raw is not None and last != {"raw": raw, "error": None}:
                 raise JournalCorrupt(f"{where} {role}: recorded reply is not the last attempt's")

@@ -112,8 +112,13 @@ class TestPreflight:
             run_backtest(config, dataset, case_study_responder)
 
     def test_config_dates_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="end date before start date"):
             RunConfig(start=date(2024, 11, 5), end=date(2024, 11, 4))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_config_initial_value_validated(self, value):
+        with pytest.raises(ConfigError, match="initial value must be > 0"):
+            RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), initial_value_usd=value)
 
     @pytest.mark.parametrize(
         "overrides",

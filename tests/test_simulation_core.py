@@ -218,11 +218,14 @@ class TestResealedLeaves:
             replay(journal)
 
     @pytest.mark.parametrize(
-        "attempts", ["text", [], [3], [["raw", None]]], ids=["text", "empty", "number", "list"]
+        "attempts",
+        ["text", [], [3], [["raw", None]], [{"raw": 3, "error": "ParseError: x"}], lambda a: [3, *a]],
+        ids=["text", "empty", "number", "list", "raw-number", "number-before-last"],
     )
     @pytest.mark.parametrize("name", ["day3", "day9"])
     def test_malformed_attempts_fail_replay(self, name, attempts):
-        journal = resealed_leaf_edit(name, ("roles", "decision", "attempts"), lambda _: attempts)
+        edit = attempts if callable(attempts) else lambda _: attempts
+        journal = resealed_leaf_edit(name, ("roles", "decision", "attempts"), edit)
         with pytest.raises(JournalCorrupt):
             replay(journal)
 
