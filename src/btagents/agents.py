@@ -18,8 +18,6 @@ from enum import Enum
 from functools import lru_cache, partial
 from typing import Any, Callable, Protocol, Sequence
 
-import requests
-
 from .errors import (
     BtAgentsError,
     InvariantViolation,
@@ -351,7 +349,10 @@ class ChatClient:
 
     def __init__(self, config: ChatClientConfig, session=None):
         self.config = config
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # the HTTP stack loads only for a live client
+            session = requests.Session()
+        self._session = session
 
     def complete(self, bundle: PromptBundle) -> InvokeResult:
         cfg = self.config
@@ -492,6 +493,15 @@ FORMAT_REMINDER = (
 )
 
 
+def _check_unicode(text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(
+            f"reply is not valid Unicode text: {exc.reason} at position {exc.start}"
+        ) from None
+
+
 def ask_until_parsed(
     client: CompletionClient,
     bundle: PromptBundle,
@@ -500,8 +510,10 @@ def ask_until_parsed(
     rounds: int,
 ) -> tuple[Any, list[dict]]:
     """Invoke and parse up to `rounds` times, appending `reminder` to the
-    prompt after each malformed reply. A failed call, a 200 reply with a
-    malformed body included, ends the loop.
+    prompt after each malformed reply. A failed call ends the loop: a 200
+    reply with a malformed body counts as one, and so does a reply that is
+    not valid Unicode text (a lone surrogate, which a JSON `\\ud800` escape
+    decodes to), since no journal line could hold it.
 
     Returns the parsed reply (None if there is none) and every attempt in
     the journal's {"raw", "error"} form.
@@ -510,6 +522,7 @@ def ask_until_parsed(
     for _ in range(rounds):
         try:
             result = client.complete(bundle)
+            _check_unicode(result.text)
         except (NetworkError, TimeoutError, SchemaError) as exc:
             attempts.append({"raw": None, "error": f"{type(exc).__name__}: {exc}"})
             break

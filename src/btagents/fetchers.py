@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .market_data import NewsItem, SentimentDaily, dedupe_news
 from .transport import bearer_headers, send_with_retries
 
@@ -61,7 +61,7 @@ class SocialDaily:
 
 def _date_range(start: Date, end: Date) -> list[Date]:
     if end < start:
-        raise ValueError("end date before start date")
+        raise ConfigError(f"end date {end} before start date {start}")
     out = []
     d = start
     while d <= end:

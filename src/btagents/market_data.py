@@ -149,6 +149,17 @@ def _parse_date(raw: str) -> Date:
     return Date.fromisoformat(raw.strip())
 
 
+def _not_utf8(path: str) -> MalformedRow:
+    """The error for a file that failed to decode, naming its first bad line."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return MalformedRow(path, line_no, f"byte 0x{line[exc.start]:02x} is not UTF-8")
+    return MalformedRow(path, 1, "not UTF-8 text")
+
+
 def _load_series(
     path: str,
     expected_header: Sequence[str],
@@ -157,29 +168,32 @@ def _load_series(
 ) -> list:
     """Shared CSV reader: header check, per-row errors with line numbers, date sort."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, "empty file, header required") from None
-        header = [h.strip() for h in header]
-        if header != list(expected_header):
-            raise MalformedRow(
-                path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
-            )
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(expected_header):
-                raise MalformedRow(path, line_no, f"expected {len(expected_header)} fields, got {len(raw)}")
-            fields = dict(zip(expected_header, raw))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append(build(fields))
-            except InvariantViolation:
-                raise
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc)) from None
+                header = next(reader)
+            except StopIteration:
+                raise MalformedRow(path, 1, "empty file, header required") from None
+            header = [h.strip() for h in header]
+            if header != list(expected_header):
+                raise MalformedRow(
+                    path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
+                )
+            for line_no, raw in enumerate(reader, start=2):
+                if not raw or all(not cell.strip() for cell in raw):
+                    continue
+                if len(raw) != len(expected_header):
+                    raise MalformedRow(path, line_no, f"expected {len(expected_header)} fields, got {len(raw)}")
+                fields = dict(zip(expected_header, raw))
+                try:
+                    rows.append(build(fields))
+                except InvariantViolation:
+                    raise
+                except ValueError as exc:
+                    raise MalformedRow(path, line_no, str(exc)) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not allow_duplicate_dates:
         seen: dict[Date, int] = {}
         for item in rows:

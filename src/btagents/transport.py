@@ -7,8 +7,6 @@ import os
 import time
 from typing import Any, Callable
 
-import requests
-
 from .errors import NetworkError
 
 
@@ -28,6 +26,8 @@ def send_with_retries(
     When every attempt fails, the last failure sets the error: TimeoutError
     for a timeout, NetworkError otherwise.
     """
+    import requests  # here, not at module level, so offline runs never load it
+
     attempts_allowed = max(1, max_retries)
     last_error: object = None
     for attempt in range(1, attempts_allowed + 1):

@@ -423,6 +423,24 @@ class TestDecideWithRetry:
         assert fields["fallback"]
         assert fields["attempts"][0]["raw"] is None
 
+    def test_reply_with_lone_surrogate_is_a_failed_call(self):
+        # a JSON body's "\ud800" escape decodes to a str no journal line can encode
+        client = SeqClient([GOOD + " \ud800", GOOD])
+        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.5)
+        assert fields == {
+            "raw": None,
+            "attempts": [
+                {
+                    "raw": None,
+                    "error": "SchemaError: reply is not valid Unicode text: "
+                    "surrogates not allowed at position 63",
+                }
+            ],
+            "fallback": True,
+        }
+        assert decision.allocation.btc_fraction == 0.5
+        assert len(client.bundles) == 1
+
 
 class TestAllocationTokens:
     def test_grid_tokens(self):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import btagents
 from btagents.cli import main
 from btagents.journal import read_journal, seal
 
@@ -58,6 +62,13 @@ class TestIngest:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_news_byte_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
+        news = tmp_path / "news.csv"
+        news.write_bytes(b"date,source,headline,summary\n2024-11-04,CNBC,BTC \xff rallies,x\n")
+        code = main(["ingest", "--bars", str(FIXTURE_DIR / "bars.csv"), "--news", str(news)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {news}:2: byte 0xff is not UTF-8\n"
+
 
 class TestBacktest:
     def test_full_offline_run(self, tmp_path, capsys):
@@ -81,6 +92,27 @@ class TestBacktest:
         cumrets = (report_dir / "cumrets.csv").read_text(encoding="utf-8")
         assert cumrets.splitlines()[0] == "date,quants,signals,decision,baseline"
         assert len(cumrets.splitlines()) == 4  # header + start + two marks
+
+    def test_reply_with_lone_surrogate_falls_back_and_replays(self, tmp_path, capsys):
+        responses = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))
+        responses["quants:2024-11-04"] += " \ud800"
+        fixtures = tmp_path / "responses.json"
+        fixtures.write_text(json.dumps(responses), encoding="utf-8")
+        journal_path = str(tmp_path / "journal.jsonl")
+        args = ["backtest", "--config", str(write_config(tmp_path)), "--fixtures", str(fixtures)]
+        assert main(args) == 0
+        backtest_out = capsys.readouterr().out
+        quants = read_journal(journal_path).days[0]["roles"]["quants"]
+        assert quants["fallback"] is True
+        assert quants["attempts"] == [
+            {
+                "raw": None,
+                "error": "SchemaError: reply is not valid Unicode text: "
+                f"surrogates not allowed at position {len(responses['quants:2024-11-04']) - 1}",
+            }
+        ]
+        assert main(["replay", "--journal", journal_path]) == 0
+        assert capsys.readouterr().out == backtest_out
 
     def test_missing_config_flag_is_usage_error(self, capsys):
         assert main(["backtest"]) == 2
@@ -344,3 +376,54 @@ class TestMalformedJournal:
         with open(journal_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(["3"] + lines[1:]) + "\n")
         self.fails(command, journal_path, capsys, ":1: not a JSON object")
+
+
+SRC = str(Path(btagents.__file__).resolve().parents[1])
+
+
+def fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports the package from this checkout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportBoundary:
+    """Offline commands never load the HTTP stack; a live client still does."""
+
+    def test_offline_commands_never_import_requests(self, tmp_path):
+        config_path = write_config(tmp_path)
+        journal_path = tmp_path / "journal.jsonl"
+        code = f"""
+import sys
+import btagents, btagents.cli, btagents.report
+from btagents.cli import main
+codes = [
+    main(["backtest", "--config", {str(config_path)!r}, "--fixtures", {str(FIXTURE_DIR / "responses.json")!r}]),
+    main(["replay", "--journal", {str(journal_path)!r}, "--out-dir", {str(tmp_path / "replay")!r}]),
+    main(["report", "--journal", {str(journal_path)!r}, "--out-dir", {str(tmp_path / "report")!r}]),
+]
+print(codes, "requests" in sys.modules)
+"""
+        assert fresh_python(code).splitlines()[-1] == "[0, 0, 0] False"
+        assert (tmp_path / "replay" / "report.txt").read_text(encoding="utf-8") == (
+            tmp_path / "report" / "report.txt"
+        ).read_text(encoding="utf-8")
+
+    def test_live_client_loads_requests_session(self):
+        code = """
+import sys
+from btagents import ChatClient
+from btagents.agents import ChatClientConfig
+before = "requests" in sys.modules
+client = ChatClient(ChatClientConfig())
+import requests
+print(before, isinstance(client._session, requests.Session))
+"""
+        assert fresh_python(code).splitlines()[-1] == "False True"

@@ -4,7 +4,7 @@ from datetime import date, datetime, timezone
 import pytest
 import requests
 
-from btagents.errors import NetworkError, SchemaError
+from btagents.errors import ConfigError, NetworkError, SchemaError
 from btagents.fetchers import (
     EndpointConfig,
     FgiDaily,
@@ -100,6 +100,12 @@ class TestFetchFgi:
         transport = StubTransport([(200, "<html>oops</html>")])
         with pytest.raises(SchemaError):
             fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+
+    def test_reversed_dates_are_config_error_before_any_request(self, tmp_path):
+        transport = StubTransport([(200, fgi_body([fgi_entry(D1)]))])
+        with pytest.raises(ConfigError, match="before start date"):
+            fetch_fgi(config(tmp_path), D2, D1, transport=transport)
+        assert transport.calls == []
 
 
 def news_body(articles):

@@ -163,6 +163,27 @@ class TestOtherLoaders:
             load_news(path)
 
 
+@pytest.mark.parametrize(
+    "loader,header,row",
+    [
+        (load_bars, "date,open,high,low,close,volume", "{},1,1,1,1,1"),
+        (load_onchain, "date,tx_count,active_addresses,transfer_volume_usd", "{},1,1,1"),
+        (load_sentiment, "date,social_score_mean,fgi_value,fgi_label", "{},0.1,70,Greed"),
+        (load_news, "date,source,headline,summary", "{},CNBC,BTC rallies,x"),
+    ],
+    ids=["bars", "onchain", "sentiment", "news"],
+)
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row):
+    path = tmp_path / "series.csv"
+    good = row.format("2024-11-03")
+    bad = row.format("2024-11-04").encode() + b"\xff"
+    path.write_bytes(f"{header}\n{good}\n".encode() + bad + b"\n")
+    with pytest.raises(MalformedRow) as exc:
+        loader(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 3)
+    assert exc.value.reason == "byte 0xff is not UTF-8"
+
+
 def mk_onchain(d):
     return OnChainDaily(date=d, tx_count=1, active_addresses=1, transfer_volume_usd=1.0)
 

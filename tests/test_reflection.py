@@ -275,6 +275,17 @@ class TestRunDailyReflection:
         assert outcome["feedback"]["decision"] == ""
         assert "reflect_fallback_empty" in outcome["flags"]
 
+    def test_reply_with_lone_surrogate_gives_empty_feedback(self):
+        client = SeqClient([reflect_json() + "\ud800", reflect_json()])
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
+        assert outcome["feedback"] == dict.fromkeys(AGENT_ROLES, "")
+        assert outcome["flags"] == ["reflect_fallback_empty"]
+        assert [a["raw"] for a in outcome["attempts"]] == [None]
+        assert outcome["attempts"][0]["error"].startswith(
+            "SchemaError: reply is not valid Unicode text"
+        )
+        assert len(client.bundles) == 1
+
 
 def week_of_days(agent_daily, baseline_daily, start=date(2024, 11, 4)):
     return [
