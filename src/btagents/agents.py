@@ -390,24 +390,22 @@ class ScriptedResponder:
 
     def __init__(self, responses: dict[str, str]):
         self.responses = dict(responses)
-        self.calls: list[str] = []
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedResponder":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise SchemaError(f"{path}: fixture is not UTF-8 JSON: {exc}") from None
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):
             raise SchemaError(f"{path}: fixture must map 'role:date' strings to reply strings")
         return cls(data)
 
-    def key_for(self, bundle: PromptBundle) -> str:
-        return f"{bundle.role.value}:{bundle.date.isoformat()}"
-
     def complete(self, bundle: PromptBundle) -> InvokeResult:
-        key = self.key_for(bundle)
-        self.calls.append(key)
+        key = f"{bundle.role.value}:{bundle.date.isoformat()}"
         if key not in self.responses:
             raise BtAgentsError(f"no scripted response for {key}")
         return InvokeResult(text=self.responses[key], attempts=1)

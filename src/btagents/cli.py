@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agents import ChatClient, ScriptedResponder
 from .errors import BtAgentsError, ConfigError
-from .journal import read_journal, write_journal
+from .journal import LONE_SURROGATE, read_journal, write_journal
 from .market_data import (
     GAP_CARRY,
     GAP_STRICT,
@@ -48,6 +48,8 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
             cfg = json.load(fh)
     except ValueError as exc:
         raise BtAgentsError(f"{path}: config is not valid JSON: {exc}") from exc
+    if LONE_SURROGATE.search(json.dumps(cfg, ensure_ascii=False)):
+        raise ConfigError(f"{path}: config text holds a lone surrogate (a \\ud800-\\udfff escape)")
     try:
         data = cfg["data"]
         unknown = [k for k in cfg if k not in TOP_KEYS] + [
@@ -57,6 +59,8 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
             raise ConfigError(f"unknown config key '{unknown[0]}'")
         if "bars" not in data:
             raise KeyError("data.bars")
+        if data.get("gap_policy", GAP_CARRY) not in (GAP_CARRY, GAP_STRICT):
+            raise ConfigError(f"config key 'data.gap_policy' must be {GAP_CARRY!r} or {GAP_STRICT!r}")
         tree = {}
         for section in ("run", "feedback"):
             for key, value in cfg.get(section, {}).items():

@@ -145,6 +145,8 @@ def write_journal(journal: RunJournal, path: str) -> None:
 
 # a JSON escape of a UTF-16 surrogate, which may decode to a lone one
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+# a lone surrogate in decoded text: no UTF-8 encodes it, so no journal line can hold it
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def read_journal(path: str, verify: bool = True) -> RunJournal:

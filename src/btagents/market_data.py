@@ -160,13 +160,11 @@ def _not_utf8(path: str) -> MalformedRow:
     return MalformedRow(path, 1, "not UTF-8 text")
 
 
-def _load_series(
-    path: str,
-    expected_header: Sequence[str],
-    build: Callable[[dict[str, str]], object],
-    allow_duplicate_dates: bool = False,
-) -> list:
-    """Shared CSV reader: header check, per-row errors with line numbers, date sort."""
+def read_csv(path: str, expected_header: Sequence[str], build: Callable[[dict[str, str]], object]) -> list:
+    """The CSV reader every input file goes through: checks the header, skips
+    blank rows and builds one item per row from its fields by header name. A
+    row it cannot build, and a byte that is not UTF-8, fail with MalformedRow
+    naming the file and the physical line."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -180,28 +178,29 @@ def _load_series(
                 raise MalformedRow(
                     path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
                 )
-            for line_no, raw in enumerate(reader, start=2):
-                if not raw or all(not cell.strip() for cell in raw):
+            for raw in reader:
+                if not any(cell.strip() for cell in raw):
                     continue
                 if len(raw) != len(expected_header):
-                    raise MalformedRow(path, line_no, f"expected {len(expected_header)} fields, got {len(raw)}")
-                fields = dict(zip(expected_header, raw))
+                    raise MalformedRow(
+                        path, reader.line_num, f"expected {len(expected_header)} fields, got {len(raw)}"
+                    )
                 try:
-                    rows.append(build(fields))
-                except InvariantViolation:
-                    raise
+                    rows.append(build(dict(zip(expected_header, raw))))
                 except ValueError as exc:
-                    raise MalformedRow(path, line_no, str(exc)) from None
+                    raise MalformedRow(path, reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    return rows
+
+
+def _load_series(path: str, header: Sequence[str], build: Callable, allow_duplicate_dates: bool = False) -> list:
+    """A dated series read by read_csv, sorted by date."""
+    rows = sorted(read_csv(path, header, build), key=lambda item: item.date)
     if not allow_duplicate_dates:
-        seen: dict[Date, int] = {}
-        for item in rows:
-            d = item.date
-            if d in seen:
-                raise DuplicateDate(f"{path}: duplicate date {d}")
-            seen[d] = 1
-    rows.sort(key=lambda item: item.date)
+        for a, b in zip(rows, rows[1:]):
+            if a.date == b.date:
+                raise DuplicateDate(f"{path}: duplicate date {a.date}")
     return rows
 
 

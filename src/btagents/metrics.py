@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 from typing import Sequence
 
-from .errors import (
-    CoverageError,
-    LengthMismatch,
-    NonPositiveValue,
-    ZeroDispersion,
-)
+from .errors import LengthMismatch, NonPositiveValue, ZeroDispersion
 from .regime import RegimeSegmentation
 
 
@@ -173,7 +168,8 @@ def regime_report(
     """All-period metrics plus one aggregated row per regime label.
 
     Days sharing a label are concatenated across spans before computing the
-    row, so repeated sideways periods report as one line.
+    row, so repeated sideways periods report as one line. A return date the
+    segmentation does not cover raises CoverageError.
     """
     if predictions is not None and len(predictions) != len(series):
         raise LengthMismatch("one prediction per return required")
@@ -184,9 +180,6 @@ def regime_report(
     all_row = _row("All Periods", series.returns, predictions, base_returns, neutral_band)
     if segmentation is None:
         return MetricsReport(all_periods=all_row)
-
-    if not segmentation.covers(series.dates):
-        raise CoverageError("segmentation does not cover all return dates")
 
     by_label: dict[str, list[int]] = {}
     order: list[str] = []

@@ -81,7 +81,7 @@ class RunConfig:
             if not isinstance(part, kind):
                 raise ConfigError(f"config key '{name}' must be a {kind.__name__}")
             _check_types(kind, vars(part))
-        for name in ("parse_retry_limit", "neutral_band"):
+        for name in ("parse_retry_limit", "neutral_band", "fee_bps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key '{name}' must be >= 0")
         if self.end < self.start:

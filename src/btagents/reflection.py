@@ -36,6 +36,7 @@ from .errors import (
     SchemaError,
     ZeroDispersion,
 )
+from .journal import LONE_SURROGATE
 from .metrics import prediction_correct, regret, sharpe, total_return
 
 AGENT_ROLES = ("quants", "signals", "decision")
@@ -280,23 +281,26 @@ def load_weekly_templates(path: str | None = None) -> dict[str, dict[str, str]]:
     Reads the packaged defaults unless an override file is given, so the
     phrases stay editable without touching code.
     """
-    if path is None:
-        raw = (
-            resources.files("btagents")
-            .joinpath("templates/weekly_templates.json")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    pool = json.loads(raw)
+    try:
+        if path is None:
+            raw = (
+                resources.files("btagents")
+                .joinpath("templates/weekly_templates.json")
+                .read_text(encoding="utf-8")
+            )
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
+        pool = json.loads(raw)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SchemaError(f"{path}: weekly templates are not UTF-8 JSON: {exc}") from None
     for role in AGENT_ROLES:
-        if role not in pool:
-            raise SchemaError(f"weekly templates missing role '{role}'")
+        if not isinstance(pool, dict) or not isinstance(pool.get(role), dict):
+            raise SchemaError(f"{path}: weekly templates need an object for role '{role}'")
         for kind in TEMPLATE_KINDS:
             text = pool[role].get(kind)
-            if not isinstance(text, str) or not text.strip():
-                raise SchemaError(f"weekly template {role}/{kind} must be a non-empty string")
+            if not isinstance(text, str) or not text.strip() or LONE_SURROGATE.search(text):
+                raise SchemaError(f"{path}: weekly template {role}/{kind} must be a non-empty UTF-8 string")
     return pool
 
 

@@ -6,13 +6,13 @@ report rows; they are never shown to the trading agents.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from typing import Sequence
 
-from .errors import CoverageError, MalformedRow, WindowTooShort
+from .errors import CoverageError, WindowTooShort
+from .market_data import read_csv
 
 
 class RegimeLabel(str, Enum):
@@ -56,14 +56,6 @@ class RegimeSegmentation:
             if span.start_date <= date <= span.end_date:
                 return span.label
         raise CoverageError(f"{date} not covered by segmentation")
-
-    def covers(self, dates: Sequence[Date]) -> bool:
-        try:
-            for d in dates:
-                self.label_for(d)
-        except CoverageError:
-            return False
-        return True
 
 
 def classify_day(closes: Sequence[float], params: RegimeParams) -> RegimeLabel:
@@ -116,42 +108,21 @@ def segment(
         for i in range(warmup - 1, len(dates))
     ]
 
-    # collapse per-day labels into runs
+    # one pass: a span that a different label closes while shorter than
+    # min_span_days joins the span before it, or, leading, the one that closes
+    # it; only spans before the last are ever closed
     runs: list[list] = []  # [label, start_idx, end_idx]
     for i, lab in enumerate(labels):
+        if runs and runs[-1][0] != lab and runs[-1][2] - runs[-1][1] + 1 < params.min_span_days:
+            short = runs.pop()
+            if runs:
+                runs[-1][2] = short[2]
+            else:
+                runs.append([lab, short[1], short[2]])
         if runs and runs[-1][0] == lab:
             runs[-1][2] = i
         else:
             runs.append([lab, i, i])
-
-    def run_len(run) -> int:
-        return run[2] - run[1] + 1
-
-    merged = True
-    while merged and len(runs) > 1:
-        merged = False
-        for idx, run in enumerate(runs):
-            if idx == len(runs) - 1:
-                continue  # the trailing span may legitimately be short
-            if run_len(run) >= params.min_span_days:
-                continue
-            if idx == 0:
-                absorber = runs[1]
-                absorber[1] = run[1]
-            else:
-                absorber = runs[idx - 1]
-                absorber[2] = run[2]
-            runs.pop(idx)
-            # re-join neighbors that now carry the same label
-            j = 0
-            while j + 1 < len(runs):
-                if runs[j][0] == runs[j + 1][0]:
-                    runs[j][2] = runs[j + 1][2]
-                    runs.pop(j + 1)
-                else:
-                    j += 1
-            merged = True
-            break
 
     spans = tuple(
         RegimeSpan(start_date=dates[start], end_date=dates[end], label=lab)
@@ -160,28 +131,18 @@ def segment(
     return RegimeSegmentation(spans=spans)
 
 
+def _override_span(fields: dict[str, str]) -> RegimeSpan:
+    start = Date.fromisoformat(fields["start_date"].strip())
+    end = Date.fromisoformat(fields["end_date"].strip())
+    label = RegimeLabel(fields["label"].strip())
+    if end < start:
+        raise ValueError("end_date before start_date")
+    return RegimeSpan(start_date=start, end_date=end, label=label)
+
+
 def load_segmentation(path: str) -> RegimeSegmentation:
     """Read a user-supplied override: CSV start_date,end_date,label."""
-    spans = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["start_date", "end_date", "label"]:
-            raise MalformedRow(path, 1, "expected header start_date,end_date,label")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != 3:
-                raise MalformedRow(path, line_no, f"expected 3 fields, got {len(raw)}")
-            try:
-                start = Date.fromisoformat(raw[0].strip())
-                end = Date.fromisoformat(raw[1].strip())
-                label = RegimeLabel(raw[2].strip())
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc)) from None
-            if end < start:
-                raise MalformedRow(path, line_no, "end_date before start_date")
-            spans.append(RegimeSpan(start_date=start, end_date=end, label=label))
+    spans = read_csv(path, ("start_date", "end_date", "label"), _override_span)
     spans.sort(key=lambda s: s.start_date)
     for a, b in zip(spans, spans[1:]):
         if b.start_date <= a.end_date:

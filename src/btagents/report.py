@@ -39,7 +39,6 @@ class ReportArtifacts:
     text: str
     table_rows: list[dict]
     cumret_rows: list[dict]
-    reports: dict[str, MetricsReport]
 
 
 def resolve_segmentation(
@@ -174,7 +173,6 @@ def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> Repo
         text="\n".join(lines).rstrip("\n") + "\n",
         table_rows=table_rows,
         cumret_rows=cumret_rows,
-        reports=reports,
     )
 
 

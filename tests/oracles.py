@@ -176,3 +176,37 @@ def oracle_scope_filter(feedback):
                 found.append((role, "contains an explicit allocation directive"))
                 break
     return found
+
+
+def oracle_merge_runs(labels, min_span_days):
+    """Regime spans as [label, start, end] index runs, by the rescan loop:
+    collapse equal neighbours, then absorb the first short span that is not
+    last (into the span before it, or the next one when leading), re-join
+    equal neighbours and start over."""
+    runs = []
+    for i, lab in enumerate(labels):
+        if runs and runs[-1][0] == lab:
+            runs[-1][2] = i
+        else:
+            runs.append([lab, i, i])
+    merged = True
+    while merged and len(runs) > 1:
+        merged = False
+        for idx, run in enumerate(runs[:-1]):
+            if run[2] - run[1] + 1 >= min_span_days:
+                continue
+            if idx == 0:
+                runs[1][1] = run[1]
+            else:
+                runs[idx - 1][2] = run[2]
+            del runs[idx]
+            j = 0
+            while j + 1 < len(runs):
+                if runs[j][0] == runs[j + 1][0]:
+                    runs[j][2] = runs[j + 1][2]
+                    del runs[j + 1]
+                else:
+                    j += 1
+            merged = True
+            break
+    return runs

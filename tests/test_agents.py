@@ -375,6 +375,13 @@ class TestScriptedResponder:
         with pytest.raises(SchemaError):
             ScriptedResponder.from_file(str(path))
 
+    @pytest.mark.parametrize("content", [b"{not json", b'{"signals:2024-11-04": "\xff"}'], ids=["json", "utf8"])
+    def test_from_file_rejects_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "fx.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match=f"^{path}: fixture is not UTF-8 JSON: "):
+            ScriptedResponder.from_file(str(path))
+
 
 class SeqClient:
     def __init__(self, outputs):

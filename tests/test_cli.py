@@ -9,6 +9,7 @@ import pytest
 import btagents
 from btagents.cli import main
 from btagents.journal import read_journal, seal
+from btagents.reflection import load_weekly_templates
 
 from conftest import FIXTURE_DIR
 
@@ -133,6 +134,13 @@ class TestBacktest:
         assert main(["backtest", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_fixture_that_is_not_json_is_runtime_error(self, tmp_path, capsys):
+        fixtures = tmp_path / "responses.json"
+        fixtures.write_text("{not json", encoding="utf-8")
+        assert main(["backtest", "--config", str(write_config(tmp_path)), "--fixtures", str(fixtures)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {fixtures}: fixture is not UTF-8 JSON: ")
+        assert not (tmp_path / "journal.jsonl").exists()
+
 
 class TestReplayAndReport:
     @pytest.fixture()
@@ -218,6 +226,14 @@ class TestReplayAndReport:
         out = capsys.readouterr().out
         assert "Bullish" in out
 
+    def test_segmentation_byte_that_is_not_utf8_is_runtime_error(self, journal_path, tmp_path, capsys):
+        seg = tmp_path / "seg.csv"
+        seg.write_bytes(b"start_date,end_date,label\n2024-11-04,2024-11-06,Bull\xffish\n")
+        assert main(["report", "--journal", journal_path, "--segmentation", str(seg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {seg}:2: byte 0xff is not UTF-8\n"
+
 
 def reseal_line(journal_path, index, edit):
     with open(journal_path, encoding="utf-8") as fh:
@@ -282,7 +298,31 @@ class TestStrictConfig:
         assert self.run_backtest(tmp_path, **overrides) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5)])
+    def test_unknown_gap_policy_is_runtime_error(self, tmp_path, capsys):
+        data = {"bars": str(FIXTURE_DIR / "bars.csv"), "gap_policy": "fill"}
+        assert self.run_backtest(tmp_path, data=data) == 1
+        assert "config key 'data.gap_policy' must be 'carry' or 'strict'" in capsys.readouterr().err
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_lone_surrogate_is_runtime_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, client={"model_name": "SURROGATE"})
+        path.write_text(path.read_text(encoding="utf-8").replace("SURROGATE", "\\ud800"), encoding="utf-8")
+        assert self.run_backtest_at(path) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: config text holds a lone surrogate")
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_weekly_template_with_lone_surrogate_is_runtime_error(self, tmp_path, capsys):
+        templates = tmp_path / "templates.json"
+        pool = load_weekly_templates()
+        pool["signals"]["neutral"] = "SURROGATE"
+        templates.write_text(json.dumps(pool).replace("SURROGATE", "\\udfff"), encoding="utf-8")
+        assert self.run_backtest(tmp_path, feedback={"templates": str(templates)}) == 1
+        assert capsys.readouterr().err == (
+            f"error: {templates}: weekly template signals/neutral must be a non-empty UTF-8 string\n"
+        )
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5)])
     def test_negative_value_is_runtime_error(self, tmp_path, capsys, key, value):
         assert self.run_backtest(tmp_path, run={"start": "2024-11-04", "end": "2024-11-05", key: value}) == 1
         assert f"'{key}' must be >= 0" in capsys.readouterr().err

