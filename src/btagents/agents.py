@@ -29,7 +29,7 @@ from .errors import (
 from .indicators import IndicatorSnapshot
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
 from .portfolio import Allocation
-from .transport import bearer_headers, send_with_retries
+from .transport import default_session, request
 
 
 class MarketState(str, Enum):
@@ -344,19 +344,15 @@ def lint_bundle(
 class ChatClient:
     """Minimal chat-completions client with bounded retries.
 
-    Retries follow `transport.send_with_retries`; `max_retries` caps total attempts.
+    Retries follow `transport.request`; `max_retries` caps total attempts.
     """
 
     def __init__(self, config: ChatClientConfig, session=None):
         self.config = config
-        if session is None:
-            import requests  # the HTTP stack loads only for a live client
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else default_session()
 
     def complete(self, bundle: PromptBundle) -> InvokeResult:
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": cfg.model_name,
             "messages": [
@@ -365,13 +361,13 @@ class ChatClient:
             ],
             "temperature": cfg.temperature,
         }
-        headers = {"Content-Type": "application/json", **bearer_headers(cfg.api_key_env_var)}
-
-        def send():
-            resp = self._session.post(url, json=payload, headers=headers, timeout=cfg.timeout)
-            return resp.status_code, resp
-
-        resp, attempt = send_with_retries(send, cfg.max_retries, cfg.backoff_seconds, "chat completion")
+        resp, attempt = request(
+            self._session.post,
+            cfg.base_url.rstrip("/") + "/chat/completions",
+            cfg,
+            "chat completion",
+            json=payload,  # requests sets Content-Type: application/json from it
+        )
         try:
             content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

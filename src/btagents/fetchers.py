@@ -13,24 +13,13 @@ import logging
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import Sequence
 
 from .errors import ConfigError, SchemaError
 from .market_data import NewsItem, SentimentDaily, dedupe_news
-from .transport import bearer_headers, send_with_retries
+from .transport import default_session, request
 
 logger = logging.getLogger(__name__)
-
-# transport signature: (url, params, headers, timeout) -> (status_code, body_text)
-Transport = Callable[[str, dict, dict, float], tuple[int, str]]
-
-
-def _requests_transport(url: str, params: dict, headers: dict, timeout: float) -> tuple[int, str]:
-    resp = requests.get(url, params=params, headers=headers, timeout=timeout)
-    return resp.status_code, resp.text
-
 
 @dataclass(frozen=True)
 class EndpointConfig:
@@ -78,9 +67,12 @@ def _cache_path(config: EndpointConfig, source: str, date: Date) -> Path | None:
 
 def _cache_read(config: EndpointConfig, source: str, date: Date) -> str | None:
     path = _cache_path(config, source, date)
-    if path is not None and path.exists():
+    if path is None or not path.exists():
+        return None
+    try:
         return path.read_text(encoding="utf-8")
-    return None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: cached body is not UTF-8: {exc}") from None
 
 
 def _cache_write(config: EndpointConfig, source: str, date: Date, body: str) -> None:
@@ -91,19 +83,10 @@ def _cache_write(config: EndpointConfig, source: str, date: Date, body: str) -> 
     path.write_text(body, encoding="utf-8")
 
 
-def _get(
-    config: EndpointConfig, url: str, params: dict, transport: Transport | None
-) -> str:
-    """GET with the retry policy of `transport.send_with_retries`."""
-    transport = transport or _requests_transport
-    headers = bearer_headers(config.api_key_env_var)
-    body, _ = send_with_retries(
-        lambda: transport(url, params, headers, config.timeout),
-        config.max_retries,
-        config.backoff_seconds,
-        f"GET {url}",
-    )
-    return body
+def _get(config: EndpointConfig, url: str, params: dict, session) -> str:
+    """GET through `transport.request`; only a cache miss makes the default session."""
+    send = (session if session is not None else default_session()).get
+    return request(send, url, config, f"GET {url}", params=params)[0].text
 
 
 def _parse_json(body: str, context: str):
@@ -132,7 +115,7 @@ def fetch_fgi(
     config: EndpointConfig,
     start: Date,
     end: Date,
-    transport: Transport | None = None,
+    session=None,
 ) -> list[FgiDaily]:
     """Daily fear/greed values for a date range.
 
@@ -156,7 +139,7 @@ def fetch_fgi(
             config,
             config.base_url.rstrip("/") + "/fng/",
             {"limit": max(limit, len(dates)), "format": "json"},
-            transport,
+            session,
         )
         payload = _parse_json(body, "fgi")
         entries = payload.get("data")
@@ -190,7 +173,7 @@ def fetch_news(
     end: Date,
     source_whitelist: Sequence[str] = (),
     page_size: int = 25,
-    transport: Transport | None = None,
+    session=None,
 ) -> list[NewsItem]:
     """Headlines per day, paginated, deduped on (date, source, headline).
 
@@ -214,7 +197,7 @@ def fetch_news(
                         "page": page,
                         "max": page_size,
                     },
-                    transport,
+                    session,
                 )
                 pages.append(page_body)
                 parsed = _parse_json(page_body, f"gnews {d} page {page}")
@@ -257,7 +240,7 @@ def fetch_social(
     config: EndpointConfig,
     start: Date,
     end: Date,
-    transport: Transport | None = None,
+    session=None,
 ) -> list[SocialDaily]:
     """Pre-scored daily social sentiment means, one request per day."""
     out = []
@@ -268,7 +251,7 @@ def fetch_social(
                 config,
                 config.base_url.rstrip("/") + f"/daily/{d.isoformat()}.json",
                 {},
-                transport,
+                session,
             )
             _cache_write(config, "senticrypt", d, body)
         payload = _parse_json(body, f"senticrypt {d}")

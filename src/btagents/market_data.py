@@ -150,9 +150,10 @@ def _parse_date(raw: str) -> Date:
 
 
 def _not_utf8(path: str) -> MalformedRow:
-    """The error for a file that failed to decode, naming its first bad line."""
+    """The error for a file that failed to decode, naming its first bad line.
+    Lines end at \n, \r or \r\n, as they do for `reader.line_num` in read_csv."""
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(fh.read().splitlines(), start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -33,7 +33,7 @@ from .agents import (
 )
 from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowTooShort
 from .indicators import IndicatorParams, snapshot
-from .journal import JOURNAL_VERSION, RunJournal, dataset_digest, inputs_digest, seal
+from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, slice_window
 from .portfolio import FeeModel, PortfolioState, mark, rebalance
 from .portfolio import baseline_buy_and_hold, baseline_static_5050
@@ -126,8 +126,9 @@ _PARTS = (
 
 
 def _check_types(kind, values: Mapping) -> None:
-    """Check each value's JSON type against that of its field default in `kind`, and
-    that a float field's is finite (fields without a default are the caller's to check)."""
+    """Check each value's JSON type against that of its field default in `kind`, that
+    a float field's is finite and that a string field's holds no lone surrogate, which
+    cannot be sealed (fields without a default are the caller's to check)."""
     for f in dataclasses.fields(kind):
         value = values.get(f.name, f.default)
         if f.default is not dataclasses.MISSING and (
@@ -135,6 +136,8 @@ def _check_types(kind, values: Mapping) -> None:
             or (type(f.default) is float and not abs(value) <= sys.float_info.max)
         ):
             raise ConfigError(f"config key '{f.name}' has a bad value {value!r}")
+        if isinstance(value, str) and LONE_SURROGATE.search(value):
+            raise ConfigError(f"config key '{f.name}' holds a lone surrogate (a \\ud800-\\udfff escape)")
 
 
 def _portfolio_dict(state: PortfolioState) -> dict:

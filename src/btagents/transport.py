@@ -1,8 +1,10 @@
-"""The one retry policy for HTTP calls, shared by the chat client and the feed
-fetchers: transport failures and 5xx replies are retried, 4xx replies fail."""
+"""The one HTTP seam, shared by the chat client and the feed fetchers:
+transport failures and 5xx replies are retried, 4xx replies fail. `requests`
+is imported here only, and only on use, so offline runs never load it."""
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from typing import Any, Callable
@@ -10,40 +12,45 @@ from typing import Any, Callable
 from .errors import NetworkError
 
 
-def bearer_headers(env_var: str) -> dict[str, str]:
-    """An Authorization header with the key held in `env_var`, if it is set."""
-    key = os.environ.get(env_var, "")
-    return {"Authorization": f"Bearer {key}"} if key else {}
+@functools.cache
+def default_session():
+    """One `requests.Session` per process, made on first use."""
+    import requests
+
+    return requests.Session()
 
 
-def send_with_retries(
-    send: Callable[[], tuple[int, Any]], max_retries: int, backoff_seconds: float, what: str
-) -> tuple[Any, int]:
-    """Call `send` (returning (status, reply)) until a status below 400.
+def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> tuple[Any, int]:
+    """Call `send(url, headers=, timeout=, **kwargs)` (a session's bound `.get`
+    or `.post`) until a reply with a status below 400.
 
-    Allows max(1, max_retries) attempts and sleeps backoff_seconds * 2**(k-2)
-    before attempt k >= 2. Returns the reply and the attempt that got it.
-    When every attempt fails, the last failure sets the error: TimeoutError
-    for a timeout, NetworkError otherwise.
+    `config` supplies `api_key_env_var` (its value, if set, goes out as a
+    bearer token), `timeout`, `max_retries` and `backoff_seconds`. Allows
+    max(1, max_retries) attempts and sleeps backoff_seconds * 2**(k-2) before
+    attempt k >= 2. Returns the reply and the attempt that got it. When every
+    attempt fails, the last failure sets the error: TimeoutError for a
+    timeout, NetworkError otherwise.
     """
-    import requests  # here, not at module level, so offline runs never load it
+    import requests
 
-    attempts_allowed = max(1, max_retries)
+    key = os.environ.get(config.api_key_env_var, "")
+    headers = {"Authorization": f"Bearer {key}"} if key else {}
+    attempts_allowed = max(1, config.max_retries)
     last_error: object = None
     for attempt in range(1, attempts_allowed + 1):
-        if attempt > 1 and backoff_seconds > 0:
-            time.sleep(backoff_seconds * 2 ** (attempt - 2))
+        if attempt > 1 and config.backoff_seconds > 0:
+            time.sleep(config.backoff_seconds * 2 ** (attempt - 2))
         try:
-            status, reply = send()
+            resp = send(url, headers=headers, timeout=config.timeout, **kwargs)
         except requests.RequestException as exc:
             last_error = exc
             continue
-        if status >= 500:
-            last_error = f"server error {status}"
+        if resp.status_code >= 500:
+            last_error = f"server error {resp.status_code}"
             continue
-        if status >= 400:
-            raise NetworkError(f"{what} rejected with {status}", attempt)
-        return reply, attempt
+        if resp.status_code >= 400:
+            raise NetworkError(f"{what} rejected with {resp.status_code}", attempt)
+        return resp, attempt
     if isinstance(last_error, requests.Timeout):
         raise TimeoutError(f"{what} timed out after {attempts_allowed} attempt(s)")
     raise NetworkError(f"{what} failed: {last_error}", attempts_allowed)

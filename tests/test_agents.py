@@ -352,6 +352,31 @@ class TestChatClient:
         ChatClient(client_config(), session=session).complete(any_bundle())
         assert session.requests[0]["headers"]["Authorization"] == "Bearer secret-key"
 
+    def test_wire_request_through_a_requests_session(self, monkeypatch):
+        """What a real `requests.Session` puts on the wire, caught by an adapter
+        before any socket is opened: a JSON body with its content type, and the key."""
+        monkeypatch.setenv("BTAGENTS_API_KEY", "secret-key")
+        sent = []
+
+        class RecordingAdapter(requests.adapters.BaseAdapter):
+            def send(self, request, **kwargs):
+                sent.append(request)
+                resp = requests.Response()
+                resp.status_code = 200
+                resp._content = json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode()
+                return resp
+
+            def close(self):
+                pass
+
+        session = requests.Session()
+        session.mount("http://", RecordingAdapter())
+        assert ChatClient(client_config(), session=session).complete(any_bundle()).text == "hi"
+        assert (sent[0].method, sent[0].url) == ("POST", "http://fake/v1/chat/completions")
+        assert sent[0].headers["Content-Type"] == "application/json"
+        assert sent[0].headers["Authorization"] == "Bearer secret-key"
+        assert json.loads(sent[0].body)["model"] == "deepseek-r1"
+
 
 class TestScriptedResponder:
     def test_keyed_lookup(self):

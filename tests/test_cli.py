@@ -456,6 +456,21 @@ print(codes, "requests" in sys.modules)
             tmp_path / "report" / "report.txt"
         ).read_text(encoding="utf-8")
 
+    def test_fetchers_with_a_cache_hit_never_import_requests(self, tmp_path):
+        cached = tmp_path / "senticrypt" / "2024-11-04.json"
+        cached.parent.mkdir()
+        cached.write_text('{"mean": 0.25}', encoding="utf-8")
+        code = f"""
+import sys
+from datetime import date
+import btagents.fetchers
+from btagents.fetchers import EndpointConfig, fetch_social
+day = date(2024, 11, 4)
+rows = fetch_social(EndpointConfig(base_url="http://social.test", cache_dir={str(tmp_path)!r}), day, day)
+print(rows[0].social_score_mean, "requests" in sys.modules)
+"""
+        assert fresh_python(code).splitlines()[-1] == "0.25 False"
+
     def test_live_client_loads_requests_session(self):
         code = """
 import sys

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date, datetime, timezone
 
 import pytest
@@ -23,21 +24,27 @@ def utc_ts(d):
     return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp())
 
 
-class StubTransport:
-    """Maps url substrings to response plans; records every request."""
+class StubResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+
+class StubSession:
+    """Answers GETs from a plan of (status, body) pairs or exceptions; records every request."""
 
     def __init__(self, plan):
         self.plan = list(plan)
         self.calls = []
 
-    def __call__(self, url, params, headers, timeout):
-        self.calls.append({"url": url, "params": dict(params)})
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "params": dict(params), "headers": headers})
         if not self.plan:
-            raise AssertionError("transport called more often than planned")
+            raise AssertionError("session called more often than planned")
         action = self.plan.pop(0)
         if isinstance(action, Exception):
             raise action
-        return action
+        return StubResponse(*action)
 
 
 def fgi_body(entries):
@@ -58,54 +65,54 @@ def config(tmp_path=None, **kw):
 
 class TestFetchFgi:
     def test_parses_value_and_label(self, tmp_path):
-        transport = StubTransport([(200, fgi_body([fgi_entry(D1)]))])
-        rows = fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+        session = StubSession([(200, fgi_body([fgi_entry(D1)]))])
+        rows = fetch_fgi(config(tmp_path), D1, D1, session=session)
         assert rows == [FgiDaily(date=D1, fgi_value=70, fgi_label="Greed")]
 
     def test_empty_data_array(self, tmp_path):
-        transport = StubTransport([(200, fgi_body([]))])
-        assert fetch_fgi(config(tmp_path), D1, D1, transport=transport) == []
+        session = StubSession([(200, fgi_body([]))])
+        assert fetch_fgi(config(tmp_path), D1, D1, session=session) == []
 
     def test_non_numeric_value_is_schema_error(self, tmp_path):
-        transport = StubTransport([(200, fgi_body([fgi_entry(D1, value="high")]))])
+        session = StubSession([(200, fgi_body([fgi_entry(D1, value="high")]))])
         with pytest.raises(SchemaError):
-            fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+            fetch_fgi(config(tmp_path), D1, D1, session=session)
 
     def test_cache_then_offline_replay_identical(self, tmp_path):
         cfg = config(tmp_path)
-        transport = StubTransport([(200, fgi_body([fgi_entry(D1), fgi_entry(D2, "55", "Neutral")]))])
-        first = fetch_fgi(cfg, D1, D2, transport=transport)
+        session = StubSession([(200, fgi_body([fgi_entry(D1), fgi_entry(D2, "55", "Neutral")]))])
+        first = fetch_fgi(cfg, D1, D2, session=session)
         # network disabled: any further call would blow up
-        offline = StubTransport([])
-        second = fetch_fgi(cfg, D1, D2, transport=offline)
+        offline = StubSession([])
+        second = fetch_fgi(cfg, D1, D2, session=offline)
         assert second == first
         assert offline.calls == []
         assert (tmp_path / "cache" / "fgi" / "2024-11-04.json").exists()
 
     def test_retries_5xx_then_succeeds(self, tmp_path):
-        transport = StubTransport([(500, "boom"), (200, fgi_body([fgi_entry(D1)]))])
-        rows = fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+        session = StubSession([(500, "boom"), (200, fgi_body([fgi_entry(D1)]))])
+        rows = fetch_fgi(config(tmp_path), D1, D1, session=session)
         assert rows[0].fgi_value == 70
-        assert len(transport.calls) == 2
+        assert len(session.calls) == 2
 
     def test_network_error_after_retries(self, tmp_path):
-        transport = StubTransport(
+        session = StubSession(
             [requests.ConnectionError("x")] * 3
         )
         with pytest.raises(NetworkError) as exc:
-            fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+            fetch_fgi(config(tmp_path), D1, D1, session=session)
         assert exc.value.attempts == 3
 
     def test_not_json_is_schema_error(self, tmp_path):
-        transport = StubTransport([(200, "<html>oops</html>")])
+        session = StubSession([(200, "<html>oops</html>")])
         with pytest.raises(SchemaError):
-            fetch_fgi(config(tmp_path), D1, D1, transport=transport)
+            fetch_fgi(config(tmp_path), D1, D1, session=session)
 
     def test_reversed_dates_are_config_error_before_any_request(self, tmp_path):
-        transport = StubTransport([(200, fgi_body([fgi_entry(D1)]))])
+        session = StubSession([(200, fgi_body([fgi_entry(D1)]))])
         with pytest.raises(ConfigError, match="before start date"):
-            fetch_fgi(config(tmp_path), D2, D1, transport=transport)
-        assert transport.calls == []
+            fetch_fgi(config(tmp_path), D2, D1, session=session)
+        assert session.calls == []
 
 
 def news_body(articles):
@@ -118,28 +125,28 @@ def article(source, title, desc="d"):
 
 class TestFetchNews:
     def test_single_page(self, tmp_path):
-        transport = StubTransport(
+        session = StubSession(
             [(200, news_body([article("CNBC", "h1"), article("Forbes", "h2")]))]
         )
-        items = fetch_news(config(tmp_path), "bitcoin", D1, D1, transport=transport)
+        items = fetch_news(config(tmp_path), "bitcoin", D1, D1, session=session)
         assert [n.headline for n in items] == ["h1", "h2"]
         assert items[0].date == D1
 
     def test_source_whitelist(self, tmp_path):
-        transport = StubTransport(
+        session = StubSession(
             [(200, news_body([article("CNBC", "keep"), article("Blog", "drop")]))]
         )
         items = fetch_news(
-            config(tmp_path), "bitcoin", D1, D1, source_whitelist=["CNBC"], transport=transport
+            config(tmp_path), "bitcoin", D1, D1, source_whitelist=["CNBC"], session=session
         )
         assert [n.headline for n in items] == ["keep"]
 
     def test_two_pages_concatenate_and_dedupe(self, tmp_path):
         page1 = [article("CNBC", f"h{i}") for i in range(3)]
         page2 = [article("CNBC", "h2"), article("Forbes", "h9")]  # h2 overlaps page 1
-        transport = StubTransport([(200, news_body(page1)), (200, news_body(page2))])
+        session = StubSession([(200, news_body(page1)), (200, news_body(page2))])
         items = fetch_news(
-            config(tmp_path), "bitcoin", D1, D1, page_size=3, transport=transport
+            config(tmp_path), "bitcoin", D1, D1, page_size=3, session=session
         )
         # oracle: parse each page independently and take the ordered union
         union = []
@@ -149,40 +156,49 @@ class TestFetchNews:
                 if key not in union:
                     union.append(key)
         assert [(n.source, n.headline) for n in items] == union
-        assert transport.calls[0]["params"]["page"] == 1
-        assert transport.calls[1]["params"]["page"] == 2
+        assert session.calls[0]["params"]["page"] == 1
+        assert session.calls[1]["params"]["page"] == 2
 
     def test_cache_replay_identical(self, tmp_path):
         cfg = config(tmp_path)
-        transport = StubTransport([(200, news_body([article("CNBC", "h1")]))])
-        first = fetch_news(cfg, "bitcoin", D1, D1, transport=transport)
-        second = fetch_news(cfg, "bitcoin", D1, D1, transport=StubTransport([]))
+        session = StubSession([(200, news_body([article("CNBC", "h1")]))])
+        first = fetch_news(cfg, "bitcoin", D1, D1, session=session)
+        second = fetch_news(cfg, "bitcoin", D1, D1, session=StubSession([]))
         assert second == first
 
     def test_missing_articles_key_is_schema_error(self, tmp_path):
-        transport = StubTransport([(200, json.dumps({"unexpected": []}))])
+        session = StubSession([(200, json.dumps({"unexpected": []}))])
         with pytest.raises(SchemaError):
-            fetch_news(config(tmp_path), "bitcoin", D1, D1, transport=transport)
+            fetch_news(config(tmp_path), "bitcoin", D1, D1, session=session)
 
 
 class TestFetchSocial:
     def test_parses_mean(self, tmp_path):
-        transport = StubTransport([(200, json.dumps({"mean": 0.1164, "count": 1812}))])
-        rows = fetch_social(config(tmp_path), D1, D1, transport=transport)
+        session = StubSession([(200, json.dumps({"mean": 0.1164, "count": 1812}))])
+        rows = fetch_social(config(tmp_path), D1, D1, session=session)
         assert rows == [SocialDaily(date=D1, social_score_mean=0.1164)]
 
     def test_bad_mean_is_schema_error(self, tmp_path):
-        transport = StubTransport([(200, json.dumps({"mean": "positive"}))])
+        session = StubSession([(200, json.dumps({"mean": "positive"}))])
         with pytest.raises(SchemaError):
-            fetch_social(config(tmp_path), D1, D1, transport=transport)
+            fetch_social(config(tmp_path), D1, D1, session=session)
 
     def test_cache_replay(self, tmp_path):
         cfg = config(tmp_path)
         first = fetch_social(
-            cfg, D1, D1, transport=StubTransport([(200, json.dumps({"mean": -0.2}))])
+            cfg, D1, D1, session=StubSession([(200, json.dumps({"mean": -0.2}))])
         )
-        second = fetch_social(cfg, D1, D1, transport=StubTransport([]))
+        second = fetch_social(cfg, D1, D1, session=StubSession([]))
         assert second == first
+
+    def test_cache_not_utf8_is_schema_error_naming_the_file(self, tmp_path):
+        cached = tmp_path / "cache" / "senticrypt" / f"{D1.isoformat()}.json"
+        cached.parent.mkdir(parents=True)
+        cached.write_bytes(b'{"mean": 0.1\xff}')
+        session = StubSession([])
+        with pytest.raises(SchemaError, match=f"{re.escape(str(cached))}: cached body is not UTF-8"):
+            fetch_social(config(tmp_path), D1, D1, session=session)
+        assert session.calls == []
 
 
 class TestMergeSentiment:

@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module, the
 package exports every public name its `__init__` imports, every CSV input
-goes through one reader, and the traced benchmark's wrap targets are still
-the names the program calls."""
+goes through one reader, only the transport module imports `requests`, and
+the traced benchmark's wrap targets are still the names the program calls."""
 
 import ast
 import importlib.util
@@ -61,6 +61,23 @@ def test_one_csv_reader():
     and field-count checks and physical line numbers live in one place."""
     found = [p.name for p in MODULES for _ in range(p.read_text(encoding="utf-8").count("csv.reader"))]
     assert found == ["market_data.py"]
+
+
+def imports_requests(source: str) -> bool:
+    """Whether `source` imports `requests` anywhere, at module level or nested."""
+    return any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "requests" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "requests"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_requests_imported_only_in_transport():
+    """`transport.py` is the one HTTP seam: no other module loads the HTTP stack."""
+    assert imports_requests("def f():\n    if True:\n        from requests.adapters import HTTPAdapter\n")
+    package = sorted(Path(btagents.__file__).parent.rglob("*.py"))
+    found = [p.name for p in package if imports_requests(p.read_text(encoding="utf-8"))]
+    assert found == ["transport.py"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

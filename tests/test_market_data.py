@@ -164,20 +164,21 @@ class TestOtherLoaders:
 
 
 @pytest.mark.parametrize(
-    "loader,header,row",
+    "loader,header,row,eol",
     [
-        (load_bars, "date,open,high,low,close,volume", "{},1,1,1,1,1"),
-        (load_onchain, "date,tx_count,active_addresses,transfer_volume_usd", "{},1,1,1"),
-        (load_sentiment, "date,social_score_mean,fgi_value,fgi_label", "{},0.1,70,Greed"),
-        (load_news, "date,source,headline,summary", "{},CNBC,BTC rallies,x"),
+        (load_bars, "date,open,high,low,close,volume", "{},1,1,1,1,1", "\n"),
+        (load_onchain, "date,tx_count,active_addresses,transfer_volume_usd", "{},1,1,1", "\n"),
+        (load_sentiment, "date,social_score_mean,fgi_value,fgi_label", "{},0.1,70,Greed", "\n"),
+        (load_news, "date,source,headline,summary", "{},CNBC,BTC rallies,x", "\n"),
+        (load_news, "date,source,headline,summary", "{},CNBC,BTC rallies,x", "\r"),
     ],
-    ids=["bars", "onchain", "sentiment", "news"],
+    ids=["bars", "onchain", "sentiment", "news", "news-cr-line-ends"],
 )
-def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row):
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row, eol):
     path = tmp_path / "series.csv"
     good = row.format("2024-11-03")
     bad = row.format("2024-11-04").encode() + b"\xff"
-    path.write_bytes(f"{header}\n{good}\n".encode() + bad + b"\n")
+    path.write_bytes(f"{header}{eol}{good}{eol}".encode() + bad + eol.encode())
     with pytest.raises(MalformedRow) as exc:
         loader(str(path))
     assert (exc.value.path, exc.value.line_no) == (str(path), 3)

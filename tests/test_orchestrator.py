@@ -407,6 +407,14 @@ class TestRunConfigDict:
         with pytest.raises(ConfigError, match=f"config key '{key}' has a bad value"):
             RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), **{key: float("nan")})
 
+    @pytest.mark.parametrize("key", ["weekly_template_path", "model_name", "base_url", "api_key_env_var"])
+    def test_lone_surrogate_rejected_in_python(self, key):
+        """A string no journal header could seal fails when the config is built."""
+        value = "held-\ud800"
+        kwargs = {key: value} if key == "weekly_template_path" else {"client": ChatClientConfig(**{key: value})}
+        with pytest.raises(ConfigError, match=f"config key '{key}' holds a lone surrogate"):
+            RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), **kwargs)
+
     def test_header_snapshot_matches_config(self, case_study_dataset, case_study_responder, case_study_config):
         journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)
         assert RunConfig.from_dict(journal.header["config"]) == case_study_config

@@ -8,14 +8,13 @@ import requests
 from btagents.agents import ChatClient, ChatClientConfig
 from btagents.errors import NetworkError
 from btagents.fetchers import EndpointConfig, fetch_social
-from btagents.transport import bearer_headers
 
 from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
-from test_fetchers import StubTransport
+from test_fetchers import StubSession
 
 
 # a plan lists what each attempt gets: an HTTP status (200 is a usable reply)
-# or an exception raised by the transport
+# or an exception raised by the session
 
 
 def chat(plan, **retry):
@@ -28,11 +27,11 @@ def chat(plan, **retry):
 
 
 def fetch(plan, **retry):
-    """A call through fetch_social, and its stub transport holding the unused plan."""
-    transport = StubTransport([a if isinstance(a, Exception) else (a, '{"mean": 0.1}') for a in plan])
+    """A call through fetch_social, and its stub session holding the unused plan."""
+    session = StubSession([a if isinstance(a, Exception) else (a, '{"mean": 0.1}') for a in plan])
     config = EndpointConfig(base_url="http://social.test", **retry)
     day = date(2024, 11, 4)
-    return lambda: fetch_social(config, day, day, transport=transport), transport
+    return lambda: fetch_social(config, day, day, session=session), session
 
 
 CLIENTS = pytest.mark.parametrize("client", [chat, fetch], ids=["chat", "fetch"])
@@ -102,8 +101,15 @@ def test_zero_retries_still_makes_one_attempt(client):
 
 
 def test_bearer_headers(monkeypatch):
+    """Both clients send the key held in `api_key_env_var` as a bearer token,
+    and no Authorization header when that variable is unset or unnamed."""
     monkeypatch.setenv("FEED_KEY", "k1")
     monkeypatch.delenv("UNSET_KEY", raising=False)
-    assert bearer_headers("FEED_KEY") == {"Authorization": "Bearer k1"}
-    assert bearer_headers("UNSET_KEY") == {}
-    assert bearer_headers("") == {}
+    sent = {}
+    for env_var in ("FEED_KEY", "UNSET_KEY", ""):
+        chat_call, chat_session = chat([200], api_key_env_var=env_var)
+        fetch_call, fetch_session = fetch([200], api_key_env_var=env_var)
+        chat_call(), fetch_call()
+        sent[env_var] = (chat_session.requests[0]["headers"], fetch_session.calls[0]["headers"])
+    bearer = {"Authorization": "Bearer k1"}
+    assert sent == {"FEED_KEY": (bearer, bearer), "UNSET_KEY": ({}, {}), "": ({}, {})}
