@@ -76,17 +76,13 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
 
 
 def _build_dataset(data: dict):
+    """The aligned dataset and the loaded optional inputs, () where no file is given."""
     bars = load_bars(data["bars"])
-    onchain = load_onchain(data["onchain"]) if data.get("onchain") else ()
-    sentiment = load_sentiment(data["sentiment"]) if data.get("sentiment") else ()
-    news = load_news(data["news"]) if data.get("news") else ()
-    return align(
-        bars,
-        onchain=onchain,
-        sentiment=sentiment,
-        news=news,
-        gap_policy=data.get("gap_policy", GAP_CARRY),
-    )
+    inputs = {
+        name: loader(data[name]) if data.get(name) else ()
+        for name, loader in (("onchain", load_onchain), ("sentiment", load_sentiment), ("news", load_news))
+    }
+    return align(bars, **inputs, gap_policy=data.get("gap_policy", GAP_CARRY)), inputs
 
 
 def cmd_ingest(args) -> int:
@@ -97,15 +93,12 @@ def cmd_ingest(args) -> int:
         "news": args.news,
         "gap_policy": args.gap_policy,
     }
-    dataset = _build_dataset(data)
+    dataset, inputs = _build_dataset(data)
     dates = dataset.dates
     print(f"aligned dataset: {len(dataset)} records, {dates[0]} .. {dates[-1]}")
-    for name, path, loader in (
-        ("onchain", args.onchain, load_onchain),
-        ("sentiment", args.sentiment, load_sentiment),
-    ):
-        if path:
-            have = {row.date for row in loader(path)}
+    for name in ("onchain", "sentiment"):
+        if data[name]:
+            have = {row.date for row in inputs[name]}
             carried = sum(1 for d in dates if d not in have)
             print(f"{name}: {len(have)} rows, {carried} dataset date(s) carried forward")
     if args.news:
@@ -129,7 +122,7 @@ def _emit_report(outputs, segmentation_path: str | None, out_dir: str | None) ->
 
 def cmd_backtest(args) -> int:
     run_config, data, journal_path = _load_config_file(args.config)
-    dataset = _build_dataset(data)
+    dataset = _build_dataset(data)[0]
     if args.fixtures:
         client = ScriptedResponder.from_file(args.fixtures)
     else:

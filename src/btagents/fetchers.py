@@ -89,12 +89,17 @@ def _get(config: EndpointConfig, url: str, params: dict, session) -> str:
     return request(send, url, config, f"GET {url}", params=params)[0].text
 
 
-def _parse_json(body: str, context: str):
+def _parse_json(body: str, context: str) -> dict:
+    """The JSON object a body holds; SchemaError naming `context` otherwise."""
     try:
-        return json.loads(body)
+        payload = json.loads(body)
     except ValueError as exc:
         logger.error("unparseable body from %s: %.500s", context, body)
         raise SchemaError(f"{context}: response is not JSON") from exc
+    if not isinstance(payload, dict):
+        logger.error("body from %s is not an object: %.500s", context, body)
+        raise SchemaError(f"{context}: response is not a JSON object")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +146,20 @@ def fetch_fgi(
             {"limit": max(limit, len(dates)), "format": "json"},
             session,
         )
-        payload = _parse_json(body, "fgi")
-        entries = payload.get("data")
+        context = f"fgi {start}..{end}"
+        entries = _parse_json(body, context).get("data")
         if not isinstance(entries, list):
             logger.error("fgi body missing data array: %.500s", body)
-            raise SchemaError("fgi: response has no data array")
+            raise SchemaError(f"{context}: response has no data array")
         by_date = {}
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{context}: data entry {entry!r} is not an object")
             ts = entry.get("timestamp")
             try:
                 entry_date = datetime.fromtimestamp(int(ts), tz=timezone.utc).date()
             except (TypeError, ValueError) as exc:
-                raise SchemaError(f"fgi: bad timestamp {ts!r}") from exc
+                raise SchemaError(f"{context}: bad timestamp {ts!r}") from exc
             by_date[entry_date] = entry
         for d in missing:
             if d in by_date:
@@ -214,6 +221,8 @@ def fetch_news(
         for page_body in payload.get("pages", []):
             parsed = _parse_json(page_body, f"gnews {d}")
             for article in parsed.get("articles", []):
+                if not isinstance(article, dict):
+                    raise SchemaError(f"gnews {d}: article {article!r} is not an object")
                 source = article.get("source", {})
                 source_name = source.get("name", "") if isinstance(source, dict) else str(source)
                 title = article.get("title", "")

@@ -83,24 +83,6 @@ def prediction_correct(state: str, realized_return: float, neutral_band: float) 
     raise ValueError(f"unknown market state {state!r}")
 
 
-def accuracy(
-    predictions: Sequence[str],
-    realized: Sequence[float],
-    neutral_band: float = 0.005,
-) -> float:
-    """Fraction of days whose predicted state matched the realized move."""
-    if len(predictions) != len(realized):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(realized)} returns"
-        )
-    if not predictions:
-        raise ValueError("accuracy of an empty series is undefined")
-    correct = sum(
-        1 for p, r in zip(predictions, realized) if prediction_correct(p, r, neutral_band)
-    )
-    return correct / len(predictions)
-
-
 def regret(agent_returns: Sequence[float], baseline_returns: Sequence[float]) -> float:
     """Clamped shortfall of the agent's compounded return versus the baseline's."""
     if len(agent_returns) != len(baseline_returns):
@@ -131,9 +113,8 @@ class MetricsReport:
 def _row(
     label: str,
     returns: Sequence[float],
-    predictions: Sequence[str] | None,
+    hits: Sequence[bool] | None,
     baseline_returns: Sequence[float] | None,
-    neutral_band: float,
 ) -> MetricsRow:
     mean_pct = std_pct = sharpe_value = None
     if len(returns) >= 2:
@@ -142,9 +123,7 @@ def _row(
         std_pct = 100.0 * sigma
         if sigma > 0.0:
             sharpe_value = mu / sigma
-    acc = None
-    if predictions is not None and len(predictions) == len(returns) and returns:
-        acc = accuracy(predictions, returns, neutral_band)
+    acc = sum(hits) / len(hits) if hits else None
     reg = None if baseline_returns is None else regret(returns, baseline_returns)
     return MetricsRow(
         label=label,
@@ -161,23 +140,24 @@ def _row(
 def regime_report(
     series: ReturnSeries,
     segmentation: RegimeSegmentation | None = None,
-    predictions: Sequence[str] | None = None,
+    hits: Sequence[bool] | None = None,
     baseline: ReturnSeries | None = None,
-    neutral_band: float = 0.005,
 ) -> MetricsReport:
     """All-period metrics plus one aggregated row per regime label.
 
-    Days sharing a label are concatenated across spans before computing the
-    row, so repeated sideways periods report as one line. A return date the
-    segmentation does not cover raises CoverageError.
+    `hits` holds whether each day's prediction was correct; a row's accuracy
+    is the share that are true. Days sharing a label are concatenated across
+    spans before computing the row, so repeated sideways periods report as
+    one line. A return date the segmentation does not cover raises
+    CoverageError.
     """
-    if predictions is not None and len(predictions) != len(series):
+    if hits is not None and len(hits) != len(series):
         raise LengthMismatch("one prediction per return required")
     if baseline is not None and baseline.dates != series.dates:
         raise LengthMismatch("baseline dates must match the return dates")
 
     base_returns = baseline.returns if baseline is not None else None
-    all_row = _row("All Periods", series.returns, predictions, base_returns, neutral_band)
+    all_row = _row("All Periods", series.returns, hits, base_returns)
     if segmentation is None:
         return MetricsReport(all_periods=all_row)
 
@@ -197,9 +177,8 @@ def regime_report(
             _row(
                 lab,
                 [series.returns[i] for i in idx],
-                [predictions[i] for i in idx] if predictions is not None else None,
+                [hits[i] for i in idx] if hits is not None else None,
                 [base_returns[i] for i in idx] if base_returns is not None else None,
-                neutral_band,
             )
         )
     return MetricsReport(all_periods=all_row, per_regime=tuple(rows))

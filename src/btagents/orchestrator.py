@@ -35,6 +35,7 @@ from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowT
 from .indicators import IndicatorParams, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, slice_window
+from .metrics import prediction_correct
 from .portfolio import FeeModel, PortfolioState, mark, rebalance
 from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
@@ -190,9 +191,10 @@ class Ledger:
         config = self.config
         day_returns = {}
         for role in AGENT_ROLES:
+            before = self.books[role].value_usd  # marked at close_t; the day's fee comes out after
             traded = rebalance(self.books[role], decisions[role].allocation, close_t, self.fees)
             self.books[role] = mark(traded, next_date, close_next)
-            day_returns[role] = self.books[role].value_usd / traded.value_usd - 1.0
+            day_returns[role] = self.books[role].value_usd / before - 1.0
         initial = config.initial_value_usd
         _, bl_now, bl_next = baseline_static_5050(initial, (self.p0, close_t, close_next))
         baseline = {
@@ -356,14 +358,16 @@ def run_backtest(
 
 @dataclass
 class RunOutputs:
-    """Value paths and predictions reconstructed from a journal."""
+    """Value paths and scored predictions reconstructed from a journal.
+    `hits` holds, per role and day, whether the recorded state was correct
+    for the day's BTC move at `neutral_band`."""
 
     config: RunConfig
     neutral_band: float
     value_dates: list[Date]
     closes: list[float]
     values: dict[str, list[float]]
-    predictions: dict[str, list[str]]
+    hits: dict[str, list[bool]]
     fallback_days: dict[str, int]
 
 
@@ -442,7 +446,9 @@ def _check_shape(record: dict, misfit, where: str) -> None:
 
 
 def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
-    """Read the run's value paths from its journal.
+    """Read the run's value paths from its journal, and score each day's
+    recorded state against its recorded `btc_return` at the run's band, or at
+    `neutral_band` if given, by the rule the run scored `correct` with.
 
     Checks every digest, the type of every field `report` and `replay` read
     or `replay` re-derives, and the journal's structure: the header's `n_days` day records, numbered
@@ -483,21 +489,21 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     initial = config.initial_value_usd
     closes = [days[0]["close"]]
     values: dict[str, list[float]] = {name: [initial] for name in (*AGENT_ROLES, *BASELINE_NAMES)}
-    predictions: dict[str, list[str]] = {role: [] for role in AGENT_ROLES}
+    hits: dict[str, list[bool]] = {role: [] for role in AGENT_ROLES}
     fallback_days = {role: 0 for role in AGENT_ROLES}
 
     for day in days:
         closes.append(day["next_close"])
         roles = day["roles"]
         for role in AGENT_ROLES:
-            predictions[role].append(roles[role]["state"])
+            state = roles[role]["state"]
+            if state not in STATE_VALUES:
+                raise JournalCorrupt(f"a recorded {role} state is not a market state")
+            hits[role].append(prediction_correct(state, day["btc_return"], band))
             fallback_days[role] += 1 if roles[role]["fallback"] else 0
             values[role].append(roles[role]["portfolio"]["value_usd"])
         values["static5050"].append(day["baseline"]["static5050_value"])
         values["buyhold"].append(day["baseline"]["buyhold_value"])
-    for role in AGENT_ROLES:
-        if not STATE_VALUES.issuperset(predictions[role]):
-            raise JournalCorrupt(f"a recorded {role} state is not a market state")
 
     return RunOutputs(
         config=config,
@@ -505,7 +511,7 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
         value_dates=value_dates,
         closes=closes,
         values=values,
-        predictions=predictions,
+        hits=hits,
         fallback_days=fallback_days,
     )
 

@@ -71,17 +71,10 @@ def build_reports(
         reports[role] = regime_report(
             _series(outputs, role),
             segmentation=segmentation,
-            predictions=outputs.predictions[role],
+            hits=outputs.hits[role],
             baseline=baseline_5050,
-            neutral_band=outputs.neutral_band,
         )
-    reports["baseline"] = regime_report(
-        _series(outputs, "buyhold"),
-        segmentation=segmentation,
-        predictions=None,
-        baseline=None,
-        neutral_band=outputs.neutral_band,
-    )
+    reports["baseline"] = regime_report(_series(outputs, "buyhold"), segmentation=segmentation)
     return reports
 
 

@@ -46,6 +46,27 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "aligned dataset: 37 records" in out
 
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("load_bars", "load_onchain", "load_sentiment", "load_news"):
+            loader = getattr(btagents.cli, name)
+            monkeypatch.setattr(
+                btagents.cli, name, lambda path, _f=loader, _n=name: calls.append(_n) or _f(path)
+            )
+        rows = (FIXTURE_DIR / "onchain.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        onchain = tmp_path / "onchain.csv"
+        onchain.write_text("".join(rows[:10] + rows[12:]), encoding="utf-8")  # two dates carried
+        args = ["--bars", str(FIXTURE_DIR / "bars.csv"), "--onchain", str(onchain)]
+        args += ["--sentiment", str(FIXTURE_DIR / "sentiment.csv"), "--news", str(FIXTURE_DIR / "news.csv")]
+        assert main(["ingest", *args]) == 0
+        assert sorted(calls) == ["load_bars", "load_news", "load_onchain", "load_sentiment"]
+        assert capsys.readouterr().out == (
+            "aligned dataset: 37 records, 2024-10-01 .. 2024-11-06\n"
+            "onchain: 35 rows, 2 dataset date(s) carried forward\n"
+            "sentiment: 37 rows, 0 dataset date(s) carried forward\n"
+            "news: 6 items after dedup\n"
+        )
+
     def test_nan_close_is_runtime_error(self, tmp_path, capsys):
         bars = tmp_path / "bars.csv"
         bars.write_text(
@@ -177,6 +198,13 @@ class TestReplayAndReport:
         assert main(["report", "--journal", journal_path, "--neutral-band", "0.10"]) == 0
         wide = capsys.readouterr().out
         assert base != wide
+
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    def test_neutral_band_rescores_the_recorded_btc_moves(self, command, journal_path, capsys):
+        # BTC moved +2.24% and +3.29%: one move inside a 3% band, one outside
+        assert main([command, "--journal", journal_path, "--neutral-band", "0.03"]) == 0
+        accuracy = next(line for line in capsys.readouterr().out.splitlines() if "Accuracy" in line)
+        assert accuracy.split()[1:] == ["0.0000", "0.5000", "1.0000", "--"]
 
     @pytest.mark.parametrize("band", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["replay", "report"])

@@ -201,6 +201,30 @@ class TestFetchSocial:
         assert session.calls == []
 
 
+FETCHES = {
+    "senticrypt": lambda cfg, session: fetch_social(cfg, D1, D1, session=session),
+    "fgi": lambda cfg, session: fetch_fgi(cfg, D1, D1, session=session),
+    "gnews": lambda cfg, session: fetch_news(cfg, "bitcoin", D1, D1, session=session),
+}
+
+
+@pytest.mark.parametrize(
+    "source, body",
+    [
+        ("senticrypt", [1]),
+        ("fgi", []),
+        ("fgi", {"data": [5]}),
+        ("gnews", []),
+        ("gnews", {"articles": [3]}),
+    ],
+    ids=["social-list", "fgi-list", "fgi-entry-int", "news-list", "news-article-int"],
+)
+def test_json_that_is_not_an_object_is_schema_error_naming_source_and_date(tmp_path, source, body):
+    session = StubSession([(200, json.dumps(body))])
+    with pytest.raises(SchemaError, match=f"^{source} {D1.isoformat()}"):
+        FETCHES[source](config(tmp_path), session)
+
+
 class TestMergeSentiment:
     def test_joins_on_date(self):
         merged = merge_sentiment(

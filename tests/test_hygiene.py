@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, the
 package exports every public name its `__init__` imports, every CSV input
-goes through one reader, only the transport module imports `requests`, and
-the traced benchmark's wrap targets are still the names the program calls."""
+goes through one reader, predictions are scored in one run-side and one
+report-side place, only the transport module imports `requests`, and the
+traced benchmark's wrap targets are still the names the program calls."""
 
 import ast
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import btagents
+import btagents.metrics
 from btagents.agents import ScriptedResponder
 from btagents.orchestrator import RunConfig, outputs_from_journal, run_backtest
 from btagents.report import render, resolve_segmentation
@@ -61,6 +63,35 @@ def test_one_csv_reader():
     and field-count checks and physical line numbers live in one place."""
     found = [p.name for p in MODULES for _ in range(p.read_text(encoding="utf-8").count("csv.reader"))]
     assert found == ["market_data.py"]
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The innermost function (or `<module>`) around each call of `name` in `source`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_prediction_scorer():
+    """`metrics.prediction_correct` is the one scoring rule: the run scores
+    `correct` with it in `evaluate_day`, and the report's hits come from it in
+    `outputs_from_journal`, against the same recorded BTC move."""
+    assert callers("def f():\n    g = lambda: m.score(1)\nscore(2)\n", "score") == ["<lambda>", "<module>"]
+    found = sorted(
+        (p.name, scope) for p in MODULES for scope in callers(p.read_text(encoding="utf-8"), "prediction_correct")
+    )
+    assert found == [("orchestrator.py", "outputs_from_journal"), ("reflection.py", "evaluate_day")]
+    assert not hasattr(btagents.metrics, "accuracy")
 
 
 def imports_requests(source: str) -> bool:

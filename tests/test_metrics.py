@@ -12,7 +12,6 @@ from btagents.errors import (
 )
 from btagents.metrics import (
     ReturnSeries,
-    accuracy,
     daily_returns,
     mean_std,
     prediction_correct,
@@ -79,40 +78,20 @@ class TestSharpe:
         assert sharpe([3.0 * r for r in returns]) == pytest.approx(sharpe(returns), rel=1e-9)
 
 
-class TestAccuracy:
-    def test_all_bullish_all_up(self):
-        assert accuracy(["bullish"] * 5, [0.01] * 5, 0.005) == 1.0
-
-    def test_all_neutral_all_flat(self):
-        assert accuracy(["neutral"] * 5, [0.0] * 5, 0.005) == 1.0
-
+class TestPredictionCorrect:
     def test_matches_counting_oracle(self):
         rng = random.Random(43)
-        states = [rng.choice(["bullish", "bearish", "neutral"]) for _ in range(100)]
-        rets = [rng.uniform(-0.03, 0.03) for _ in range(100)]
         band = 0.005
-        correct = 0
-        for s, r in zip(states, rets):
-            if s == "bullish" and r > band:
-                correct += 1
-            elif s == "bearish" and r < -band:
-                correct += 1
-            elif s == "neutral" and abs(r) <= band:
-                correct += 1
-        assert accuracy(states, rets, band) == correct / 100
-
-    def test_permutation_equivariance(self):
-        rng = random.Random(44)
-        states = [rng.choice(["bullish", "bearish", "neutral"]) for _ in range(60)]
-        rets = [rng.uniform(-0.02, 0.02) for _ in range(60)]
-        base = accuracy(states, rets, 0.005)
-        order = list(range(60))
-        rng.shuffle(order)
-        assert accuracy([states[i] for i in order], [rets[i] for i in order], 0.005) == base
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            accuracy(["bullish"], [0.01, 0.02], 0.005)
+        for _ in range(100):
+            s = rng.choice(["bullish", "bearish", "neutral"])
+            r = rng.uniform(-0.03, 0.03)
+            if s == "bullish":
+                expected = r > band
+            elif s == "bearish":
+                expected = r < -band
+            else:
+                expected = abs(r) <= band
+            assert prediction_correct(s, r, band) is expected
 
     def test_band_edges(self):
         assert prediction_correct("neutral", 0.005, 0.005) is True
@@ -171,8 +150,8 @@ class TestRegimeReport:
             values.append(values[-1] * (1.0 + rng.uniform(-0.02, 0.02)))
         ds = dates_for(41)
         series = daily_returns(ds, values)
-        preds = [rng.choice(["bullish", "bearish", "neutral"]) for _ in range(40)]
-        report = regime_report(series, single_span_segmentation(series.dates), preds)
+        hits = [rng.random() < 0.5 for _ in range(40)]
+        report = regime_report(series, single_span_segmentation(series.dates), hits)
         assert len(report.per_regime) == 1
         row = report.per_regime[0]
         assert row.total_return == report.all_periods.total_return
@@ -204,22 +183,22 @@ class TestRegimeReport:
             values.append(values[-1] * (1.0 + rng.uniform(-0.02, 0.02)))
         ds = dates_for(n + 1)
         series = daily_returns(ds, values)
-        preds = [rng.choice(["bullish", "bearish", "neutral"]) for _ in range(n)]
+        hits = [rng.random() < 0.5 for _ in range(n)]
         bounds = [(0, 39, RegimeLabel.BULLISH), (40, 79, RegimeLabel.SIDEWAYS), (80, n - 1, RegimeLabel.BEARISH)]
         seg = RegimeSegmentation(
             spans=tuple(RegimeSpan(series.dates[a], series.dates[b], lab) for a, b, lab in bounds)
         )
-        report = regime_report(series, seg, preds)
+        report = regime_report(series, seg, hits)
         for (a, b, lab), row in zip(bounds, report.per_regime):
             sliced = list(series.returns[a : b + 1])
-            sliced_preds = preds[a : b + 1]
+            sliced_hits = hits[a : b + 1]
             assert row.label == lab.value
             assert row.total_return == pytest.approx(total_return(sliced), abs=1e-12)
             mu, sigma = mean_std(sliced)
             assert row.mean_daily_pct == pytest.approx(100.0 * mu, abs=1e-12)
             assert row.std_daily_pct == pytest.approx(100.0 * sigma, abs=1e-12)
             assert row.sharpe == pytest.approx(mu / sigma, abs=1e-12)
-            assert row.accuracy == accuracy(sliced_preds, sliced, 0.005)
+            assert row.accuracy == sum(sliced_hits) / len(sliced_hits)
 
     def test_same_label_spans_concatenate(self):
         ds = dates_for(9)
@@ -239,6 +218,11 @@ class TestRegimeReport:
         expected = [series.returns[i] for i in (0, 1, 2, 6, 7)]
         assert sideways.n_days == 5
         assert sideways.total_return == pytest.approx(total_return(expected), abs=1e-12)
+
+    def test_hits_length_mismatch(self):
+        series = daily_returns(dates_for(3), [100.0, 101.0, 102.0])
+        with pytest.raises(LengthMismatch):
+            regime_report(series, hits=[True])
 
     def test_uncovered_dates_raise(self):
         ds = dates_for(5)

@@ -276,6 +276,19 @@ class TestTwentyOneDayRun:
         assert stats["regret"] == 0.0
 
 
+def test_week_return_counts_the_fees_paid():
+    """A day's return runs from the book before its rebalance, so the fee it
+    pays counts: each week's return is the change in the book's value."""
+    journal = run_synth(14, fee_bps=25.0)[0]
+    initial = journal.header["config"]["initial_value_usd"]
+    for k, week in enumerate(weeklies(journal)):
+        days = journal.days[7 * k : 7 * k + 7]
+        for role in AGENT_ROLES:
+            start = journal.days[7 * k - 1]["roles"][role]["portfolio"]["value_usd"] if k else initial
+            end = days[-1]["roles"][role]["portfolio"]["value_usd"]
+            assert week["stats"][role]["week_return"] == pytest.approx(end / start - 1.0, rel=1e-12)
+
+
 class TestWeeklyToggle:
     def test_disabling_weekly_removes_exactly_those_sections(self):
         journal_on, config_on, _, _ = run_synth(

@@ -128,3 +128,29 @@ class TestSpecialCases:
         artifacts = report_of(broken)
         assert "Fallback days" in artifacts.text
         assert "quants: 1" in artifacts.text
+
+
+def test_report_accuracy_is_the_journals():
+    """The report scores each recorded state against the day's BTC move, as
+    the run scores `correct`: 10% books move inside the band while BTC moves
+    2% a day, so scoring against a book's return would differ."""
+    journal = run_synth(
+        12, weekly=False, alloc_plan=lambda i: (10, 10, 10), price_step=lambda i: 0.02 if i % 2 else -0.02
+    )[0]
+    days = journal.days
+    outputs = outputs_from_journal(journal)
+    dates = outputs.value_dates
+    seg = RegimeSegmentation(
+        spans=(
+            RegimeSpan(dates[0], dates[5], RegimeLabel.BULLISH),
+            RegimeSpan(dates[6], dates[-1], RegimeLabel.SIDEWAYS),
+        )
+    )
+    rows = {r["regime"]: r for r in render(outputs, seg).table_rows if r["metric"] == "accuracy"}
+    for role in ("quants", "signals", "decision"):
+        assert all(abs(d["roles"][role]["portfolio_return"]) < 0.005 for d in days)
+        correct = [d["roles"][role]["correct"] for d in days]
+        assert rows["All Periods"][role] == f"{days[-1]['roles'][role]['running_accuracy']:.4f}"
+        # day i's return is dated dates[i + 1]: the first five days are Bullish
+        assert rows["Bullish"][role] == f"{sum(correct[:5]) / 5:.4f}"
+        assert rows["Sideways"][role] == f"{sum(correct[5:]) / 7:.4f}"

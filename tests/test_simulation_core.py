@@ -35,7 +35,7 @@ from conftest import run_synth, scripted_plan, synth_dataset, weeklies
 from test_agents import FakeResponse
 
 CASE_STUDY_SHA256 = "993ebe83fe28d1d365c1edd5f0d96c32296c0f8b11e8c1175f87932cf819fbdf"
-FEES_FALLBACK_SHA256 = "c00b38fb001fe224e462730dbc568d58023d6840002f462e8bdcde0fedab226e"
+FEES_FALLBACK_SHA256 = "a15cf567e83ed912ebdc863bda19494968827ba58ea060273c315b6eed7f3358"
 
 
 def journal_sha256(journal, tmp_path) -> str:
