@@ -28,16 +28,27 @@ from .regime import load_segmentation
 from .report import cumrets_csv, render, resolve_segmentation, table_csv
 
 
-# config-file keys that are not RunConfig field names; every other key in the
-# "run" and "feedback" sections is one
-RENAMED_KEYS = {
-    "feedback.daily": "daily_feedback",
-    "feedback.weekly": "weekly_feedback",
-    "feedback.templates": "weekly_template_path",
-    "indicators": "indicator_params",
-    "regime": "regime_params",
+# the RunConfig field each key of the "run" and "feedback" sections sets; no
+# other key is taken there
+SECTION_KEYS = {
+    "run": {
+        key: key
+        for key in (
+            "start", "end", "initial_value_usd", "lookback_days",
+            "neutral_band", "fee_bps", "parse_retry_limit",
+        )
+    },
+    "feedback": {
+        "daily": "daily_feedback",
+        "weekly": "weekly_feedback",
+        "praise_threshold": "praise_threshold",
+        "regret_threshold": "regret_threshold",
+        "templates": "weekly_template_path",
+    },
 }
-TOP_KEYS = ("data", "journal", "run", "feedback", "indicators", "regime", "client")
+# the RunConfig part each of these sections sets; the part's own fields are its keys
+PART_SECTIONS = {"indicators": "indicator_params", "regime": "regime_params", "client": "client"}
+TOP_KEYS = ("data", "journal", *SECTION_KEYS, *PART_SECTIONS)
 DATA_KEYS = ("bars", "onchain", "sentiment", "news", "gap_policy")
 
 
@@ -62,12 +73,14 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
         if data.get("gap_policy", GAP_CARRY) not in (GAP_CARRY, GAP_STRICT):
             raise ConfigError(f"config key 'data.gap_policy' must be {GAP_CARRY!r} or {GAP_STRICT!r}")
         tree = {}
-        for section in ("run", "feedback"):
+        for section, fields in SECTION_KEYS.items():
             for key, value in cfg.get(section, {}).items():
-                tree[RENAMED_KEYS.get(f"{section}.{key}", key)] = value
-        for section in ("indicators", "regime", "client"):
+                if key not in fields:
+                    raise ConfigError(f"unknown config key '{key}' in section '{section}'")
+                tree[fields[key]] = value
+        for section, part in PART_SECTIONS.items():
             if section in cfg:
-                tree[RENAMED_KEYS.get(section, section)] = cfg[section]
+                tree[part] = cfg[section]
         return RunConfig.from_dict(tree), data, cfg.get("journal", "journal.jsonl")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path}: missing or invalid config key: {exc}") from None

@@ -173,6 +173,15 @@ def fetch_fgi(
 # ---------------------------------------------------------------------------
 # news (gnews style)
 
+def _news_articles(page_body: str, context: str) -> list:
+    """The articles array of one page body; SchemaError naming `context` otherwise."""
+    articles = _parse_json(page_body, context).get("articles")
+    if not isinstance(articles, list):
+        logger.error("gnews body missing articles: %.500s", page_body)
+        raise SchemaError(f"{context}: response has no articles array")
+    return articles
+
+
 def fetch_news(
     config: EndpointConfig,
     query: str,
@@ -207,33 +216,35 @@ def fetch_news(
                     session,
                 )
                 pages.append(page_body)
-                parsed = _parse_json(page_body, f"gnews {d} page {page}")
-                articles = parsed.get("articles")
-                if not isinstance(articles, list):
-                    logger.error("gnews body missing articles: %.500s", page_body)
-                    raise SchemaError(f"gnews {d}: response has no articles array")
-                if len(articles) < page_size:
+                if len(_news_articles(page_body, f"gnews {d} page {page}")) < page_size:
                     break
                 page += 1
             body = json.dumps({"pages": pages})
             _cache_write(config, "gnews", d, body)
-        payload = _parse_json(body, f"gnews cache {d}")
-        for page_body in payload.get("pages", []):
-            parsed = _parse_json(page_body, f"gnews {d}")
-            for article in parsed.get("articles", []):
+        pages = _parse_json(body, f"gnews cache {d}").get("pages", [])
+        if not isinstance(pages, list) or not all(isinstance(p, str) for p in pages):
+            raise SchemaError(f"gnews {d}: cached pages are not a list of response bodies")
+        for page_body in pages:
+            for article in _news_articles(page_body, f"gnews {d}"):
                 if not isinstance(article, dict):
                     raise SchemaError(f"gnews {d}: article {article!r} is not an object")
                 source = article.get("source", {})
-                source_name = source.get("name", "") if isinstance(source, dict) else str(source)
-                title = article.get("title", "")
-                if not title:
+                texts = {
+                    "source name": source.get("name") if isinstance(source, dict) else source,
+                    "title": article.get("title"),
+                    "description": article.get("description"),
+                }
+                for name, text in texts.items():
+                    if not isinstance(text, (str, type(None))):
+                        raise SchemaError(f"gnews {d}: article {name} {text!r} is not a string")
+                if not texts["title"]:
                     continue
                 items.append(
                     NewsItem(
                         date=d,
-                        source=source_name,
-                        headline=title,
-                        summary=article.get("description", "") or "",
+                        source=texts["source name"] or "",
+                        headline=texts["title"],
+                        summary=texts["description"] or "",
                     )
                 )
     if source_whitelist:

@@ -7,7 +7,7 @@ deviation, risk-free rate zero, not annualized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from typing import Sequence
 
@@ -104,12 +104,6 @@ class MetricsRow:
     regret: float | None
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    all_periods: MetricsRow
-    per_regime: tuple[MetricsRow, ...] = field(default_factory=tuple)
-
-
 def _row(
     label: str,
     returns: Sequence[float],
@@ -142,8 +136,9 @@ def regime_report(
     segmentation: RegimeSegmentation | None = None,
     hits: Sequence[bool] | None = None,
     baseline: ReturnSeries | None = None,
-) -> MetricsReport:
-    """All-period metrics plus one aggregated row per regime label.
+) -> dict[str, MetricsRow]:
+    """One row per label: "All Periods" first, then each regime label in the
+    order it first occurs.
 
     `hits` holds whether each day's prediction was correct; a row's accuracy
     is the share that are true. Days sharing a label are concatenated across
@@ -156,29 +151,17 @@ def regime_report(
     if baseline is not None and baseline.dates != series.dates:
         raise LengthMismatch("baseline dates must match the return dates")
 
+    groups: dict[str, list[int]] = {"All Periods": list(range(len(series)))}
+    if segmentation is not None:
+        for i, d in enumerate(series.dates):
+            groups.setdefault(segmentation.label_for(d).value, []).append(i)
     base_returns = baseline.returns if baseline is not None else None
-    all_row = _row("All Periods", series.returns, hits, base_returns)
-    if segmentation is None:
-        return MetricsReport(all_periods=all_row)
-
-    by_label: dict[str, list[int]] = {}
-    order: list[str] = []
-    for i, d in enumerate(series.dates):
-        lab = segmentation.label_for(d).value
-        if lab not in by_label:
-            by_label[lab] = []
-            order.append(lab)
-        by_label[lab].append(i)
-
-    rows = []
-    for lab in order:
-        idx = by_label[lab]
-        rows.append(
-            _row(
-                lab,
-                [series.returns[i] for i in idx],
-                [hits[i] for i in idx] if hits is not None else None,
-                [base_returns[i] for i in idx] if base_returns is not None else None,
-            )
+    return {
+        lab: _row(
+            lab,
+            [series.returns[i] for i in idx],
+            [hits[i] for i in idx] if hits is not None else None,
+            [base_returns[i] for i in idx] if base_returns is not None else None,
         )
-    return MetricsReport(all_periods=all_row, per_regime=tuple(rows))
+        for lab, idx in groups.items()
+    }

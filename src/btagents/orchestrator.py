@@ -303,12 +303,11 @@ def run_backtest(
         decided = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
         quants, signals = decided["quants"][0], decided["signals"][0]
 
-        decision_value = ledger.books["decision"].btc_units * close_t + ledger.books["decision"].cash_usd
         decision_bundle = build_decision_prompt(
             date=day,
             quants=quants.prediction,
             signals=signals.prediction,
-            portfolio_value=decision_value,
+            portfolio_value=ledger.books["decision"].value_usd,  # marked at close_t
             daily_feedback=daily_in.get("decision"),
             weekly_feedback=weekly_in.get("decision"),
         )

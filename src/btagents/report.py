@@ -14,24 +14,37 @@ import io
 from dataclasses import dataclass
 
 from .errors import WindowTooShort
-from .metrics import MetricsReport, ReturnSeries, daily_returns, regime_report
+from .metrics import daily_returns, regime_report
 from .orchestrator import AGENT_ROLES, RunOutputs
 from .regime import RegimeSegmentation, segment
 
-COLUMNS = ("quants", "signals", "decision", "baseline")
-COLUMN_TITLES = {
-    "quants": "Quants",
-    "signals": "Signals",
-    "decision": "Decision",
-    "baseline": "Baseline",
-}
-METRIC_ROWS = (
-    ("total_return_pct", "Total Return (%)"),
-    ("daily_mean_std", "Daily Return (mean +/- std %)"),
-    ("sharpe", "Sharpe Ratio"),
-    ("accuracy", "Accuracy"),
-    ("regret_pct", "Regret vs 50/50 (%)"),
+
+def _num(value: float | None, spec: str, scale: float = 1.0) -> str:
+    return "--" if value is None else format(scale * value, spec)
+
+
+# each metric's CSV name, its title in the text table and its cell for a MetricsRow
+METRICS = (
+    ("total_return_pct", "Total Return (%)", lambda r: _num(r.total_return, ".2f", 100.0)),
+    (
+        "daily_mean_std",
+        "Daily Return (mean +/- std %)",
+        lambda r: (
+            "--" if r.mean_daily_pct is None else f"{r.mean_daily_pct:.2f} +/- {r.std_daily_pct:.2f}"
+        ),
+    ),
+    ("sharpe", "Sharpe Ratio", lambda r: _num(r.sharpe, ".4f")),
+    ("accuracy", "Accuracy", lambda r: _num(r.accuracy, ".4f")),
+    ("regret_pct", "Regret vs 50/50 (%)", lambda r: _num(r.regret, ".2f", 100.0)),
 )
+# each column's CSV name, its title and the `RunOutputs.values` series it reads;
+# an agent column is also scored on its role's hits and its regret vs static5050
+COLUMNS = {
+    "quants": ("Quants", "quants"),
+    "signals": ("Signals", "signals"),
+    "decision": ("Decision", "decision"),
+    "baseline": ("Baseline", "buyhold"),
+}
 
 
 @dataclass
@@ -57,60 +70,17 @@ def resolve_segmentation(
         return None
 
 
-def _series(outputs: RunOutputs, name: str) -> ReturnSeries:
-    return daily_returns(outputs.value_dates, outputs.values[name])
-
-
-def build_reports(
-    outputs: RunOutputs, segmentation: RegimeSegmentation | None
-) -> dict[str, MetricsReport]:
-    """Per-portfolio MetricsReport keyed by column name."""
-    baseline_5050 = _series(outputs, "static5050")
-    reports = {}
-    for role in AGENT_ROLES:
-        reports[role] = regime_report(
-            _series(outputs, role),
-            segmentation=segmentation,
-            hits=outputs.hits[role],
-            baseline=baseline_5050,
-        )
-    reports["baseline"] = regime_report(_series(outputs, "buyhold"), segmentation=segmentation)
-    return reports
-
-
-def _fmt(metric: str, row) -> str:
-    if row is None:
-        return "--"
-    if metric == "total_return_pct":
-        return f"{100.0 * row.total_return:.2f}"
-    if metric == "daily_mean_std":
-        if row.mean_daily_pct is None:
-            return "--"
-        return f"{row.mean_daily_pct:.2f} +/- {row.std_daily_pct:.2f}"
-    if metric == "sharpe":
-        return "--" if row.sharpe is None else f"{row.sharpe:.4f}"
-    if metric == "accuracy":
-        return "--" if row.accuracy is None else f"{row.accuracy:.4f}"
-    if metric == "regret_pct":
-        return "--" if row.regret is None else f"{100.0 * row.regret:.2f}"
-    raise ValueError(metric)
-
-
-def _row_for_label(report: MetricsReport, label: str):
-    if label == "All Periods":
-        return report.all_periods
-    for row in report.per_regime:
-        if row.label == label:
-            return row
-    return None
-
-
 def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> ReportArtifacts:
-    reports = build_reports(outputs, segmentation)
-    labels = ["All Periods"]
-    if segmentation is not None:
-        for row in reports["quants"].per_regime:
-            labels.append(row.label)
+    baseline_5050 = daily_returns(outputs.value_dates, outputs.values["static5050"])
+    by_column = {}  # column -> label -> MetricsRow
+    for col, (_, key) in COLUMNS.items():
+        agent = col in AGENT_ROLES
+        by_column[col] = regime_report(
+            daily_returns(outputs.value_dates, outputs.values[key]),
+            segmentation=segmentation,
+            hits=outputs.hits[col] if agent else None,
+            baseline=baseline_5050 if agent else None,
+        )
 
     width_regime, width_metric, width_cell = 13, 30, 16
     lines = []
@@ -123,21 +93,18 @@ def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> Repo
     lines.append(f"Initial value: {outputs.config.initial_value_usd:.2f} USD")
     lines.append(f"Neutral band for accuracy: {100.0 * outputs.neutral_band:.2f}%")
     lines.append("")
-    header_cells = "".join(COLUMN_TITLES[c].rjust(width_cell) for c in COLUMNS)
+    header_cells = "".join(title.rjust(width_cell) for title, _ in COLUMNS.values())
     lines.append("Regime".ljust(width_regime) + "Metric".ljust(width_metric) + header_cells)
     lines.append("-" * (width_regime + width_metric + width_cell * len(COLUMNS)))
 
     table_rows = []
-    for label in labels:
-        for j, (metric, metric_title) in enumerate(METRIC_ROWS):
-            cells = []
+    for label in by_column["quants"]:
+        for j, (metric, metric_title, cell) in enumerate(METRICS):
             csv_row = {"regime": label, "metric": metric}
-            for col in COLUMNS:
-                row = _row_for_label(reports[col], label)
-                cells.append(_fmt(metric, row).rjust(width_cell))
-                csv_row[col] = _fmt(metric, row)
+            csv_row.update((col, cell(by_column[col][label])) for col in COLUMNS)
             prefix = label if j == 0 else ""
-            lines.append(prefix.ljust(width_regime) + metric_title.ljust(width_metric) + "".join(cells))
+            cells = "".join(csv_row[col].rjust(width_cell) for col in COLUMNS)
+            lines.append(prefix.ljust(width_regime) + metric_title.ljust(width_metric) + cells)
             table_rows.append(csv_row)
         lines.append("")
 
@@ -149,18 +116,11 @@ def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> Repo
         lines.append(f"Fallback days (unusable responses): {per_role}")
         lines.append("")
 
-    cumret_rows = []
-    v0 = {name: outputs.values[name][0] for name in outputs.values}
-    for i, d in enumerate(outputs.value_dates):
-        cumret_rows.append(
-            {
-                "date": d.isoformat(),
-                "quants": outputs.values["quants"][i] / v0["quants"] - 1.0,
-                "signals": outputs.values["signals"][i] / v0["signals"] - 1.0,
-                "decision": outputs.values["decision"][i] / v0["decision"] - 1.0,
-                "baseline": outputs.values["buyhold"][i] / v0["buyhold"] - 1.0,
-            }
-        )
+    values = {col: outputs.values[key] for col, (_, key) in COLUMNS.items()}
+    cumret_rows = [
+        {"date": d.isoformat(), **{col: v[i] / v[0] - 1.0 for col, v in values.items()}}
+        for i, d in enumerate(outputs.value_dates)
+    ]
 
     return ReportArtifacts(
         text="\n".join(lines).rstrip("\n") + "\n",
@@ -180,9 +140,7 @@ def table_csv(artifacts: ReportArtifacts) -> str:
 
 def cumrets_csv(artifacts: ReportArtifacts) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["date", "quants", "signals", "decision", "baseline"], lineterminator="\n"
-    )
+    writer = csv.DictWriter(buf, fieldnames=["date", *COLUMNS], lineterminator="\n")
     writer.writeheader()
     for row in artifacts.cumret_rows:
         writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})

@@ -309,6 +309,21 @@ class TestStrictConfig:
         assert not (tmp_path / "journal.jsonl").exists()
 
     @pytest.mark.parametrize(
+        "section, keys, key",
+        [
+            ("feedback", {"fee_bps": 7}, "fee_bps"),
+            ("run", {"daily_feedback": False}, "daily_feedback"),
+            ("run", {"client": {"model_name": "x"}}, "client"),
+        ],
+    )
+    def test_key_of_another_section_is_runtime_error(self, tmp_path, capsys, section, keys, key):
+        cfg = {"run": {"start": "2024-11-04", "end": "2024-11-05"}}
+        cfg.setdefault(section, {}).update(keys)
+        assert self.run_backtest(tmp_path, **cfg) == 1
+        assert f"unknown config key '{key}' in section '{section}'" in capsys.readouterr().err
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"run": {"start": "2024-11-04", "end": "2024-11-05", "neutral_band": "0.01"}},

@@ -171,6 +171,32 @@ class TestFetchNews:
         with pytest.raises(SchemaError):
             fetch_news(config(tmp_path), "bitcoin", D1, D1, session=session)
 
+    @pytest.mark.parametrize(
+        "cached",
+        [
+            {"pages": [5]},
+            {"pages": 3},
+            {"pages": [json.dumps({"articles": 4})]},
+            {"pages": [news_body([article("CNBC", 5)])]},
+            {"pages": [news_body([article("CNBC", "h1", desc=7)])]},
+            {"pages": [news_body([article(9, "h1")])]},
+        ],
+        ids=["page-int", "pages-int", "articles-int", "title-int", "description-int", "source-name-int"],
+    )
+    def test_cached_value_of_a_wrong_type_is_schema_error_naming_the_date(self, tmp_path, cached):
+        path = tmp_path / "cache" / "gnews" / f"{D1.isoformat()}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(cached), encoding="utf-8")
+        session = StubSession([])
+        with pytest.raises(SchemaError, match=f"^gnews {D1.isoformat()}"):
+            fetch_news(config(tmp_path), "bitcoin", D1, D1, session=session)
+        assert session.calls == []
+
+    def test_fetched_title_that_is_a_number_is_schema_error(self, tmp_path):
+        session = StubSession([(200, news_body([article("CNBC", 5)]))])
+        with pytest.raises(SchemaError, match=f"^gnews {D1.isoformat()}: article title 5 is not a string"):
+            fetch_news(config(tmp_path), "bitcoin", D1, D1, session=session)
+
 
 class TestFetchSocial:
     def test_parses_mean(self, tmp_path):

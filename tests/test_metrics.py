@@ -142,6 +142,12 @@ def single_span_segmentation(dates):
     )
 
 
+def per_regime(report):
+    """The regime rows of a label map, after its leading All Periods row."""
+    assert next(iter(report)) == "All Periods"
+    return list(report.values())[1:]
+
+
 class TestRegimeReport:
     def test_single_regime_equals_all_periods(self):
         rng = random.Random(47)
@@ -152,11 +158,11 @@ class TestRegimeReport:
         series = daily_returns(ds, values)
         hits = [rng.random() < 0.5 for _ in range(40)]
         report = regime_report(series, single_span_segmentation(series.dates), hits)
-        assert len(report.per_regime) == 1
-        row = report.per_regime[0]
-        assert row.total_return == report.all_periods.total_return
-        assert row.sharpe == report.all_periods.sharpe
-        assert row.accuracy == report.all_periods.accuracy
+        assert len(per_regime(report)) == 1
+        row = per_regime(report)[0]
+        assert row.total_return == report["All Periods"].total_return
+        assert row.sharpe == report["All Periods"].sharpe
+        assert row.accuracy == report["All Periods"].accuracy
 
     def test_span_with_zero_returns_totals_zero(self):
         ds = dates_for(11)
@@ -171,7 +177,7 @@ class TestRegimeReport:
             )
         )
         report = regime_report(series, seg)
-        by_label = {r.label: r for r in report.per_regime}
+        by_label = {r.label: r for r in per_regime(report)}
         assert by_label["Sideways"].total_return == 0.0
         assert by_label["Bullish"].total_return == pytest.approx(1.05 ** 5 - 1.0, abs=1e-9)
 
@@ -189,7 +195,7 @@ class TestRegimeReport:
             spans=tuple(RegimeSpan(series.dates[a], series.dates[b], lab) for a, b, lab in bounds)
         )
         report = regime_report(series, seg, hits)
-        for (a, b, lab), row in zip(bounds, report.per_regime):
+        for (a, b, lab), row in zip(bounds, per_regime(report)):
             sliced = list(series.returns[a : b + 1])
             sliced_hits = hits[a : b + 1]
             assert row.label == lab.value
@@ -212,8 +218,8 @@ class TestRegimeReport:
             )
         )
         report = regime_report(series, seg)
-        assert [r.label for r in report.per_regime] == ["Sideways", "Bullish"]
-        sideways = report.per_regime[0]
+        assert [r.label for r in per_regime(report)] == ["Sideways", "Bullish"]
+        sideways = per_regime(report)[0]
         # spans 1 and 3 concatenated: returns at indices 0,1,2 and 6,7
         expected = [series.returns[i] for i in (0, 1, 2, 6, 7)]
         assert sideways.n_days == 5

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import date
 
@@ -15,7 +16,56 @@ from btagents.report import (
     table_csv,
 )
 
-from conftest import run_synth, scripted_plan
+from conftest import FIXTURE_DIR, run_synth, scripted_plan
+from test_simulation_core import fees_fallback_run
+
+REPORT_FILES = ("report.txt", "report.csv", "cumrets.csv")
+# sha256 of each of REPORT_FILES, in that order, for three runs
+REPORT_SHA256 = {
+    "case-study": (
+        "f40ee99ac74efca4908d64b033bb72a60aa99ab6eda4db10dcdaa895ad1d4d9c",
+        "a49869dd9e5326f9926b2d542d737b80bf30483347f21442ded5b04c3695e948",
+        "eea7dd3856c78d74230467da8d0b7af60e7e64f4d09d167513f8b49b280bb853",
+    ),
+    "synth-400": (
+        "270226f2444e9a754dd8aeea0e33135636471467c775dc774d3d4d4edecd9167",
+        "dce75cdb222057caf2bd4ca2b31639cf966394f689ec9940495ff5c6fd86c252",
+        "bbef75214bcd8f873c8158e642b1237f53cf76f85461c8054d15a0196b67986c",
+    ),
+    "fees-fallback": (
+        "108ece7de58ca7b54a3cbe1bb02ccf53eba92cb06cb7c2475f2fc1bdb1ab7094",
+        "c7314ceff935fb06cee7fb84f9b9505da110af6af10f56f02320952e5f1b5fc8",
+        "39c20c5426e04dd7d4e5d3fa109102ef077f2e21903eb8cba60e63dc8a647cf4",
+    ),
+}
+
+
+def report_sha256s(out_dir):
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in REPORT_FILES)
+
+
+class TestPinnedReportBytes:
+    """The report files may change only in ways that leave these bytes unchanged."""
+
+    def test_case_study_quickstart(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(FIXTURE_DIR)
+        out = tmp_path / "out"
+        args = ["backtest", "--config", "config.json", "--fixtures", "responses.json"]
+        assert main([*args, "--journal", str(tmp_path / "journal.jsonl"), "--report-dir", str(out)]) == 0
+        assert report_sha256s(out) == REPORT_SHA256["case-study"]
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("synth-400", lambda: run_synth(400)[0]),  # several regime blocks
+            ("fees-fallback", fees_fallback_run),  # a "Fallback days" line
+        ],
+    )
+    def test_report_command(self, tmp_path, capsys, name, run):
+        path, out = tmp_path / "run.jsonl", tmp_path / "out"
+        write_journal(run(), str(path))
+        assert main(["report", "--journal", str(path), "--out-dir", str(out)]) == 0
+        assert report_sha256s(out) == REPORT_SHA256[name]
 
 
 class TestRender:
