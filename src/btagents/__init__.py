@@ -1,11 +1,9 @@
 """Multi-agent BTC/cash trading backtester with verbal feedback loops."""
 
 from .agents import (
-    AgentDecision,
     ChatClient,
     ChatClientConfig,
     MarketState,
-    Prediction,
     PromptBundle,
     Role,
     ScriptedResponder,
@@ -32,7 +30,6 @@ from .regime import RegimeParams, RegimeSegmentation, segment
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentDecision",
     "Allocation",
     "Bar",
     "ChatClient",
@@ -45,7 +42,6 @@ __all__ = [
     "NewsItem",
     "OnChainDaily",
     "PortfolioState",
-    "Prediction",
     "PromptBundle",
     "RegimeParams",
     "RegimeSegmentation",

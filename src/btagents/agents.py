@@ -2,8 +2,8 @@
 
 Each agent sees only its own inputs: the quants prompt carries prices,
 gauges and chain activity; the signals prompt carries press items and mood
-scores; the decision prompt carries the two upstream views (state and
-reasoning only, never their allocations) plus the portfolio value.
+scores; the decision prompt reads only each upstream view's `state` and
+`reasoning` (never its allocation) plus the portfolio value.
 `lint_bundle` enforces those boundaries on every generated prompt.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import (
     BtAgentsError,
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .indicators import IndicatorSnapshot
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
-from .portfolio import Allocation
 from .transport import default_session, request
 
 
@@ -43,23 +42,6 @@ class Role(str, Enum):
     SIGNALS = "signals"
     DECISION = "decision"
     REFLECT = "reflect"
-
-
-@dataclass(frozen=True)
-class Prediction:
-    state: MarketState
-    reasoning: str
-
-    def __post_init__(self):
-        if not self.reasoning.strip():
-            raise InvariantViolation("prediction reasoning must be non-empty")
-
-
-@dataclass(frozen=True)
-class AgentDecision:
-    prediction: Prediction
-    allocation: Allocation
-    confidence: float | None = None
 
 
 @dataclass(frozen=True)
@@ -83,6 +65,8 @@ class ChatClientConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise InvariantViolation("max_retries must be >= 0")
+        if not self.timeout > 0:
+            raise InvariantViolation("timeout must be > 0")
 
 
 @dataclass(frozen=True)
@@ -223,19 +207,20 @@ def build_signals_prompt(
 
 def build_decision_prompt(
     date: Date,
-    quants: Prediction,
-    signals: Prediction,
+    quants: Mapping,
+    signals: Mapping,
     portfolio_value: float,
     daily_feedback: str | None = None,
     weekly_feedback: str | None = None,
 ) -> PromptBundle:
-    """Upstream views (state and reasoning only) plus the current book value."""
+    """The two upstream entries' `state` and `reasoning` (no other field is
+    read, so their allocations never reach the prompt) plus the book value."""
     user = (
         f"Date: {date.isoformat()}\n\n"
-        f"Technical analyst's view: {quants.state.value}\n"
-        f"Technical analyst's reasoning: {quants.reasoning}\n\n"
-        f"Mood analyst's view: {signals.state.value}\n"
-        f"Mood analyst's reasoning: {signals.reasoning}\n\n"
+        f"Technical analyst's view: {quants['state']}\n"
+        f"Technical analyst's reasoning: {quants['reasoning']}\n\n"
+        f"Mood analyst's view: {signals['state']}\n"
+        f"Mood analyst's reasoning: {signals['reasoning']}\n\n"
         f"Current portfolio value: {portfolio_value:,.2f} USD\n"
         "Set the BTC/cash split that you expect to beat the passive half-BTC, "
         "half-cash benchmark over the next day."
@@ -448,12 +433,13 @@ def _first_object_with(raw: str, keys: frozenset, who: str, missing: str) -> dic
     raise ParseError(f"{who}: no JSON object found in response")
 
 
-def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
+def parse_agent_output(raw: str, role: str = "agent") -> dict:
     """Extract the first JSON object carrying a full decision from a reply.
 
-    The reply may contain prose before or after the object. Percent
-    allocations convert to fractions; an optional finite numeric
-    `confidence` field is preserved but unused downstream.
+    The reply may contain prose before or after the object. Returns the
+    role's journal fields: `state` (a lowercase STATE_VALUES member),
+    `allocation` (the percent as a fraction in [0, 1]), `reasoning` (non-empty)
+    and `confidence`, an optional finite number kept but unused downstream.
     """
     obj = _first_object_with(raw, _REQUIRED, role, f"fields {', '.join(REQUIRED_KEYS)}")
     state_raw = obj["state"]
@@ -462,7 +448,7 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
     pct = obj["allocation_btc_pct"]
     if isinstance(pct, bool) or not isinstance(pct, (int, float)):
         raise SchemaError(f"{role}: allocation_btc_pct must be a number")
-    if not 0.0 <= float(pct) <= 100.0:
+    if not 0 <= pct <= 100:  # compared exactly: an int too large for a float is out of range
         raise RangeError(f"{role}: allocation_btc_pct {pct} outside [0, 100]")
     reasoning = obj["reasoning"]
     if not isinstance(reasoning, str) or not reasoning.strip():
@@ -475,11 +461,12 @@ def parse_agent_output(raw: str, role: str = "agent") -> AgentDecision:
         or not abs(confidence) <= sys.float_info.max
     ):
         confidence = None
-    return AgentDecision(
-        prediction=Prediction(state=MarketState(state_raw.lower()), reasoning=reasoning),
-        allocation=Allocation(btc_fraction=float(pct) / 100.0),
-        confidence=float(confidence) if confidence is not None else None,
-    )
+    return {
+        "state": state_raw.lower(),
+        "allocation": float(pct) / 100.0,
+        "reasoning": reasoning,
+        "confidence": float(confidence) if confidence is not None else None,
+    }
 
 
 FORMAT_REMINDER = (
@@ -531,23 +518,21 @@ def ask_until_parsed(
     return None, attempts
 
 
-def fallback_decision(btc_fraction: float) -> AgentDecision:
-    """The decision taken when no reply parses: hold `btc_fraction`, state neutral."""
+def fallback_decision(btc_fraction: float) -> dict:
+    """The fields `parse_agent_output` returns, for the decision taken when no
+    reply parses: hold `btc_fraction`, state neutral."""
     reasoning = "fallback: previous allocation held after unusable responses"
-    return AgentDecision(Prediction(MarketState.NEUTRAL, reasoning), Allocation(btc_fraction))
+    return {"state": "neutral", "allocation": btc_fraction, "reasoning": reasoning, "confidence": None}
 
 
 def decide_with_retry(
-    client: CompletionClient,
-    bundle: PromptBundle,
-    retry_limit: int = 1,
-    fallback_allocation: float = 0.5,
-) -> tuple[AgentDecision, dict]:
+    client: CompletionClient, bundle: PromptBundle, retry_limit: int, fallback_allocation: float
+) -> dict:
     """Ask for a decision, with up to `retry_limit` format-reminder re-asks.
 
-    When no reply parses, the fallback allocation is applied with a neutral
-    state. Returns the decision and the role's journal fields: `raw`, the
-    reply it was parsed from (None on a fallback), every attempt and `fallback`.
+    When no reply parses, `fallback_decision(fallback_allocation)` is taken.
+    Returns the role's journal fields: the decision's, `raw`, the reply it
+    was parsed from (None on a fallback), every attempt and `fallback`.
     """
     parse = partial(parse_agent_output, role=bundle.role.value)
     decision, attempts = ask_until_parsed(client, bundle, parse, FORMAT_REMINDER, retry_limit + 1)
@@ -555,4 +540,4 @@ def decide_with_retry(
     if fallback:
         decision = fallback_decision(fallback_allocation)
     raw = None if fallback else attempts[-1]["raw"]
-    return decision, {"raw": raw, "attempts": attempts, "fallback": fallback}
+    return {**decision, "raw": raw, "attempts": attempts, "fallback": fallback}

@@ -15,7 +15,7 @@ from datetime import date as Date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, InvariantViolation, SchemaError
 from .market_data import NewsItem, SentimentDaily, dedupe_news
 from .transport import default_session, request
 
@@ -29,6 +29,10 @@ class EndpointConfig:
     max_retries: int = 3
     backoff_seconds: float = 0.5
     cache_dir: str | None = None
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise InvariantViolation("timeout must be > 0")
 
 
 @dataclass(frozen=True)

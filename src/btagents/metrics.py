@@ -12,7 +12,6 @@ from datetime import date as Date
 from typing import Sequence
 
 from .errors import LengthMismatch, NonPositiveValue, ZeroDispersion
-from .regime import RegimeSegmentation
 
 
 @dataclass(frozen=True)
@@ -133,28 +132,28 @@ def _row(
 
 def regime_report(
     series: ReturnSeries,
-    segmentation: RegimeSegmentation | None = None,
+    labels: Sequence[str] | None = None,
     hits: Sequence[bool] | None = None,
     baseline: ReturnSeries | None = None,
 ) -> dict[str, MetricsRow]:
     """One row per label: "All Periods" first, then each regime label in the
     order it first occurs.
 
-    `hits` holds whether each day's prediction was correct; a row's accuracy
-    is the share that are true. Days sharing a label are concatenated across
-    spans before computing the row, so repeated sideways periods report as
-    one line. A return date the segmentation does not cover raises
-    CoverageError.
+    `labels` holds each day's regime label and `hits` whether its prediction
+    was correct; a row's accuracy is the share that are true. Days sharing a
+    label are concatenated across spans before computing the row, so
+    repeated sideways periods report as one line.
     """
+    if labels is not None and len(labels) != len(series):
+        raise LengthMismatch("one regime label per return required")
     if hits is not None and len(hits) != len(series):
         raise LengthMismatch("one prediction per return required")
     if baseline is not None and baseline.dates != series.dates:
         raise LengthMismatch("baseline dates must match the return dates")
 
     groups: dict[str, list[int]] = {"All Periods": list(range(len(series)))}
-    if segmentation is not None:
-        for i, d in enumerate(series.dates):
-            groups.setdefault(segmentation.label_for(d).value, []).append(i)
+    for i, label in enumerate(labels or ()):
+        groups.setdefault(label, []).append(i)
     base_returns = baseline.returns if baseline is not None else None
     return {
         lab: _row(

@@ -1,10 +1,11 @@
 """Day loop, run journal assembly, and deterministic replay.
 
 Each simulated day: slice the data window, compute the gauge snapshot,
-invoke quants and signals, feed their views (never their allocations) to
-the decision agent, rebalance all three tracked portfolios at the day's
-close, mark at the next close, score the day, reflect, and inject the
-feedback into the following day. Every nondeterministic input is recorded
+invoke quants and signals, feed their views to the decision agent (whose
+prompt reads only each view's `state` and `reasoning`, never its
+allocation), rebalance all three tracked portfolios at the day's close,
+mark at the next close, score the day, reflect, and inject the feedback
+into the following day. Every nondeterministic input is recorded
 verbatim, so the journal alone reproduces the run.
 """
 
@@ -19,7 +20,6 @@ from typing import Mapping
 from .agents import (
     PARSE_ERRORS,
     STATE_VALUES,
-    AgentDecision,
     ChatClientConfig,
     CompletionClient,
     PromptBundle,
@@ -36,7 +36,7 @@ from .indicators import IndicatorParams, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, slice_window
 from .metrics import prediction_correct
-from .portfolio import FeeModel, PortfolioState, mark, rebalance
+from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
 from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
     AGENT_ROLES,
@@ -85,6 +85,8 @@ class RunConfig:
         for name in ("parse_retry_limit", "neutral_band", "fee_bps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key '{name}' must be >= 0")
+        if self.fee_bps >= 10_000:  # a fee of the whole notional could empty a book
+            raise ConfigError("config key 'fee_bps' must be < 10000")
         if self.end < self.start:
             raise ConfigError("end date before start date")
         if self.initial_value_usd <= 0:
@@ -178,21 +180,22 @@ class Ledger:
     def settle(
         self,
         day: Date,
-        decisions: Mapping[str, AgentDecision],
+        entries: Mapping[str, dict],
         close_t: float,
         next_date: Date,
         close_next: float,
     ) -> dict:
-        """Settle one day: trade each book to its decision's allocation at close_t,
+        """Settle one day: trade each book to its entry's `allocation` at close_t,
         mark it at close_next, value the baselines and score the predictions.
         Returns the settled day, the day record's fields derived here: `date` (ISO),
-        `btc_return`, `baseline` and `roles`, each role's `evaluate_day` outcome and
-        `portfolio`. The critic and the weekly review read it as it is."""
+        `btc_return`, `baseline` and `roles`, each role's `evaluate_day` outcome (its
+        entry with the day's scores) and `portfolio`. The critic and the weekly review
+        read it as it is."""
         config = self.config
         day_returns = {}
         for role in AGENT_ROLES:
             before = self.books[role].value_usd  # marked at close_t; the day's fee comes out after
-            traded = rebalance(self.books[role], decisions[role].allocation, close_t, self.fees)
+            traded = rebalance(self.books[role], Allocation(entries[role]["allocation"]), close_t, self.fees)
             self.books[role] = mark(traded, next_date, close_next)
             day_returns[role] = self.books[role].value_usd / before - 1.0
         initial = config.initial_value_usd
@@ -203,7 +206,7 @@ class Ledger:
             "day_return_5050": bl_next / bl_now - 1.0,
         }
         btc_return = close_next / close_t - 1.0
-        roles = evaluate_day(decisions, day_returns, btc_return, config.neutral_band, self.counts)
+        roles = evaluate_day(entries, day_returns, btc_return, config.neutral_band, self.counts)
         for role, outcome in roles.items():
             self.counts[role] = (self.counts[role][0] + outcome["correct"], self.counts[role][1] + 1)
             self.held[role] = outcome["allocation"]
@@ -250,13 +253,11 @@ def run_backtest(
     templates = load_weekly_templates(config.weekly_template_path)
     ledger = Ledger(config, days[0], first_rec.bar.close)
 
-    def decide(bundle: PromptBundle):
-        return decide_with_retry(
-            client,
-            bundle,
-            retry_limit=config.parse_retry_limit,
-            fallback_allocation=ledger.held[bundle.role.value],
-        )
+    def decide(bundle: PromptBundle) -> dict:
+        """The role's journal entry: its prompt and `decide_with_retry`'s fields."""
+        held = ledger.held[bundle.role.value]
+        entry = decide_with_retry(client, bundle, config.parse_retry_limit, held)
+        return {"system": bundle.system_text, "user": bundle.user_text, **entry}
 
     entries: list[dict] = []
 
@@ -301,29 +302,23 @@ def run_backtest(
         }
 
         decided = {"quants": decide(quants_bundle), "signals": decide(signals_bundle)}
-        quants, signals = decided["quants"][0], decided["signals"][0]
+        quants, signals = decided["quants"], decided["signals"]
 
         decision_bundle = build_decision_prompt(
             date=day,
-            quants=quants.prediction,
-            signals=signals.prediction,
+            quants=quants,
+            signals=signals,
             portfolio_value=ledger.books["decision"].value_usd,  # marked at close_t
             daily_feedback=daily_in.get("decision"),
             weekly_feedback=weekly_in.get("decision"),
         )
         lint["decision"] = lint_bundle(
             decision_bundle,
-            upstream_allocations=[quants.allocation.btc_fraction, signals.allocation.btc_fraction],
+            upstream_allocations=[quants["allocation"], signals["allocation"]],
         )
         decided["decision"] = decide(decision_bundle)
 
-        bundles = {"quants": quants_bundle, "signals": signals_bundle, "decision": decision_bundle}
-        decisions = {role: decided[role][0] for role in AGENT_ROLES}
-        settled = ledger.settle(day, decisions, close_t, next_rec.date, close_next)
-        for role in AGENT_ROLES:
-            settled["roles"][role].update(
-                system=bundles[role].system_text, user=bundles[role].user_text, **decided[role][1]
-            )
+        settled = ledger.settle(day, decided, close_t, next_rec.date, close_next)
         reflect = None
         if config.daily_feedback:
             reflect = run_daily_reflection(client, settled, retry_limit=config.parse_retry_limit)
@@ -571,7 +566,7 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
         if record["reflect"] is not None:
             _check_feedback(where, record["reflect"])
         daily_in, weekly_in = ledger.feedback_in()
-        decisions = {}
+        decided = {}
         for role in AGENT_ROLES:
             raw, attempts = roles[role]["raw"], roles[role]["attempts"]  # raw is None on a fallback
             # the last attempt is checked below; most lists hold only that one
@@ -586,10 +581,8 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
                 parsed = None if raw is None else parse_agent_output(raw, role=role)
             except PARSE_ERRORS as exc:
                 raise JournalCorrupt(f"{where} {role}: recorded reply does not parse: {exc}") from None
-            decisions[role] = parsed or fallback_decision(ledger.held[role])
-        settled = ledger.settle(dates[i], decisions, record["close"], dates[i + 1], record["next_close"])
-        for role in AGENT_ROLES:
-            settled["roles"][role]["fallback"] = roles[role]["raw"] is None
+            decided[role] = {**(parsed or fallback_decision(ledger.held[role])), "fallback": raw is None}
+        settled = ledger.settle(dates[i], decided, record["close"], dates[i + 1], record["next_close"])
         derived = {**settled, "daily_feedback_in": daily_in, "weekly_feedback_in": weekly_in}
         _check_reproduced(where, derived, record)
         ledger.last_day = record

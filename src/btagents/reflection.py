@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import date as Date
 from importlib import resources
 from typing import Mapping, Sequence
 
 from .agents import (
-    AgentDecision,
     CompletionClient,
     INDICATOR_TERMS,
     PromptBundle,
@@ -54,32 +53,24 @@ NO_ALLOCATION_ADVICE = (
 )
 
 
-@dataclass(frozen=True)
-class ScopeViolation:
-    role: str
-    reason: str
-
-
 def evaluate_day(
-    decisions: Mapping[str, AgentDecision],
+    decisions: Mapping[str, Mapping],
     portfolio_returns: Mapping[str, float],
     btc_return: float,
     neutral_band: float,
     prior_counts: Mapping[str, tuple[int, int]],
 ) -> dict[str, dict]:
-    """Each role's outcome fields of the day record: its decision, scored against btc_return."""
+    """Each role's outcome in the day record: a copy of its decision entry (the
+    fields of `parse_agent_output` and any others) plus `portfolio_return`,
+    `correct` (its `state` scored against btc_return) and `running_accuracy`."""
     roles = {}
     for role in AGENT_ROLES:
         if role not in decisions or role not in portfolio_returns:
             raise MissingAgentRecord(f"{role} has no record for the day")
-        decision, (prev_ok, prev_n) = decisions[role], prior_counts[role]
-        state = decision.prediction.state.value
-        correct = prediction_correct(state, btc_return, neutral_band)
+        prev_ok, prev_n = prior_counts[role]
+        correct = prediction_correct(decisions[role]["state"], btc_return, neutral_band)
         roles[role] = {
-            "state": state,
-            "allocation": decision.allocation.btc_fraction,
-            "reasoning": decision.prediction.reasoning,
-            "confidence": decision.confidence,
+            **decisions[role],
             "portfolio_return": portfolio_returns[role],
             "correct": correct,
             "running_accuracy": (prev_ok + correct) / (prev_n + 1),
@@ -183,8 +174,9 @@ def _has_allocation_directive(text: str) -> bool:
     return False
 
 
-def scope_filter(feedback: Mapping[str, str]) -> list[ScopeViolation]:
-    """Detect out-of-scope feedback. Empty result means all texts pass.
+def scope_filter(feedback: Mapping[str, str]) -> list[dict]:
+    """Detect out-of-scope feedback as the reflect entry's {"role", "reason"}
+    violations. Empty result means all texts pass.
 
     The signals agent must not be told about technical-indicator data it
     cannot see, and no agent may receive an explicit percentage allocation
@@ -196,15 +188,11 @@ def scope_filter(feedback: Mapping[str, str]) -> list[ScopeViolation]:
     if _SIGNALS_BANNED_RE.search(signals_text):
         for term in SIGNALS_BANNED_TERMS:
             if _word(term).search(signals_text):
-                violations.append(
-                    ScopeViolation(role="signals", reason=f"mentions indicator term '{term}'")
-                )
+                violations.append({"role": "signals", "reason": f"mentions indicator term '{term}'"})
                 break
     for role in AGENT_ROLES:
         if _has_allocation_directive(feedback.get(role, "")):
-            violations.append(
-                ScopeViolation(role=role, reason="contains an explicit allocation directive")
-            )
+            violations.append({"role": role, "reason": "contains an explicit allocation directive"})
     return violations
 
 
@@ -232,7 +220,7 @@ def run_daily_reflection(
     texts, attempts = ask_until_parsed(
         client, bundle, parse_reflect_output, REFLECT_FORMAT_REMINDER, retry_limit + 1
     )
-    violations: list[ScopeViolation] = []
+    violations: list[dict] = []
     flags: list[str] = []
     if texts is None:
         texts = dict.fromkeys(AGENT_ROLES, "")
@@ -241,7 +229,7 @@ def run_daily_reflection(
         violations = scope_filter(texts)
     if violations:
         flags.append("reflect_scope_retry")
-        note = "; ".join(f"{v.role}: {v.reason}" for v in violations)
+        note = "; ".join(f"{v['role']}: {v['reason']}" for v in violations)
         retry_bundle = replace(
             bundle,
             user_text=bundle.user_text
@@ -256,7 +244,7 @@ def run_daily_reflection(
         still = violations
         if retry_texts is not None:
             texts, still = retry_texts, scope_filter(retry_texts)
-        dropped = {v.role for v in still}
+        dropped = {v["role"] for v in still}
         for role in AGENT_ROLES:
             if role in dropped:
                 texts[role] = ""
@@ -267,7 +255,7 @@ def run_daily_reflection(
         "user": bundle.user_text,
         "attempts": attempts,
         "feedback": texts,
-        "violations": [{"role": v.role, "reason": v.reason} for v in violations],
+        "violations": violations,
         "flags": flags,
     }
 

@@ -71,13 +71,17 @@ def resolve_segmentation(
 
 
 def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> ReportArtifacts:
+    """The report of a run. A return date `segmentation` does not cover raises CoverageError."""
     baseline_5050 = daily_returns(outputs.value_dates, outputs.values["static5050"])
+    labels = None  # each return date's regime label, shared by every column
+    if segmentation is not None:
+        labels = [segmentation.label_for(d).value for d in baseline_5050.dates]
     by_column = {}  # column -> label -> MetricsRow
     for col, (_, key) in COLUMNS.items():
         agent = col in AGENT_ROLES
         by_column[col] = regime_report(
             daily_returns(outputs.value_dates, outputs.values[key]),
-            segmentation=segmentation,
+            labels=labels,
             hits=outputs.hits[col] if agent else None,
             baseline=baseline_5050 if agent else None,
         )

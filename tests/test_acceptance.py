@@ -14,7 +14,6 @@ import pytest
 
 from btagents.agents import (
     MarketState,
-    Prediction,
     build_decision_prompt,
     build_quants_prompt,
     build_signals_prompt,
@@ -210,8 +209,10 @@ def test_criterion_05_prompt_scoping():
         upstream = [rng.randint(0, 100) / 100.0, rng.randint(0, 100) / 100.0]
         decision_bundle = build_decision_prompt(
             day,
-            Prediction(state=rng.choice(list(MarketState)), reasoning=rng.choice(CLEAN_REASONS)),
-            Prediction(state=rng.choice(list(MarketState)), reasoning=rng.choice(CLEAN_REASONS)),
+            {"state": rng.choice(list(MarketState)).value, "allocation": upstream[0],
+             "reasoning": rng.choice(CLEAN_REASONS)},
+            {"state": rng.choice(list(MarketState)).value, "allocation": upstream[1],
+             "reasoning": rng.choice(CLEAN_REASONS)},
             portfolio_value=rng.uniform(1_000.0, 100_000.0),
             daily_feedback=rng.choice((None, "yesterday's sizing was defensible")),
         )
@@ -220,11 +221,11 @@ def test_criterion_05_prompt_scoping():
     violations = scope_filter(
         {"quants": "ok", "signals": "you should incorporate technical indicators", "decision": "ok"}
     )
-    assert [v.role for v in violations] == ["signals"]
+    assert [v["role"] for v in violations] == ["signals"]
     violations = scope_filter(
         {"quants": "ok", "signals": "ok", "decision": "increase its Bitcoin allocation by 10%"}
     )
-    assert [v.role for v in violations] == ["decision"]
+    assert [v["role"] for v in violations] == ["decision"]
     ok(5, "500 randomized days lint clean; both scope-violation exemplars rejected")
 
 

@@ -12,7 +12,6 @@ from btagents.agents import (
     FORMAT_REMINDER,
     InvokeResult,
     MarketState,
-    Prediction,
     ScriptedResponder,
     WEEKLY_FEEDBACK_HEADER,
     allocation_tokens,
@@ -20,6 +19,7 @@ from btagents.agents import (
     build_quants_prompt,
     build_signals_prompt,
     decide_with_retry,
+    fallback_decision,
     lint_bundle,
     parse_agent_output,
 )
@@ -158,10 +158,10 @@ class TestSignalsPrompt:
 
 class TestDecisionPrompt:
     def quants_pred(self):
-        return Prediction(state=MarketState.BEARISH, reasoning="momentum soft into the close")
+        return {"state": "bearish", "allocation": 0.35, "reasoning": "momentum soft into the close"}
 
     def signals_pred(self):
-        return Prediction(state=MarketState.BULLISH, reasoning="coverage flow strongly positive")
+        return {"state": "bullish", "allocation": 0.70, "reasoning": "coverage flow strongly positive"}
 
     def test_embeds_views_and_value(self):
         bundle = build_decision_prompt(D, self.quants_pred(), self.signals_pred(), 10_000.0)
@@ -171,14 +171,14 @@ class TestDecisionPrompt:
         assert "10,000.00" in bundle.user_text
 
     def test_upstream_allocations_never_present(self):
-        # upstream decisions exist with allocations, but only predictions flow in
+        # the upstream entries carry allocations 0.35 and 0.70; only state and reasoning flow in
         bundle = build_decision_prompt(D, self.quants_pred(), self.signals_pred(), 10_000.0)
         assert lint_bundle(bundle, upstream_allocations=[0.35, 0.70]) == []
-        for token in allocation_tokens(0.35):
+        for token in allocation_tokens(0.35) + allocation_tokens(0.70):
             assert token not in bundle.user_text
 
     def test_leaked_allocation_in_reasoning_flagged(self):
-        leaky = Prediction(state=MarketState.BEARISH, reasoning="I would cut to 35% here")
+        leaky = {"state": "bearish", "reasoning": "I would cut to 35% here"}
         bundle = build_decision_prompt(D, leaky, self.signals_pred(), 10_000.0)
         assert any("35%" in v for v in lint_bundle(bundle, upstream_allocations=[0.35]))
 
@@ -199,26 +199,31 @@ class TestParseAgentOutput:
         decision = parse_agent_output(
             '{"state":"bullish","allocation_btc_pct":70,"reasoning":"strong news"}'
         )
-        assert decision.prediction.state is MarketState.BULLISH
-        assert decision.allocation.btc_fraction == 0.70
-        assert decision.prediction.reasoning == "strong news"
+        assert decision["state"] == "bullish"
+        assert decision["allocation"] == 0.70
+        assert decision["reasoning"] == "strong news"
 
     def test_prose_then_object(self):
         raw = "Let me think.\nThe tape looks soft.\n" + json.dumps(
             {"state": "bearish", "allocation_btc_pct": 20, "reasoning": "weak bid"}
         )
         decision = parse_agent_output(raw)
-        assert decision.prediction.state is MarketState.BEARISH
-        assert decision.allocation.btc_fraction == 0.20
+        assert decision["state"] == "bearish"
+        assert decision["allocation"] == 0.20
 
     def test_skips_objects_without_fields(self):
         raw = '{"thought": "warmup"} {"state":"neutral","allocation_btc_pct":50,"reasoning":"mixed"}'
         decision = parse_agent_output(raw)
-        assert decision.prediction.state is MarketState.NEUTRAL
+        assert decision["state"] == "neutral"
 
     def test_out_of_range_allocation(self):
         with pytest.raises(RangeError):
             parse_agent_output('{"state":"bullish","allocation_btc_pct":140,"reasoning":"x"}')
+
+    @pytest.mark.parametrize("pct", ["1" + "0" * 400, "-" + "1" + "0" * 400, "1e400"], ids=["10**400", "-10**400", "1e400"])
+    def test_allocation_beyond_floats_is_out_of_range(self, pct):
+        with pytest.raises(RangeError):
+            parse_agent_output('{"state":"bullish","allocation_btc_pct":%s,"reasoning":"x"}' % pct)
 
     def test_no_json(self):
         with pytest.raises(ParseError):
@@ -236,13 +241,13 @@ class TestParseAgentOutput:
         decision = parse_agent_output(
             '{"state":"BULLISH","allocation_btc_pct":55,"reasoning":"x"}'
         )
-        assert decision.prediction.state is MarketState.BULLISH
+        assert decision["state"] == "bullish"
 
     def test_confidence_preserved(self):
         decision = parse_agent_output(
             '{"state":"bullish","allocation_btc_pct":55,"reasoning":"x","confidence":0.8}'
         )
-        assert decision.confidence == 0.8
+        assert decision["confidence"] == 0.8
 
     @pytest.mark.parametrize(
         "confidence",
@@ -253,7 +258,7 @@ class TestParseAgentOutput:
         decision = parse_agent_output(
             '{"state":"bullish","allocation_btc_pct":55,"reasoning":"x","confidence":%s}' % confidence
         )
-        assert decision.confidence is None
+        assert decision["confidence"] is None
 
     def test_round_trip_full_grid(self):
         for state in MarketState:
@@ -262,8 +267,8 @@ class TestParseAgentOutput:
                     {"state": state.value, "allocation_btc_pct": pct, "reasoning": "grid"}
                 )
                 decision = parse_agent_output(raw)
-                assert decision.prediction.state is state
-                assert decision.allocation.btc_fraction == pct / 100.0
+                assert decision["state"] == state.value
+                assert decision["allocation"] == pct / 100.0
 
 
 class FakeResponse:
@@ -427,9 +432,9 @@ GOOD = '{"state":"bullish","allocation_btc_pct":60,"reasoning":"fine"}'
 class TestDecideWithRetry:
     def test_malformed_then_valid(self):
         client = SeqClient(["not json at all", GOOD])
-        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.5)
+        fields = decide_with_retry(client, any_bundle(), 1, 0.5)
         assert not fields["fallback"]
-        assert decision.allocation.btc_fraction == 0.60
+        assert fields["allocation"] == 0.60
         assert len(fields["attempts"]) == 2
         assert fields["attempts"][0]["error"] is not None
         # the re-ask carried a format reminder
@@ -437,29 +442,30 @@ class TestDecideWithRetry:
 
     def test_all_malformed_falls_back(self):
         client = SeqClient(["junk", "junk", "junk"])
-        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
+        fields = decide_with_retry(client, any_bundle(), 2, 0.5)
         assert fields["fallback"]
-        assert decision.allocation.btc_fraction == 0.5
-        assert decision.prediction.state is MarketState.NEUTRAL
+        assert fields["allocation"] == 0.5
+        assert fields["state"] == "neutral"
         assert len(fields["attempts"]) == 3
 
     def test_carries_previous_allocation(self):
         client = SeqClient(["junk", "junk"])
-        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.35)
+        fields = decide_with_retry(client, any_bundle(), 1, 0.35)
         assert fields["fallback"]
-        assert decision.allocation.btc_fraction == 0.35
+        assert fields["allocation"] == 0.35
 
     def test_transport_failure_falls_back(self):
         client = SeqClient([NetworkError("down", 3)])
-        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=2, fallback_allocation=0.5)
+        fields = decide_with_retry(client, any_bundle(), 2, 0.5)
         assert fields["fallback"]
         assert fields["attempts"][0]["raw"] is None
 
     def test_reply_with_lone_surrogate_is_a_failed_call(self):
         # a JSON body's "\ud800" escape decodes to a str no journal line can encode
         client = SeqClient([GOOD + " \ud800", GOOD])
-        decision, fields = decide_with_retry(client, any_bundle(), retry_limit=1, fallback_allocation=0.5)
+        fields = decide_with_retry(client, any_bundle(), 1, 0.5)
         assert fields == {
+            **fallback_decision(0.5),
             "raw": None,
             "attempts": [
                 {
@@ -470,7 +476,7 @@ class TestDecideWithRetry:
             ],
             "fallback": True,
         }
-        assert decision.allocation.btc_fraction == 0.5
+        assert fields["allocation"] == 0.5
         assert len(client.bundles) == 1
 
 
@@ -484,8 +490,8 @@ class TestAllocationTokens:
         # "10,089.60" must not read as the 0.60 allocation token
         bundle = build_decision_prompt(
             D,
-            Prediction(state=MarketState.NEUTRAL, reasoning="steady"),
-            Prediction(state=MarketState.NEUTRAL, reasoning="steady too"),
+            {"state": "neutral", "reasoning": "steady"},
+            {"state": "neutral", "reasoning": "steady too"},
             10_089.60,
         )
         assert lint_bundle(bundle, upstream_allocations=[0.60]) == []

@@ -334,6 +334,7 @@ class TestStrictConfig:
             {"feedback": {"daily": "yes"}},
             {"regime": {"ma_window": 1}},
             {"client": {"max_retries": -1}},
+            {"client": {"timeout": 0}},
             {"indicators": [20]},
         ],
     )
@@ -365,10 +366,13 @@ class TestStrictConfig:
         )
         assert not (tmp_path / "journal.jsonl").exists()
 
-    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5)])
+    @pytest.mark.parametrize(
+        "key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5), ("fee_bps", 10_000)]
+    )
     def test_negative_value_is_runtime_error(self, tmp_path, capsys, key, value):
         assert self.run_backtest(tmp_path, run={"start": "2024-11-04", "end": "2024-11-05", key: value}) == 1
-        assert f"'{key}' must be >= 0" in capsys.readouterr().err
+        bound = "< 10000" if value >= 10_000 else ">= 0"
+        assert f"'{key}' must be {bound}" in capsys.readouterr().err
         assert not (tmp_path / "journal.jsonl").exists()
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -5,7 +5,6 @@ from datetime import date, timedelta
 import pytest
 
 from btagents.errors import (
-    CoverageError,
     LengthMismatch,
     NonPositiveValue,
     ZeroDispersion,
@@ -142,6 +141,11 @@ def single_span_segmentation(dates):
     )
 
 
+def labels_of(seg, series):
+    """Each return date's regime label, as `report.render` passes them."""
+    return [seg.label_for(d).value for d in series.dates]
+
+
 def per_regime(report):
     """The regime rows of a label map, after its leading All Periods row."""
     assert next(iter(report)) == "All Periods"
@@ -157,7 +161,7 @@ class TestRegimeReport:
         ds = dates_for(41)
         series = daily_returns(ds, values)
         hits = [rng.random() < 0.5 for _ in range(40)]
-        report = regime_report(series, single_span_segmentation(series.dates), hits)
+        report = regime_report(series, labels_of(single_span_segmentation(series.dates), series), hits)
         assert len(per_regime(report)) == 1
         row = per_regime(report)[0]
         assert row.total_return == report["All Periods"].total_return
@@ -176,7 +180,7 @@ class TestRegimeReport:
                 RegimeSpan(ds[6], ds[10], RegimeLabel.SIDEWAYS),
             )
         )
-        report = regime_report(series, seg)
+        report = regime_report(series, labels_of(seg, series))
         by_label = {r.label: r for r in per_regime(report)}
         assert by_label["Sideways"].total_return == 0.0
         assert by_label["Bullish"].total_return == pytest.approx(1.05 ** 5 - 1.0, abs=1e-9)
@@ -194,7 +198,7 @@ class TestRegimeReport:
         seg = RegimeSegmentation(
             spans=tuple(RegimeSpan(series.dates[a], series.dates[b], lab) for a, b, lab in bounds)
         )
-        report = regime_report(series, seg, hits)
+        report = regime_report(series, labels_of(seg, series), hits)
         for (a, b, lab), row in zip(bounds, per_regime(report)):
             sliced = list(series.returns[a : b + 1])
             sliced_hits = hits[a : b + 1]
@@ -217,7 +221,7 @@ class TestRegimeReport:
                 RegimeSpan(ds[7], ds[8], RegimeLabel.SIDEWAYS),
             )
         )
-        report = regime_report(series, seg)
+        report = regime_report(series, labels_of(seg, series))
         assert [r.label for r in per_regime(report)] == ["Sideways", "Bullish"]
         sideways = per_regime(report)[0]
         # spans 1 and 3 concatenated: returns at indices 0,1,2 and 6,7
@@ -230,13 +234,10 @@ class TestRegimeReport:
         with pytest.raises(LengthMismatch):
             regime_report(series, hits=[True])
 
-    def test_uncovered_dates_raise(self):
-        ds = dates_for(5)
-        values = [100.0, 101.0, 102.0, 103.0, 104.0]
-        series = daily_returns(ds, values)
-        seg = RegimeSegmentation(spans=(RegimeSpan(ds[1], ds[2], RegimeLabel.BULLISH),))
-        with pytest.raises(CoverageError):
-            regime_report(series, seg)
+    def test_labels_length_mismatch(self):
+        series = daily_returns(dates_for(3), [100.0, 101.0, 102.0])
+        with pytest.raises(LengthMismatch):
+            regime_report(series, labels=["Bullish"])
 
 
 class TestReturnSeriesType:

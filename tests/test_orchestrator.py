@@ -392,15 +392,25 @@ class TestRunConfigDict:
         again = RunConfig.from_dict(case_study_config.to_dict())
         assert again == case_study_config
 
-    @pytest.mark.parametrize("key, value", [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5.0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("parse_retry_limit", -1), ("neutral_band", -0.5), ("fee_bps", -5.0), ("fee_bps", 10_000.0)],
+    )
     def test_negative_value_rejected(self, key, value):
         tree = {"start": "2024-11-04", "end": "2024-11-05", key: value}
-        with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
+        bound = "< 10000" if value >= 10_000 else ">= 0"
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be {bound}"):
             RunConfig.from_dict(tree)
 
     def test_negative_fee_rejected_in_python(self):
         with pytest.raises(ConfigError, match="config key 'fee_bps' must be >= 0"):
             RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), fee_bps=-5)
+
+    def test_fee_just_below_the_whole_notional_runs(self):
+        """Full buys and full sells on alternate days at 9999 bps leave each book
+        a sliver of value, which the next day's return divides by."""
+        journal = run_synth(10, fee_bps=9999, alloc_plan=lambda i: (100, 0, 100) if i % 2 else (0, 100, 0))[0]
+        assert all(day["roles"][role]["portfolio"]["value_usd"] > 0 for day in journal.days for role in AGENT_ROLES)
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge"]

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from btagents.agents import AgentDecision, Allocation, InvokeResult, MarketState, Prediction
+from btagents.agents import InvokeResult
 from btagents.errors import (
     IncompleteWeek,
     MissingAgentRecord,
@@ -36,10 +36,7 @@ D = date(2024, 11, 4)
 
 
 def decision_for(state, pct, reasoning="view"):
-    return AgentDecision(
-        prediction=Prediction(state=MarketState(state), reasoning=reasoning),
-        allocation=Allocation(btc_fraction=pct / 100.0),
-    )
+    return {"state": state, "allocation": pct / 100.0, "reasoning": reasoning, "confidence": None}
 
 
 def settled_day(day, btc_return, decisions, returns, baseline_return):
@@ -155,7 +152,7 @@ class TestScopeFilter:
         violations = scope_filter(
             {"quants": "ok", "signals": "consider RSI next time", "decision": "ok"}
         )
-        assert [v.role for v in violations] == ["signals"]
+        assert [v["role"] for v in violations] == ["signals"]
 
     def test_technical_indicator_phrase_rejected(self):
         violations = scope_filter(
@@ -165,7 +162,7 @@ class TestScopeFilter:
                 "decision": "ok",
             }
         )
-        assert [v.role for v in violations] == ["signals"]
+        assert [v["role"] for v in violations] == ["signals"]
 
     def test_allocation_directive_rejected_any_role(self):
         violations = scope_filter(
@@ -175,12 +172,12 @@ class TestScopeFilter:
                 "decision": "you should increase its Bitcoin allocation by 10%",
             }
         )
-        assert [v.role for v in violations] == ["decision"]
+        assert [v["role"] for v in violations] == ["decision"]
 
     def test_decimal_percentage_directive_rejected(self):
         # the decimal point does not end the sentence
         violations = scope_filter({"decision": "raise your allocation to 12.5% tomorrow"})
-        assert [v.role for v in violations] == ["decision"]
+        assert [v["role"] for v in violations] == ["decision"]
         # a full stop after a number does
         assert scope_filter({"decision": "raise your allocation to 12. 5% was the move"}) == []
 

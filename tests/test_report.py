@@ -6,6 +6,7 @@ import pytest
 
 from btagents.agents import ScriptedResponder
 from btagents.cli import main
+from btagents.errors import CoverageError
 from btagents.journal import write_journal
 from btagents.orchestrator import outputs_from_journal, run_backtest
 from btagents.regime import RegimeLabel, RegimeSegmentation, RegimeSpan
@@ -122,6 +123,12 @@ class TestRender:
         artifacts = render(self.outputs, seg)
         labels = {row["regime"] for row in artifacts.table_rows}
         assert labels == {"All Periods", "Bullish", "Sideways"}
+
+    def test_override_not_covering_the_run_raises(self):
+        dates = self.outputs.value_dates
+        seg = RegimeSegmentation(spans=(RegimeSpan(dates[1], dates[2], RegimeLabel.BULLISH),))
+        with pytest.raises(CoverageError, match=f"{dates[3]} not covered"):
+            render(self.outputs, resolve_segmentation(self.outputs, seg))
 
     def test_short_run_resolves_to_no_segmentation(self):
         assert resolve_segmentation(self.outputs) is None

@@ -67,7 +67,7 @@ def test_lint_equals_per_term_oracle(role, text, upstream):
 @example(quants="set the position to 12.5. 1%", signals="raise 3.5% exposure", decision="")
 def test_scope_filter_equals_per_term_oracle(quants, signals, decision):
     feedback = {"quants": quants, "signals": signals, "decision": decision}
-    got = [(v.role, v.reason) for v in scope_filter(feedback)]
+    got = [(v["role"], v["reason"]) for v in scope_filter(feedback)]
     assert got == oracle_scope_filter(feedback)
 
 
@@ -85,11 +85,11 @@ def test_each_term_alone_in_every_spelling():
     for word in SIGNALS_BANNED_TERMS:
         for text in spellings(word):
             feedback = {"signals": text}
-            assert [(v.role, v.reason) for v in scope_filter(feedback)] == oracle_scope_filter(feedback)
+            assert [(v["role"], v["reason"]) for v in scope_filter(feedback)] == oracle_scope_filter(feedback)
     for verb in ALLOCATION_VERBS:
         for noun in ALLOCATION_NOUNS:
             for v in spellings(verb):
                 for n in (noun, noun.upper(), f"{noun}s"):
                     feedback = {"decision": f"{v} the {n} by 5%"}
-                    got = [(x.role, x.reason) for x in scope_filter(feedback)]
+                    got = [(x["role"], x["reason"]) for x in scope_filter(feedback)]
                     assert got == oracle_scope_filter(feedback), feedback

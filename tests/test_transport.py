@@ -6,7 +6,7 @@ import pytest
 import requests
 
 from btagents.agents import ChatClient, ChatClientConfig
-from btagents.errors import NetworkError
+from btagents.errors import InvariantViolation, NetworkError
 from btagents.fetchers import EndpointConfig, fetch_social
 
 from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
@@ -98,6 +98,14 @@ def test_zero_retries_still_makes_one_attempt(client):
         call()
     assert exc.value.attempts == 1
     assert len(fake.plan) == 1
+
+
+@CLIENTS
+@pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan")], ids=["0", "0.0", "-1", "nan"])
+def test_timeout_must_be_positive(client, timeout):
+    """No config with a timeout `requests` would refuse is built, so no call is made."""
+    with pytest.raises(InvariantViolation, match="timeout must be > 0"):
+        client([200], timeout=timeout)
 
 
 def test_bearer_headers(monkeypatch):
