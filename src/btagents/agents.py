@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import (
     BtAgentsError,
+    ConfigError,
     InvariantViolation,
     NetworkError,
     ParseError,
@@ -63,10 +64,10 @@ class ChatClientConfig:
     backoff_seconds: float = 0.5
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise InvariantViolation("max_retries must be >= 0")
+        if not self.max_retries >= 0:
+            raise ConfigError("config key 'max_retries' must be >= 0")
         if not self.timeout > 0:
-            raise InvariantViolation("timeout must be > 0")
+            raise ConfigError("config key 'timeout' must be > 0")
 
 
 @dataclass(frozen=True)

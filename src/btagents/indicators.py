@@ -9,11 +9,11 @@ state is reproducible from the window alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date as Date
 from typing import Sequence
 
-from .errors import DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
+from .errors import ConfigError, DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
 from .market_data import Bar
 
 
@@ -33,17 +33,14 @@ class IndicatorParams:
     vwap_lookback: int = 10
 
     def __post_init__(self):
-        windows = (
-            self.sma_window, self.ema_window, self.rsi_window, self.bb_window,
-            self.adx_window, self.macd_fast, self.macd_slow, self.macd_signal,
-            self.vwap_lookback,
-        )
-        if any(w < 1 for w in windows):
-            raise ValueError("all indicator windows must be >= 1")
-        if self.macd_fast >= self.macd_slow:
-            raise ValueError("macd_fast must be < macd_slow")
-        if self.bb_k <= 0:
-            raise ValueError("bb_k must be > 0")
+        # written so that NaN fails each bound
+        for f in fields(self):
+            if f.name != "bb_k" and not getattr(self, f.name) >= 1:
+                raise ConfigError(f"config key '{f.name}' must be >= 1")
+        if not self.macd_fast < self.macd_slow:
+            raise ConfigError("config key 'macd_fast' must be < macd_slow")
+        if not 0 < self.bb_k < math.inf:
+            raise ConfigError("config key 'bb_k' must be finite and > 0")
 
     def window_requirements(self) -> dict[str, int]:
         """Bars each indicator needs before it can run."""

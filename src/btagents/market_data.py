@@ -1,6 +1,7 @@
 """Per-date market inputs: domain types, CSV loaders, alignment and slicing.
 
-One CSV file per series, UTF-8, ISO-8601 dates, header required:
+One CSV file per series, UTF-8 (a leading BOM is skipped), ISO-8601 dates,
+header required:
 
     bars.csv       date,open,high,low,close,volume
     onchain.csv    date,tx_count,active_addresses,transfer_volume_usd
@@ -168,7 +169,7 @@ def read_csv(path: str, expected_header: Sequence[str], build: Callable[[dict[st
     naming the file and the physical line."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -263,7 +264,7 @@ def load_news(path: str) -> list[NewsItem]:
 
 
 def dedupe_news(items: Iterable[NewsItem]) -> list[NewsItem]:
-    """Drop exact (date, source, headline) repeats; feed pagination overlaps."""
+    """Drop exact (date, source, headline) repeats; a news file may repeat an item."""
     seen = set()
     out = []
     for item in items:

@@ -6,12 +6,13 @@ report rows; they are never shown to the trading agents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from typing import Sequence
 
-from .errors import CoverageError, WindowTooShort
+from .errors import ConfigError, CoverageError, WindowTooShort
 from .market_data import read_csv
 
 
@@ -29,12 +30,14 @@ class RegimeParams:
     min_span_days: int = 14
 
     def __post_init__(self):
-        if self.ma_window < 2:
-            raise ValueError("ma_window must be >= 2")
-        if self.slope_lookback < 1 or self.min_span_days < 1:
-            raise ValueError("lookbacks must be >= 1")
-        if self.slope_threshold < 0:
-            raise ValueError("slope_threshold must be >= 0")
+        # written so that NaN fails each bound
+        if not self.ma_window >= 2:
+            raise ConfigError("config key 'ma_window' must be >= 2")
+        for name in ("slope_lookback", "min_span_days"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"config key '{name}' must be >= 1")
+        if not 0 <= self.slope_threshold < math.inf:
+            raise ConfigError("config key 'slope_threshold' must be finite and >= 0")
 
     def warmup(self) -> int:
         return self.ma_window + self.slope_lookback

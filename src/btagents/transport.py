@@ -1,6 +1,6 @@
-"""The one HTTP seam, shared by the chat client and the feed fetchers:
-transport failures and 5xx replies are retried, 4xx replies fail. `requests`
-is imported here only, and only on use, so offline runs never load it."""
+"""The one HTTP seam, the chat client's retry loop: transport failures and
+5xx replies are retried, 4xx replies fail. `requests` is imported here only,
+and only on use, so offline runs never load it."""
 
 from __future__ import annotations
 

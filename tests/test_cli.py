@@ -84,6 +84,12 @@ class TestIngest:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bars_with_a_leading_bom(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        bars.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "bars.csv").read_bytes())
+        assert main(["ingest", "--bars", str(bars)]) == 0
+        assert capsys.readouterr().out.startswith("aligned dataset: 37 records, 2024-10-01 .. 2024-11-06\n")
+
     def test_news_byte_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
         news = tmp_path / "news.csv"
         news.write_bytes(b"date,source,headline,summary\n2024-11-04,CNBC,BTC \xff rallies,x\n")
@@ -254,6 +260,16 @@ class TestReplayAndReport:
         out = capsys.readouterr().out
         assert "Bullish" in out
 
+    def test_segmentation_with_a_leading_bom(self, journal_path, tmp_path, capsys):
+        text = "start_date,end_date,label\n2024-11-04,2024-11-06,Bullish\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert main(["report", "--journal", journal_path, "--segmentation", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", "--journal", journal_path, "--segmentation", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_segmentation_byte_that_is_not_utf8_is_runtime_error(self, journal_path, tmp_path, capsys):
         seg = tmp_path / "seg.csv"
         seg.write_bytes(b"start_date,end_date,label\n2024-11-04,2024-11-06,Bull\xffish\n")
@@ -333,14 +349,28 @@ class TestStrictConfig:
             {"run": {"end": "2024-11-05"}},
             {"feedback": {"daily": "yes"}},
             {"regime": {"ma_window": 1}},
+            {"regime": {"slope_lookback": 0}},
+            {"regime": {"min_span_days": 0}},
+            {"regime": {"slope_threshold": -0.01}},
             {"client": {"max_retries": -1}},
             {"client": {"timeout": 0}},
+            {"client": {"timeout": -1.5}},
             {"indicators": [20]},
+            {"indicators": {"macd_fast": 30}},
+            {"indicators": {"rsi_window": 0}},
+            {"indicators": {"bb_k": 0}},
         ],
     )
     def test_bad_value_is_runtime_error(self, tmp_path, capsys, overrides):
         assert self.run_backtest(tmp_path, **overrides) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "journal.jsonl").exists()
+        ((section, keys),) = overrides.items()
+        if section in ("client", "regime", "indicators") and isinstance(keys, dict):
+            ((key, _),) = keys.items()
+            assert err.startswith(f"error: {tmp_path / 'config.json'}: config key '{key}' must be ")
 
     def test_unknown_gap_policy_is_runtime_error(self, tmp_path, capsys):
         data = {"bars": str(FIXTURE_DIR / "bars.csv"), "gap_policy": "fill"}
@@ -502,21 +532,6 @@ print(codes, "requests" in sys.modules)
         assert (tmp_path / "replay" / "report.txt").read_text(encoding="utf-8") == (
             tmp_path / "report" / "report.txt"
         ).read_text(encoding="utf-8")
-
-    def test_fetchers_with_a_cache_hit_never_import_requests(self, tmp_path):
-        cached = tmp_path / "senticrypt" / "2024-11-04.json"
-        cached.parent.mkdir()
-        cached.write_text('{"mean": 0.25}', encoding="utf-8")
-        code = f"""
-import sys
-from datetime import date
-import btagents.fetchers
-from btagents.fetchers import EndpointConfig, fetch_social
-day = date(2024, 11, 4)
-rows = fetch_social(EndpointConfig(base_url="http://social.test", cache_dir={str(tmp_path)!r}), day, day)
-print(rows[0].social_score_mean, "requests" in sys.modules)
-"""
-        assert fresh_python(code).splitlines()[-1] == "0.25 False"
 
     def test_live_client_loads_requests_session(self):
         code = """

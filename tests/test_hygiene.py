@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used by its module, the
-package exports every public name its `__init__` imports, every CSV input
-goes through one reader, predictions are scored in one run-side and one
-report-side place, only the transport module imports `requests`, and the
-traced benchmark's wrap targets are still the names the program calls."""
+"""Every module-level import in the package is used by its module, every
+module is reached from the CLI, the package exports every public name its
+`__init__` imports, every CSV input goes through one reader, predictions are
+scored in one run-side and one report-side place, only the transport module
+imports `requests`, and the traced benchmark's wrap targets are still the
+names the program calls."""
 
 import ast
 import importlib.util
@@ -44,6 +45,33 @@ def test_checker_finds_an_unused_import():
         "os",
         "c",
     ]
+
+
+def relative_imports(source: str) -> set[str]:
+    """The sibling modules `source` imports with `from .x import ...` or `from . import x`, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_relative_imports_reads_nested_and_bare_imports():
+    assert relative_imports("from .a import x\ndef f():\n    from . import b\nimport c\n") == {"a", "b"}
+    assert relative_imports("from .a.b import x\nfrom .. import up\nfrom c import d\n") == {"a"}
+
+
+def test_every_module_is_reached_from_the_cli():
+    """The package is what its commands run: each module is imported, directly
+    or through another, by `cli.py`."""
+    package = Path(btagents.__file__).parent
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += relative_imports((package / f"{name}.py").read_text(encoding="utf-8"))
+    assert sorted(p.name for p in MODULES if p.stem not in reached) == []
 
 
 def test_package_exports_match_its_imports():

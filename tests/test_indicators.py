@@ -3,7 +3,7 @@ from datetime import date
 
 import pytest
 
-from btagents.errors import DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
+from btagents.errors import ConfigError, DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
 from btagents.indicators import (
     IndicatorParams,
     adx,
@@ -26,6 +26,12 @@ from oracles import (
     oracle_rsi,
     oracle_sma,
     oracle_vwap,
+)
+
+# the IndicatorParams fields that count bars
+WINDOWS = (
+    "sma_window", "ema_window", "rsi_window", "bb_window", "adx_window",
+    "macd_fast", "macd_slow", "macd_signal", "vwap_lookback",
 )
 
 
@@ -246,8 +252,32 @@ class TestSnapshot:
         assert "adx" in str(exc.value)
 
     def test_macd_slow_must_exceed_fast(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             IndicatorParams(macd_fast=26, macd_slow=12)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bb_k": float("nan")}, "config key 'bb_k' must be finite and > 0"),
+            ({"bb_k": float("inf")}, "config key 'bb_k' must be finite and > 0"),
+            ({"bb_k": 0.0}, "config key 'bb_k' must be finite and > 0"),
+            ({"bb_k": -2.0}, "config key 'bb_k' must be finite and > 0"),
+            ({"rsi_window": float("nan")}, "config key 'rsi_window' must be >= 1"),
+            ({"macd_fast": 12, "macd_slow": 12}, "config key 'macd_fast' must be < macd_slow"),
+            *[({name: 0}, f"config key '{name}' must be >= 1") for name in WINDOWS],
+        ],
+        ids=[
+            "nan-bb-k", "inf-bb-k", "zero-bb-k", "negative-bb-k", "nan-window", "equal-macd",
+            *[f"zero-{name}" for name in WINDOWS],
+        ],
+    )
+    def test_bad_value_names_its_key(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            IndicatorParams(**kwargs)
+
+    def test_least_values_are_accepted(self):
+        params = IndicatorParams(**{**{name: 1 for name in WINDOWS}, "macd_slow": 2}, bb_k=1e-9)
+        assert params.min_window() == 3  # adx needs 2 * adx_window + 1 bars
 
 
 class TestProperties:

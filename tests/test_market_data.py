@@ -26,7 +26,7 @@ from btagents.market_data import (
     slice_window,
 )
 
-from conftest import bars_from_closes
+from conftest import FIXTURE_DIR, bars_from_closes
 
 
 def write(tmp_path, name, text):
@@ -163,7 +163,8 @@ class TestOtherLoaders:
             load_news(path)
 
 
-@pytest.mark.parametrize(
+# one (loader, header, row with a `{}` for its date, line end) per series
+SERIES = pytest.mark.parametrize(
     "loader,header,row,eol",
     [
         (load_bars, "date,open,high,low,close,volume", "{},1,1,1,1,1", "\n"),
@@ -174,6 +175,9 @@ class TestOtherLoaders:
     ],
     ids=["bars", "onchain", "sentiment", "news", "news-cr-line-ends"],
 )
+
+
+@SERIES
 def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row, eol):
     path = tmp_path / "series.csv"
     good = row.format("2024-11-03")
@@ -183,6 +187,28 @@ def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, loader, header, row
         loader(str(path))
     assert (exc.value.path, exc.value.line_no) == (str(path), 3)
     assert exc.value.reason == "byte 0xff is not UTF-8"
+
+
+def test_case_study_bars_with_a_leading_bom_load_equal(tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "bars.csv").read_bytes())
+    assert load_bars(str(path)) == load_bars(str(FIXTURE_DIR / "bars.csv"))
+
+
+@SERIES
+def test_leading_bom_is_skipped(tmp_path, loader, header, row, eol):
+    """A file saved with a UTF-8 byte order mark reads as the same file without
+    one, and a bad byte after it still names its physical line."""
+    text = f"{header}{eol}{row.format('2024-11-03')}{eol}{row.format('2024-11-04')}{eol}"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert len(loader(str(marked))) == 2
+    assert loader(str(marked)) == loader(str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + f"{header}{eol}{row.format('2024-11-03')}{eol}2024-11-04".encode() + b"\xff" + eol.encode())
+    with pytest.raises(MalformedRow) as exc:
+        loader(str(marked))
+    assert (exc.value.path, exc.value.line_no, exc.value.reason) == (str(marked), 3, "byte 0xff is not UTF-8")
 
 
 def test_errors_name_the_physical_line_after_a_two_line_field(tmp_path):

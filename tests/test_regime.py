@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from btagents.errors import CoverageError, MalformedRow, WindowTooShort
+from btagents.errors import ConfigError, CoverageError, MalformedRow, WindowTooShort
 from btagents.regime import (
     RegimeLabel,
     RegimeParams,
@@ -47,6 +47,35 @@ class TestClassifyDay:
     def test_too_short(self):
         with pytest.raises(WindowTooShort):
             classify_day([100.0] * 59, RegimeParams())
+
+
+class TestRegimeParams:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"slope_threshold": float("nan")}, "config key 'slope_threshold' must be finite and >= 0"),
+            ({"slope_threshold": float("inf")}, "config key 'slope_threshold' must be finite and >= 0"),
+            ({"slope_threshold": -0.001}, "config key 'slope_threshold' must be finite and >= 0"),
+            ({"ma_window": 1}, "config key 'ma_window' must be >= 2"),
+            ({"ma_window": float("nan")}, "config key 'ma_window' must be >= 2"),
+            ({"slope_lookback": 0}, "config key 'slope_lookback' must be >= 1"),
+            ({"slope_lookback": float("nan")}, "config key 'slope_lookback' must be >= 1"),
+            ({"min_span_days": 0}, "config key 'min_span_days' must be >= 1"),
+            ({"min_span_days": float("nan")}, "config key 'min_span_days' must be >= 1"),
+        ],
+        ids=[
+            "nan-threshold", "inf-threshold", "negative-threshold", "ma-window-1", "nan-ma-window",
+            "zero-lookback", "nan-lookback", "zero-span", "nan-span",
+        ],
+    )
+    def test_bad_value_names_its_key(self, kwargs, message):
+        """A NaN fails the bounds too: a NaN threshold would label every day Sideways."""
+        with pytest.raises(ConfigError, match=message):
+            RegimeParams(**kwargs)
+
+    def test_least_values_are_accepted(self):
+        params = RegimeParams(ma_window=2, slope_lookback=1, min_span_days=1, slope_threshold=0.0)
+        assert params.warmup() == 3
 
 
 def day_label_merge_oracle(dates, closes, params):
@@ -160,6 +189,14 @@ class TestSegmentationType:
         seg = load_segmentation(str(path))
         assert len(seg.spans) == 2
         assert seg.label_for(date(2024, 9, 1)) is RegimeLabel.BULLISH
+
+    def test_load_segmentation_skips_a_leading_bom(self, tmp_path):
+        text = "start_date,end_date,label\n2024-07-01,2024-08-15,Sideways\n2024-08-16,2024-11-30,Bullish\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_segmentation(str(marked)) == load_segmentation(str(plain))
 
     def test_load_segmentation_rejects_bad_label(self, tmp_path):
         path = tmp_path / "seg.csv"
