@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import threading
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from enum import Enum
@@ -66,8 +67,9 @@ class ChatClientConfig:
     def __post_init__(self):
         if not self.max_retries >= 0:
             raise ConfigError("config key 'max_retries' must be >= 0")
-        if not self.timeout > 0:
-            raise ConfigError("config key 'timeout' must be > 0")
+        # socket.settimeout can raise OverflowError on a larger timeout
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"config key 'timeout' must be > 0 and at most {threading.TIMEOUT_MAX}")
 
 
 @dataclass(frozen=True)
@@ -271,20 +273,25 @@ def _word(term: str) -> re.Pattern:
     return re.compile(rf"(?<![a-z0-9_]){re.escape(term)}(?![a-z0-9_])", re.IGNORECASE)
 
 
-def _any_word(terms: tuple[str, ...]) -> re.Pattern:
-    """One pattern that matches exactly where `_word(t)` matches for some t.
+# the three characters that IGNORECASE matches to an ASCII letter but that
+# str.lower() does not lower to one ("\u0130".lower() is two characters)
+_FOLD_TO_ASCII = str.maketrans({"\u017f": "s", "\u0131": "i", "\u0130": "i"})
 
-    The leading lookahead on the terms' first characters lets the scan skip
-    most positions before the lookbehind runs; IGNORECASE applies to it too.
+
+def _fold(text: str) -> str:
+    """`text` lower-cased one character for one, so every character that
+    IGNORECASE matches to an ASCII letter is that letter."""
+    return text.lower() if text.isascii() else text.translate(_FOLD_TO_ASCII).lower()
+
+
+def _words_in(terms: Sequence[str], text: str) -> list[str]:
+    """The terms `_word` finds in `text`, in order.
+
+    Wherever `_word(t)` matches, `t` is a substring of the folded text, so
+    the substring test skips the regex for every absent term.
     """
-    first = "".join(sorted({re.escape(t[:1]) for t in terms}))
-    lead = rf"(?=[{first}])" if terms and all(terms) else ""
-    alts = "|".join(re.escape(t) for t in terms)
-    return re.compile(rf"{lead}(?<![a-z0-9_])(?:{alts})(?![a-z0-9_])", re.IGNORECASE)
-
-
-_INDICATOR_RE = _any_word(INDICATOR_TERMS)
-_NEWS_SENTIMENT_RE = _any_word(NEWS_SENTIMENT_TERMS)
+    folded = _fold(text)
+    return [t for t in terms if t in folded and _word(t).search(text)]
 
 
 def allocation_tokens(btc_fraction: float) -> list[str]:
@@ -305,15 +312,12 @@ def lint_bundle(
     """Scope violations in a prompt: empty list means the bundle is clean."""
     text = bundle.system_text + "\n" + bundle.user_text
     violations = []
-    # each alternation gates its per-term loop, which names every term found
-    if bundle.role == Role.SIGNALS and _INDICATOR_RE.search(text):
-        for term in INDICATOR_TERMS:
-            if _word(term).search(text):
-                violations.append(f"signals prompt mentions indicator term '{term}'")
-    elif bundle.role == Role.QUANTS and _NEWS_SENTIMENT_RE.search(text):
-        for term in NEWS_SENTIMENT_TERMS:
-            if _word(term).search(text):
-                violations.append(f"quants prompt mentions news/sentiment term '{term}'")
+    if bundle.role == Role.SIGNALS:
+        for term in _words_in(INDICATOR_TERMS, text):
+            violations.append(f"signals prompt mentions indicator term '{term}'")
+    elif bundle.role == Role.QUANTS:
+        for term in _words_in(NEWS_SENTIMENT_TERMS, text):
+            violations.append(f"quants prompt mentions news/sentiment term '{term}'")
     elif bundle.role == Role.DECISION:
         for frac in upstream_allocations:
             for token in allocation_tokens(frac):

@@ -23,9 +23,8 @@ from .agents import (
     INDICATOR_TERMS,
     PromptBundle,
     Role,
-    _any_word,
     _first_object_with,
-    _word,
+    _words_in,
     ask_until_parsed,
 )
 from .errors import (
@@ -155,20 +154,19 @@ ALLOCATION_VERBS = (
 )
 ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
 _PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*%")
-_ALLOCATION_VERB_RE = _any_word(ALLOCATION_VERBS)
-_ALLOCATION_NOUN_RE = _any_word(ALLOCATION_NOUNS)
-_SIGNALS_BANNED_RE = _any_word(SIGNALS_BANNED_TERMS)
 # a sentence ends at "!", "?", a newline or a "." that is not a decimal point
 _SENTENCE_END_RE = re.compile(r"[!?\n]|(?<!\d)\.|\.(?!\d)")
 
 
 def _has_allocation_directive(text: str) -> bool:
     # a percentage figure sharing a sentence with an allocation verb and noun
+    if "%" not in text:
+        return False
     for sentence in _SENTENCE_END_RE.split(text):
         if (
             _PERCENT_RE.search(sentence)
-            and _ALLOCATION_VERB_RE.search(sentence)
-            and _ALLOCATION_NOUN_RE.search(sentence)
+            and _words_in(ALLOCATION_VERBS, sentence)
+            and _words_in(ALLOCATION_NOUNS, sentence)
         ):
             return True
     return False
@@ -184,12 +182,9 @@ def scope_filter(feedback: Mapping[str, str]) -> list[dict]:
     """
     violations = []
     signals_text = feedback.get("signals", "")
-    # the alternation gates the per-term loop, which names the first term listed
-    if _SIGNALS_BANNED_RE.search(signals_text):
-        for term in SIGNALS_BANNED_TERMS:
-            if _word(term).search(signals_text):
-                violations.append({"role": "signals", "reason": f"mentions indicator term '{term}'"})
-                break
+    banned = _words_in(SIGNALS_BANNED_TERMS, signals_text)
+    if banned:
+        violations.append({"role": "signals", "reason": f"mentions indicator term '{banned[0]}'"})
     for role in AGENT_ROLES:
         if _has_allocation_directive(feedback.get(role, "")):
             violations.append({"role": role, "reason": "contains an explicit allocation directive"})

@@ -355,6 +355,7 @@ class TestStrictConfig:
             {"client": {"max_retries": -1}},
             {"client": {"timeout": 0}},
             {"client": {"timeout": -1.5}},
+            {"client": {"timeout": 1e10}},
             {"indicators": [20]},
             {"indicators": {"macd_fast": 30}},
             {"indicators": {"rsi_window": 0}},

@@ -2,6 +2,7 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btagents.errors import InvariantViolation
 from btagents.portfolio import (
@@ -84,6 +85,26 @@ class TestRebalance:
             Allocation(1.2)
         with pytest.raises(InvariantViolation):
             Allocation(-0.1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        units=st.floats(0.0, 1e4),
+        cash=st.floats(0.0, 1e9),
+        mark_price=st.floats(1e-2, 1e7),
+        price=st.floats(1e-2, 1e7),
+        target=st.floats(0.0, 1.0),
+        fee_bps=st.one_of(st.just(0.0), st.floats(0.0, 9999.0)),
+    )
+    def test_value_is_conserved_up_to_the_fee(self, units, cash, mark_price, price, target, fee_bps):
+        state = PortfolioState(date=D, btc_units=units, cash_usd=cash, mark_price=mark_price)
+        fees = FeeModel(fee_bps=fee_bps)
+        before = units * price + cash
+        after = rebalance(state, Allocation(target), price, fees)
+        assert after.btc_units >= 0.0 and after.cash_usd >= 0.0
+        if fee_bps == 0.0:
+            assert after.value_usd == before
+        traded = abs(after.btc_units - units) * price
+        assert 0.0 <= before - after.value_usd <= fees.rate * traded + 1e-9 * before
 
     def test_non_negative_state_always(self):
         rng = random.Random(33)

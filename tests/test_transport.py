@@ -1,5 +1,8 @@
 """The one retry loop, `transport.request`, as the chat client sends through it."""
 
+import socket
+import threading
+
 import pytest
 import requests
 
@@ -78,11 +81,19 @@ def test_zero_retries_still_makes_one_attempt():
     assert len(fake.plan) == 1
 
 
-@pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan")], ids=["0", "0.0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "timeout", [0, 0.0, -1.0, float("nan"), float("inf"), 1e10], ids=["0", "0.0", "-1", "nan", "inf", "1e10"]
+)
 def test_timeout_must_be_positive(timeout):
-    """No config with a timeout `requests` would refuse is built, so no call is made."""
+    """No config with a timeout `requests` or the socket would refuse is built, so no call is made."""
     with pytest.raises(ConfigError, match="config key 'timeout' must be > 0"):
         chat([200], timeout=timeout)
+
+
+def test_largest_timeout_is_one_a_socket_takes():
+    assert ChatClientConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
+    with socket.socket() as sock:
+        sock.settimeout(threading.TIMEOUT_MAX)
 
 
 @pytest.mark.parametrize("max_retries", [-1, float("nan")], ids=["-1", "nan"])
