@@ -70,6 +70,14 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
             raise ConfigError(f"unknown config key '{unknown[0]}'")
         if "bars" not in data:
             raise KeyError("data.bars")
+        journal = cfg.get("journal", "journal.jsonl")
+        paths = {"data.bars": data["bars"], "journal": journal}
+        for name in ("onchain", "sentiment", "news"):  # optional inputs may be null
+            if data.get(name) is not None:
+                paths[f"data.{name}"] = data[name]
+        for key, value in paths.items():
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"config key '{key}' must be a file path")
         if data.get("gap_policy", GAP_CARRY) not in (GAP_CARRY, GAP_STRICT):
             raise ConfigError(f"config key 'data.gap_policy' must be {GAP_CARRY!r} or {GAP_STRICT!r}")
         tree = {}
@@ -81,7 +89,7 @@ def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
         for section, part in PART_SECTIONS.items():
             if section in cfg:
                 tree[part] = cfg[section]
-        return RunConfig.from_dict(tree), data, cfg.get("journal", "journal.jsonl")
+        return RunConfig.from_dict(tree), data, journal
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path}: missing or invalid config key: {exc}") from None
     except ConfigError as exc:

@@ -63,7 +63,7 @@ class NonPositiveValue(BtAgentsError):
 
 
 class ZeroDispersion(BtAgentsError):
-    """Risk-adjusted ratio is undefined for a constant return series."""
+    """Sample dispersion is undefined for fewer than two returns."""
 
 
 class LengthMismatch(BtAgentsError):

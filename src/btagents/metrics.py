@@ -8,37 +8,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
 from typing import Sequence
 
 from .errors import LengthMismatch, NonPositiveValue, ZeroDispersion
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    dates: tuple[Date, ...]
-    returns: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.dates) != len(self.returns):
-            raise LengthMismatch("dates and returns differ in length")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("return dates must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.returns)
-
-
-def daily_returns(dates: Sequence[Date], values: Sequence[float]) -> ReturnSeries:
-    """Simple returns r_t = V_t / V_{t-1} - 1, dated by the later value."""
-    if len(dates) != len(values):
-        raise LengthMismatch("dates and values differ in length")
+def daily_returns(values: Sequence[float]) -> list[float]:
+    """Simple returns r_t = V_t / V_{t-1} - 1, one per value after the first."""
     if len(values) < 2:
         raise ValueError("need at least two values")
     if any(v <= 0 for v in values):
         raise NonPositiveValue("values must be > 0")
-    rets = tuple(cur / prev - 1.0 for prev, cur in zip(values, values[1:]))
-    return ReturnSeries(dates=tuple(dates[1:]), returns=rets)
+    return [cur / prev - 1.0 for prev, cur in zip(values, values[1:])]
 
 
 def total_return(returns: Sequence[float]) -> float:
@@ -59,12 +40,12 @@ def mean_std(returns: Sequence[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def sharpe(returns: Sequence[float]) -> float:
-    """mean(r) / sample_std(r); raises ZeroDispersion on constant series."""
+def sharpe(returns: Sequence[float]) -> float | None:
+    """mean(r) / sample_std(r); None for fewer than two returns or all equal."""
+    if len(returns) < 2:
+        return None
     mu, sigma = mean_std(returns)
-    if sigma == 0.0:
-        raise ZeroDispersion("constant returns have no dispersion")
-    return mu / sigma
+    return mu / sigma if sigma > 0.0 else None
 
 
 def prediction_correct(state: str, realized_return: float, neutral_band: float) -> bool:
@@ -93,7 +74,6 @@ def regret(agent_returns: Sequence[float], baseline_returns: Sequence[float]) ->
 class MetricsRow:
     """One table row: a regime label (or All Periods) for one portfolio."""
 
-    label: str
     n_days: int
     total_return: float
     mean_daily_pct: float | None
@@ -104,63 +84,55 @@ class MetricsRow:
 
 
 def _row(
-    label: str,
     returns: Sequence[float],
     hits: Sequence[bool] | None,
     baseline_returns: Sequence[float] | None,
 ) -> MetricsRow:
-    mean_pct = std_pct = sharpe_value = None
+    mean_pct = std_pct = None
     if len(returns) >= 2:
         mu, sigma = mean_std(returns)
         mean_pct = 100.0 * mu
         std_pct = 100.0 * sigma
-        if sigma > 0.0:
-            sharpe_value = mu / sigma
     acc = sum(hits) / len(hits) if hits else None
     reg = None if baseline_returns is None else regret(returns, baseline_returns)
     return MetricsRow(
-        label=label,
         n_days=len(returns),
         total_return=total_return(returns),
         mean_daily_pct=mean_pct,
         std_daily_pct=std_pct,
-        sharpe=sharpe_value,
+        sharpe=sharpe(returns),
         accuracy=acc,
         regret=reg,
     )
 
 
 def regime_report(
-    series: ReturnSeries,
+    returns: Sequence[float],
     labels: Sequence[str] | None = None,
     hits: Sequence[bool] | None = None,
-    baseline: ReturnSeries | None = None,
+    baseline: Sequence[float] | None = None,
 ) -> dict[str, MetricsRow]:
     """One row per label: "All Periods" first, then each regime label in the
     order it first occurs.
 
-    `labels` holds each day's regime label and `hits` whether its prediction
-    was correct; a row's accuracy is the share that are true. Days sharing a
-    label are concatenated across spans before computing the row, so
-    repeated sideways periods report as one line.
+    `labels` holds each day's regime label, `hits` whether its prediction
+    was correct and `baseline` the baseline's return that day; a row's
+    accuracy is the share of hits that are true. Days sharing a label are
+    concatenated across spans before computing the row, so repeated
+    sideways periods report as one line.
     """
-    if labels is not None and len(labels) != len(series):
-        raise LengthMismatch("one regime label per return required")
-    if hits is not None and len(hits) != len(series):
-        raise LengthMismatch("one prediction per return required")
-    if baseline is not None and baseline.dates != series.dates:
-        raise LengthMismatch("baseline dates must match the return dates")
+    for name, given in (("regime label", labels), ("prediction", hits), ("baseline return", baseline)):
+        if given is not None and len(given) != len(returns):
+            raise LengthMismatch(f"one {name} per return required")
 
-    groups: dict[str, list[int]] = {"All Periods": list(range(len(series)))}
+    groups: dict[str, list[int]] = {"All Periods": list(range(len(returns)))}
     for i, label in enumerate(labels or ()):
         groups.setdefault(label, []).append(i)
-    base_returns = baseline.returns if baseline is not None else None
     return {
         lab: _row(
-            lab,
-            [series.returns[i] for i in idx],
+            [returns[i] for i in idx],
             [hits[i] for i in idx] if hits is not None else None,
-            [base_returns[i] for i in idx] if base_returns is not None else None,
+            [baseline[i] for i in idx] if baseline is not None else None,
         )
         for lab, idx in groups.items()
     }

@@ -445,10 +445,11 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     `neutral_band` if given, by the rule the run scored `correct` with.
 
     Checks every digest, the type of every field `report` and `replay` read
-    or `replay` re-derives, and the journal's structure: the header's `n_days` day records, numbered
-    in order, each starting on the date the one before it ends, and a weekly
-    record after every seventh day when weekly feedback is on, and only then.
-    Raises JournalCorrupt otherwise.
+    or `replay` re-derives, and the journal's structure: the header's
+    `n_days` day records, numbered in order, each ending after it starts and
+    starting on the date the one before it ends, and a weekly record after
+    every seventh day when weekly feedback is on, and only then. Raises
+    JournalCorrupt otherwise.
     """
     journal.verify()
     _check_shape(journal.header, _HEADER_MISFIT, "journal header")
@@ -471,14 +472,16 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     days = journal.days
     if not days:
         raise JournalCorrupt("journal has no day records")
-    for i, day in enumerate(days):
-        if day["seq"] != i or (i > 0 and day["date"] != days[i - 1]["next_date"]):
-            raise JournalCorrupt(f"day record {i} ({day['date']}) is out of sequence")
     try:
         value_dates = [Date.fromisoformat(days[0]["date"])]
         value_dates += [Date.fromisoformat(day["next_date"]) for day in days]
     except ValueError as exc:
         raise JournalCorrupt(f"bad day record date: {exc}") from None
+    for i, day in enumerate(days):
+        if day["seq"] != i or (i > 0 and day["date"] != days[i - 1]["next_date"]):
+            raise JournalCorrupt(f"day record {i} ({day['date']}) is out of sequence")
+        if value_dates[i + 1] <= value_dates[i]:
+            raise JournalCorrupt(f"day record {i} ({day['date']}) does not end after it starts")
 
     initial = config.initial_value_usd
     closes = [days[0]["close"]]

@@ -32,7 +32,6 @@ from .errors import (
     InvariantViolation,
     MissingAgentRecord,
     SchemaError,
-    ZeroDispersion,
 )
 from .journal import LONE_SURROGATE
 from .metrics import prediction_correct, regret, sharpe, total_return
@@ -153,18 +152,21 @@ ALLOCATION_VERBS = (
     "boost", "set", "shift", "move", "bump", "trim",
 )
 ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
-_PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*%")
+# a percentage figure is digits before "%" or its fullwidth form, or one of these words
+_PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*[%\uff05]")
+PERCENT_WORDS = ("percent", "per cent")
 # a sentence ends at "!", "?", a newline or a "." that is not a decimal point
 _SENTENCE_END_RE = re.compile(r"[!?\n]|(?<!\d)\.|\.(?!\d)")
 
 
 def _has_allocation_directive(text: str) -> bool:
-    # a percentage figure sharing a sentence with an allocation verb and noun
-    if "%" not in text:
+    # a percentage figure sharing a sentence with an allocation verb and noun;
+    # every percentage figure holds "%", its fullwidth form or "cent"
+    if "%" not in text and "\uff05" not in text and "cent" not in text.lower():
         return False
     for sentence in _SENTENCE_END_RE.split(text):
         if (
-            _PERCENT_RE.search(sentence)
+            (_PERCENT_RE.search(sentence) or _words_in(PERCENT_WORDS, sentence))
             and _words_in(ALLOCATION_VERBS, sentence)
             and _words_in(ALLOCATION_NOUNS, sentence)
         ):
@@ -331,10 +333,6 @@ def weekly_feedback(
         week_return = total_return(returns)
         diff = week_return - baseline_week
         reg = regret(returns, baseline_returns)
-        try:
-            sharpe_value = sharpe(returns)
-        except ZeroDispersion:
-            sharpe_value = None
         kind = select_template_kind(diff, reg, praise_threshold, regret_threshold)
         texts[role] = templates[role][kind]
         kinds[role] = kind
@@ -342,7 +340,7 @@ def weekly_feedback(
             "week_return": week_return,
             "baseline_return": baseline_week,
             "return_diff": diff,
-            "sharpe": sharpe_value,
+            "sharpe": sharpe(returns),
             "regret": reg,
         }
     return {

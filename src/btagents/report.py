@@ -72,15 +72,15 @@ def resolve_segmentation(
 
 def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> ReportArtifacts:
     """The report of a run. A return date `segmentation` does not cover raises CoverageError."""
-    baseline_5050 = daily_returns(outputs.value_dates, outputs.values["static5050"])
+    baseline_5050 = daily_returns(outputs.values["static5050"])
     labels = None  # each return date's regime label, shared by every column
     if segmentation is not None:
-        labels = [segmentation.label_for(d).value for d in baseline_5050.dates]
+        labels = [segmentation.label_for(d).value for d in outputs.value_dates[1:]]
     by_column = {}  # column -> label -> MetricsRow
     for col, (_, key) in COLUMNS.items():
         agent = col in AGENT_ROLES
         by_column[col] = regime_report(
-            daily_returns(outputs.value_dates, outputs.values[key]),
+            daily_returns(outputs.values[key]),
             labels=labels,
             hits=outputs.hits[col] if agent else None,
             baseline=baseline_5050 if agent else None,
@@ -133,19 +133,17 @@ def render(outputs: RunOutputs, segmentation: RegimeSegmentation | None) -> Repo
     )
 
 
-def table_csv(artifacts: ReportArtifacts) -> str:
+def _csv(fieldnames: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["regime", "metric", *COLUMNS], lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in artifacts.table_rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def table_csv(artifacts: ReportArtifacts) -> str:
+    return _csv(["regime", "metric", *COLUMNS], artifacts.table_rows)
 
 
 def cumrets_csv(artifacts: ReportArtifacts) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["date", *COLUMNS], lineterminator="\n")
-    writer.writeheader()
-    for row in artifacts.cumret_rows:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-    return buf.getvalue()
+    return _csv(["date", *COLUMNS], artifacts.cumret_rows)

@@ -9,7 +9,7 @@ import os
 import time
 from typing import Any, Callable
 
-from .errors import NetworkError
+from .errors import ConfigError, NetworkError
 
 
 @functools.cache
@@ -25,15 +25,20 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
     or `.post`) until a reply with a status below 400.
 
     `config` supplies `api_key_env_var` (its value, if set, goes out as a
-    bearer token), `timeout`, `max_retries` and `backoff_seconds`. Allows
-    max(1, max_retries) attempts and sleeps backoff_seconds * 2**(k-2) before
-    attempt k >= 2. Returns the reply and the attempt that got it. When every
-    attempt fails, the last failure sets the error: TimeoutError for a
-    timeout, NetworkError otherwise.
+    bearer token; a CR, LF or non-Latin-1 character in it raises
+    ConfigError before any attempt), `timeout`, `max_retries` and
+    `backoff_seconds`. Allows max(1, max_retries) attempts and sleeps
+    backoff_seconds * 2**(k-2) before attempt k >= 2. Returns the reply and
+    the attempt that got it. When every attempt fails, the last failure sets
+    the error: TimeoutError for a timeout, NetworkError otherwise.
     """
     import requests
 
     key = os.environ.get(config.api_key_env_var, "")
+    if "\r" in key or "\n" in key or any(ord(c) > 0xFF for c in key):  # not Latin-1
+        raise ConfigError(
+            f"environment variable {config.api_key_env_var!r} holds a character an HTTP header cannot carry"
+        )
     headers = {"Authorization": f"Bearer {key}"} if key else {}
     attempts_allowed = max(1, config.max_retries)
     last_error: object = None

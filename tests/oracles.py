@@ -169,7 +169,10 @@ def oracle_scope_filter(feedback):
         # sentences end at "!", "?", a newline or a "." outside a decimal number
         for sentence in re.split(r"[!?\n]|(?<!\d)\.|\.(?!\d)", feedback.get(role, "")):
             if (
-                re.search(r"\d+(?:\.\d+)?\s*%", sentence)
+                (
+                    re.search(r"\d+(?:\.\d+)?\s*[%\uff05]", sentence)
+                    or any(_oracle_word(w, sentence) for w in ("percent", "per cent"))
+                )
                 and any(_oracle_word(v, sentence) for v in ALLOCATION_VERBS)
                 and any(_oracle_word(n, sentence) for n in ALLOCATION_NOUNS)
             ):

@@ -8,10 +8,10 @@ import pytest
 
 import btagents
 from btagents.cli import main
-from btagents.journal import read_journal, seal
+from btagents.journal import read_journal, seal, write_journal
 from btagents.reflection import load_weekly_templates
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, run_synth
 
 
 def write_config(tmp_path, **overrides):
@@ -373,6 +373,43 @@ class TestStrictConfig:
             ((key, _),) = keys.items()
             assert err.startswith(f"error: {tmp_path / 'config.json'}: config key '{key}' must be ")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("journal", 3),
+            ("journal", ""),
+            ("data.bars", 3),
+            ("data.bars", ["bars.csv"]),
+            ("data.bars", ""),
+            ("data.onchain", True),
+            ("data.sentiment", 1),
+            ("data.news", 0),
+            ("data.news", ""),
+        ],
+    )
+    def test_path_that_is_not_a_string_is_runtime_error(self, tmp_path, capsys, key, value):
+        data = {"bars": str(FIXTURE_DIR / "bars.csv")}
+        if key == "journal":
+            path = write_config(tmp_path, data=data, journal=value)
+        else:
+            path = write_config(tmp_path, data={**data, key.removeprefix("data."): value})
+        assert self.run_backtest_at(path) == 1
+        assert capsys.readouterr().err == f"error: {path}: config key '{key}' must be a file path\n"
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_null_news_path_runs_without_news(self, tmp_path, capsys):
+        data = {name: str(FIXTURE_DIR / f"{name}.csv") for name in ("bars", "onchain", "sentiment")}
+        assert self.run_backtest(tmp_path, data={**data, "news": None}) == 0
+        assert len(read_journal(str(tmp_path / "journal.jsonl")).days) == 2
+
+    def test_api_key_no_header_can_carry_stops_the_live_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BTAGENTS_API_KEY", "s3cret\n")
+        assert main(["backtest", "--config", str(write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == (
+            "error: environment variable 'BTAGENTS_API_KEY' holds a character an HTTP header cannot carry\n"
+        )
+        assert not (tmp_path / "journal.jsonl").exists()
+
     def test_unknown_gap_policy_is_runtime_error(self, tmp_path, capsys):
         data = {"bars": str(FIXTURE_DIR / "bars.csv"), "gap_policy": "fill"}
         assert self.run_backtest(tmp_path, data=data) == 1
@@ -487,6 +524,18 @@ class TestMalformedJournal:
     def test_day_without_roles(self, command, journal_path, capsys):
         reseal_line(journal_path, 1, lambda day: day.pop("roles"))
         self.fails(command, journal_path, capsys, "journal line 2: field roles is missing")
+
+    def test_day_that_ends_on_its_own_date(self, command, tmp_path, capsys):
+        # day 5 starts where day 4 ends, so only the order of dates is broken
+        path = str(tmp_path / "six_days.jsonl")
+        write_journal(run_synth(6, weekly=False)[0], path)
+        start = read_journal(path).days[4]["date"]
+        reseal_line(path, 5, lambda day: day.update(next_date=start))
+        reseal_line(path, 6, lambda day: day.update(date=start))
+        assert main([command, "--journal", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: day record 4 ({start}) does not end after it starts\n"
 
     def test_first_line_not_an_object(self, command, journal_path, capsys):
         with open(journal_path, encoding="utf-8") as fh:

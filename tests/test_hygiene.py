@@ -1,9 +1,9 @@
 """Every module-level import in the package is used by its module, every
 module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input goes through one reader, predictions are
-scored in one run-side and one report-side place, only the transport module
-imports `requests`, and the traced benchmark's wrap targets are still the
-names the program calls."""
+scored in one run-side and one report-side place, Sharpe has one formula,
+only the transport module imports `requests`, and the traced benchmark's
+wrap targets are still the names the program calls."""
 
 import ast
 import importlib.util
@@ -120,6 +120,18 @@ def test_one_prediction_scorer():
     )
     assert found == [("orchestrator.py", "outputs_from_journal"), ("reflection.py", "evaluate_day")]
     assert not hasattr(btagents.metrics, "accuracy")
+
+
+def test_one_sharpe_formula():
+    """`metrics.sharpe` is the one Sharpe formula, for the report's rows and
+    the weekly stats; a constant series is None there, not an error to catch."""
+    found = sorted(
+        (p.name, scope) for p in MODULES for scope in callers(p.read_text(encoding="utf-8"), "sharpe")
+    )
+    assert found == [("metrics.py", "_row"), ("reflection.py", "weekly_feedback")]
+    package = Path(btagents.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "ZeroDispersion" in p.read_text(encoding="utf-8"))
+    assert naming == ["errors.py", "metrics.py"]
 
 
 def imports_requests(source: str) -> bool:

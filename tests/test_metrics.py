@@ -4,13 +4,8 @@ from datetime import date, timedelta
 
 import pytest
 
-from btagents.errors import (
-    LengthMismatch,
-    NonPositiveValue,
-    ZeroDispersion,
-)
+from btagents.errors import LengthMismatch, NonPositiveValue
 from btagents.metrics import (
-    ReturnSeries,
     daily_returns,
     mean_std,
     prediction_correct,
@@ -28,23 +23,22 @@ def dates_for(n, start=date(2024, 1, 2)):
 
 class TestDailyReturns:
     def test_ten_percent(self):
-        series = daily_returns(dates_for(2), [100.0, 110.0])
-        assert series.returns == (pytest.approx(0.10, abs=1e-12),)
+        assert daily_returns([100.0, 110.0]) == [pytest.approx(0.10, abs=1e-12)]
 
     def test_constant_values_zero(self):
-        series = daily_returns(dates_for(4), [50.0] * 4)
-        assert all(r == 0.0 for r in series.returns)
+        assert daily_returns([50.0] * 4) == [0.0] * 3
 
     def test_matches_ratio_oracle(self):
         rng = random.Random(41)
         values = [rng.uniform(1_000.0, 50_000.0) for _ in range(80)]
-        series = daily_returns(dates_for(80), values)
-        for i, r in enumerate(series.returns):
+        returns = daily_returns(values)
+        assert len(returns) == 79
+        for i, r in enumerate(returns):
             assert r == pytest.approx(values[i + 1] / values[i] - 1.0, abs=1e-12)
 
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveValue):
-            daily_returns(dates_for(2), [100.0, 0.0])
+            daily_returns([100.0, 0.0])
 
 
 class TestSharpe:
@@ -60,9 +54,12 @@ class TestSharpe:
         assert value == pytest.approx(0.0506, abs=1e-4)
         assert abs(value - 0.0504) <= 0.0005
 
-    def test_constant_returns_raise(self):
-        with pytest.raises(ZeroDispersion):
-            sharpe([0.01] * 10)
+    def test_constant_returns_have_none(self):
+        assert sharpe([0.01] * 10) is None
+
+    @pytest.mark.parametrize("returns", [[], [0.01]])
+    def test_fewer_than_two_returns_have_none(self, returns):
+        assert sharpe(returns) is None
 
     def test_hand_series(self):
         returns = [0.01, -0.02, 0.005, 0.03, -0.01]
@@ -141,9 +138,10 @@ def single_span_segmentation(dates):
     )
 
 
-def labels_of(seg, series):
-    """Each return date's regime label, as `report.render` passes them."""
-    return [seg.label_for(d).value for d in series.dates]
+def labels_of(seg, value_dates):
+    """Each return date's regime label, as `report.render` passes them: a
+    return is dated by the later of its two values."""
+    return [seg.label_for(d).value for d in value_dates[1:]]
 
 
 def per_regime(report):
@@ -159,9 +157,9 @@ class TestRegimeReport:
         for _ in range(40):
             values.append(values[-1] * (1.0 + rng.uniform(-0.02, 0.02)))
         ds = dates_for(41)
-        series = daily_returns(ds, values)
+        returns = daily_returns(values)
         hits = [rng.random() < 0.5 for _ in range(40)]
-        report = regime_report(series, labels_of(single_span_segmentation(series.dates), series), hits)
+        report = regime_report(returns, labels_of(single_span_segmentation(ds), ds), hits)
         assert len(per_regime(report)) == 1
         row = per_regime(report)[0]
         assert row.total_return == report["All Periods"].total_return
@@ -173,17 +171,16 @@ class TestRegimeReport:
         values = [100.0]
         for i in range(10):
             values.append(values[-1] * (1.05 if i < 5 else 1.0))
-        series = daily_returns(ds, values)
         seg = RegimeSegmentation(
             spans=(
                 RegimeSpan(ds[0], ds[5], RegimeLabel.BULLISH),
                 RegimeSpan(ds[6], ds[10], RegimeLabel.SIDEWAYS),
             )
         )
-        report = regime_report(series, labels_of(seg, series))
-        by_label = {r.label: r for r in per_regime(report)}
-        assert by_label["Sideways"].total_return == 0.0
-        assert by_label["Bullish"].total_return == pytest.approx(1.05 ** 5 - 1.0, abs=1e-9)
+        report = regime_report(daily_returns(values), labels_of(seg, ds))
+        assert list(report) == ["All Periods", "Bullish", "Sideways"]
+        assert report["Sideways"].total_return == 0.0
+        assert report["Bullish"].total_return == pytest.approx(1.05 ** 5 - 1.0, abs=1e-9)
 
     def test_cells_equal_slice_recomputation(self):
         rng = random.Random(48)
@@ -192,17 +189,17 @@ class TestRegimeReport:
         for _ in range(n):
             values.append(values[-1] * (1.0 + rng.uniform(-0.02, 0.02)))
         ds = dates_for(n + 1)
-        series = daily_returns(ds, values)
+        returns = daily_returns(values)
         hits = [rng.random() < 0.5 for _ in range(n)]
         bounds = [(0, 39, RegimeLabel.BULLISH), (40, 79, RegimeLabel.SIDEWAYS), (80, n - 1, RegimeLabel.BEARISH)]
         seg = RegimeSegmentation(
-            spans=tuple(RegimeSpan(series.dates[a], series.dates[b], lab) for a, b, lab in bounds)
+            spans=tuple(RegimeSpan(ds[a + 1], ds[b + 1], lab) for a, b, lab in bounds)
         )
-        report = regime_report(series, labels_of(seg, series), hits)
+        report = regime_report(returns, labels_of(seg, ds), hits)
+        assert list(report)[1:] == [lab.value for _, _, lab in bounds]
         for (a, b, lab), row in zip(bounds, per_regime(report)):
-            sliced = list(series.returns[a : b + 1])
+            sliced = returns[a : b + 1]
             sliced_hits = hits[a : b + 1]
-            assert row.label == lab.value
             assert row.total_return == pytest.approx(total_return(sliced), abs=1e-12)
             mu, sigma = mean_std(sliced)
             assert row.mean_daily_pct == pytest.approx(100.0 * mu, abs=1e-12)
@@ -213,7 +210,7 @@ class TestRegimeReport:
     def test_same_label_spans_concatenate(self):
         ds = dates_for(9)
         values = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0]
-        series = daily_returns(ds, values)
+        returns = daily_returns(values)
         seg = RegimeSegmentation(
             spans=(
                 RegimeSpan(ds[1], ds[3], RegimeLabel.SIDEWAYS),
@@ -221,32 +218,23 @@ class TestRegimeReport:
                 RegimeSpan(ds[7], ds[8], RegimeLabel.SIDEWAYS),
             )
         )
-        report = regime_report(series, labels_of(seg, series))
-        assert [r.label for r in per_regime(report)] == ["Sideways", "Bullish"]
+        report = regime_report(returns, labels_of(seg, ds))
+        assert list(report)[1:] == ["Sideways", "Bullish"]
         sideways = per_regime(report)[0]
         # spans 1 and 3 concatenated: returns at indices 0,1,2 and 6,7
-        expected = [series.returns[i] for i in (0, 1, 2, 6, 7)]
+        expected = [returns[i] for i in (0, 1, 2, 6, 7)]
         assert sideways.n_days == 5
         assert sideways.total_return == pytest.approx(total_return(expected), abs=1e-12)
 
     def test_hits_length_mismatch(self):
-        series = daily_returns(dates_for(3), [100.0, 101.0, 102.0])
         with pytest.raises(LengthMismatch):
-            regime_report(series, hits=[True])
+            regime_report([0.01, 0.02], hits=[True])
 
     def test_labels_length_mismatch(self):
-        series = daily_returns(dates_for(3), [100.0, 101.0, 102.0])
         with pytest.raises(LengthMismatch):
-            regime_report(series, labels=["Bullish"])
+            regime_report([0.01, 0.02], labels=["Bullish"])
 
-
-class TestReturnSeriesType:
-    def test_rejects_unsorted_dates(self):
-        ds = dates_for(3)
-        with pytest.raises(ValueError):
-            ReturnSeries(dates=(ds[1], ds[0]), returns=(0.1, 0.2))
-
-    def test_rejects_length_mismatch(self):
-        ds = dates_for(2)
+    def test_baseline_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            ReturnSeries(dates=tuple(ds), returns=(0.1,))
+            regime_report([0.01, 0.02], baseline=[0.01, 0.02, 0.03])
+

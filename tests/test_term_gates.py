@@ -22,7 +22,10 @@ from btagents.reflection import (
 from oracles import oracle_lint, oracle_scope_filter
 
 FRACTIONS = (0.0, 0.35, 0.5, 0.125, 1.0)
-TOKENS = ("35%", "35.0%", "0.35", "0.350", "12.5 %", "50%", "100.00%", "0.125", "ks", "sk")
+TOKENS = (
+    "35%", "35.0%", "0.35", "0.350", "12.5 %", "50%", "100.00%", "0.125", "ks", "sk",
+    "5\uff05", "percent", "per cent",
+)
 # U+017F (long s), U+212A (Kelvin sign), U+0131 (dotless i) and U+0130 (dotted
 # capital I) match "s", "k" and "i" under IGNORECASE; str.lower() leaves the
 # first and third alone and turns the last into two characters
@@ -77,6 +80,9 @@ def test_lint_equals_per_term_oracle(role, text, upstream):
 @example(quants="raise your allocation to 12.5% tomorrow", signals="", decision="trim the split. 12.5%")
 @example(quants="set the position to 12.5. 1%", signals="raise 3.5% exposure", decision="")
 @example(quants="Ra\u0131se your allocation to 80%.", signals="the RS\u0130", decision="")
+@example(quants="Raise your allocation to 80 percent.", signals="", decision="")
+@example(quants="", signals="Raise your allocation to 80 \uff05.", decision="")
+@example(quants="", signals="", decision="Raise your allocation to eighty percent.")
 def test_scope_filter_equals_per_term_oracle(quants, signals, decision):
     feedback = {"quants": quants, "signals": signals, "decision": decision}
     got = [(v["role"], v["reason"]) for v in scope_filter(feedback)]
@@ -115,6 +121,23 @@ def test_dotless_and_dotted_i_spell_i():
     assert scope_filter({"quants": "Ra\u0131se your allocation to 80%."}) == [
         {"role": "quants", "reason": "contains an explicit allocation directive"}
     ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Raise your allocation to 80 percent.",
+        "Raise your allocation to 80 \uff05.",
+        "Raise your allocation to eighty percent.",
+        "Cut the position by five PER CENT",
+        "Set exposure to 80\uff05",
+    ],
+)
+def test_other_spellings_of_a_percentage(text):
+    assert scope_filter({"decision": text}) == [
+        {"role": "decision", "reason": "contains an explicit allocation directive"}
+    ]
+    assert scope_filter({"decision": re.sub("(?i)per ?cent|\uff05", "", text)}) == []
 
 
 @pytest.fixture(scope="module")

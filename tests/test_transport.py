@@ -113,3 +113,29 @@ def test_bearer_headers(monkeypatch):
         call()
         sent[env_var] = session.requests[0]["headers"]
     assert sent == {"CHAT_KEY": {"Authorization": "Bearer k1"}, "UNSET_KEY": {}, "": {}}
+
+
+class NeverSends:
+    def post(self, *args, **kwargs):
+        pytest.fail("a key no header can carry was sent")
+
+
+@pytest.mark.parametrize(
+    "key", ["s3cret\n", "s3cret\r", "s3\r\ncret", "s3cret\u20ac", "s3cret\udcff"],
+    ids=["lf", "cr", "crlf", "euro", "surrogate"],
+)
+def test_key_no_header_can_carry_is_config_error(monkeypatch, key):
+    """Refused before any attempt, naming the variable but not its value."""
+    monkeypatch.setenv("CHAT_KEY", key)
+    config = ChatClientConfig(base_url="http://fake/v1", api_key_env_var="CHAT_KEY")
+    client = ChatClient(config, session=NeverSends())
+    with pytest.raises(ConfigError, match="environment variable 'CHAT_KEY' holds a character") as exc:
+        client.complete(any_bundle())
+    assert "s3" not in str(exc.value)
+
+
+def test_latin1_key_is_sent(monkeypatch):
+    monkeypatch.setenv("CHAT_KEY", "k\xe9y")
+    call, session = chat([200], api_key_env_var="CHAT_KEY")
+    call()
+    assert session.requests[0]["headers"] == {"Authorization": "Bearer k\xe9y"}
