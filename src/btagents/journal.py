@@ -9,6 +9,7 @@ journal alone is enough to replay a run.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -22,8 +23,20 @@ from .market_data import MarketDataset, MarketRecord
 JOURNAL_VERSION = 1
 
 
+# a journal repeats its strings (each role's system prompt every day, feedback
+# in every prompt it is injected into, a reply in `raw` and in its attempt),
+# so the escaped form of each recent string is kept
+_escape = functools.lru_cache(maxsize=256)(json.encoder.encode_basestring)
+_default = json.JSONEncoder().default
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)`,
+    built on the same C encoder with `_escape` as its string escaper. Each call
+    gets its own markers dict, so a failed encode leaves no id behind to be
+    taken for a circular reference later."""
+    encode = json.encoder.c_make_encoder({}, _default, _escape, None, ":", ",", True, False, True)
+    return "".join(encode(obj, 0))
 
 
 def _sha256(obj) -> str:
@@ -124,7 +137,10 @@ def _seals_own_line(line: bytes, record: dict) -> bool:
         end += 1
     elif line[start - 1 : start] == b",":
         start -= 1
-    return hashlib.sha256(line[:start] + line[end:]).hexdigest() == digest
+    view = memoryview(line)
+    hasher = hashlib.sha256(view[:start])
+    hasher.update(view[end:])
+    return hasher.hexdigest() == digest
 
 
 def write_journal(journal: RunJournal, path: str) -> None:

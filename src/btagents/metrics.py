@@ -40,11 +40,12 @@ def mean_std(returns: Sequence[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def sharpe(returns: Sequence[float]) -> float | None:
-    """mean(r) / sample_std(r); None for fewer than two returns or all equal."""
+def sharpe(returns: Sequence[float], moments: tuple[float, float] | None = None) -> float | None:
+    """mean(r) / sample_std(r); None for fewer than two returns or all equal.
+    `moments` is `mean_std(returns)`, when the caller has it already."""
     if len(returns) < 2:
         return None
-    mu, sigma = mean_std(returns)
+    mu, sigma = mean_std(returns) if moments is None else moments
     return mu / sigma if sigma > 0.0 else None
 
 
@@ -88,11 +89,11 @@ def _row(
     hits: Sequence[bool] | None,
     baseline_returns: Sequence[float] | None,
 ) -> MetricsRow:
+    moments = mean_std(returns) if len(returns) >= 2 else None
     mean_pct = std_pct = None
-    if len(returns) >= 2:
-        mu, sigma = mean_std(returns)
-        mean_pct = 100.0 * mu
-        std_pct = 100.0 * sigma
+    if moments is not None:
+        mean_pct = 100.0 * moments[0]
+        std_pct = 100.0 * moments[1]
     acc = sum(hits) / len(hits) if hits else None
     reg = None if baseline_returns is None else regret(returns, baseline_returns)
     return MetricsRow(
@@ -100,7 +101,7 @@ def _row(
         total_return=total_return(returns),
         mean_daily_pct=mean_pct,
         std_daily_pct=std_pct,
-        sharpe=sharpe(returns),
+        sharpe=sharpe(returns, moments),
         accuracy=acc,
         regret=reg,
     )

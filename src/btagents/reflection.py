@@ -152,21 +152,24 @@ ALLOCATION_VERBS = (
     "boost", "set", "shift", "move", "bump", "trim",
 )
 ALLOCATION_NOUNS = ("allocation", "exposure", "position", "split")
-# a percentage figure is digits before "%" or its fullwidth form, or one of these words
+# a percentage figure is digits before "%" or its fullwidth form, or a percent
+# word with no letter or underscore before it and no letter, digit or
+# underscore after it ("80percent" counts, "allocation_btc_pct" does not)
 _PERCENT_RE = re.compile(r"\d+(?:\.\d+)?\s*[%\uff05]")
-PERCENT_WORDS = ("percent", "per cent")
+_PERCENT_WORD_RE = re.compile(r"(?<![a-z_])(?:percent|per[ -]cent|pct)(?![a-z0-9_])", re.IGNORECASE)
 # a sentence ends at "!", "?", a newline or a "." that is not a decimal point
 _SENTENCE_END_RE = re.compile(r"[!?\n]|(?<!\d)\.|\.(?!\d)")
 
 
 def _has_allocation_directive(text: str) -> bool:
     # a percentage figure sharing a sentence with an allocation verb and noun;
-    # every percentage figure holds "%", its fullwidth form or "cent"
-    if "%" not in text and "\uff05" not in text and "cent" not in text.lower():
+    # every percentage figure holds "%", its fullwidth form, "cent" or "pct"
+    folded = text.lower()
+    if "%" not in text and "\uff05" not in text and "cent" not in folded and "pct" not in folded:
         return False
     for sentence in _SENTENCE_END_RE.split(text):
         if (
-            (_PERCENT_RE.search(sentence) or _words_in(PERCENT_WORDS, sentence))
+            (_PERCENT_RE.search(sentence) or _PERCENT_WORD_RE.search(sentence))
             and _words_in(ALLOCATION_VERBS, sentence)
             and _words_in(ALLOCATION_NOUNS, sentence)
         ):

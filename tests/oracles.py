@@ -171,7 +171,11 @@ def oracle_scope_filter(feedback):
             if (
                 (
                     re.search(r"\d+(?:\.\d+)?\s*[%\uff05]", sentence)
-                    or any(_oracle_word(w, sentence) for w in ("percent", "per cent"))
+                    or any(
+                        _oracle_word(w, sentence)
+                        or re.search(r"\d\s*" + re.escape(w) + r"(?![a-z0-9_])", sentence, re.IGNORECASE)
+                        for w in ("percent", "per cent", "per-cent", "pct")
+                    )
                 )
                 and any(_oracle_word(v, sentence) for v in ALLOCATION_VERBS)
                 and any(_oracle_word(n, sentence) for n in ALLOCATION_NOUNS)

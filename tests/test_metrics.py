@@ -166,6 +166,15 @@ class TestRegimeReport:
         assert row.sharpe == report["All Periods"].sharpe
         assert row.accuracy == report["All Periods"].accuracy
 
+    def test_one_mean_std_pass_per_row(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr("btagents.metrics.mean_std", lambda r: passes.append(len(r)) or mean_std(r))
+        returns = [0.01, -0.02, 0.03, 0.0, 0.01, 0.02]
+        report = regime_report(returns, ["Bullish"] * 3 + ["Bearish"] * 2 + ["Sideways"])
+        assert passes == [6, 3, 2]
+        assert report["All Periods"].sharpe == sharpe(returns)
+        assert report["Sideways"].sharpe is None and report["Sideways"].std_daily_pct is None
+
     def test_span_with_zero_returns_totals_zero(self):
         ds = dates_for(11)
         values = [100.0]

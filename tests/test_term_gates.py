@@ -24,7 +24,7 @@ from oracles import oracle_lint, oracle_scope_filter
 FRACTIONS = (0.0, 0.35, 0.5, 0.125, 1.0)
 TOKENS = (
     "35%", "35.0%", "0.35", "0.350", "12.5 %", "50%", "100.00%", "0.125", "ks", "sk",
-    "5\uff05", "percent", "per cent",
+    "5\uff05", "percent", "per cent", "per-cent", "pct",
 )
 # U+017F (long s), U+212A (Kelvin sign), U+0131 (dotless i) and U+0130 (dotted
 # capital I) match "s", "k" and "i" under IGNORECASE; str.lower() leaves the
@@ -83,6 +83,10 @@ def test_lint_equals_per_term_oracle(role, text, upstream):
 @example(quants="Raise your allocation to 80 percent.", signals="", decision="")
 @example(quants="", signals="Raise your allocation to 80 \uff05.", decision="")
 @example(quants="", signals="", decision="Raise your allocation to eighty percent.")
+@example(quants="Raise your allocation to 80percent.", signals="", decision="")
+@example(quants="", signals="Raise your allocation to 80 pct.", decision="")
+@example(quants="", signals="", decision="Raise your allocation to 80 per-cent.")
+@example(quants='Raise your allocation to {"allocation_btc_pct": 80}', signals="", decision="")
 def test_scope_filter_equals_per_term_oracle(quants, signals, decision):
     feedback = {"quants": quants, "signals": signals, "decision": decision}
     got = [(v["role"], v["reason"]) for v in scope_filter(feedback)]
@@ -131,13 +135,29 @@ def test_dotless_and_dotted_i_spell_i():
         "Raise your allocation to eighty percent.",
         "Cut the position by five PER CENT",
         "Set exposure to 80\uff05",
+        "Raise your allocation to 80percent.",
+        "Raise your allocation to 80 pct.",
+        "Raise your allocation to 80 per-cent.",
+        "Trim the split to 12.5PCT",
     ],
 )
 def test_other_spellings_of_a_percentage(text):
     assert scope_filter({"decision": text}) == [
         {"role": "decision", "reason": "contains an explicit allocation directive"}
     ]
-    assert scope_filter({"decision": re.sub("(?i)per ?cent|\uff05", "", text)}) == []
+    assert scope_filter({"decision": re.sub("(?i)per[ -]?cent|pct|\uff05", "", text)}) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'Raise your allocation: {"allocation_btc_pct": 80}',
+        "Raise your allocation by the pct_below_vwap figure",
+        "Raise your allocation, 80 pcts of it",
+    ],
+)
+def test_pct_inside_a_word_is_not_a_percentage(text):
+    assert scope_filter({"decision": text}) == []
 
 
 @pytest.fixture(scope="module")
