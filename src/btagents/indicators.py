@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date as Date
 from typing import Sequence
 
-from .errors import ConfigError, DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
+from .errors import ConfigError, DegenerateRange, EmptyWindow, InvariantViolation, WindowTooShort, ZeroVolume
 from .market_data import Bar
 
 
@@ -79,14 +79,17 @@ class IndicatorSnapshot:
     adx_degenerate: bool = field(default=False)
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # first, so NaN is not told as out of range
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvariantViolation(f"{self.date}: gauge {name} is {value}")
         if not (self.bb_lower <= self.bb_mid <= self.bb_upper):
-            raise ValueError("bollinger bands out of order")
+            raise InvariantViolation(f"{self.date}: bollinger bands out of order")
         if not 0.0 <= self.rsi <= 100.0:
-            raise ValueError("rsi outside [0, 100]")
+            raise InvariantViolation(f"{self.date}: rsi outside [0, 100]")
         if not 0.0 <= self.adx <= 100.0:
-            raise ValueError("adx outside [0, 100]")
+            raise InvariantViolation(f"{self.date}: adx outside [0, 100]")
         if not 0.0 <= self.pct_below_vwap <= 1.0:
-            raise ValueError("pct_below_vwap outside [0, 1]")
+            raise InvariantViolation(f"{self.date}: pct_below_vwap outside [0, 1]")
 
 
 def sma(closes: Sequence[float], n: int) -> float:
@@ -240,36 +243,45 @@ def snapshot(bars: Sequence[Bar], params: IndicatorParams) -> IndicatorSnapshot:
 
     A flat window makes ADX degenerate; the snapshot substitutes adx=0 and
     sets adx_degenerate so callers can tell a real zero from a flat fixture.
+    A gauge that overflows or is not finite raises InvariantViolation, and a
+    VWAP window with no volume ZeroVolume, each naming the window's last date.
     """
     need = params.min_window()
     if len(bars) < need:
         binding = max(params.window_requirements().items(), key=lambda kv: kv[1])[0]
         raise WindowTooShort(
             f"snapshot needs {need} bars (binding indicator: {binding}), got {len(bars)}"
+            + (f" up to {bars[-1].date}" if bars else "")
         )
+    day = bars[-1].date
     closes = [b.close for b in bars]
-    line, signal_line, hist = macd(closes, params.macd_fast, params.macd_slow, params.macd_signal)
-    upper, mid, lower = bollinger(closes, params.bb_window, params.bb_k)
-    vw, pct_below = vwap(bars, params.vwap_lookback)
     try:
-        adx_value = adx(bars, params.adx_window)
-        degenerate = False
-    except DegenerateRange:
-        adx_value = 0.0
-        degenerate = True
-    return IndicatorSnapshot(
-        date=bars[-1].date,
-        sma=sma(closes, params.sma_window),
-        ema=ema(closes, params.ema_window),
-        macd_line=line,
-        macd_signal_line=signal_line,
-        macd_hist=hist,
-        rsi=rsi(closes, params.rsi_window),
-        bb_upper=upper,
-        bb_mid=mid,
-        bb_lower=lower,
-        vwap=vw,
-        pct_below_vwap=pct_below,
-        adx=adx_value,
-        adx_degenerate=degenerate,
-    )
+        line, signal_line, hist = macd(closes, params.macd_fast, params.macd_slow, params.macd_signal)
+        upper, mid, lower = bollinger(closes, params.bb_window, params.bb_k)
+        vw, pct_below = vwap(bars, params.vwap_lookback)
+        try:
+            adx_value = adx(bars, params.adx_window)
+            degenerate = False
+        except DegenerateRange:
+            adx_value = 0.0
+            degenerate = True
+        return IndicatorSnapshot(
+            date=day,
+            sma=sma(closes, params.sma_window),
+            ema=ema(closes, params.ema_window),
+            macd_line=line,
+            macd_signal_line=signal_line,
+            macd_hist=hist,
+            rsi=rsi(closes, params.rsi_window),
+            bb_upper=upper,
+            bb_mid=mid,
+            bb_lower=lower,
+            vwap=vw,
+            pct_below_vwap=pct_below,
+            adx=adx_value,
+            adx_degenerate=degenerate,
+        )
+    except OverflowError:  # math.fsum, or the squares in bollinger
+        raise InvariantViolation(f"{day}: a gauge overflows the float range") from None
+    except ZeroVolume as exc:
+        raise ZeroVolume(f"{day}: {exc}") from None

@@ -276,6 +276,16 @@ def dedupe_news(items: Iterable[NewsItem]) -> list[NewsItem]:
     return out
 
 
+def _by_date(series: str, items: Iterable) -> dict:
+    """Map each item's date to it; a repeated date raises DuplicateDate."""
+    table = {}
+    for item in items:
+        if item.date in table:
+            raise DuplicateDate(f"duplicate {series} date {item.date}")
+        table[item.date] = item
+    return table
+
+
 def align(
     bars: Sequence[Bar],
     onchain: Sequence[OnChainDaily] = (),
@@ -291,25 +301,23 @@ def align(
     default policy; under GAP_STRICT any missing date raises. A gap before
     the first available value cannot be carried and always raises. A series
     that is absent altogether (empty) is allowed and yields None fields;
-    the backtest itself requires both series to be present.
+    the backtest itself requires both series to be present. A date repeated
+    in the bar, on-chain or sentiment series raises DuplicateDate; news may
+    hold many items per date.
     """
     if not bars:
         raise InvariantViolation("align requires at least one bar")
     if gap_policy not in (GAP_CARRY, GAP_STRICT):
         raise ValueError(f"unknown gap policy {gap_policy!r}")
 
+    _by_date("bar", bars)
     ordered = sorted(bars, key=lambda b: b.date)
-    seen_dates = set()
-    for b in ordered:
-        if b.date in seen_dates:
-            raise DuplicateDate(f"duplicate bar date {b.date}")
-        seen_dates.add(b.date)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.date != prev.date + timedelta(days=1):
             raise GapError("bars", prev.date + timedelta(days=1))
 
-    onchain_by_date = {o.date: o for o in onchain}
-    sentiment_by_date = {s.date: s for s in sentiment}
+    onchain_by_date = _by_date("onchain", onchain)
+    sentiment_by_date = _by_date("sentiment", sentiment)
     news_by_date: dict[Date, list[NewsItem]] = {}
     for item in dedupe_news(news):
         news_by_date.setdefault(item.date, []).append(item)

@@ -1,9 +1,10 @@
 """Day loop, run journal assembly, and deterministic replay.
 
-Each simulated day: slice the data window, compute the gauge snapshot,
-invoke quants and signals, feed their views to the decision agent (whose
-prompt reads only each view's `state` and `reasoning`, never its
-allocation), rebalance all three tracked portfolios at the day's close,
+Before the first LLM call, every day's data window is sliced and its gauge
+snapshot computed, so bad data fails before a call is paid. Then, each
+simulated day: invoke quants and signals, feed their views to the decision
+agent (whose prompt reads only each view's `state` and `reasoning`, never
+its allocation), rebalance all three tracked portfolios at the day's close,
 mark at the next close, score the day, reflect, and inject the feedback
 into the following day. Every nondeterministic input is recorded
 verbatim, so the journal alone reproduces the run.
@@ -236,22 +237,20 @@ def run_backtest(
             f"lookback_days {config.lookback_days} is shorter than the "
             f"indicator warm-up of {min_win} bars"
         )
-    first_idx = dataset.index_of(days[0])
-    if first_idx + 1 < min_win:
-        raise WindowTooShort(
-            f"need {min_win} bars of history up to {days[0]}, have {first_idx + 1}"
-        )
-    last_idx = dataset.index_of(days[-1])
-    if last_idx + 1 >= len(dataset):
+    if dataset.index_of(days[-1]) + 1 >= len(dataset):
         raise WindowTooShort(f"need a bar after {days[-1]} to mark the last day")
-    first_rec = dataset.record(days[0])
-    if first_rec.onchain is None:
-        raise GapError("onchain", days[0])
-    if first_rec.sentiment is None:
-        raise GapError("sentiment", days[0])
+    market = []  # each day's (window, gauges)
+    for day in days:
+        window = slice_window(dataset, day, config.lookback_days)
+        for r in window:  # the quants prompt reads the window's on-chain rows
+            if r.onchain is None:
+                raise GapError("onchain", r.date)
+        if window[-1].sentiment is None:
+            raise GapError("sentiment", day)
+        market.append((window, snapshot([r.bar for r in window], config.indicator_params)))
 
     templates = load_weekly_templates(config.weekly_template_path)
-    ledger = Ledger(config, days[0], first_rec.bar.close)
+    ledger = Ledger(config, days[0], dataset.record(days[0]).bar.close)
 
     def decide(bundle: PromptBundle) -> dict:
         """The role's journal entry: its prompt and `decide_with_retry`'s fields."""
@@ -272,16 +271,12 @@ def run_backtest(
         }
     )
 
-    for i, day in enumerate(days):
-        idx = dataset.index_of(day)
-        rec = dataset.records[idx]
-        next_rec = dataset.records[idx + 1]
+    for i, (day, (window, snap)) in enumerate(zip(days, market)):
+        rec = window[-1]
+        next_rec = dataset.records[dataset.index_of(day) + 1]
         close_t = rec.bar.close
         close_next = next_rec.bar.close
         daily_in, weekly_in = ledger.feedback_in()
-
-        window = slice_window(dataset, day, config.lookback_days)
-        snap = snapshot([r.bar for r in window], config.indicator_params)
 
         quants_bundle = build_quants_prompt(
             bars=[r.bar for r in window],

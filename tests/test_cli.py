@@ -168,6 +168,21 @@ class TestBacktest:
         assert capsys.readouterr().err.startswith(f"error: {fixtures}: fixture is not UTF-8 JSON: ")
         assert not (tmp_path / "journal.jsonl").exists()
 
+    def test_close_out_of_float_range_fails_before_any_call(self, tmp_path, capsys):
+        text = (FIXTURE_DIR / "bars.csv").read_text(encoding="utf-8")
+        row = "2024-11-05,62500.00,64666.80,61937.50,63900.00,14994.94"
+        assert row in text
+        bars = tmp_path / "bars.csv"
+        bars.write_text(text.replace(row, "2024-11-05,1e200,1e200,1e200,1e200,14994.94"), encoding="utf-8")
+        data = {name: str(FIXTURE_DIR / f"{name}.csv") for name in ("onchain", "sentiment", "news")}
+        config = write_config(tmp_path, data={**data, "bars": str(bars)})
+        fixtures = str(FIXTURE_DIR / "responses.json")
+        assert main(["backtest", "--config", str(config), "--fixtures", fixtures]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2024-11-05: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "journal.jsonl").exists()
+
 
 class TestReplayAndReport:
     @pytest.fixture()

@@ -3,7 +3,14 @@ from datetime import date
 
 import pytest
 
-from btagents.errors import ConfigError, DegenerateRange, EmptyWindow, WindowTooShort, ZeroVolume
+from btagents.errors import (
+    ConfigError,
+    DegenerateRange,
+    EmptyWindow,
+    InvariantViolation,
+    WindowTooShort,
+    ZeroVolume,
+)
 from btagents.indicators import (
     IndicatorParams,
     adx,
@@ -250,6 +257,24 @@ class TestSnapshot:
         with pytest.raises(WindowTooShort) as exc:
             snapshot(bars, IndicatorParams())
         assert "adx" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "close, price, volume, message",
+        [
+            (1e200, 1.0, 1.0, "overflows"),  # a square in bollinger
+            (1.0, 1.0, 1e308, "overflows"),  # fsum of the vwap volumes
+            (1.0, 1e10, 1e300, "vwap is inf"),  # each typical price times volume
+        ],
+    )
+    def test_gauge_out_of_float_range_names_the_date(self, close, price, volume, message):
+        bars = bars_from_closes([price] * 29 + [close], volumes=[volume] * 30)
+        with pytest.raises(InvariantViolation, match=f"^{bars[-1].date}: .*{message}"):
+            snapshot(bars, IndicatorParams())
+
+    def test_zero_volume_names_the_date(self):
+        bars = bars_from_closes([100.0 + i for i in range(30)], volumes=[0.0] * 30)
+        with pytest.raises(ZeroVolume, match=f"^{bars[-1].date}: "):
+            snapshot(bars, IndicatorParams())
 
     def test_macd_slow_must_exceed_fast(self):
         with pytest.raises(ConfigError):

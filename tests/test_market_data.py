@@ -291,6 +291,17 @@ class TestAlign:
                 sentiment=[mk_sentiment(self.dates[1]), mk_sentiment(self.dates[2])],
             )
 
+    @pytest.mark.parametrize("series", ["bar", "onchain", "sentiment"])
+    def test_repeated_date_raises(self, series):
+        day = self.dates[1]
+        kwargs = {"onchain": [mk_onchain(d) for d in self.dates], "sentiment": [mk_sentiment(d) for d in self.dates]}
+        if series == "bar":
+            self.bars.append(self.bars[1])
+        else:
+            kwargs[series].append(kwargs[series][1])
+        with pytest.raises(DuplicateDate, match=f"^duplicate {series} date {day}$"):
+            align(self.bars, **kwargs)
+
     def test_news_grouped_and_deduped(self):
         item = NewsItem(date=self.dates[1], source="CNBC", headline="h", summary="s")
         dup = NewsItem(date=self.dates[1], source="CNBC", headline="h", summary="other")

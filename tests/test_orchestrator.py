@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from datetime import date
 
@@ -9,8 +10,18 @@ from btagents.agents import (
     ChatClientConfig,
     ScriptedResponder,
 )
-from btagents.errors import ConfigError, DateNotFound, JournalCorrupt, WindowTooShort
+from btagents.errors import (
+    ConfigError,
+    DateNotFound,
+    GapError,
+    InvariantViolation,
+    JournalCorrupt,
+    WindowTooShort,
+    ZeroVolume,
+)
+from btagents.indicators import IndicatorParams
 from btagents.journal import read_journal, seal, write_journal
+from btagents.market_data import MarketDataset, align, load_bars, load_onchain
 from btagents.orchestrator import (
     RunConfig,
     outputs_from_journal,
@@ -20,7 +31,7 @@ from btagents.orchestrator import (
 from btagents.reflection import AGENT_ROLES
 from btagents.report import render, resolve_segmentation
 
-from conftest import run_synth, scripted_plan, weeklies
+from conftest import FIXTURE_DIR, run_synth, scripted_plan, weeklies
 
 
 class TestCaseStudyRun:
@@ -140,6 +151,87 @@ class TestPreflight:
     def test_mistyped_config_stops_before_the_run(self):
         with pytest.raises(ConfigError, match="neutral_band"):
             run_synth(3, daily=False, weekly=False, neutral_band="0.01")
+
+
+class NoCalls:
+    """A client for runs that must fail before their first LLM call."""
+
+    def complete(self, bundle):
+        pytest.fail(f"a {bundle.role.value} call was made for {bundle.date}")
+
+
+def edit_day(day, change):
+    """Builds the given dataset again without `align`, with `change` applied to the record of `day`."""
+    return lambda dataset: MarketDataset(
+        tuple(change(r) if r.date == day else r for r in dataset.records)
+    )
+
+
+def edit_bar(**fields):
+    return lambda record: dataclasses.replace(record, bar=dataclasses.replace(record.bar, **fields))
+
+
+MID = date(2024, 11, 5)  # the case study's second and last day
+
+
+@pytest.mark.parametrize(
+    "config, build, error, match",
+    [
+        ({"start": date(2030, 1, 1), "end": date(2030, 1, 2)}, None, DateNotFound, "no trading days"),
+        ({"lookback_days": 10}, None, WindowTooShort, "lookback_days 10"),
+        ({"start": date(2024, 10, 5)}, None, WindowTooShort, "up to 2024-10-05"),
+        ({"end": date(2024, 11, 6)}, None, WindowTooShort, "bar after 2024-11-06"),
+        (
+            {},
+            lambda _: align(
+                load_bars(str(FIXTURE_DIR / "bars.csv")),
+                onchain=load_onchain(str(FIXTURE_DIR / "onchain.csv")),
+            ),
+            GapError,
+            "'sentiment' has no value for 2024-11-04",
+        ),
+        (
+            {},
+            edit_day(MID, lambda r: dataclasses.replace(r, sentiment=None)),
+            GapError,
+            f"'sentiment' has no value for {MID}",
+        ),
+        (
+            {},
+            edit_day(date(2024, 11, 1), lambda r: dataclasses.replace(r, onchain=None)),
+            GapError,
+            "'onchain' has no value for 2024-11-01",
+        ),
+        (
+            {"indicator_params": IndicatorParams(vwap_lookback=1)},
+            edit_day(MID, edit_bar(volume=0.0)),
+            ZeroVolume,
+            f"^{MID}: vwap",
+        ),
+        (
+            {},
+            edit_day(MID, edit_bar(open=1e200, high=1e200, low=1e200, close=1e200)),
+            InvariantViolation,
+            f"^{MID}: a gauge overflows",
+        ),
+    ],
+    ids=[
+        "empty range",
+        "lookback below warm-up",
+        "short history",
+        "no bar after the last day",
+        "no sentiment on day 0",
+        "no sentiment mid-range",
+        "no on-chain value in the window before day 0",
+        "zero-volume vwap window mid-range",
+        "1e200 close mid-range",
+    ],
+)
+def test_data_fault_fails_before_any_call(case_study_dataset, config, build, error, match):
+    config = RunConfig(**{"start": date(2024, 11, 4), "end": MID, **config})
+    dataset = build(case_study_dataset) if build else case_study_dataset
+    with pytest.raises(error, match=match):
+        run_backtest(config, dataset, NoCalls())
 
 
 class TestJournalRoundTrip:
