@@ -130,31 +130,48 @@ def _feedback_sections(daily_feedback: str | None, weekly_feedback: str | None) 
     return ("\n\n" + "\n\n".join(parts)) if parts else ""
 
 
+def price_row(bar: Bar) -> str:
+    """A bar's line in the quants prompt's price table."""
+    return (
+        f"{bar.date.isoformat()}  open {bar.open:.2f}  high {bar.high:.2f}  "
+        f"low {bar.low:.2f}  close {bar.close:.2f}  volume {bar.volume:.2f}"
+    )
+
+
+def onchain_row(o: OnChainDaily) -> str:
+    """A day's line in the quants prompt's chain activity table."""
+    return (
+        f"{o.date.isoformat()}  transactions {o.tx_count}  "
+        f"active addresses {o.active_addresses}  transfer volume {o.transfer_volume_usd:,.0f} USD"
+    )
+
+
 def build_quants_prompt(
     bars: Sequence[Bar],
     snapshot: IndicatorSnapshot,
     onchain: Sequence[OnChainDaily],
     daily_feedback: str | None = None,
     weekly_feedback: str | None = None,
+    rows: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> PromptBundle:
-    """Price window, full gauge set, and chain activity for one date."""
+    """Price window, full gauge set, and chain activity for one date.
+
+    `rows` are the window's lines as `price_row` and `onchain_row` render
+    them, when the caller has them already; the prompt shows the last 10
+    price lines and the last 5 on-chain lines.
+    """
     if snapshot.date != bars[-1].date:
         raise InvariantViolation("snapshot date must match the window's last bar")
-    shown = bars[-10:]
-    price_rows = "\n".join(
-        f"{b.date.isoformat()}  open {b.open:.2f}  high {b.high:.2f}  "
-        f"low {b.low:.2f}  close {b.close:.2f}  volume {b.volume:.2f}"
-        for b in shown
-    )
+    if rows is None:
+        rows = [price_row(b) for b in bars[-10:]], [onchain_row(o) for o in onchain[-5:]]
+    price_lines, chain_lines = rows
+    shown = price_lines[-10:]
+    price_rows = "\n".join(shown)
+    chain_rows = "\n".join(chain_lines[-5:])
     adx_line = (
         f"ADX: {snapshot.adx:.2f}"
         if not snapshot.adx_degenerate
         else "ADX: not defined (flat range)"
-    )
-    chain_rows = "\n".join(
-        f"{o.date.isoformat()}  transactions {o.tx_count}  "
-        f"active addresses {o.active_addresses}  transfer volume {o.transfer_volume_usd:,.0f} USD"
-        for o in onchain[-5:]
     )
     user = (
         f"Date: {snapshot.date.isoformat()}\n\n"

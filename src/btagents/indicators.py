@@ -3,7 +3,9 @@
 All functions are pure and operate on the window they are given: trailing
 statistics (sma, bollinger, vwap) use the last n observations, recursive
 ones (ema, macd, rsi, adx) run over the whole window so their smoothing
-state is reproducible from the window alone.
+state is reproducible from the window alone. RSI's and ADX's terms for a
+pair of adjacent bars do not depend on the window, so `pair_terms` computes
+them once for a run of bars and each window's snapshot reads its slice.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from datetime import date as Date
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateRange, EmptyWindow, InvariantViolation, WindowTooShort, ZeroVolume
 from .market_data import Bar
@@ -103,9 +105,12 @@ def sma(closes: Sequence[float], n: int) -> float:
 def _ema_series(values: Sequence[float], n: int) -> list[float]:
     # seeded with the first value, alpha = 2 / (n + 1)
     alpha = 2.0 / (n + 1.0)
-    out = [values[0]]
+    keep = 1.0 - alpha
+    value = values[0]
+    out = [value]
     for v in values[1:]:
-        out.append(alpha * v + (1.0 - alpha) * out[-1])
+        value = alpha * v + keep * value
+        out.append(value)
     return out
 
 
@@ -116,6 +121,16 @@ def ema(closes: Sequence[float], n: int) -> float:
     return _ema_series(closes, n)[-1]
 
 
+def _macd_lines(
+    closes: Sequence[float], fast_series: list[float], slow: int, signal_n: int
+) -> tuple[float, float, float]:
+    slow_series = _ema_series(closes, slow)
+    macd_series = [f - s for f, s in zip(fast_series, slow_series)]
+    signal_line = _ema_series(macd_series, signal_n)[-1]
+    line = macd_series[-1]
+    return line, signal_line, line - signal_line
+
+
 def macd(
     closes: Sequence[float], fast: int = 12, slow: int = 26, signal_n: int = 9
 ) -> tuple[float, float, float]:
@@ -124,26 +139,45 @@ def macd(
         raise ValueError("fast period must be < slow period")
     if len(closes) < slow:
         raise WindowTooShort(f"macd needs {slow} closes, got {len(closes)}")
-    fast_series = _ema_series(closes, fast)
-    slow_series = _ema_series(closes, slow)
-    macd_series = [f - s for f, s in zip(fast_series, slow_series)]
-    signal_line = _ema_series(macd_series, signal_n)[-1]
-    line = macd_series[-1]
-    return line, signal_line, line - signal_line
+    return _macd_lines(closes, _ema_series(closes, fast), slow, signal_n)
 
 
-def rsi(closes: Sequence[float], n: int = 14) -> float:
-    """Relative strength index with Wilder smoothing over the whole window.
+class PairTerms(NamedTuple):
+    """The gauge terms of each adjacent pair of bars, in bar order: RSI's
+    close-to-close gain and loss, and ADX's true range and directional moves.
+    Entry i belongs to bars i and i + 1."""
 
-    The first n differences seed the average gain/loss; later differences
-    update them with Wilder's recursion. A window with zero gains and zero
-    losses (constant prices) reads as neutral 50.
-    """
-    if len(closes) < n + 1:
-        raise WindowTooShort(f"rsi needs {n + 1} closes, got {len(closes)}")
+    gains: list[float]
+    losses: list[float]
+    trs: list[float]
+    plus_dms: list[float]
+    minus_dms: list[float]
+
+    def window(self, start: int, stop: int) -> "PairTerms":
+        """The terms of the pairs within bars[start:stop]."""
+        return PairTerms(*(terms[start : stop - 1] for terms in self))
+
+
+def _close_moves(closes: Sequence[float]) -> tuple[list[float], list[float]]:
     deltas = [b - a for a, b in zip(closes, closes[1:])]
-    gains = [max(d, 0.0) for d in deltas]
-    losses = [max(-d, 0.0) for d in deltas]
+    return [max(d, 0.0) for d in deltas], [max(-d, 0.0) for d in deltas]
+
+
+def pair_terms(bars: Sequence[Bar]) -> PairTerms:
+    """RSI's and ADX's terms for each adjacent pair of bars, computed once so
+    that every window over the bars can share them. Never raises."""
+    gains, losses = _close_moves([b.close for b in bars])
+    trs, plus_dms, minus_dms = [], [], []
+    for prev, cur in zip(bars, bars[1:]):
+        up_move = cur.high - prev.high
+        down_move = prev.low - cur.low
+        trs.append(max(cur.high - cur.low, abs(cur.high - prev.close), abs(cur.low - prev.close)))
+        plus_dms.append(up_move if (up_move > down_move and up_move > 0) else 0.0)
+        minus_dms.append(down_move if (down_move > up_move and down_move > 0) else 0.0)
+    return PairTerms(gains, losses, trs, plus_dms, minus_dms)
+
+
+def _wilder_rsi(gains: Sequence[float], losses: Sequence[float], n: int) -> float:
     avg_gain = sum(gains[:n]) / n
     avg_loss = sum(losses[:n]) / n
     for g, l in zip(gains[n:], losses[n:]):
@@ -157,6 +191,18 @@ def rsi(closes: Sequence[float], n: int = 14) -> float:
         return 0.0
     rs = avg_gain / avg_loss
     return 100.0 - 100.0 / (1.0 + rs)
+
+
+def rsi(closes: Sequence[float], n: int = 14) -> float:
+    """Relative strength index with Wilder smoothing over the whole window.
+
+    The first n differences seed the average gain/loss; later differences
+    update them with Wilder's recursion. A window with zero gains and zero
+    losses (constant prices) reads as neutral 50.
+    """
+    if len(closes) < n + 1:
+        raise WindowTooShort(f"rsi needs {n + 1} closes, got {len(closes)}")
+    return _wilder_rsi(*_close_moves(closes), n)
 
 
 def bollinger(closes: Sequence[float], n: int = 20, k: float = 2.0) -> tuple[float, float, float]:
@@ -187,30 +233,9 @@ def vwap(bars: Sequence[Bar], lookback: int) -> tuple[float, float]:
     return value, below / lookback
 
 
-def adx(bars: Sequence[Bar], n: int = 14) -> float:
-    """Wilder average directional index over the whole window.
-
-    Requires 2n+1 bars: n differences to seed the smoothed TR/DM sums, and
-    n more DX values to seed the ADX average. Raises DegenerateRange when
-    the seeding true ranges are all zero (flat OHLC), since direction
-    strength is undefined there.
-    """
-    if len(bars) < 2 * n + 1:
-        raise WindowTooShort(f"adx needs {2 * n + 1} bars, got {len(bars)}")
-
-    trs: list[float] = []
-    plus_dms: list[float] = []
-    minus_dms: list[float] = []
-    for prev, cur in zip(bars, bars[1:]):
-        tr = max(cur.high - cur.low, abs(cur.high - prev.close), abs(cur.low - prev.close))
-        up_move = cur.high - prev.high
-        down_move = prev.low - cur.low
-        plus_dm = up_move if (up_move > down_move and up_move > 0) else 0.0
-        minus_dm = down_move if (down_move > up_move and down_move > 0) else 0.0
-        trs.append(tr)
-        plus_dms.append(plus_dm)
-        minus_dms.append(minus_dm)
-
+def _wilder_adx(
+    trs: Sequence[float], plus_dms: Sequence[float], minus_dms: Sequence[float], n: int
+) -> float:
     sm_tr = sum(trs[:n])
     sm_plus = sum(plus_dms[:n])
     sm_minus = sum(minus_dms[:n])
@@ -238,8 +263,29 @@ def adx(bars: Sequence[Bar], n: int = 14) -> float:
     return value
 
 
-def snapshot(bars: Sequence[Bar], params: IndicatorParams) -> IndicatorSnapshot:
+def adx(bars: Sequence[Bar], n: int = 14) -> float:
+    """Wilder average directional index over the whole window.
+
+    Requires 2n+1 bars: n differences to seed the smoothed TR/DM sums, and
+    n more DX values to seed the ADX average. Raises DegenerateRange when
+    the seeding true ranges are all zero (flat OHLC), since direction
+    strength is undefined there.
+    """
+    if len(bars) < 2 * n + 1:
+        raise WindowTooShort(f"adx needs {2 * n + 1} bars, got {len(bars)}")
+    terms = pair_terms(bars)
+    return _wilder_adx(terms.trs, terms.plus_dms, terms.minus_dms, n)
+
+
+def snapshot(
+    bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms | None = None
+) -> IndicatorSnapshot:
     """Compute the full indicator set for the window's last date.
+
+    `terms` are the window's `pair_terms`, when the caller has them for a
+    longer run of bars (`PairTerms.window`); without them the snapshot
+    computes them from `bars`. No gauge is computed twice: EMA is MACD's
+    fast average when their windows agree, and SMA Bollinger's mid.
 
     A flat window makes ADX degenerate; the snapshot substitutes adx=0 and
     sets adx_degenerate so callers can tell a real zero from a flat fixture.
@@ -253,26 +299,29 @@ def snapshot(bars: Sequence[Bar], params: IndicatorParams) -> IndicatorSnapshot:
             f"snapshot needs {need} bars (binding indicator: {binding}), got {len(bars)}"
             + (f" up to {bars[-1].date}" if bars else "")
         )
+    if terms is None:
+        terms = pair_terms(bars)
     day = bars[-1].date
     closes = [b.close for b in bars]
     try:
-        line, signal_line, hist = macd(closes, params.macd_fast, params.macd_slow, params.macd_signal)
+        fast_series = _ema_series(closes, params.macd_fast)
+        line, signal_line, hist = _macd_lines(closes, fast_series, params.macd_slow, params.macd_signal)
         upper, mid, lower = bollinger(closes, params.bb_window, params.bb_k)
         vw, pct_below = vwap(bars, params.vwap_lookback)
         try:
-            adx_value = adx(bars, params.adx_window)
+            adx_value = _wilder_adx(terms.trs, terms.plus_dms, terms.minus_dms, params.adx_window)
             degenerate = False
         except DegenerateRange:
             adx_value = 0.0
             degenerate = True
         return IndicatorSnapshot(
             date=day,
-            sma=sma(closes, params.sma_window),
-            ema=ema(closes, params.ema_window),
+            sma=mid if params.sma_window == params.bb_window else sma(closes, params.sma_window),
+            ema=fast_series[-1] if params.ema_window == params.macd_fast else ema(closes, params.ema_window),
             macd_line=line,
             macd_signal_line=signal_line,
             macd_hist=hist,
-            rsi=rsi(closes, params.rsi_window),
+            rsi=_wilder_rsi(terms.gains, terms.losses, params.rsi_window),
             bb_upper=upper,
             bb_mid=mid,
             bb_lower=lower,

@@ -117,9 +117,19 @@ class MarketRecord:
 
 @dataclass(frozen=True)
 class MarketDataset:
-    """Immutable per-date join of all input series, one record per bar date."""
+    """Immutable per-date join of all input series, one record per bar date,
+    in strictly increasing date order (a repeat raises DuplicateDate, a record
+    dated before the one ahead of it InvariantViolation)."""
 
     records: tuple[MarketRecord, ...]
+
+    def __post_init__(self):
+        # a day's window, and the next bar that marks it, are read by position
+        for prev, cur in zip(self.records, self.records[1:]):
+            if cur.date == prev.date:
+                raise DuplicateDate(f"duplicate bar date {cur.date}")
+            if cur.date < prev.date:
+                raise InvariantViolation(f"bar date {cur.date} is listed after {prev.date}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -130,11 +140,7 @@ class MarketDataset:
 
     @cached_property
     def _positions(self) -> dict[Date, int]:
-        # first position wins, as a scan from the start would find it
-        positions: dict[Date, int] = {}
-        for i, r in enumerate(self.records):
-            positions.setdefault(r.date, i)
-        return positions
+        return {r.date: i for i, r in enumerate(self.records)}
 
     def index_of(self, date: Date) -> int:
         try:

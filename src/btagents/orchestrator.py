@@ -1,13 +1,15 @@
 """Day loop, run journal assembly, and deterministic replay.
 
-Before the first LLM call, every day's data window is sliced and its gauge
-snapshot computed, so bad data fails before a call is paid. Then, each
-simulated day: invoke quants and signals, feed their views to the decision
-agent (whose prompt reads only each view's `state` and `reasoning`, never
-its allocation), rebalance all three tracked portfolios at the day's close,
-mark at the next close, score the day, reflect, and inject the feedback
-into the following day. Every nondeterministic input is recorded
-verbatim, so the journal alone reproduces the run.
+Before the first LLM call, each bar's gauge terms and quants-prompt rows
+are computed once, and every day's data window is sliced and its gauge
+snapshot computed from its share of them, so bad data fails before a call
+is paid. Then, each simulated day: invoke quants and signals, feed their
+views to the decision agent (whose prompt reads only each view's `state`
+and `reasoning`, never its allocation), rebalance all three tracked
+portfolios at the day's close, mark at the next close, score the day,
+reflect, and inject the feedback into the following day. Every
+nondeterministic input is recorded verbatim, so the journal alone
+reproduces the run.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ from .agents import (
     decide_with_retry,
     fallback_decision,
     lint_bundle,
+    onchain_row,
     parse_agent_output,
+    price_row,
 )
 from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowTooShort
-from .indicators import IndicatorParams, snapshot
+from .indicators import IndicatorParams, pair_terms, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, slice_window
 from .metrics import prediction_correct
@@ -237,20 +241,35 @@ def run_backtest(
             f"lookback_days {config.lookback_days} is shorter than the "
             f"indicator warm-up of {min_win} bars"
         )
-    if dataset.index_of(days[-1]) + 1 >= len(dataset):
+    last = dataset.index_of(days[-1])
+    if last + 1 >= len(dataset):
         raise WindowTooShort(f"need a bar after {days[-1]} to mark the last day")
-    market = []  # each day's (window, gauges)
-    for day in days:
+    # dates strictly increase, so day i is record first + i; the run reads the
+    # records from the first day's window to the bar that marks the last day
+    first = last - len(days) + 1
+    lo = max(0, first - config.lookback_days + 1)
+    records = dataset.records[lo : last + 2]
+    bars = [r.bar for r in records]
+    chains = [r.onchain for r in records]
+    # each bar's gauge terms and prompt rows, computed once for every window
+    terms = pair_terms(bars)
+    price_rows = [price_row(b) for b in bars]
+    chain_rows = [None if o is None else onchain_row(o) for o in chains]
+    market = []  # each day's window as positions in records, and its gauges
+    for i, day in enumerate(days):
         window = slice_window(dataset, day, config.lookback_days)
         for r in window:  # the quants prompt reads the window's on-chain rows
             if r.onchain is None:
                 raise GapError("onchain", r.date)
         if window[-1].sentiment is None:
             raise GapError("sentiment", day)
-        market.append((window, snapshot([r.bar for r in window], config.indicator_params)))
+        stop = first - lo + i + 1
+        start = stop - len(window)
+        snap = snapshot(bars[start:stop], config.indicator_params, terms.window(start, stop))
+        market.append((start, stop, snap))
 
     templates = load_weekly_templates(config.weekly_template_path)
-    ledger = Ledger(config, days[0], dataset.record(days[0]).bar.close)
+    ledger = Ledger(config, days[0], bars[first - lo].close)
 
     def decide(bundle: PromptBundle) -> dict:
         """The role's journal entry: its prompt and `decide_with_retry`'s fields."""
@@ -271,19 +290,19 @@ def run_backtest(
         }
     )
 
-    for i, (day, (window, snap)) in enumerate(zip(days, market)):
-        rec = window[-1]
-        next_rec = dataset.records[dataset.index_of(day) + 1]
+    for i, (day, (start, stop, snap)) in enumerate(zip(days, market)):
+        rec, next_rec = records[stop - 1], records[stop]
         close_t = rec.bar.close
         close_next = next_rec.bar.close
         daily_in, weekly_in = ledger.feedback_in()
 
         quants_bundle = build_quants_prompt(
-            bars=[r.bar for r in window],
+            bars=bars[start:stop],
             snapshot=snap,
-            onchain=[r.onchain for r in window],
+            onchain=chains[start:stop],
             daily_feedback=daily_in.get("quants"),
             weekly_feedback=weekly_in.get("quants"),
+            rows=(price_rows[start:stop], chain_rows[start:stop]),
         )
         signals_bundle = build_signals_prompt(
             news=rec.news,

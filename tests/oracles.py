@@ -9,6 +9,8 @@ import math
 import re
 
 from btagents.agents import INDICATOR_TERMS, NEWS_SENTIMENT_TERMS
+from btagents.errors import DegenerateRange, EmptyWindow, InvariantViolation, WindowTooShort, ZeroVolume
+from btagents.indicators import IndicatorSnapshot
 from btagents.reflection import (
     AGENT_ROLES,
     ALLOCATION_NOUNS,
@@ -217,3 +219,221 @@ def oracle_merge_runs(labels, min_span_days):
             merged = True
             break
     return runs
+
+
+# ---------------------------------------------------------------------------
+# The gauges and quants-prompt rows as computed window by window, each from
+# the window's own bars with nothing shared between windows: the reference
+# the shared per-pair terms and per-record rows must reproduce bit for bit.
+
+def window_sma(closes: list, n: int) -> float:
+    """Arithmetic mean of the last n closes."""
+    if len(closes) < n:
+        raise WindowTooShort(f"sma needs {n} closes, got {len(closes)}")
+    tail = closes[-n:]
+    return math.fsum(tail) / n
+
+
+def window_ema_series(values: list, n: int) -> list[float]:
+    # seeded with the first value, alpha = 2 / (n + 1)
+    alpha = 2.0 / (n + 1.0)
+    out = [values[0]]
+    for v in values[1:]:
+        out.append(alpha * v + (1.0 - alpha) * out[-1])
+    return out
+
+
+def window_ema(closes: list, n: int) -> float:
+    """Exponential moving average over the whole window, seeded with its first close."""
+    if not closes:
+        raise EmptyWindow("ema needs at least one close")
+    return window_ema_series(closes, n)[-1]
+
+
+def window_macd(
+    closes: list, fast: int = 12, slow: int = 26, signal_n: int = 9
+) -> tuple[float, float, float]:
+    """(macd_line, signal_line, histogram) at the window's last close."""
+    if fast >= slow:
+        raise ValueError("fast period must be < slow period")
+    if len(closes) < slow:
+        raise WindowTooShort(f"macd needs {slow} closes, got {len(closes)}")
+    fast_series = window_ema_series(closes, fast)
+    slow_series = window_ema_series(closes, slow)
+    macd_series = [f - s for f, s in zip(fast_series, slow_series)]
+    signal_line = window_ema_series(macd_series, signal_n)[-1]
+    line = macd_series[-1]
+    return line, signal_line, line - signal_line
+
+
+def window_rsi(closes: list, n: int = 14) -> float:
+    """Relative strength index with Wilder smoothing over the whole window.
+
+    The first n differences seed the average gain/loss; later differences
+    update them with Wilder's recursion. A window with zero gains and zero
+    losses (constant prices) reads as neutral 50.
+    """
+    if len(closes) < n + 1:
+        raise WindowTooShort(f"rsi needs {n + 1} closes, got {len(closes)}")
+    deltas = [b - a for a, b in zip(closes, closes[1:])]
+    gains = [max(d, 0.0) for d in deltas]
+    losses = [max(-d, 0.0) for d in deltas]
+    avg_gain = sum(gains[:n]) / n
+    avg_loss = sum(losses[:n]) / n
+    for g, l in zip(gains[n:], losses[n:]):
+        avg_gain = (avg_gain * (n - 1) + g) / n
+        avg_loss = (avg_loss * (n - 1) + l) / n
+    if avg_loss == 0.0 and avg_gain == 0.0:
+        return 50.0
+    if avg_loss == 0.0:
+        return 100.0
+    if avg_gain == 0.0:
+        return 0.0
+    rs = avg_gain / avg_loss
+    return 100.0 - 100.0 / (1.0 + rs)
+
+
+def window_bollinger(closes: list, n: int = 20, k: float = 2.0) -> tuple[float, float, float]:
+    """(upper, mid, lower) with mid = sma(n) and bands mid +/- k * population sigma."""
+    if len(closes) < n:
+        raise WindowTooShort(f"bollinger needs {n} closes, got {len(closes)}")
+    tail = closes[-n:]
+    mid = math.fsum(tail) / n
+    variance = math.fsum((c - mid) ** 2 for c in tail) / n
+    sigma = math.sqrt(variance)
+    return mid + k * sigma, mid, mid - k * sigma
+
+
+def window_vwap(bars: list, lookback: int) -> tuple[float, float]:
+    """Volume-weighted average of typical prices over the last lookback bars.
+
+    Returns (vwap, fraction of those closes strictly below it).
+    """
+    if len(bars) < lookback:
+        raise WindowTooShort(f"vwap needs {lookback} bars, got {len(bars)}")
+    tail = bars[-lookback:]
+    total_volume = math.fsum(b.volume for b in tail)
+    if total_volume <= 0.0:
+        raise ZeroVolume("vwap window has zero total volume")
+    weighted = math.fsum(((b.high + b.low + b.close) / 3.0) * b.volume for b in tail)
+    value = weighted / total_volume
+    below = sum(1 for b in tail if b.close < value)
+    return value, below / lookback
+
+
+def window_adx(bars: list, n: int = 14) -> float:
+    """Wilder average directional index over the whole window.
+
+    Requires 2n+1 bars: n differences to seed the smoothed TR/DM sums, and
+    n more DX values to seed the ADX average. Raises DegenerateRange when
+    the seeding true ranges are all zero (flat OHLC), since direction
+    strength is undefined there.
+    """
+    if len(bars) < 2 * n + 1:
+        raise WindowTooShort(f"adx needs {2 * n + 1} bars, got {len(bars)}")
+
+    trs: list[float] = []
+    plus_dms: list[float] = []
+    minus_dms: list[float] = []
+    for prev, cur in zip(bars, bars[1:]):
+        tr = max(cur.high - cur.low, abs(cur.high - prev.close), abs(cur.low - prev.close))
+        up_move = cur.high - prev.high
+        down_move = prev.low - cur.low
+        plus_dm = up_move if (up_move > down_move and up_move > 0) else 0.0
+        minus_dm = down_move if (down_move > up_move and down_move > 0) else 0.0
+        trs.append(tr)
+        plus_dms.append(plus_dm)
+        minus_dms.append(minus_dm)
+
+    sm_tr = sum(trs[:n])
+    sm_plus = sum(plus_dms[:n])
+    sm_minus = sum(minus_dms[:n])
+
+    def dx_at(tr_sum: float, plus_sum: float, minus_sum: float) -> float:
+        if tr_sum == 0.0:
+            raise DegenerateRange("true range collapsed to zero")
+        plus_di = 100.0 * plus_sum / tr_sum
+        minus_di = 100.0 * minus_sum / tr_sum
+        di_sum = plus_di + minus_di
+        if di_sum == 0.0:
+            return 0.0
+        return 100.0 * abs(plus_di - minus_di) / di_sum
+
+    dxs = [dx_at(sm_tr, sm_plus, sm_minus)]
+    for tr, pdm, mdm in zip(trs[n:], plus_dms[n:], minus_dms[n:]):
+        sm_tr = sm_tr - sm_tr / n + tr
+        sm_plus = sm_plus - sm_plus / n + pdm
+        sm_minus = sm_minus - sm_minus / n + mdm
+        dxs.append(dx_at(sm_tr, sm_plus, sm_minus))
+
+    value = sum(dxs[:n]) / n
+    for dx in dxs[n:]:
+        value = (value * (n - 1) + dx) / n
+    return value
+
+
+def window_snapshot(bars, params):
+    """Compute the full indicator set for the window's last date.
+
+    A flat window makes ADX degenerate; the snapshot substitutes adx=0 and
+    sets adx_degenerate so callers can tell a real zero from a flat fixture.
+    A gauge that overflows or is not finite raises InvariantViolation, and a
+    VWAP window with no volume ZeroVolume, each naming the window's last date.
+    """
+    need = params.min_window()
+    if len(bars) < need:
+        binding = max(params.window_requirements().items(), key=lambda kv: kv[1])[0]
+        raise WindowTooShort(
+            f"snapshot needs {need} bars (binding indicator: {binding}), got {len(bars)}"
+            + (f" up to {bars[-1].date}" if bars else "")
+        )
+    day = bars[-1].date
+    closes = [b.close for b in bars]
+    try:
+        line, signal_line, hist = window_macd(closes, params.macd_fast, params.macd_slow, params.macd_signal)
+        upper, mid, lower = window_bollinger(closes, params.bb_window, params.bb_k)
+        vw, pct_below = window_vwap(bars, params.vwap_lookback)
+        try:
+            adx_value = window_adx(bars, params.adx_window)
+            degenerate = False
+        except DegenerateRange:
+            adx_value = 0.0
+            degenerate = True
+        return IndicatorSnapshot(
+            date=day,
+            sma=window_sma(closes, params.sma_window),
+            ema=window_ema(closes, params.ema_window),
+            macd_line=line,
+            macd_signal_line=signal_line,
+            macd_hist=hist,
+            rsi=window_rsi(closes, params.rsi_window),
+            bb_upper=upper,
+            bb_mid=mid,
+            bb_lower=lower,
+            vwap=vw,
+            pct_below_vwap=pct_below,
+            adx=adx_value,
+            adx_degenerate=degenerate,
+        )
+    except OverflowError:  # math.fsum, or the squares in bollinger
+        raise InvariantViolation(f"{day}: a gauge overflows the float range") from None
+    except ZeroVolume as exc:
+        raise ZeroVolume(f"{day}: {exc}") from None
+
+
+def window_price_rows(bars):
+    """The quants prompt's price lines for a window: its last 10 bars."""
+    return [
+        f"{b.date.isoformat()}  open {b.open:.2f}  high {b.high:.2f}  "
+        f"low {b.low:.2f}  close {b.close:.2f}  volume {b.volume:.2f}"
+        for b in bars[-10:]
+    ]
+
+
+def window_chain_rows(onchain):
+    """The quants prompt's chain activity lines for a window: its last 5 days."""
+    return [
+        f"{o.date.isoformat()}  transactions {o.tx_count}  "
+        f"active addresses {o.active_addresses}  transfer volume {o.transfer_volume_usd:,.0f} USD"
+        for o in onchain[-5:]
+    ]

@@ -1,7 +1,11 @@
+import dataclasses
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from btagents.agents import build_quants_prompt, onchain_row, price_row
 
 from btagents.errors import (
     ConfigError,
@@ -17,12 +21,13 @@ from btagents.indicators import (
     bollinger,
     ema,
     macd,
+    pair_terms,
     rsi,
     sma,
     snapshot,
     vwap,
 )
-from btagents.market_data import Bar
+from btagents.market_data import Bar, OnChainDaily
 
 from conftest import bars_from_closes, random_bars
 from oracles import (
@@ -33,6 +38,9 @@ from oracles import (
     oracle_rsi,
     oracle_sma,
     oracle_vwap,
+    window_chain_rows,
+    window_price_rows,
+    window_snapshot,
 )
 
 # the IndicatorParams fields that count bars
@@ -354,3 +362,138 @@ class TestProperties:
         for _ in range(50):
             closes = [rng.uniform(10, 1000) for _ in range(20)]
             assert 0.0 <= rsi(closes, 14) <= 100.0
+
+
+# A bar series is drawn as segments, each (kind, bars, step, spread, volume)
+# in price units of a quarter, then scaled: "flat" bars have open = high =
+# low = close at the last close (a zero true range), "up" and "down" move the
+# close by `step` quarters a bar, "walk" by a step drawn per bar.
+SEGMENT = st.tuples(
+    st.sampled_from(["flat", "up", "down", "walk"]),
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.sampled_from([0, 1, 4]),
+    st.sampled_from([0.0, -0.0, 7.5]) | st.floats(0.001, 1e6),
+)
+# 1.5e306 and 1e300 make fsum or bollinger's squares overflow the float range
+SCALES = st.sampled_from([1.0, 1.0, 1e-3, 1e300, 1.5e306])
+
+
+@st.composite
+def series_specs(draw):
+    n = draw(st.integers(29, 90))
+    segments = draw(st.lists(SEGMENT, min_size=1, max_size=8))
+    walk = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    return n, segments, walk, draw(SCALES)
+
+
+def build_series(spec):
+    """The bars a series spec draws; segments repeat until there are n bars."""
+    n, segments, walk, scale = spec
+    level = 200  # quarters, kept within [16, 400]
+    bars = []
+    day = date(2024, 1, 1)
+    while len(bars) < n:
+        for kind, count, step, spread, volume in segments:
+            for _ in range(count):
+                if len(bars) == n:
+                    break
+                move = {"flat": 0, "up": step, "down": -step, "walk": walk[len(bars)]}[kind]
+                spread = 0 if kind == "flat" else spread
+                o, c = level, min(400, max(16, level + move))
+                level = c
+                bars.append(
+                    Bar(
+                        date=day + timedelta(days=len(bars)),
+                        open=o / 4 * scale,
+                        high=(max(o, c) + spread) / 4 * scale,
+                        low=(min(o, c) - spread) / 4 * scale,
+                        close=c / 4 * scale,
+                        volume=volume,
+                    )
+                )
+    return bars
+
+
+@st.composite
+def small_params(draw):
+    """Short windows, so a 29-bar series holds many whole windows. EMA and
+    MACD's fast average, and SMA and Bollinger, share a window in some draws."""
+    fast = draw(st.integers(1, 8))
+    bb = draw(st.integers(1, 15))
+    return IndicatorParams(
+        sma_window=bb if draw(st.booleans()) else draw(st.integers(1, 15)),
+        ema_window=fast if draw(st.booleans()) else draw(st.integers(1, 12)),
+        rsi_window=draw(st.integers(1, 10)),
+        bb_window=bb,
+        bb_k=draw(st.sampled_from([0.5, 2.0, 3.0])),
+        adx_window=draw(st.integers(1, 6)),
+        macd_fast=fast,
+        macd_slow=draw(st.integers(fast + 1, 12)),
+        macd_signal=draw(st.integers(1, 9)),
+        vwap_lookback=draw(st.integers(1, 10)),
+    )
+
+
+def outcome(compute):
+    """A snapshot's fields, floats as float.hex so -0.0 is told from 0.0, or
+    the type and message of what computing it raised."""
+    try:
+        snap = compute()
+    except (WindowTooShort, ZeroVolume, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return [
+        (f.name, v.hex() if isinstance(v, float) else v)
+        for f in dataclasses.fields(snap)
+        for v in [getattr(snap, f.name)]
+    ]
+
+
+FLAT = ("flat", 30, 1, 0, 7.5)
+GAUGES = snapshot(random_bars(random.Random(5), 30), IndicatorParams())  # any will do
+
+
+class TestSharedTerms:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=series_specs(), params=st.one_of(st.just(IndicatorParams()), small_params()),
+           lookback=st.integers(1, 40))
+    # a flat series (RSI 50 and no ADX), a rise (RSI 100) and a fall (RSI 0)
+    @example(spec=(40, [FLAT], [0] * 40, 1.0), params=IndicatorParams(), lookback=30)
+    @example(spec=(40, [("up", 40, 2, 1, 7.5)], [0] * 40, 1.0), params=IndicatorParams(), lookback=30)
+    @example(spec=(40, [("down", 40, 1, 1, 7.5)], [0] * 40, 1.0), params=IndicatorParams(), lookback=30)
+    def test_every_window_matches_the_per_window_oracle(self, spec, params, lookback):
+        """Each window's snapshot from the run's shared pair terms, and from its
+        own bars alone, equals the per-window oracle's bit for bit, or raises
+        the same error with the same message."""
+        bars = build_series(spec)
+        terms = pair_terms(bars)
+        for stop in range(1, len(bars) + 1):
+            start = max(0, stop - lookback)
+            window = bars[start:stop]
+            want = outcome(lambda: window_snapshot(window, params))
+            assert outcome(lambda: snapshot(window, params, terms.window(start, stop))) == want
+            assert outcome(lambda: snapshot(window, params)) == want
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=series_specs(), lookback=st.integers(1, 40),
+           transfer=st.sampled_from([0.0, -0.0, 0.5, 1.5, 2.5e10]) | st.floats(0, 1e15))
+    @example(spec=(29, [("walk", 29, 1, 1, -0.0)], [1, -1] * 15, 1.0), lookback=30, transfer=-0.0)
+    def test_rows_match_the_per_window_oracle(self, spec, lookback, transfer):
+        """Rows rendered once per record and sliced per window are the lines
+        the per-window oracle renders, and make the same quants prompt."""
+        bars = build_series(spec)
+        chain = [
+            OnChainDaily(date=b.date, tx_count=i * 997, active_addresses=i, transfer_volume_usd=transfer * i)
+            for i, b in enumerate(bars)
+        ]
+        price_lines = [price_row(b) for b in bars]
+        chain_lines = [onchain_row(o) for o in chain]
+        for stop in range(1, len(bars) + 1):
+            start = max(0, stop - lookback)
+            rows = price_lines[start:stop], chain_lines[start:stop]
+            assert rows[0][-10:] == window_price_rows(bars[start:stop])
+            assert rows[1][-5:] == window_chain_rows(chain[start:stop])
+            snap = dataclasses.replace(GAUGES, date=bars[stop - 1].date)
+            window = bars[start:stop], snap, chain[start:stop]
+            assert build_quants_prompt(*window, rows=rows) == build_quants_prompt(*window)
+

@@ -390,6 +390,27 @@ class TestIndexOf:
                 self.ds.index_of(missing)
 
 
+class TestDatasetOrder:
+    """A dataset built without `align` still holds one record per date, in
+    increasing date order."""
+
+    def setup_method(self):
+        bars = bars_from_closes([100.0, 101.0, 102.0], date(2024, 7, 1))
+        self.recs = [MarketRecord(bar=b, onchain=None, sentiment=None, news=()) for b in bars]
+
+    def test_repeated_date_is_told_as_align_tells_it(self):
+        r0, r1, r2 = self.recs
+        with pytest.raises(DuplicateDate, match="^duplicate bar date 2024-07-02$"):
+            MarketDataset(records=(r0, r1, r1, r2))
+        with pytest.raises(DuplicateDate, match="^duplicate bar date 2024-07-02$"):
+            align([r.bar for r in (r0, r1, r1, r2)])
+
+    def test_earlier_date_raises(self):
+        r0, r1, r2 = self.recs
+        with pytest.raises(InvariantViolation, match="^bar date 2024-07-02 is listed after 2024-07-03$"):
+            MarketDataset(records=(r0, r2, r1))
+
+
 class TestBarInvariants:
     def test_negative_price(self):
         with pytest.raises(InvariantViolation):

@@ -1,9 +1,13 @@
+import collections
 import dataclasses
 import json
 from datetime import date
 
 import pytest
 
+import btagents.agents
+import btagents.indicators
+import btagents.orchestrator
 from btagents.agents import (
     DAILY_FEEDBACK_HEADER,
     WEEKLY_FEEDBACK_HEADER,
@@ -13,6 +17,7 @@ from btagents.agents import (
 from btagents.errors import (
     ConfigError,
     DateNotFound,
+    DuplicateDate,
     GapError,
     InvariantViolation,
     JournalCorrupt,
@@ -232,6 +237,44 @@ def test_data_fault_fails_before_any_call(case_study_dataset, config, build, err
     dataset = build(case_study_dataset) if build else case_study_dataset
     with pytest.raises(error, match=match):
         run_backtest(config, dataset, NoCalls())
+
+
+def test_repeated_record_fails_before_the_run(case_study_dataset):
+    records = case_study_dataset.records
+    at = case_study_dataset.index_of(date(2024, 11, 4))
+    with pytest.raises(DuplicateDate, match="^duplicate bar date 2024-11-04$"):
+        MarketDataset(records[: at + 1] + records[at:])
+
+
+def test_each_bar_is_worked_once_per_run(monkeypatch):
+    """A run computes the pair terms of its bars in one call and renders each
+    record's price row and on-chain row once, whatever the windows overlap."""
+    terms_calls = []
+    rendered = collections.Counter()
+    real_terms = btagents.indicators.pair_terms
+
+    def counted_terms(bars):
+        terms_calls.append(len(bars))
+        return real_terms(bars)
+
+    def counted(kind, render):
+        def row(item):
+            rendered[kind, item.date] += 1
+            return render(item)
+        return row
+
+    price_row = counted("price", btagents.agents.price_row)
+    onchain_row = counted("onchain", btagents.agents.onchain_row)
+    for module in (btagents.indicators, btagents.orchestrator):
+        monkeypatch.setattr(module, "pair_terms", counted_terms)
+    for module in (btagents.agents, btagents.orchestrator):
+        monkeypatch.setattr(module, "price_row", price_row)
+        monkeypatch.setattr(module, "onchain_row", onchain_row)
+    journal, *_ = run_synth(40)
+    assert len(journal.days) == 40
+    assert len(terms_calls) == 1
+    assert {kind for kind, _ in rendered} == {"price", "onchain"}
+    assert max(rendered.values()) == 1
 
 
 class TestJournalRoundTrip:
