@@ -29,6 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .indicators import IndicatorSnapshot
+from .journal import read_json
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
 from .transport import default_session, request
 
@@ -396,11 +397,7 @@ class ScriptedResponder:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedResponder":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise SchemaError(f"{path}: fixture is not UTF-8 JSON: {exc}") from None
+        data = read_json(path, SchemaError, "fixture is not UTF-8 JSON")
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):
@@ -441,15 +438,19 @@ STATE_VALUES = frozenset(s.value for s in MarketState)
 
 def _first_object_with(raw: str, keys: frozenset, who: str, missing: str) -> dict:
     """The first JSON object in a reply that has every key in `keys`; prose
-    may surround it. Raises ParseError for an empty reply or one with no
-    object, and SchemaError, naming what is `missing`, when no object has them."""
+    may surround it. Raises ParseError for an empty reply, one with no object
+    or one nested too deeply to decode, and SchemaError, naming what is
+    `missing`, when no object has them."""
     if not raw or raw.isspace():
         raise ParseError(f"{who}: empty response")
     found_any = False
-    for obj in _iter_json_objects(raw):
-        if obj.keys() >= keys:
-            return obj
-        found_any = True
+    try:
+        for obj in _iter_json_objects(raw):
+            if obj.keys() >= keys:
+                return obj
+            found_any = True
+    except RecursionError:  # not skipped: each later `{` would recurse as deep again
+        raise ParseError(f"{who}: JSON nested too deeply to decode") from None
     if found_any:
         raise SchemaError(f"{who}: no JSON object with {missing}")
     raise ParseError(f"{who}: no JSON object found in response")

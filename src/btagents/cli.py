@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agents import ChatClient, ScriptedResponder
 from .errors import BtAgentsError, ConfigError
-from .journal import LONE_SURROGATE, read_journal, write_journal
+from .journal import LONE_SURROGATE, read_journal, read_json, write_journal
 from .market_data import (
     GAP_CARRY,
     GAP_STRICT,
@@ -54,11 +54,7 @@ DATA_KEYS = ("bars", "onchain", "sentiment", "news", "gap_policy")
 
 def _load_config_file(path: str) -> tuple[RunConfig, dict, str]:
     """Parse the JSON config tree into a RunConfig plus data paths."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except ValueError as exc:
-        raise BtAgentsError(f"{path}: config is not valid JSON: {exc}") from exc
+    cfg = read_json(path, ConfigError, "config is not valid JSON")
     if LONE_SURROGATE.search(json.dumps(cfg, ensure_ascii=False)):
         raise ConfigError(f"{path}: config text holds a lone surrogate (a \\ud800-\\udfff escape)")
     try:

@@ -39,6 +39,16 @@ def canonical_json(obj) -> str:
     return "".join(encode(obj, 0))
 
 
+def read_json(path, error: type[Exception], what: str):
+    """The JSON value in the UTF-8 file at `path`. A file that is not UTF-8,
+    not JSON or nested too deeply to decode raises `error("<path>: <what>: <reason>")`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {what}: {exc}") from None
+
+
 def _sha256(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
@@ -117,6 +127,8 @@ def _verify(records: list[dict], sealed_lines) -> None:
                 verify_record(record)
             except UnicodeEncodeError:
                 raise JournalCorrupt(f"journal line {line}: not valid UTF-8") from None
+            except RecursionError:  # a line that decodes may still be too deep to re-encode
+                raise JournalCorrupt(f"journal line {line}: nested too deeply to verify") from None
         if line == 1 and record.get("version") != JOURNAL_VERSION:
             raise JournalCorrupt(f"journal version {record.get('version')!r} is not {JOURNAL_VERSION}")
 
@@ -186,7 +198,7 @@ def read_journal(path: str, verify: bool = True) -> RunJournal:
                     canonical_json(record).encode("utf-8")
             except UnicodeEncodeError:  # a ValueError too, so caught first
                 raise JournalCorrupt(f"{path}:{line_no}: not valid UTF-8") from None
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply to decode
                 raise JournalCorrupt(f"{path}:{line_no}: not valid JSON") from exc
             if not isinstance(record, dict):
                 raise JournalCorrupt(f"{path}:{line_no}: not a JSON object")

@@ -472,8 +472,8 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     if neutral_band is not None:  # an override passes the config's own checks
         band = dataclasses.replace(config, neutral_band=neutral_band).neutral_band
     n_days = journal.header["n_days"]
-    kinds = []  # the record types a run of n_days writes, in order
-    for i in range(n_days):
+    kinds = []  # the record types a run of n_days writes, in order, as far as the records go
+    for i in range(min(n_days, len(journal.entries) + 1)):
         kinds += ["day", "weekly"] if config.weekly_feedback and (i + 1) % 7 == 0 else ["day"]
     if [e.get("type") for e in journal.entries] != kinds:
         raise JournalCorrupt(

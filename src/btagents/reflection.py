@@ -11,7 +11,6 @@ and never touches any quantitative parameter.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import replace
 from datetime import date as Date
@@ -33,7 +32,7 @@ from .errors import (
     MissingAgentRecord,
     SchemaError,
 )
-from .journal import LONE_SURROGATE
+from .journal import LONE_SURROGATE, read_json
 from .metrics import prediction_correct, regret, sharpe, total_return
 
 AGENT_ROLES = ("quants", "signals", "decision")
@@ -269,19 +268,9 @@ def load_weekly_templates(path: str | None = None) -> dict[str, dict[str, str]]:
     Reads the packaged defaults unless an override file is given, so the
     phrases stay editable without touching code.
     """
-    try:
-        if path is None:
-            raw = (
-                resources.files("btagents")
-                .joinpath("templates/weekly_templates.json")
-                .read_text(encoding="utf-8")
-            )
-        else:
-            with open(path, encoding="utf-8") as fh:
-                raw = fh.read()
-        pool = json.loads(raw)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise SchemaError(f"{path}: weekly templates are not UTF-8 JSON: {exc}") from None
+    if path is None:
+        path = resources.files("btagents") / "templates" / "weekly_templates.json"
+    pool = read_json(path, SchemaError, "weekly templates are not UTF-8 JSON")
     for role in AGENT_ROLES:
         if not isinstance(pool, dict) or not isinstance(pool.get(role), dict):
             raise SchemaError(f"{path}: weekly templates need an object for role '{role}'")

@@ -5,6 +5,7 @@ from datetime import date
 import pytest
 import requests
 
+from btagents import agents as agents_module
 from btagents.agents import (
     ChatClient,
     ChatClientConfig,
@@ -405,7 +406,11 @@ class TestScriptedResponder:
         with pytest.raises(SchemaError):
             ScriptedResponder.from_file(str(path))
 
-    @pytest.mark.parametrize("content", [b"{not json", b'{"signals:2024-11-04": "\xff"}'], ids=["json", "utf8"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"signals:2024-11-04": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["json", "utf8", "deep"],
+    )
     def test_from_file_rejects_unreadable_file(self, tmp_path, content):
         path = tmp_path / "fx.json"
         path.write_bytes(content)
@@ -427,6 +432,8 @@ class SeqClient:
 
 
 GOOD = '{"state":"bullish","allocation_btc_pct":60,"reasoning":"fine"}'
+# deeper than any interpreter's stack, so decoding it always fails
+DEEP = '{"a":' * 50_000 + GOOD + "}" * 50_000
 
 
 class TestDecideWithRetry:
@@ -459,6 +466,24 @@ class TestDecideWithRetry:
         fields = decide_with_retry(client, any_bundle(), 2, 0.5)
         assert fields["fallback"]
         assert fields["attempts"][0]["raw"] is None
+
+    def test_reply_nested_too_deeply_is_re_asked(self, monkeypatch):
+        decodes = []
+
+        class CountingDecoder(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                decodes.append(idx)
+                return super().raw_decode(s, idx)
+
+        monkeypatch.setattr(agents_module, "_DECODER", CountingDecoder())
+        client = SeqClient([DEEP, GOOD])
+        fields = decide_with_retry(client, any_bundle(), 1, 0.5)
+        assert not fields["fallback"] and fields["allocation"] == 0.60
+        assert fields["attempts"][0] == {
+            "raw": DEEP,
+            "error": f"ParseError: {any_bundle().role.value}: JSON nested too deeply to decode",
+        }
+        assert len(decodes) == 2  # the deep reply's first "{" only, then GOOD's
 
     def test_reply_with_lone_surrogate_is_a_failed_call(self):
         # a JSON body's "\ud800" escape decodes to a str no journal line can encode

@@ -168,6 +168,43 @@ class TestBacktest:
         assert capsys.readouterr().err.startswith(f"error: {fixtures}: fixture is not UTF-8 JSON: ")
         assert not (tmp_path / "journal.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("config", "config is not valid JSON: "),
+            ("fixtures", "fixture is not UTF-8 JSON: "),
+            ("templates", "weekly templates are not UTF-8 JSON: "),
+        ],
+        ids=["config", "fixtures", "templates"],
+    )
+    def test_file_nested_too_deeply_is_runtime_error(self, tmp_path, capsys, kind, reason):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        feedback = {"templates": str(deep)} if kind == "templates" else {}
+        files = {"config": write_config(tmp_path, feedback=feedback), "fixtures": FIXTURE_DIR / "responses.json", kind: deep}
+        assert main(["backtest", "--config", str(files["config"]), "--fixtures", str(files["fixtures"])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: {reason}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_reply_nested_too_deeply_falls_back_and_replays(self, tmp_path, capsys):
+        responses = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))
+        responses["decision:2024-11-04"] = '{"a":' * 50_000 + responses["decision:2024-11-04"]
+        fixtures = tmp_path / "responses.json"
+        fixtures.write_text(json.dumps(responses), encoding="utf-8")
+        journal_path = str(tmp_path / "journal.jsonl")
+        args = ["backtest", "--config", str(write_config(tmp_path)), "--fixtures", str(fixtures)]
+        assert main(args) == 0
+        backtest_out = capsys.readouterr().out
+        decision = read_journal(journal_path).days[0]["roles"]["decision"]
+        assert decision["fallback"] is True
+        assert [a["error"] for a in decision["attempts"]] == [
+            "ParseError: decision: JSON nested too deeply to decode"
+        ] * 2
+        assert main(["replay", "--journal", journal_path]) == 0
+        assert capsys.readouterr().out == backtest_out
+
     def test_close_out_of_float_range_fails_before_any_call(self, tmp_path, capsys):
         text = (FIXTURE_DIR / "bars.csv").read_text(encoding="utf-8")
         row = "2024-11-05,62500.00,64666.80,61937.50,63900.00,14994.94"

@@ -1,9 +1,9 @@
 """Every module-level import in the package is used by its module, every
 module is reached from the CLI, the package exports every public name its
-`__init__` imports, every CSV input goes through one reader, predictions are
-scored in one run-side and one report-side place, Sharpe has one formula,
-only the transport module imports `requests`, and the traced benchmark's
-wrap targets are still the names the program calls."""
+`__init__` imports, every CSV input and every JSON file goes through one
+reader, predictions are scored in one run-side and one report-side place,
+Sharpe has one formula, only the transport module imports `requests`, and
+the traced benchmark's wrap targets are still the names the program calls."""
 
 import ast
 import importlib.util
@@ -108,6 +108,20 @@ def callers(source: str, name: str) -> list[str]:
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def test_one_json_file_reader():
+    """`journal.read_json` is the one JSON file reader, so the config, fixture
+    and templates loaders share its UTF-8 and nesting rules; `read_journal`
+    decodes journal lines and `agents` scans replies, each by its own rule."""
+    found = sorted(
+        (p.name, scope)
+        for p in MODULES
+        for name in ("load", "loads")
+        for scope in callers(p.read_text(encoding="utf-8"), name)
+    )
+    assert found == [("journal.py", "read_journal"), ("journal.py", "read_json")]
+    assert {p.name for p in MODULES if "raw_decode" in p.read_text(encoding="utf-8")} == {"agents.py"}
 
 
 def test_one_prediction_scorer():

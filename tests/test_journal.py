@@ -1,8 +1,10 @@
 """Reading a journal back: digests checked against the lines they were read
-from, the fallback to re-encoding, error precedence and the UTF-8 rule."""
+from, the fallback to re-encoding, error precedence, the UTF-8 rule, lines
+nested too deeply, and a header's `n_days` bounded by the records present."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -98,6 +100,19 @@ class TestDigestOfTheLine:
             read_journal(str(path))
 
 
+def test_n_days_beyond_the_records_is_rejected_without_per_day_work(written):
+    header = {k: v for k, v in written.header.items() if k != "digest"}
+    journal = RunJournal(header=seal({**header, "n_days": 10**6}), entries=written.entries)
+    tracemalloc.start()
+    try:
+        with pytest.raises(JournalCorrupt, match="^records are not those of a 1000000-day run: "):
+            outputs_from_journal(journal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 class TestErrorPrecedence:
     def test_invalid_json_before_any_digest(self, path):
         rewrite_line(path, 1, lambda r: json.dumps({**r, "close": 1.0}).encode())
@@ -134,24 +149,36 @@ def with_lone_surrogate(record):
     return sealed_over_own_text(record)
 
 
-NOT_UTF8 = [with_invalid_byte, with_lone_surrogate]
+def nested_too_deeply(record):
+    """An array deeper than any interpreter's stack, so decoding it always fails."""
+    return b"[" * 200_000 + b"]" * 200_000
 
 
-@pytest.mark.parametrize("make_line", NOT_UTF8, ids=["0xff", "ud800"])
+# lines no read can decode, and how the read names them
+UNREADABLE = [
+    (with_invalid_byte, "not valid UTF-8"),
+    (with_lone_surrogate, "not valid UTF-8"),
+    (nested_too_deeply, "not valid JSON"),
+]
+
+
+@pytest.mark.parametrize("make_line, reason", UNREADABLE, ids=["0xff", "ud800", "deep"])
 class TestNotUtf8:
+    """Lines that are not UTF-8, or that no decoder can take, named by their number."""
+
     @pytest.mark.parametrize("verify", [True, False])
-    def test_read_names_the_line(self, path, make_line, verify):
+    def test_read_names_the_line(self, path, make_line, reason, verify):
         rewrite_line(path, 3, make_line)
-        with pytest.raises(JournalCorrupt, match=r"run\.jsonl:4: not valid UTF-8$"):
+        with pytest.raises(JournalCorrupt, match=f"run\\.jsonl:4: {reason}$"):
             read_journal(str(path), verify=verify)
 
     @pytest.mark.parametrize("command", ["replay", "report"])
-    def test_cli_exits_1(self, path, make_line, command, capsys):
+    def test_cli_exits_1(self, path, make_line, reason, command, capsys):
         rewrite_line(path, 3, make_line)
         assert main([command, "--journal", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and ":4: not valid UTF-8" in captured.err
+        assert captured.err.startswith("error: ") and f":4: {reason}" in captured.err
 
 
 @pytest.mark.parametrize("line", [1, 3])
@@ -161,3 +188,13 @@ def test_verify_in_memory_names_the_line(written, line):
     journal = RunJournal(header=records[0], entries=records[1:])
     with pytest.raises(JournalCorrupt, match=f"^journal line {line}: not valid UTF-8$"):
         journal.verify()
+
+
+def test_verify_in_memory_names_a_line_nested_too_deeply(written):
+    deep = 1
+    for _ in range(200_000):
+        deep = [deep]
+    entries = json.loads(json.dumps(written.entries))
+    entries[1]["note"] = deep
+    with pytest.raises(JournalCorrupt, match="^journal line 3: nested too deeply to verify$"):
+        RunJournal(header=written.header, entries=entries).verify()

@@ -275,6 +275,17 @@ class TestRunDailyReflection:
         assert outcome["feedback"]["decision"] == ""
         assert "reflect_fallback_empty" in outcome["flags"]
 
+    def test_reply_nested_too_deeply_is_re_asked(self):
+        deep = '{"a":' * 50_000 + reflect_json() + "}" * 50_000
+        client = SeqClient([deep, reflect_json()])
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
+        assert outcome["feedback"]["signals"] == "good reads"
+        assert outcome["attempts"][0] == {
+            "raw": deep,
+            "error": "ParseError: reflect: JSON nested too deeply to decode",
+        }
+        assert "could not be parsed" in client.bundles[1].user_text
+
     def test_reply_with_lone_surrogate_gives_empty_feedback(self):
         client = SeqClient([reflect_json() + "\ud800", reflect_json()])
         outcome = run_daily_reflection(client, day_for(), retry_limit=1)
@@ -389,8 +400,9 @@ class TestTemplatePool:
             (b'{"quants": ["praise"]}', "weekly templates need an object for role 'quants'"),
             (b'{"quants": {"praise": "good \\ud800", "corrective": "x", "neutral": "x"}}',
              "weekly template quants/praise must be a non-empty UTF-8 string"),
+            (b"[" * 100_000 + b"]" * 100_000, "weekly templates are not UTF-8 JSON: "),
         ],
-        ids=["json", "utf8", "list", "role-list", "surrogate"],
+        ids=["json", "utf8", "list", "role-list", "surrogate", "deep"],
     )
     def test_unusable_file_names_it(self, tmp_path, content, reason):
         path = tmp_path / "templates.json"
