@@ -150,21 +150,18 @@ def onchain_row(o: OnChainDaily) -> str:
 def build_quants_prompt(
     bars: Sequence[Bar],
     snapshot: IndicatorSnapshot,
-    onchain: Sequence[OnChainDaily],
+    rows: tuple[Sequence[str], Sequence[str]],
     daily_feedback: str | None = None,
     weekly_feedback: str | None = None,
-    rows: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> PromptBundle:
     """Price window, full gauge set, and chain activity for one date.
 
     `rows` are the window's lines as `price_row` and `onchain_row` render
-    them, when the caller has them already; the prompt shows the last 10
-    price lines and the last 5 on-chain lines.
+    them; the prompt shows the last 10 price lines and the last 5 on-chain
+    lines.
     """
     if snapshot.date != bars[-1].date:
         raise InvariantViolation("snapshot date must match the window's last bar")
-    if rows is None:
-        rows = [price_row(b) for b in bars[-10:]], [onchain_row(o) for o in onchain[-5:]]
     price_lines, chain_lines = rows
     shown = price_lines[-10:]
     price_rows = "\n".join(shown)

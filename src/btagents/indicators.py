@@ -277,15 +277,13 @@ def adx(bars: Sequence[Bar], n: int = 14) -> float:
     return _wilder_adx(terms.trs, terms.plus_dms, terms.minus_dms, n)
 
 
-def snapshot(
-    bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms | None = None
-) -> IndicatorSnapshot:
+def snapshot(bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms) -> IndicatorSnapshot:
     """Compute the full indicator set for the window's last date.
 
-    `terms` are the window's `pair_terms`, when the caller has them for a
-    longer run of bars (`PairTerms.window`); without them the snapshot
-    computes them from `bars`. No gauge is computed twice: EMA is MACD's
-    fast average when their windows agree, and SMA Bollinger's mid.
+    `terms` are the window's pair terms: `pair_terms(bars)`, or a longer
+    run's terms cut to the window with `PairTerms.window`. No gauge is
+    computed twice: EMA is MACD's fast average when their windows agree,
+    and SMA Bollinger's mid.
 
     A flat window makes ADX degenerate; the snapshot substitutes adx=0 and
     sets adx_degenerate so callers can tell a real zero from a flat fixture.
@@ -299,8 +297,6 @@ def snapshot(
             f"snapshot needs {need} bars (binding indicator: {binding}), got {len(bars)}"
             + (f" up to {bars[-1].date}" if bars else "")
         )
-    if terms is None:
-        terms = pair_terms(bars)
     day = bars[-1].date
     closes = [b.close for b in bars]
     try:

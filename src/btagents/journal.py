@@ -202,7 +202,7 @@ def read_journal(path: str, verify: bool = True) -> RunJournal:
                 raise JournalCorrupt(f"{path}:{line_no}: not valid JSON") from exc
             if not isinstance(record, dict):
                 raise JournalCorrupt(f"{path}:{line_no}: not a JSON object")
-            if line_no == 1:
+            if header is None:  # the first record, after any blank lines
                 if record.get("type") != "header":
                     raise JournalCorrupt(f"{path}: first record is not a header")
                 header = record

@@ -148,9 +148,6 @@ class MarketDataset:
         except KeyError:
             raise DateNotFound(f"{date} not in dataset") from None
 
-    def record(self, date: Date) -> MarketRecord:
-        return self.records[self.index_of(date)]
-
 
 def _parse_date(raw: str) -> Date:
     return Date.fromisoformat(raw.strip())

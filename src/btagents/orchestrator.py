@@ -250,11 +250,10 @@ def run_backtest(
     lo = max(0, first - config.lookback_days + 1)
     records = dataset.records[lo : last + 2]
     bars = [r.bar for r in records]
-    chains = [r.onchain for r in records]
     # each bar's gauge terms and prompt rows, computed once for every window
     terms = pair_terms(bars)
     price_rows = [price_row(b) for b in bars]
-    chain_rows = [None if o is None else onchain_row(o) for o in chains]
+    chain_rows = [None if r.onchain is None else onchain_row(r.onchain) for r in records]
     market = []  # each day's window as positions in records, and its gauges
     for i, day in enumerate(days):
         window = slice_window(dataset, day, config.lookback_days)
@@ -299,10 +298,9 @@ def run_backtest(
         quants_bundle = build_quants_prompt(
             bars=bars[start:stop],
             snapshot=snap,
-            onchain=chains[start:stop],
+            rows=(price_rows[start:stop], chain_rows[start:stop]),
             daily_feedback=daily_in.get("quants"),
             weekly_feedback=weekly_in.get("quants"),
-            rows=(price_rows[start:stop], chain_rows[start:stop]),
         )
         signals_bundle = build_signals_prompt(
             news=rec.news,

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .agents import (
     CompletionClient,
     INDICATOR_TERMS,
+    NEWS_SENTIMENT_TERMS,
     PromptBundle,
     Role,
     _first_object_with,
@@ -180,13 +181,16 @@ def scope_filter(feedback: Mapping[str, str]) -> list[dict]:
     """Detect out-of-scope feedback as the reflect entry's {"role", "reason"}
     violations. Empty result means all texts pass.
 
-    The signals agent must not be told about technical-indicator data it
-    cannot see, and no agent may receive an explicit percentage allocation
-    directive.
+    No agent may be told about data it cannot see: the quants agent about
+    news or sentiment, which its prompt lint rejects, and the signals agent
+    about technical indicators. No agent may receive an explicit percentage
+    allocation directive.
     """
     violations = []
-    signals_text = feedback.get("signals", "")
-    banned = _words_in(SIGNALS_BANNED_TERMS, signals_text)
+    banned = _words_in(NEWS_SENTIMENT_TERMS, feedback.get("quants", ""))
+    if banned:
+        violations.append({"role": "quants", "reason": f"mentions news/sentiment term '{banned[0]}'"})
+    banned = _words_in(SIGNALS_BANNED_TERMS, feedback.get("signals", ""))
     if banned:
         violations.append({"role": "signals", "reason": f"mentions indicator term '{banned[0]}'"})
     for role in AGENT_ROLES:

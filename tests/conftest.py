@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from btagents.agents import ScriptedResponder
+from btagents.agents import ScriptedResponder, onchain_row, price_row
 from btagents.market_data import (
     Bar,
     NewsItem,
@@ -28,6 +28,11 @@ def weeklies(journal):
     return [e for e in journal.entries if e["type"] == "weekly"]
 
 STATES = ("bullish", "neutral", "bearish")
+
+
+def quants_rows(bars, onchain):
+    """A window's quants prompt lines, rendered from its own bars and on-chain days."""
+    return [price_row(b) for b in bars], [onchain_row(o) for o in onchain]
 
 
 def bars_from_closes(closes, start_date=date(2024, 1, 1), volumes=None):

@@ -162,6 +162,11 @@ def oracle_lint(role, text, upstream_allocations=()):
 def oracle_scope_filter(feedback):
     """(role, reason) pairs of reflect scope violations, term by term."""
     found = []
+    quants = feedback.get("quants", "")
+    for term in NEWS_SENTIMENT_TERMS:
+        if _oracle_word(term, quants):
+            found.append(("quants", f"mentions news/sentiment term '{term}'"))
+            break
     signals = feedback.get("signals", "")
     for term in SIGNALS_BANNED_TERMS:
         if _oracle_word(term, signals):

@@ -25,6 +25,7 @@ from btagents.indicators import (
     bollinger,
     ema,
     macd,
+    pair_terms,
     rsi,
     sma,
     snapshot,
@@ -54,7 +55,7 @@ from btagents.reflection import (
 from btagents.regime import RegimeLabel, RegimeParams, segment
 from btagents.report import cumrets_csv, render, resolve_segmentation, table_csv
 
-from conftest import random_bars, run_synth, weeklies
+from conftest import quants_rows, random_bars, run_synth, weeklies
 from oracles import (
     oracle_adx,
     oracle_bollinger,
@@ -182,7 +183,7 @@ def test_criterion_05_prompt_scoping():
         day = base_day + timedelta(days=i)
         bars = random_bars(rng, 30, start_price=rng.uniform(100.0, 90_000.0),
                            start_date=day - timedelta(days=29))
-        snap = snapshot(bars, IndicatorParams())
+        snap = snapshot(bars, IndicatorParams(), pair_terms(bars))
         onchain = [
             OnChainDaily(date=b.date, tx_count=rng.randint(0, 10**6),
                          active_addresses=rng.randint(0, 10**6),
@@ -198,7 +199,7 @@ def test_criterion_05_prompt_scoping():
                      headline=rng.choice(CLEAN_HEADLINES), summary="")
             for _ in range(rng.randint(0, 3))
         ]
-        quants_bundle = build_quants_prompt(bars, snap, onchain)
+        quants_bundle = build_quants_prompt(bars, snap, quants_rows(bars, onchain))
         signals_bundle = build_signals_prompt(news, sentiment)
         assert lint_bundle(quants_bundle) == []
         assert lint_bundle(signals_bundle) == []

@@ -28,7 +28,7 @@ from btagents.errors import BtAgentsError, NetworkError, ParseError, RangeError,
 from btagents.indicators import IndicatorSnapshot
 from btagents.market_data import NewsItem, OnChainDaily, SentimentDaily
 
-from conftest import random_bars
+from conftest import quants_rows, random_bars
 
 D = date(2024, 11, 4)
 
@@ -71,6 +71,10 @@ def mk_onchain_rows(n=5):
     ]
 
 
+def mk_quants_rows():
+    return quants_rows(quants_window(), mk_onchain_rows())
+
+
 def mk_sentiment():
     return SentimentDaily(date=D, social_score_mean=0.1164, fgi_value=70, fgi_label="Greed")
 
@@ -83,25 +87,25 @@ def quants_window(rng=None):
 
 class TestQuantsPrompt:
     def test_no_feedback_sections_when_absent(self):
-        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_onchain_rows())
+        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_quants_rows())
         assert DAILY_FEEDBACK_HEADER not in bundle.user_text
         assert WEEKLY_FEEDBACK_HEADER not in bundle.user_text
 
     def test_snapshot_values_embedded(self):
-        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_onchain_rows())
+        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_quants_rows())
         assert "27.33" in bundle.user_text
         assert "-76.84" in bundle.user_text
         assert "70%" in bundle.user_text  # share of closes below the volume-weighted level
 
     def test_scoping_no_news_or_sentiment_terms(self):
-        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_onchain_rows())
+        bundle = build_quants_prompt(quants_window(), mk_snapshot(), mk_quants_rows())
         assert lint_bundle(bundle) == []
 
     def test_feedback_embedded_verbatim(self):
         bundle = build_quants_prompt(
             quants_window(),
             mk_snapshot(),
-            mk_onchain_rows(),
+            mk_quants_rows(),
             daily_feedback="critique alpha",
             weekly_feedback="guidance beta",
         )
@@ -112,13 +116,13 @@ class TestQuantsPrompt:
         )
 
     def test_deterministic(self):
-        a = build_quants_prompt(quants_window(), mk_snapshot(), mk_onchain_rows())
-        b = build_quants_prompt(quants_window(), mk_snapshot(), mk_onchain_rows())
+        a = build_quants_prompt(quants_window(), mk_snapshot(), mk_quants_rows())
+        b = build_quants_prompt(quants_window(), mk_snapshot(), mk_quants_rows())
         assert a == b
 
     def test_degenerate_adx_noted(self):
         bundle = build_quants_prompt(
-            quants_window(), mk_snapshot(adx=0.0, adx_degenerate=True), mk_onchain_rows()
+            quants_window(), mk_snapshot(adx=0.0, adx_degenerate=True), mk_quants_rows()
         )
         assert "not defined" in bundle.user_text
 

@@ -29,7 +29,7 @@ from btagents.indicators import (
 )
 from btagents.market_data import Bar, OnChainDaily
 
-from conftest import bars_from_closes, random_bars
+from conftest import bars_from_closes, quants_rows, random_bars
 from oracles import (
     oracle_adx,
     oracle_bollinger,
@@ -239,7 +239,7 @@ class TestSnapshot:
         bars = random_bars(rng, 40)
         closes = [b.close for b in bars]
         params = IndicatorParams()
-        snap = snapshot(bars, params)
+        snap = snapshot(bars, params, pair_terms(bars))
         line, signal, hist = macd(closes, 12, 26, 9)
         upper, mid, lower = bollinger(closes, 20, 2.0)
         vw, below = vwap(bars, 10)
@@ -254,7 +254,7 @@ class TestSnapshot:
 
     def test_constant_window_handles_degenerate_range(self):
         bars = [mk_bar(date(2024, 1, 1 + i), 10.0, 10.0, 10.0, 10.0, 3.0) for i in range(30)]
-        snap = snapshot(bars, IndicatorParams())
+        snap = snapshot(bars, IndicatorParams(), pair_terms(bars))
         assert snap.macd_hist == 0.0
         assert snap.bb_upper == snap.bb_mid == snap.bb_lower == 10.0
         assert snap.adx == 0.0
@@ -263,7 +263,7 @@ class TestSnapshot:
     def test_short_window_names_binding_indicator(self):
         bars = bars_from_closes([100.0 + i for i in range(25)])
         with pytest.raises(WindowTooShort) as exc:
-            snapshot(bars, IndicatorParams())
+            snapshot(bars, IndicatorParams(), pair_terms(bars))
         assert "adx" in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -277,12 +277,12 @@ class TestSnapshot:
     def test_gauge_out_of_float_range_names_the_date(self, close, price, volume, message):
         bars = bars_from_closes([price] * 29 + [close], volumes=[volume] * 30)
         with pytest.raises(InvariantViolation, match=f"^{bars[-1].date}: .*{message}"):
-            snapshot(bars, IndicatorParams())
+            snapshot(bars, IndicatorParams(), pair_terms(bars))
 
     def test_zero_volume_names_the_date(self):
         bars = bars_from_closes([100.0 + i for i in range(30)], volumes=[0.0] * 30)
         with pytest.raises(ZeroVolume, match=f"^{bars[-1].date}: "):
-            snapshot(bars, IndicatorParams())
+            snapshot(bars, IndicatorParams(), pair_terms(bars))
 
     def test_macd_slow_must_exceed_fast(self):
         with pytest.raises(ConfigError):
@@ -450,7 +450,8 @@ def outcome(compute):
 
 
 FLAT = ("flat", 30, 1, 0, 7.5)
-GAUGES = snapshot(random_bars(random.Random(5), 30), IndicatorParams())  # any will do
+GAUGE_BARS = random_bars(random.Random(5), 30)
+GAUGES = snapshot(GAUGE_BARS, IndicatorParams(), pair_terms(GAUGE_BARS))  # any will do
 
 
 class TestSharedTerms:
@@ -462,9 +463,9 @@ class TestSharedTerms:
     @example(spec=(40, [("up", 40, 2, 1, 7.5)], [0] * 40, 1.0), params=IndicatorParams(), lookback=30)
     @example(spec=(40, [("down", 40, 1, 1, 7.5)], [0] * 40, 1.0), params=IndicatorParams(), lookback=30)
     def test_every_window_matches_the_per_window_oracle(self, spec, params, lookback):
-        """Each window's snapshot from the run's shared pair terms, and from its
-        own bars alone, equals the per-window oracle's bit for bit, or raises
-        the same error with the same message."""
+        """Each window's snapshot from the run's shared pair terms, and from
+        the terms of its own bars alone, equals the per-window oracle's bit
+        for bit, or raises the same error with the same message."""
         bars = build_series(spec)
         terms = pair_terms(bars)
         for stop in range(1, len(bars) + 1):
@@ -472,7 +473,7 @@ class TestSharedTerms:
             window = bars[start:stop]
             want = outcome(lambda: window_snapshot(window, params))
             assert outcome(lambda: snapshot(window, params, terms.window(start, stop))) == want
-            assert outcome(lambda: snapshot(window, params)) == want
+            assert outcome(lambda: snapshot(window, params, pair_terms(window))) == want
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(spec=series_specs(), lookback=st.integers(1, 40),
@@ -480,7 +481,8 @@ class TestSharedTerms:
     @example(spec=(29, [("walk", 29, 1, 1, -0.0)], [1, -1] * 15, 1.0), lookback=30, transfer=-0.0)
     def test_rows_match_the_per_window_oracle(self, spec, lookback, transfer):
         """Rows rendered once per record and sliced per window are the lines
-        the per-window oracle renders, and make the same quants prompt."""
+        the per-window oracle renders, and make the same quants prompt as
+        rows rendered from the window's own bars."""
         bars = build_series(spec)
         chain = [
             OnChainDaily(date=b.date, tx_count=i * 997, active_addresses=i, transfer_volume_usd=transfer * i)
@@ -493,7 +495,8 @@ class TestSharedTerms:
             rows = price_lines[start:stop], chain_lines[start:stop]
             assert rows[0][-10:] == window_price_rows(bars[start:stop])
             assert rows[1][-5:] == window_chain_rows(chain[start:stop])
-            snap = dataclasses.replace(GAUGES, date=bars[stop - 1].date)
-            window = bars[start:stop], snap, chain[start:stop]
-            assert build_quants_prompt(*window, rows=rows) == build_quants_prompt(*window)
+            window = bars[start:stop]
+            snap = dataclasses.replace(GAUGES, date=window[-1].date)
+            own_rows = quants_rows(window, chain[start:stop])
+            assert build_quants_prompt(window, snap, rows) == build_quants_prompt(window, snap, own_rows)
 

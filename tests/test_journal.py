@@ -1,6 +1,7 @@
 """Reading a journal back: digests checked against the lines they were read
-from, the fallback to re-encoding, error precedence, the UTF-8 rule, lines
-nested too deeply, and a header's `n_days` bounded by the records present."""
+from, the fallback to re-encoding, blank lines before the header, error
+precedence, the UTF-8 rule, lines nested too deeply, and a header's `n_days`
+bounded by the records present."""
 
 import hashlib
 import json
@@ -111,6 +112,19 @@ def test_n_days_beyond_the_records_is_rejected_without_per_day_work(written):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_blank_lines_before_the_header_are_skipped(path, written, capsys):
+    assert main(["report", "--journal", str(path)]) == 0
+    report = capsys.readouterr().out
+    path.write_bytes(b"\n \n" + path.read_bytes())
+    back = read_journal(str(path))
+    assert back.header == written.header and back.entries == written.entries
+    assert main(["report", "--journal", str(path)]) == 0
+    assert capsys.readouterr().out == report
+    rewrite_line(path, 2, lambda r: b"")  # the header's line, now blank
+    with pytest.raises(JournalCorrupt, match="first record is not a header$"):
+        read_journal(str(path))
 
 
 class TestErrorPrecedence:

@@ -382,7 +382,6 @@ class TestIndexOf:
     def test_every_date_maps_to_its_position(self):
         for i, d in enumerate(self.ds.dates):
             assert self.ds.index_of(d) == i
-            assert self.ds.record(d).date == d
 
     def test_missing_date_raises(self):
         for missing in (date(2024, 7, 4), date(2024, 6, 30), date(2024, 7, 9)):

@@ -1,7 +1,9 @@
 """Prompt lint and the reflect scope filter give exactly the per-term
-oracle's violations and messages, and the case fold behind their substring
-pre-test keeps every character that IGNORECASE matches to a term character."""
+oracle's violations and messages, feedback the filter passes lints clean in
+the prompt it enters, and the case fold behind their substring pre-test
+keeps every character that IGNORECASE matches to a term character."""
 
+import random
 import re
 import sys
 from datetime import date
@@ -11,7 +13,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from btagents.agents import INDICATOR_TERMS, NEWS_SENTIMENT_TERMS, PromptBundle, Role, _fold, lint_bundle
+from btagents.agents import (
+    INDICATOR_TERMS,
+    NEWS_SENTIMENT_TERMS,
+    PromptBundle,
+    Role,
+    _fold,
+    build_quants_prompt,
+    build_signals_prompt,
+    lint_bundle,
+)
+from btagents.indicators import IndicatorParams, pair_terms, snapshot
+from btagents.market_data import OnChainDaily, SentimentDaily
 from btagents.reflection import (
     ALLOCATION_NOUNS,
     ALLOCATION_VERBS,
@@ -19,6 +32,7 @@ from btagents.reflection import (
     scope_filter,
 )
 
+from conftest import quants_rows, random_bars
 from oracles import oracle_lint, oracle_scope_filter
 
 FRACTIONS = (0.0, 0.35, 0.5, 0.125, 1.0)
@@ -93,6 +107,34 @@ def test_scope_filter_equals_per_term_oracle(quants, signals, decision):
     assert got == oracle_scope_filter(feedback)
 
 
+WINDOW = random_bars(random.Random(5), 30)
+CHAIN = [
+    OnChainDaily(date=b.date, tx_count=600_000, active_addresses=450_000, transfer_volume_usd=3.0e10) for b in WINDOW
+]
+GAUGES = snapshot(WINDOW, IndicatorParams(), pair_terms(WINDOW))
+MOOD = SentimentDaily(date=WINDOW[-1].date, social_score_mean=0.1164, fgi_value=70, fgi_label="Greed")
+
+
+def prompt_with(role, daily_feedback):
+    """The role's prompt for one day, as the run builds it, carrying `daily_feedback`."""
+    if role == "quants":
+        return build_quants_prompt(WINDOW, GAUGES, quants_rows(WINDOW, CHAIN), daily_feedback=daily_feedback)
+    return build_signals_prompt([], MOOD, daily_feedback=daily_feedback)
+
+
+@SETTINGS
+@given(role=st.sampled_from(["quants", "signals"]), text=texts)
+@example(role="quants", text="Weigh the news headlines and crowd sentiment more.")
+@example(role="signals", text="Lean on the moving average.")
+def test_feedback_the_scope_filter_passes_lints_clean_in_its_prompt(role, text):
+    """Feedback enters the next day's prompt only if the scope filter passes
+    it, so a passed text must add no lint violation to that prompt. The
+    decision role is left out: its lint reads the day's upstream allocations,
+    which the filter cannot see."""
+    if role not in {v["role"] for v in scope_filter({role: text})}:
+        assert lint_bundle(prompt_with(role, text)) == lint_bundle(prompt_with(role, None))
+
+
 def spellings(word):
     first, last = ("".join(LOOKALIKES.get(c, (c,))[k] for c in word) for k in (0, -1))
     return (word, word.upper(), first, last, f"x{word}", f"{word}_", f"({word}).", f"1{word}")
@@ -104,10 +146,11 @@ def test_each_term_alone_in_every_spelling():
             for text in spellings(word):
                 bundle = PromptBundle(role=role, date=date(2024, 11, 4), system_text="", user_text=text)
                 assert lint_bundle(bundle) == oracle_lint(role.value, "\n" + text), text
-    for word in SIGNALS_BANNED_TERMS:
-        for text in spellings(word):
-            feedback = {"signals": text}
-            assert [(v["role"], v["reason"]) for v in scope_filter(feedback)] == oracle_scope_filter(feedback)
+    for role, words in (("signals", SIGNALS_BANNED_TERMS), ("quants", NEWS_SENTIMENT_TERMS)):
+        for word in words:
+            for text in spellings(word):
+                feedback = {role: text}
+                assert [(v["role"], v["reason"]) for v in scope_filter(feedback)] == oracle_scope_filter(feedback)
     for verb in ALLOCATION_VERBS:
         for noun in ALLOCATION_NOUNS:
             for v in spellings(verb):

@@ -1,14 +1,23 @@
-"""The one retry loop, `transport.request`, as the chat client sends through it."""
+"""The one retry loop, `transport.request`, as the chat client sends through
+it: against a fake session, and for a few days of a run over a real socket."""
 
+import json
+import re
 import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
 
-from btagents.agents import ChatClient, ChatClientConfig
+from btagents.agents import DECISION_SYSTEM, QUANTS_SYSTEM, SIGNALS_SYSTEM, ChatClient, ChatClientConfig
 from btagents.errors import ConfigError, NetworkError
+from btagents.journal import read_journal, write_journal
+from btagents.orchestrator import RunConfig, replay, run_backtest
+from btagents.reflection import REFLECT_SYSTEM
 
+from conftest import scripted_plan, synth_dataset
 from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
 
 
@@ -139,3 +148,121 @@ def test_latin1_key_is_sent(monkeypatch):
     call, session = chat([200], api_key_env_var="CHAT_KEY")
     call()
     assert session.requests[0]["headers"] == {"Authorization": "Bearer k\xe9y"}
+
+
+# ---------------------------------------------------------------------------
+# a few scripted days through the real ChatClient and `requests`, served from a
+# socket on 127.0.0.1, with one 5xx, one reply slower than the client timeout
+# and one body cut short of its Content-Length
+
+TIMEOUT = 0.2
+SYSTEM_ROLES = {
+    QUANTS_SYSTEM: "quants", SIGNALS_SYSTEM: "signals", DECISION_SYSTEM: "decision", REFLECT_SYSTEM: "reflect"
+}
+
+
+class ChatServer(ThreadingHTTPServer):
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self, replies, faults):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.replies = replies  # "role:date" -> reply text
+        self.faults = faults  # (role, date, attempt or None for every attempt) -> fault
+        self.seen = {}  # request body -> times received
+        self.log = []  # (role, date, attempt, fault) per request
+        self.release = threading.Event()  # set at teardown, so a slow reply ends at once
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        messages = json.loads(body)["messages"]
+        role = SYSTEM_ROLES[messages[0]["content"]]
+        day = re.match(r"Date: (\S+)\n", messages[1]["content"]).group(1)
+        # the attempt is read from the request: how often this same body came before
+        attempt = server.seen[body] = server.seen.get(body, 0) + 1
+        fault = server.faults.get((role, day, attempt), server.faults.get((role, day, None)))
+        server.log.append((role, day, attempt, fault))
+        if fault == "503":
+            self.send_error(503)
+            return
+        if fault == "slow":
+            server.release.wait(50 * TIMEOUT)
+        reply = json.dumps({"choices": [{"message": {"content": server.replies[f"{role}:{day}"]}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        try:
+            self.wfile.write(reply[: len(reply) // 2] if fault == "cut" else reply)
+        except OSError:  # the client gave up on a slow reply
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+# (role, day index, attempt or None for every attempt) -> fault
+FAULTS = {("quants", 0, 1): "503", ("signals", 1, None): "slow", ("decision", 2, 1): "cut"}
+
+
+def run_over_loopback(tmp_path, name):
+    """A 3-day run against a fresh server; returns its journal's path and the server's log."""
+    dataset = synth_dataset(32 + 3 + 2)
+    days = dataset.dates[32:35]
+    config = RunConfig(start=days[0], end=days[-1], weekly_feedback=False)
+    faults = {(role, days[i].isoformat(), attempt): fault for (role, i, attempt), fault in FAULTS.items()}
+    server = ChatServer(scripted_plan(days), faults)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        with requests.Session() as session:
+            session.trust_env = False  # no proxy from the environment
+            client_config = ChatClientConfig(
+                base_url=f"http://127.0.0.1:{server.server_port}/v1",
+                timeout=TIMEOUT,
+                max_retries=2,
+                backoff_seconds=0,
+            )
+            journal = run_backtest(config, dataset, ChatClient(client_config, session=session))
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert not thread.is_alive()
+    assert server.socket.fileno() == -1
+    path = tmp_path / f"{name}.jsonl"
+    write_journal(journal, str(path))
+    return path, server.log
+
+
+def test_faults_through_a_real_socket(tmp_path):
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    path, log = run_over_loopback(tmp_path, "a")
+    again, log_again = run_over_loopback(tmp_path, "b")
+    assert time.monotonic() - started < 5
+    assert set(threading.enumerate()) == threads_before
+
+    assert path.read_bytes() == again.read_bytes()
+    assert log == log_again
+    faulted = [(role, attempt, fault) for role, _, attempt, fault in log if fault]
+    assert faulted == [
+        ("quants", 1, "503"),
+        ("signals", 1, "slow"),
+        ("signals", 2, "slow"),
+        ("decision", 1, "cut"),
+    ]
+    assert len(log) == 3 * 4 + 3  # one call per role and day, and one retry per fault
+
+    journal = read_journal(str(path))
+    replay(journal)
+    fallbacks = [
+        (i, role) for i, day in enumerate(journal.days) for role, entry in day["roles"].items() if entry["fallback"]
+    ]
+    assert fallbacks == [(1, "signals")]  # the 503 and the cut body were retried
+    assert journal.days[1]["roles"]["signals"]["attempts"] == [
+        {"raw": None, "error": "TimeoutError: chat completion timed out after 2 attempt(s)"}
+    ]
