@@ -44,10 +44,6 @@ class WindowTooShort(BtAgentsError):
     """Not enough observations for the requested window."""
 
 
-class EmptyWindow(BtAgentsError):
-    """An operation that needs at least one observation got none."""
-
-
 class ZeroVolume(BtAgentsError):
     """Volume-weighted computation over a window with zero total volume."""
 

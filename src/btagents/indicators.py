@@ -1,11 +1,12 @@
-"""Technical indicators computed from bar windows.
+"""The quants agent's gauges, computed from one bar window by `snapshot`.
 
-All functions are pure and operate on the window they are given: trailing
-statistics (sma, bollinger, vwap) use the last n observations, recursive
-ones (ema, macd, rsi, adx) run over the whole window so their smoothing
-state is reproducible from the window alone. RSI's and ADX's terms for a
-pair of adjacent bars do not depend on the window, so `pair_terms` computes
-them once for a run of bars and each window's snapshot reads its slice.
+`snapshot` is the one entry point: it checks the window is long enough for
+every gauge and computes them all. Trailing gauges (SMA, Bollinger, VWAP)
+read the last n bars; recursive ones (EMA, MACD, RSI, ADX) run over the
+whole window, so their smoothing state is reproducible from the window
+alone. RSI's and ADX's terms for a pair of adjacent bars do not depend on
+the window, so `pair_terms` computes them once for a run of bars and each
+window's snapshot reads its slice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date as Date
 from typing import NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateRange, EmptyWindow, InvariantViolation, WindowTooShort, ZeroVolume
+from .errors import ConfigError, DegenerateRange, InvariantViolation, WindowTooShort, ZeroVolume
 from .market_data import Bar
 
 
@@ -94,12 +95,9 @@ class IndicatorSnapshot:
             raise InvariantViolation(f"{self.date}: pct_below_vwap outside [0, 1]")
 
 
-def sma(closes: Sequence[float], n: int) -> float:
-    """Arithmetic mean of the last n closes."""
-    if len(closes) < n:
-        raise WindowTooShort(f"sma needs {n} closes, got {len(closes)}")
-    tail = closes[-n:]
-    return math.fsum(tail) / n
+def _sma(closes: Sequence[float], n: int) -> float:
+    # the mean of the last n closes: SMA, and Bollinger's mid
+    return math.fsum(closes[-n:]) / n
 
 
 def _ema_series(values: Sequence[float], n: int) -> list[float]:
@@ -114,32 +112,13 @@ def _ema_series(values: Sequence[float], n: int) -> list[float]:
     return out
 
 
-def ema(closes: Sequence[float], n: int) -> float:
-    """Exponential moving average over the whole window, seeded with its first close."""
-    if not closes:
-        raise EmptyWindow("ema needs at least one close")
-    return _ema_series(closes, n)[-1]
-
-
-def _macd_lines(
-    closes: Sequence[float], fast_series: list[float], slow: int, signal_n: int
-) -> tuple[float, float, float]:
-    slow_series = _ema_series(closes, slow)
-    macd_series = [f - s for f, s in zip(fast_series, slow_series)]
-    signal_line = _ema_series(macd_series, signal_n)[-1]
-    line = macd_series[-1]
-    return line, signal_line, line - signal_line
-
-
-def macd(
-    closes: Sequence[float], fast: int = 12, slow: int = 26, signal_n: int = 9
-) -> tuple[float, float, float]:
-    """(macd_line, signal_line, histogram) at the window's last close."""
-    if fast >= slow:
-        raise ValueError("fast period must be < slow period")
-    if len(closes) < slow:
-        raise WindowTooShort(f"macd needs {slow} closes, got {len(closes)}")
-    return _macd_lines(closes, _ema_series(closes, fast), slow, signal_n)
+def _wilder_mean(values: Sequence[float], n: int) -> float:
+    """Wilder's average: the mean of the first n values, then
+    avg = (avg * (n - 1) + v) / n for each later value v."""
+    avg = sum(values[:n]) / n
+    for v in values[n:]:
+        avg = (avg * (n - 1) + v) / n
+    return avg
 
 
 class PairTerms(NamedTuple):
@@ -158,71 +137,45 @@ class PairTerms(NamedTuple):
         return PairTerms(*(terms[start : stop - 1] for terms in self))
 
 
-def _close_moves(closes: Sequence[float]) -> tuple[list[float], list[float]]:
-    deltas = [b - a for a, b in zip(closes, closes[1:])]
-    return [max(d, 0.0) for d in deltas], [max(-d, 0.0) for d in deltas]
-
-
 def pair_terms(bars: Sequence[Bar]) -> PairTerms:
     """RSI's and ADX's terms for each adjacent pair of bars, computed once so
     that every window over the bars can share them. Never raises."""
-    gains, losses = _close_moves([b.close for b in bars])
-    trs, plus_dms, minus_dms = [], [], []
+    terms = PairTerms([], [], [], [], [])
     for prev, cur in zip(bars, bars[1:]):
+        move = cur.close - prev.close
         up_move = cur.high - prev.high
         down_move = prev.low - cur.low
-        trs.append(max(cur.high - cur.low, abs(cur.high - prev.close), abs(cur.low - prev.close)))
-        plus_dms.append(up_move if (up_move > down_move and up_move > 0) else 0.0)
-        minus_dms.append(down_move if (down_move > up_move and down_move > 0) else 0.0)
-    return PairTerms(gains, losses, trs, plus_dms, minus_dms)
+        terms.gains.append(max(move, 0.0))
+        terms.losses.append(max(-move, 0.0))
+        terms.trs.append(max(cur.high - cur.low, abs(cur.high - prev.close), abs(cur.low - prev.close)))
+        terms.plus_dms.append(up_move if (up_move > down_move and up_move > 0) else 0.0)
+        terms.minus_dms.append(down_move if (down_move > up_move and down_move > 0) else 0.0)
+    return terms
 
 
 def _wilder_rsi(gains: Sequence[float], losses: Sequence[float], n: int) -> float:
-    avg_gain = sum(gains[:n]) / n
-    avg_loss = sum(losses[:n]) / n
-    for g, l in zip(gains[n:], losses[n:]):
-        avg_gain = (avg_gain * (n - 1) + g) / n
-        avg_loss = (avg_loss * (n - 1) + l) / n
-    if avg_loss == 0.0 and avg_gain == 0.0:
+    avg_gain = _wilder_mean(gains, n)
+    avg_loss = _wilder_mean(losses, n)
+    if avg_loss == 0.0 and avg_gain == 0.0:  # constant prices read as neutral
         return 50.0
     if avg_loss == 0.0:
         return 100.0
     if avg_gain == 0.0:
         return 0.0
-    rs = avg_gain / avg_loss
-    return 100.0 - 100.0 / (1.0 + rs)
+    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
-def rsi(closes: Sequence[float], n: int = 14) -> float:
-    """Relative strength index with Wilder smoothing over the whole window.
-
-    The first n differences seed the average gain/loss; later differences
-    update them with Wilder's recursion. A window with zero gains and zero
-    losses (constant prices) reads as neutral 50.
-    """
-    if len(closes) < n + 1:
-        raise WindowTooShort(f"rsi needs {n + 1} closes, got {len(closes)}")
-    return _wilder_rsi(*_close_moves(closes), n)
-
-
-def bollinger(closes: Sequence[float], n: int = 20, k: float = 2.0) -> tuple[float, float, float]:
-    """(upper, mid, lower) with mid = sma(n) and bands mid +/- k * population sigma."""
-    if len(closes) < n:
-        raise WindowTooShort(f"bollinger needs {n} closes, got {len(closes)}")
+def _bollinger(closes: Sequence[float], n: int, k: float) -> tuple[float, float, float]:
+    """(upper, mid, lower) with mid = the SMA of n closes and bands mid +/- k * population sigma."""
     tail = closes[-n:]
-    mid = math.fsum(tail) / n
-    variance = math.fsum((c - mid) ** 2 for c in tail) / n
-    sigma = math.sqrt(variance)
+    mid = _sma(tail, n)
+    sigma = math.sqrt(math.fsum((c - mid) ** 2 for c in tail) / n)
     return mid + k * sigma, mid, mid - k * sigma
 
 
-def vwap(bars: Sequence[Bar], lookback: int) -> tuple[float, float]:
-    """Volume-weighted average of typical prices over the last lookback bars.
-
-    Returns (vwap, fraction of those closes strictly below it).
-    """
-    if len(bars) < lookback:
-        raise WindowTooShort(f"vwap needs {lookback} bars, got {len(bars)}")
+def _vwap(bars: Sequence[Bar], lookback: int) -> tuple[float, float]:
+    """(volume-weighted average of the typical prices of the last lookback
+    bars, fraction of their closes strictly below it)"""
     tail = bars[-lookback:]
     total_volume = math.fsum(b.volume for b in tail)
     if total_volume <= 0.0:
@@ -233,9 +186,12 @@ def vwap(bars: Sequence[Bar], lookback: int) -> tuple[float, float]:
     return value, below / lookback
 
 
-def _wilder_adx(
-    trs: Sequence[float], plus_dms: Sequence[float], minus_dms: Sequence[float], n: int
-) -> float:
+def _wilder_adx(trs: Sequence[float], plus_dms: Sequence[float], minus_dms: Sequence[float], n: int) -> float:
+    """Wilder's ADX over 2n or more pairs: n pairs seed the smoothed TR/DM sums,
+    and n DX values seed the average. Raises DegenerateRange when the
+    smoothed true range is zero (flat OHLC), since direction strength is
+    undefined there. With one DI zero, DX is 100 * DI / DI, which can round
+    to just above 100, so the average is capped at 100."""
     sm_tr = sum(trs[:n])
     sm_plus = sum(plus_dms[:n])
     sm_minus = sum(minus_dms[:n])
@@ -256,25 +212,7 @@ def _wilder_adx(
         sm_plus = sm_plus - sm_plus / n + pdm
         sm_minus = sm_minus - sm_minus / n + mdm
         dxs.append(dx_at(sm_tr, sm_plus, sm_minus))
-
-    value = sum(dxs[:n]) / n
-    for dx in dxs[n:]:
-        value = (value * (n - 1) + dx) / n
-    return value
-
-
-def adx(bars: Sequence[Bar], n: int = 14) -> float:
-    """Wilder average directional index over the whole window.
-
-    Requires 2n+1 bars: n differences to seed the smoothed TR/DM sums, and
-    n more DX values to seed the ADX average. Raises DegenerateRange when
-    the seeding true ranges are all zero (flat OHLC), since direction
-    strength is undefined there.
-    """
-    if len(bars) < 2 * n + 1:
-        raise WindowTooShort(f"adx needs {2 * n + 1} bars, got {len(bars)}")
-    terms = pair_terms(bars)
-    return _wilder_adx(terms.trs, terms.plus_dms, terms.minus_dms, n)
+    return min(_wilder_mean(dxs, n), 100.0)
 
 
 def snapshot(bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms) -> IndicatorSnapshot:
@@ -301,9 +239,11 @@ def snapshot(bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms) -> 
     closes = [b.close for b in bars]
     try:
         fast_series = _ema_series(closes, params.macd_fast)
-        line, signal_line, hist = _macd_lines(closes, fast_series, params.macd_slow, params.macd_signal)
-        upper, mid, lower = bollinger(closes, params.bb_window, params.bb_k)
-        vw, pct_below = vwap(bars, params.vwap_lookback)
+        macd_series = [f - s for f, s in zip(fast_series, _ema_series(closes, params.macd_slow))]
+        line = macd_series[-1]
+        signal_line = _ema_series(macd_series, params.macd_signal)[-1]
+        upper, mid, lower = _bollinger(closes, params.bb_window, params.bb_k)
+        vw, pct_below = _vwap(bars, params.vwap_lookback)
         try:
             adx_value = _wilder_adx(terms.trs, terms.plus_dms, terms.minus_dms, params.adx_window)
             degenerate = False
@@ -312,11 +252,12 @@ def snapshot(bars: Sequence[Bar], params: IndicatorParams, terms: PairTerms) -> 
             degenerate = True
         return IndicatorSnapshot(
             date=day,
-            sma=mid if params.sma_window == params.bb_window else sma(closes, params.sma_window),
-            ema=fast_series[-1] if params.ema_window == params.macd_fast else ema(closes, params.ema_window),
+            sma=mid if params.sma_window == params.bb_window else _sma(closes, params.sma_window),
+            ema=(fast_series if params.ema_window == params.macd_fast
+                 else _ema_series(closes, params.ema_window))[-1],
             macd_line=line,
             macd_signal_line=signal_line,
-            macd_hist=hist,
+            macd_hist=line - signal_line,
             rsi=_wilder_rsi(terms.gains, terms.losses, params.rsi_window),
             bb_upper=upper,
             bb_mid=mid,

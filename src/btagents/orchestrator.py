@@ -162,12 +162,12 @@ class Ledger:
     books, the running prediction scores, the allocation a fallback holds, the
     last seven settled days and the records the next day's feedback comes from."""
 
-    def __init__(self, config: RunConfig, start: Date, p0: float):
+    def __init__(self, config: RunConfig, p0: float):
         self.config = config
         self.fees = FeeModel(fee_bps=config.fee_bps)
         self.p0 = p0  # the first close, at which the baselines buy
         cash = config.initial_value_usd
-        self.books = {role: PortfolioState.all_cash(start, cash, p0) for role in AGENT_ROLES}
+        self.books = {role: PortfolioState.all_cash(cash, p0) for role in AGENT_ROLES}
         self.counts = {role: (0, 0) for role in AGENT_ROLES}  # (correct, scored)
         self.held = {role: 0.5 for role in AGENT_ROLES}  # the fallback before any decision
         self.week: list[dict] = []  # the settled days the weekly review reads
@@ -182,14 +182,7 @@ class Ledger:
         weekly = self.last_weekly["texts"] if self.last_weekly else {}
         return {k: v for k, v in daily.items() if v}, {k: v for k, v in weekly.items() if v}
 
-    def settle(
-        self,
-        day: Date,
-        entries: Mapping[str, dict],
-        close_t: float,
-        next_date: Date,
-        close_next: float,
-    ) -> dict:
+    def settle(self, day: Date, entries: Mapping[str, dict], close_t: float, close_next: float) -> dict:
         """Settle one day: trade each book to its entry's `allocation` at close_t,
         mark it at close_next, value the baselines and score the predictions.
         Returns the settled day, the day record's fields derived here: `date` (ISO),
@@ -201,7 +194,7 @@ class Ledger:
         for role in AGENT_ROLES:
             before = self.books[role].value_usd  # marked at close_t; the day's fee comes out after
             traded = rebalance(self.books[role], Allocation(entries[role]["allocation"]), close_t, self.fees)
-            self.books[role] = mark(traded, next_date, close_next)
+            self.books[role] = mark(traded, close_next)
             day_returns[role] = self.books[role].value_usd / before - 1.0
         initial = config.initial_value_usd
         _, bl_now, bl_next = baseline_static_5050(initial, (self.p0, close_t, close_next))
@@ -268,7 +261,7 @@ def run_backtest(
         market.append((start, stop, snap))
 
     templates = load_weekly_templates(config.weekly_template_path)
-    ledger = Ledger(config, days[0], bars[first - lo].close)
+    ledger = Ledger(config, bars[first - lo].close)
 
     def decide(bundle: PromptBundle) -> dict:
         """The role's journal entry: its prompt and `decide_with_retry`'s fields."""
@@ -330,7 +323,7 @@ def run_backtest(
         )
         decided["decision"] = decide(decision_bundle)
 
-        settled = ledger.settle(day, decided, close_t, next_rec.date, close_next)
+        settled = ledger.settle(day, decided, close_t, close_next)
         reflect = None
         if config.daily_feedback:
             reflect = run_daily_reflection(client, settled, retry_limit=config.parse_retry_limit)
@@ -381,9 +374,12 @@ def _checker(shape: dict):
     """Compile a shape into a function that returns the key path to the first
     part of a value that does not fit it, or None. A shape maps each key a JSON
     object must have to a type, a tuple of types or a nested shape. Types match
-    exactly, so a bool is not an int."""
+    exactly, so a bool is not an int, and a number must lie within the float
+    range, so NaN, an infinity or 10**400 fits no number type."""
     nested = {key: _checker(sub) for key, sub in shape.items() if isinstance(sub, dict)}
     shape = {key: sub if isinstance(sub, (tuple, dict)) else (sub,) for key, sub in shape.items()}
+    numbers = {key for key, sub in shape.items() if key not in nested and (int in sub or float in sub)}
+    most = sys.float_info.max
 
     def misfit(value):
         if not isinstance(value, dict):
@@ -395,7 +391,9 @@ def _checker(shape: dict):
                 bad = nested[key](value[key])
                 if bad is not None:
                     return (key, *bad)
-            elif type(value[key]) not in sub:
+            elif type(value[key]) not in sub or (
+                key in numbers and value[key] is not None and not -most <= value[key] <= most
+            ):
                 return (key,)
         return None
 
@@ -448,7 +446,7 @@ _ATTEMPT_MISFIT = _checker({"raw": (str, type(None)), "error": (str, type(None))
 def _check_shape(record: dict, misfit, where: str) -> None:
     bad = misfit(record)
     if bad is not None:
-        raise JournalCorrupt(f"{where}: field {'.'.join(bad)} is missing or of the wrong type")
+        raise JournalCorrupt(f"{where}: field {'.'.join(bad)} is missing, of the wrong type or out of range")
 
 
 def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs:
@@ -457,11 +455,11 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     `neutral_band` if given, by the rule the run scored `correct` with.
 
     Checks every digest, the type of every field `report` and `replay` read
-    or `replay` re-derives, and the journal's structure: the header's
-    `n_days` day records, numbered in order, each ending after it starts and
-    starting on the date the one before it ends, and a weekly record after
-    every seventh day when weekly feedback is on, and only then. Raises
-    JournalCorrupt otherwise.
+    or `replay` re-derives (a number must lie within the float range), and
+    the journal's structure: the header's `n_days` day records, numbered in
+    order, each ending after it starts and starting on the date the one
+    before it ends, and a weekly record after every seventh day when weekly
+    feedback is on, and only then. Raises JournalCorrupt otherwise.
     """
     journal.verify()
     _check_shape(journal.header, _HEADER_MISFIT, "journal header")
@@ -566,7 +564,7 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
     """
     outputs = outputs_from_journal(journal, neutral_band)
     dates = outputs.value_dates
-    ledger = Ledger(outputs.config, dates[0], outputs.closes[0])
+    ledger = Ledger(outputs.config, outputs.closes[0])
     for record in journal.entries:
         if record["type"] == "weekly":
             # the texts come from a template file replay does not read; the
@@ -597,7 +595,7 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
             except PARSE_ERRORS as exc:
                 raise JournalCorrupt(f"{where} {role}: recorded reply does not parse: {exc}") from None
             decided[role] = {**(parsed or fallback_decision(ledger.held[role])), "fallback": raw is None}
-        settled = ledger.settle(dates[i], decided, record["close"], dates[i + 1], record["next_close"])
+        settled = ledger.settle(dates[i], decided, record["close"], record["next_close"])
         derived = {**settled, "daily_feedback_in": daily_in, "weekly_feedback_in": weekly_in}
         _check_reproduced(where, derived, record)
         ledger.last_day = record

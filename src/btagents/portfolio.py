@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -44,7 +43,6 @@ class FeeModel:
 
 @dataclass(frozen=True)
 class PortfolioState:
-    date: Date
     btc_units: float
     cash_usd: float
     mark_price: float
@@ -59,22 +57,16 @@ class PortfolioState:
     def value_usd(self) -> float:
         return self.btc_units * self.mark_price + self.cash_usd
 
-    @property
-    def btc_fraction(self) -> float:
-        return self.btc_units * self.mark_price / self.value_usd
-
     @classmethod
-    def all_cash(cls, date: Date, cash_usd: float, mark_price: float) -> "PortfolioState":
-        return cls(date=date, btc_units=0.0, cash_usd=cash_usd, mark_price=mark_price)
+    def all_cash(cls, cash_usd: float, mark_price: float) -> "PortfolioState":
+        return cls(btc_units=0.0, cash_usd=cash_usd, mark_price=mark_price)
 
 
-def mark(state: PortfolioState, date: Date, price: float) -> PortfolioState:
+def mark(state: PortfolioState, price: float) -> PortfolioState:
     """Revalue at a new price; units and cash untouched."""
     if price <= 0:
         raise InvariantViolation("mark price must be > 0")
-    return PortfolioState(
-        date=date, btc_units=state.btc_units, cash_usd=state.cash_usd, mark_price=price
-    )
+    return PortfolioState(btc_units=state.btc_units, cash_usd=state.cash_usd, mark_price=price)
 
 
 def _settle_units_cash(units: float, price: float, value_target: float) -> tuple[float, float]:
@@ -121,7 +113,7 @@ def rebalance(
     target_btc_value = target.btc_fraction * value
     notional = target_btc_value - held_btc_value
     if abs(notional) <= 1e-12 * value:
-        return mark(state, state.date, price)
+        return mark(state, price)
 
     rate = fees.rate
     if notional > 0 and rate > 0:
@@ -134,7 +126,7 @@ def rebalance(
 
     new_units = target_btc_value / price
     units, cash = _settle_units_cash(new_units, price, value - fee)
-    return PortfolioState(date=state.date, btc_units=units, cash_usd=cash, mark_price=price)
+    return PortfolioState(btc_units=units, cash_usd=cash, mark_price=price)
 
 
 def baseline_buy_and_hold(initial_value: float, prices: Sequence[float]) -> list[float]:

@@ -9,7 +9,7 @@ import math
 import re
 
 from btagents.agents import INDICATOR_TERMS, NEWS_SENTIMENT_TERMS
-from btagents.errors import DegenerateRange, EmptyWindow, InvariantViolation, WindowTooShort, ZeroVolume
+from btagents.errors import DegenerateRange, InvariantViolation, WindowTooShort, ZeroVolume
 from btagents.indicators import IndicatorSnapshot
 from btagents.reflection import (
     AGENT_ROLES,
@@ -250,8 +250,6 @@ def window_ema_series(values: list, n: int) -> list[float]:
 
 def window_ema(closes: list, n: int) -> float:
     """Exponential moving average over the whole window, seeded with its first close."""
-    if not closes:
-        raise EmptyWindow("ema needs at least one close")
     return window_ema_series(closes, n)[-1]
 
 
@@ -374,7 +372,7 @@ def window_adx(bars: list, n: int = 14) -> float:
     value = sum(dxs[:n]) / n
     for dx in dxs[n:]:
         value = (value * (n - 1) + dx) / n
-    return value
+    return min(value, 100.0)  # a one-sided DX can round to just above 100
 
 
 def window_snapshot(bars, params):

@@ -19,18 +19,7 @@ from btagents.agents import (
     build_signals_prompt,
     lint_bundle,
 )
-from btagents.indicators import (
-    IndicatorParams,
-    adx,
-    bollinger,
-    ema,
-    macd,
-    pair_terms,
-    rsi,
-    sma,
-    snapshot,
-    vwap,
-)
+from btagents.indicators import IndicatorParams, pair_terms, snapshot
 from btagents.journal import read_journal, write_journal
 from btagents.market_data import NewsItem, OnChainDaily, SentimentDaily
 from btagents.metrics import mean_std, sharpe
@@ -55,7 +44,7 @@ from btagents.reflection import (
 from btagents.regime import RegimeLabel, RegimeParams, segment
 from btagents.report import cumrets_csv, render, resolve_segmentation, table_csv
 
-from conftest import quants_rows, random_bars, run_synth, weeklies
+from conftest import bars_from_closes, quants_rows, random_bars, run_synth, weeklies
 from oracles import (
     oracle_adx,
     oracle_bollinger,
@@ -108,28 +97,37 @@ def test_criterion_02_case_study_replay(
 
 
 def test_criterion_03_indicator_oracle_suite():
+    def gauges(bars, params):
+        return snapshot(bars, params, pair_terms(bars))
+
     started = time.monotonic()
     rng = random.Random(71)
+    # SMA and EMA on windows of their own, not Bollinger's mid and MACD's fast average
+    params = IndicatorParams(sma_window=14, ema_window=12, macd_fast=5)
     for _ in range(1000):
         closes = [rng.uniform(50.0, 150.0) for _ in range(50)]
-        assert sma(closes, 14) == pytest.approx(oracle_sma(closes, 14), abs=1e-9)
-        assert ema(closes, 12) == pytest.approx(oracle_ema(closes, 12), abs=1e-9)
-        assert rsi(closes, 14) == pytest.approx(oracle_rsi(closes, 14), abs=1e-9)
-        for got, want in zip(bollinger(closes, 20, 2.0), oracle_bollinger(closes, 20, 2.0)):
+        snap = gauges(bars_from_closes(closes), params)
+        assert snap.sma == pytest.approx(oracle_sma(closes, 14), abs=1e-9)
+        assert snap.ema == pytest.approx(oracle_ema(closes, 12), abs=1e-9)
+        assert snap.rsi == pytest.approx(oracle_rsi(closes, 14), abs=1e-9)
+        bands = (snap.bb_upper, snap.bb_mid, snap.bb_lower)
+        for got, want in zip(bands, oracle_bollinger(closes, 20, 2.0)):
             assert got == pytest.approx(want, abs=1e-9)
     for _ in range(1000):
         closes = [rng.uniform(50.0, 150.0) for _ in range(60)]
-        for got, want in zip(macd(closes, 12, 26, 9), oracle_macd(closes, 12, 26, 9)):
+        snap = gauges(bars_from_closes(closes), IndicatorParams())
+        lines = (snap.macd_line, snap.macd_signal_line, snap.macd_hist)
+        for got, want in zip(lines, oracle_macd(closes, 12, 26, 9)):
             assert got == pytest.approx(want, abs=1e-9)
     for _ in range(1000):
         bars = random_bars(rng, 30)
-        got_v, got_p = vwap(bars, 30)
+        snap = gauges(bars, IndicatorParams(vwap_lookback=30))
         want_v, want_p = oracle_vwap(bars, 30)
-        assert got_v == pytest.approx(want_v, abs=1e-9)
-        assert got_p == want_p
+        assert snap.vwap == pytest.approx(want_v, abs=1e-9)
+        assert snap.pct_below_vwap == want_p
     for _ in range(1000):
         bars = random_bars(rng, 60)
-        assert adx(bars, 14) == pytest.approx(oracle_adx(bars, 14), abs=1e-6)
+        assert gauges(bars, IndicatorParams()).adx == pytest.approx(oracle_adx(bars, 14), abs=1e-6)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     ok(3, f"7 indicators x 1000 random windows vs brute-force oracles in {elapsed:.2f}s")
@@ -137,21 +135,21 @@ def test_criterion_03_indicator_oracle_suite():
 
 def test_criterion_04_accounting_conservation():
     rng = random.Random(72)
-    day = date(2024, 1, 1)
     checked = 0
     for _ in range(200):
         price = rng.uniform(100.0, 90_000.0)
-        state = PortfolioState.all_cash(day, rng.uniform(1_000.0, 100_000.0), price)
+        state = PortfolioState.all_cash(rng.uniform(1_000.0, 100_000.0), price)
         for _ in range(50):
-            marked = mark(state, day, price)
+            marked = mark(state, price)
             pre_value = marked.value_usd
             state = rebalance(marked, Allocation(rng.random()), price)
             assert state.value_usd == pre_value  # exact, zero fees
             next_price = price * (1.0 + rng.uniform(-0.15, 0.15))
-            moved = mark(state, day, next_price)
+            moved = mark(state, next_price)
             portfolio_return = moved.value_usd / state.value_usd - 1.0
             btc_return = next_price / price - 1.0
-            assert abs(portfolio_return - state.btc_fraction * btc_return) <= 1e-12
+            btc_fraction = state.btc_units * price / state.value_usd
+            assert abs(portfolio_return - btc_fraction * btc_return) <= 1e-12
             price = next_price
             state = moved
             checked += 1

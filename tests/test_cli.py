@@ -571,11 +571,35 @@ class TestMalformedJournal:
 
     def test_n_days_not_an_int(self, command, journal_path, capsys):
         reseal_header(journal_path, lambda h: h.update(n_days=str(h["n_days"])))
-        self.fails(command, journal_path, capsys, "field n_days is missing or of the wrong type")
+        self.fails(command, journal_path, capsys, "field n_days is missing, of the wrong type or out of range")
 
     def test_day_without_roles(self, command, journal_path, capsys):
         reseal_line(journal_path, 1, lambda day: day.pop("roles"))
         self.fails(command, journal_path, capsys, "journal line 2: field roles is missing")
+
+    @pytest.mark.parametrize(
+        "path, number",
+        [
+            (("roles", "decision", "portfolio", "value_usd"), float("nan")),
+            (("baseline", "static5050_value"), 10**400),
+            (("next_close",), float("inf")),
+            (("roles", "quants", "confidence"), float("-inf")),
+        ],
+        ids=["nan", "1e400", "inf", "-inf"],
+    )
+    def test_number_out_of_float_range(self, command, journal_path, capsys, path, number):
+        def edit(day):
+            for key in path[:-1]:
+                day = day[key]
+            day[path[-1]] = number
+
+        reseal_line(journal_path, 1, edit)
+        assert main([command, "--journal", journal_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: journal line 2: field {'.'.join(path)} is missing, of the wrong type or out of range\n"
+        )
 
     def test_day_that_ends_on_its_own_date(self, command, tmp_path, capsys):
         # day 5 starts where day 4 ends, so only the order of dates is broken

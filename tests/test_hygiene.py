@@ -2,17 +2,20 @@
 module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input and every JSON file goes through one
 reader, predictions are scored in one run-side and one report-side place,
-Sharpe has one formula, only the transport module imports `requests`, and
-the traced benchmark's wrap targets are still the names the program calls."""
+Sharpe has one formula, the gauges have one entry point, only the transport
+module imports `requests`, and the traced benchmark's wrap targets are still
+the names the program calls."""
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import btagents
+import btagents.indicators
 import btagents.metrics
 from btagents.agents import ScriptedResponder
 from btagents.orchestrator import RunConfig, outputs_from_journal, run_backtest
@@ -146,6 +149,18 @@ def test_one_sharpe_formula():
     package = Path(btagents.__file__).parent
     naming = sorted(p.name for p in package.glob("*.py") if "ZeroDispersion" in p.read_text(encoding="utf-8"))
     assert naming == ["errors.py", "metrics.py"]
+
+
+def test_one_gauge_entry_point():
+    """The gauges are computed in one place: `indicators` offers no function
+    but `snapshot` and the per-pair terms it reads."""
+    module = btagents.indicators
+    public = {
+        name
+        for name, value in vars(module).items()
+        if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert public == {"pair_terms", "snapshot"}
 
 
 def imports_requests(source: str) -> bool:

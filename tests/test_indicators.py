@@ -7,26 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from btagents.agents import build_quants_prompt, onchain_row, price_row
 
-from btagents.errors import (
-    ConfigError,
-    DegenerateRange,
-    EmptyWindow,
-    InvariantViolation,
-    WindowTooShort,
-    ZeroVolume,
-)
-from btagents.indicators import (
-    IndicatorParams,
-    adx,
-    bollinger,
-    ema,
-    macd,
-    pair_terms,
-    rsi,
-    sma,
-    snapshot,
-    vwap,
-)
+from btagents.errors import ConfigError, InvariantViolation, WindowTooShort, ZeroVolume
+from btagents.indicators import IndicatorParams, pair_terms, snapshot
 from btagents.market_data import Bar, OnChainDaily
 
 from conftest import bars_from_closes, quants_rows, random_bars
@@ -38,9 +20,16 @@ from oracles import (
     oracle_rsi,
     oracle_sma,
     oracle_vwap,
+    window_adx,
+    window_bollinger,
     window_chain_rows,
+    window_ema,
+    window_macd,
     window_price_rows,
+    window_rsi,
+    window_sma,
     window_snapshot,
+    window_vwap,
 )
 
 # the IndicatorParams fields that count bars
@@ -54,66 +43,81 @@ def mk_bar(d, o, h, lo, c, v=10.0):
     return Bar(date=d, open=o, high=h, low=lo, close=c, volume=v)
 
 
+# the least windows: every window 1 but MACD's slow one 2, so 3 bars (ADX's
+# need) make a whole window; a test widens the window of the gauge it checks
+LEAST = dict(
+    sma_window=1, ema_window=1, rsi_window=1, bb_window=1, adx_window=1,
+    macd_fast=1, macd_slow=2, macd_signal=1, vwap_lookback=1,
+)
+
+
+def gauges(bars, params=IndicatorParams()):
+    return snapshot(bars, params, pair_terms(bars))
+
+
+def least(**windows):
+    return IndicatorParams(**{**LEAST, **windows})
+
+
+def close_gauges(closes, params=IndicatorParams()):
+    return gauges(bars_from_closes(closes), params)
+
+
 class TestSma:
+    # bb_window differs from sma_window, so SMA is not Bollinger's mid
     def test_constant(self):
-        assert sma([10.0, 10.0, 10.0], 3) == 10.0
+        assert close_gauges([10.0, 10.0, 10.0], least(sma_window=3)).sma == 10.0
 
     def test_hand_value(self):
-        assert sma([1.0, 2.0, 3.0, 4.0], 2) == 3.5
-
-    def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            sma([1.0, 2.0], 3)
+        assert close_gauges([1.0, 2.0, 3.0, 4.0], least(sma_window=2, bb_window=3)).sma == 3.5
 
     def test_matches_oracle(self):
         rng = random.Random(1)
         closes = [rng.uniform(50, 150) for _ in range(50)]
-        assert sma(closes, 14) == pytest.approx(oracle_sma(closes, 14), abs=1e-9)
+        got = close_gauges(closes, IndicatorParams(sma_window=14)).sma
+        assert got == pytest.approx(oracle_sma(closes, 14), abs=1e-9)
 
 
 class TestEma:
+    # macd_fast differs from ema_window, so EMA is not MACD's fast average
     def test_constant_fixed_point(self):
-        assert ema([7.5] * 20, 12) == pytest.approx(7.5, abs=1e-12)
+        assert close_gauges([7.5] * 20, least(ema_window=12)).ema == pytest.approx(7.5, abs=1e-12)
 
     def test_alpha_one_passthrough(self):
-        assert ema([0.0, 10.0], 1) == 10.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyWindow):
-            ema([], 5)
+        assert close_gauges([5.0, 1.0, 10.0], least(macd_fast=2, macd_slow=3)).ema == 10.0
 
     def test_matches_oracle(self):
         rng = random.Random(2)
         closes = [rng.uniform(50, 150) for _ in range(40)]
-        assert ema(closes, 12) == pytest.approx(oracle_ema(closes, 12), abs=1e-9)
+        got = close_gauges(closes, IndicatorParams(macd_fast=5)).ema
+        assert got == pytest.approx(oracle_ema(closes, 12), abs=1e-9)
+
+
+def macd_of(snap):
+    return snap.macd_line, snap.macd_signal_line, snap.macd_hist
 
 
 class TestMacd:
     def test_constant_zero(self):
-        line, signal, hist = macd([42.0] * 30, 12, 26, 9)
+        line, signal, hist = macd_of(close_gauges([42.0] * 30))
         assert line == pytest.approx(0.0, abs=1e-12)
         assert signal == pytest.approx(0.0, abs=1e-12)
         assert hist == pytest.approx(0.0, abs=1e-12)
 
     def test_increasing_line_positive(self):
         closes = [100.0 + 2.0 * i for i in range(40)]
-        line, _, _ = macd(closes)
-        assert line > 0
-
-    def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            macd([1.0] * 25, 12, 26, 9)
+        assert close_gauges(closes).macd_line > 0
 
     def test_hist_is_line_minus_signal(self):
         rng = random.Random(3)
         closes = [rng.uniform(80, 120) for _ in range(60)]
-        line, signal, hist = macd(closes)
+        line, signal, hist = macd_of(close_gauges(closes))
         assert hist == line - signal
 
     def test_matches_composed_oracle(self):
         rng = random.Random(4)
         closes = [rng.uniform(50, 150) for _ in range(60)]
-        got = macd(closes, 12, 26, 9)
+        got = macd_of(close_gauges(closes))
         want = oracle_macd(closes, 12, 26, 9)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9)
@@ -122,44 +126,44 @@ class TestMacd:
 class TestRsi:
     def test_all_gains(self):
         closes = [100.0 + i for i in range(15)]
-        assert rsi(closes, 14) == 100.0
+        assert close_gauges(closes, least(rsi_window=14)).rsi == 100.0
 
     def test_all_losses(self):
         closes = [100.0 - i for i in range(15)]
-        assert rsi(closes, 14) == 0.0
+        assert close_gauges(closes, least(rsi_window=14)).rsi == 0.0
 
     def test_constant_reads_neutral(self):
-        assert rsi([50.0] * 20, 14) == 50.0
-
-    def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            rsi([1.0] * 14, 14)
+        assert close_gauges([50.0] * 20, least(rsi_window=14)).rsi == 50.0
 
     def test_matches_oracle(self):
         rng = random.Random(5)
         closes = [rng.uniform(50, 150) for _ in range(60)]
-        assert rsi(closes, 14) == pytest.approx(oracle_rsi(closes, 14), abs=1e-9)
+        assert close_gauges(closes).rsi == pytest.approx(oracle_rsi(closes, 14), abs=1e-9)
 
     def test_depends_only_on_differences(self):
         # integer closes and shift keep the difference sequence bit-identical
         rng = random.Random(6)
         closes = [float(rng.randint(100, 200)) for _ in range(30)]
         shifted = [c + 1000.0 for c in closes]
-        assert rsi(closes, 14) == rsi(shifted, 14)
+        assert close_gauges(closes).rsi == close_gauges(shifted).rsi
+
+
+def bands_of(snap):
+    return snap.bb_upper, snap.bb_mid, snap.bb_lower
 
 
 class TestBollinger:
     def test_constant_collapses(self):
-        upper, mid, lower = bollinger([5.0] * 20, 20, 2.0)
+        upper, mid, lower = bands_of(close_gauges([5.0] * 20, least(bb_window=20)))
         assert upper == mid == lower == 5.0
 
     def test_hand_value(self):
-        assert bollinger([1.0, 3.0], 2, 2.0) == (4.0, 2.0, 0.0)
+        assert bands_of(close_gauges([2.0, 1.0, 3.0], least(bb_window=2, bb_k=2.0))) == (4.0, 2.0, 0.0)
 
     def test_matches_oracle(self):
         rng = random.Random(7)
         closes = [rng.uniform(50, 150) for _ in range(40)]
-        got = bollinger(closes, 20, 2.0)
+        got = bands_of(close_gauges(closes, IndicatorParams(sma_window=14)))
         want = oracle_bollinger(closes, 20, 2.0)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9)
@@ -168,14 +172,19 @@ class TestBollinger:
         rng = random.Random(8)
         for _ in range(50):
             closes = [rng.uniform(1, 1000) for _ in range(25)]
-            upper, mid, lower = bollinger(closes, 20, rng.uniform(0.5, 3))
+            upper, mid, lower = bands_of(close_gauges(closes, least(bb_window=20, bb_k=rng.uniform(0.5, 3))))
             assert lower <= mid <= upper
+
+
+# bars before the one under test, in a window whose VWAP reads only the last bar or two
+LEAD = [mk_bar(date(2023, 12, 30), 9.0, 10.0, 9.0, 9.5, 5.0), mk_bar(date(2023, 12, 31), 9.0, 10.0, 9.0, 9.5, 5.0)]
 
 
 class TestVwap:
     def test_single_bar(self):
         bar = mk_bar(date(2024, 1, 1), 9.0, 12.0, 9.0, 9.0, 5.0)
-        value, below = vwap([bar], 1)
+        snap = gauges([*LEAD, bar], least(vwap_lookback=1))
+        value, below = snap.vwap, snap.pct_below_vwap
         assert value == (12.0 + 9.0 + 9.0) / 3.0
         assert below in (0.0, 1.0)
         assert below == (1.0 if bar.close < value else 0.0)
@@ -185,28 +194,27 @@ class TestVwap:
             mk_bar(date(2024, 1, 1), 9.0, 12.0, 9.0, 9.0, 5.0),    # typical 10
             mk_bar(date(2024, 1, 2), 18.0, 24.0, 18.0, 18.0, 5.0),  # typical 20
         ]
-        value, _ = vwap(bars, 2)
-        assert value == pytest.approx(15.0, abs=1e-12)
+        assert gauges([LEAD[-1], *bars], least(vwap_lookback=2)).vwap == pytest.approx(15.0, abs=1e-12)
 
     def test_zero_volume(self):
-        bars = [mk_bar(date(2024, 1, 1), 9.0, 12.0, 9.0, 9.0, 0.0)]
+        bars = [*LEAD, mk_bar(date(2024, 1, 1), 9.0, 12.0, 9.0, 9.0, 0.0)]
         with pytest.raises(ZeroVolume):
-            vwap(bars, 1)
+            gauges(bars, least(vwap_lookback=1))
 
     def test_matches_oracle(self):
         rng = random.Random(9)
         bars = random_bars(rng, 30)
-        got_v, got_p = vwap(bars, 30)
+        snap = gauges(bars, IndicatorParams(vwap_lookback=30))
         want_v, want_p = oracle_vwap(bars, 30)
-        assert got_v == pytest.approx(want_v, abs=1e-9)
-        assert got_p == want_p
+        assert snap.vwap == pytest.approx(want_v, abs=1e-9)
+        assert snap.pct_below_vwap == want_p
 
 
 class TestAdx:
     def test_flat_bars_degenerate(self):
         bars = [mk_bar(date(2024, 1, 1 + i), 10.0, 10.0, 10.0, 10.0) for i in range(29)]
-        with pytest.raises(DegenerateRange):
-            adx(bars, 14)
+        snap = gauges(bars)
+        assert snap.adx_degenerate is True and snap.adx == 0.0
 
     def test_pure_trend_saturates(self):
         # every low above the prior high: -DM is always zero, DX pegs at 100
@@ -214,43 +222,67 @@ class TestAdx:
         for i in range(29):
             c = 100.0 + 2.0 * i
             bars.append(mk_bar(date(2024, 1, 1 + i), c - 0.2, c + 0.5, c - 0.5, c))
-        assert adx(bars, 14) >= 99.0
+        assert gauges(bars).adx >= 99.0
 
-    def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            adx([mk_bar(date(2024, 1, 1), 1, 2, 0.5, 1)] * 28, 14)
+    def test_one_sided_trend_reads_100(self):
+        # no down move in 40 bars: each DX is 100 * +DI / +DI, which on this
+        # slope rounds to just above 100
+        bars = [
+            mk_bar(date(2024, 1, 1) + timedelta(days=i), 100.0 + 18.5 * i, 100.5 + 18.5 * i,
+                   99.5 + 18.5 * i, 100.1 + 18.5 * i)
+            for i in range(40)
+        ]
+        assert gauges(bars).adx == 100.0
 
     def test_bounds(self):
         rng = random.Random(10)
         for _ in range(30):
             bars = random_bars(rng, 40)
-            value = adx(bars, 14)
+            value = gauges(bars).adx
             assert 0.0 <= value <= 100.0
 
     def test_matches_oracle(self):
         rng = random.Random(11)
         bars = random_bars(rng, 100)
-        assert adx(bars, 14) == pytest.approx(oracle_adx(bars, 14), abs=1e-6)
+        assert gauges(bars).adx == pytest.approx(oracle_adx(bars, 14), abs=1e-6)
 
 
 class TestSnapshot:
-    def test_fields_match_standalone_ops(self):
+    def test_fields_match_the_per_window_ops(self):
         rng = random.Random(12)
         bars = random_bars(rng, 40)
         closes = [b.close for b in bars]
-        params = IndicatorParams()
-        snap = snapshot(bars, params, pair_terms(bars))
-        line, signal, hist = macd(closes, 12, 26, 9)
-        upper, mid, lower = bollinger(closes, 20, 2.0)
-        vw, below = vwap(bars, 10)
-        assert snap.sma == sma(closes, 20)
-        assert snap.ema == ema(closes, 12)
-        assert (snap.macd_line, snap.macd_signal_line, snap.macd_hist) == (line, signal, hist)
-        assert snap.rsi == rsi(closes, 14)
-        assert (snap.bb_upper, snap.bb_mid, snap.bb_lower) == (upper, mid, lower)
-        assert (snap.vwap, snap.pct_below_vwap) == (vw, below)
-        assert snap.adx == adx(bars, 14)
+        snap = gauges(bars)
+        assert snap.sma == window_sma(closes, 20)
+        assert snap.ema == window_ema(closes, 12)
+        assert macd_of(snap) == window_macd(closes, 12, 26, 9)
+        assert snap.rsi == window_rsi(closes, 14)
+        assert bands_of(snap) == window_bollinger(closes, 20, 2.0)
+        assert (snap.vwap, snap.pct_below_vwap) == window_vwap(bars, 10)
+        assert snap.adx == window_adx(bars, 14)
         assert snap.date == bars[-1].date
+
+    @pytest.mark.parametrize(
+        "gauge, windows",
+        [
+            ("sma", {"sma_window": 10}),
+            ("macd", {"macd_slow": 10}),
+            ("rsi", {"rsi_window": 9}),
+            ("bollinger", {"bb_window": 10}),
+            ("vwap", {"vwap_lookback": 10}),
+            ("adx", {"adx_window": 5}),
+        ],
+    )
+    def test_window_one_bar_short_names_its_binding_gauge(self, gauge, windows):
+        params = least(**windows)
+        need = params.min_window()
+        bars = bars_from_closes([100.0 + i for i in range(need)])
+        gauges(bars, params)
+        with pytest.raises(WindowTooShort) as exc:
+            gauges(bars[1:], params)
+        assert str(exc.value) == (
+            f"snapshot needs {need} bars (binding indicator: {gauge}), got {need - 1} up to {bars[-1].date}"
+        )
 
     def test_constant_window_handles_degenerate_range(self):
         bars = [mk_bar(date(2024, 1, 1 + i), 10.0, 10.0, 10.0, 10.0, 3.0) for i in range(30)]
@@ -313,8 +345,14 @@ class TestSnapshot:
         assert params.min_window() == 3  # adx needs 2 * adx_window + 1 bars
 
 
+# the default windows, where SMA is Bollinger's mid and EMA MACD's fast
+# average, and windows where each has its own
+PROPERTY_PARAMS = [IndicatorParams(), IndicatorParams(sma_window=15, ema_window=9)]
+
+
 class TestProperties:
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize("params", PROPERTY_PARAMS, ids=["shared", "own"])
+    def test_scale_equivariance(self, params):
         rng = random.Random(13)
         bars = random_bars(rng, 40)
         c = 3.7
@@ -329,39 +367,36 @@ class TestProperties:
             )
             for b in bars
         ]
-        closes = [b.close for b in bars]
-        scaled_closes = [b.close for b in scaled]
-        assert sma(scaled_closes, 20) == pytest.approx(c * sma(closes, 20), rel=1e-9)
-        assert ema(scaled_closes, 12) == pytest.approx(c * ema(closes, 12), rel=1e-9)
-        for got, want in zip(macd(scaled_closes), macd(closes)):
+        snap, scaled_snap = gauges(bars, params), gauges(scaled, params)
+        assert scaled_snap.sma == pytest.approx(c * snap.sma, rel=1e-9)
+        assert scaled_snap.ema == pytest.approx(c * snap.ema, rel=1e-9)
+        for got, want in zip(macd_of(scaled_snap), macd_of(snap)):
             assert got == pytest.approx(c * want, rel=1e-9, abs=1e-9)
-        assert rsi(scaled_closes, 14) == pytest.approx(rsi(closes, 14), rel=1e-9)
-        assert adx(scaled, 14) == pytest.approx(adx(bars, 14), rel=1e-9)
-        sv, sp = vwap(scaled, 10)
-        v, p = vwap(bars, 10)
-        assert sv == pytest.approx(c * v, rel=1e-9)
-        assert sp == p
-        for got, want in zip(bollinger(scaled_closes, 20, 2.0), bollinger(closes, 20, 2.0)):
+        assert scaled_snap.rsi == pytest.approx(snap.rsi, rel=1e-9)
+        assert scaled_snap.adx == pytest.approx(snap.adx, rel=1e-9)
+        assert scaled_snap.vwap == pytest.approx(c * snap.vwap, rel=1e-9)
+        assert scaled_snap.pct_below_vwap == snap.pct_below_vwap
+        for got, want in zip(bands_of(scaled_snap), bands_of(snap)):
             assert got == pytest.approx(c * want, rel=1e-9)
 
-    def test_shift_moves_price_level_indicators(self):
+    @pytest.mark.parametrize("params", PROPERTY_PARAMS, ids=["shared", "own"])
+    def test_shift_moves_price_level_indicators(self, params):
         rng = random.Random(14)
         closes = [float(rng.randint(100, 200)) for _ in range(40)]
         shift = 500.0
-        shifted = [c + shift for c in closes]
-        assert sma(shifted, 20) == pytest.approx(sma(closes, 20) + shift, abs=1e-9)
-        assert ema(shifted, 12) == pytest.approx(ema(closes, 12) + shift, abs=1e-9)
-        up, mid, lo = bollinger(closes, 20, 2.0)
-        up2, mid2, lo2 = bollinger(shifted, 20, 2.0)
-        assert (up2, mid2, lo2) == pytest.approx((up + shift, mid + shift, lo + shift), abs=1e-9)
+        snap, shifted = close_gauges(closes, params), close_gauges([c + shift for c in closes], params)
+        assert shifted.sma == pytest.approx(snap.sma + shift, abs=1e-9)
+        assert shifted.ema == pytest.approx(snap.ema + shift, abs=1e-9)
+        up, mid, lo = bands_of(snap)
+        assert bands_of(shifted) == pytest.approx((up + shift, mid + shift, lo + shift), abs=1e-9)
         # rsi depends only on close-to-close differences
-        assert rsi(shifted, 14) == rsi(closes, 14)
+        assert shifted.rsi == snap.rsi
 
     def test_rsi_and_adx_bounds_random(self):
         rng = random.Random(15)
         for _ in range(50):
             closes = [rng.uniform(10, 1000) for _ in range(20)]
-            assert 0.0 <= rsi(closes, 14) <= 100.0
+            assert 0.0 <= close_gauges(closes, least(rsi_window=14)).rsi <= 100.0
 
 
 # A bar series is drawn as segments, each (kind, bars, step, spread, volume)

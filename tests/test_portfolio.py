@@ -1,5 +1,4 @@
 import random
-from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,34 +14,36 @@ from btagents.portfolio import (
     rebalance,
 )
 
-D = date(2024, 1, 1)
+def btc_fraction(state):
+    """The share of the state's marked value held in BTC."""
+    return state.btc_units * state.mark_price / state.value_usd
 
 
 class TestRebalance:
     def test_all_cash_to_sixty_percent(self):
-        state = PortfolioState.all_cash(D, 100.0, 50.0)
+        state = PortfolioState.all_cash(100.0, 50.0)
         after = rebalance(state, Allocation(0.6), 50.0)
         assert after.btc_units == pytest.approx(1.2, abs=1e-12)
         assert after.cash_usd == pytest.approx(40.0, abs=1e-12)
         assert after.value_usd == 100.0
 
     def test_noop_when_target_matches(self):
-        state = PortfolioState(date=D, btc_units=1.2, cash_usd=40.0, mark_price=50.0)
-        after = rebalance(state, Allocation(state.btc_fraction), 50.0)
+        state = PortfolioState(btc_units=1.2, cash_usd=40.0, mark_price=50.0)
+        after = rebalance(state, Allocation(btc_fraction(state)), 50.0)
         assert after.btc_units == state.btc_units
         assert after.cash_usd == state.cash_usd
 
     def test_fee_accounting_hand_oracle(self):
         # V=100 all cash, target 0.4 at price 50, 10 bps:
         # notional 40, fee 0.04, cash 100-40-0.04, units 0.8
-        state = PortfolioState.all_cash(D, 100.0, 50.0)
+        state = PortfolioState.all_cash(100.0, 50.0)
         after = rebalance(state, Allocation(0.4), 50.0, FeeModel(fee_bps=10.0))
         assert after.btc_units == pytest.approx(0.8, abs=1e-12)
         assert after.cash_usd == pytest.approx(59.96, abs=1e-12)
         assert after.value_usd == pytest.approx(99.96, abs=1e-12)
 
     def test_full_allocation_with_fee_scales_down(self):
-        state = PortfolioState.all_cash(D, 100.0, 50.0)
+        state = PortfolioState.all_cash(100.0, 50.0)
         after = rebalance(state, Allocation(1.0), 50.0, FeeModel(fee_bps=100.0))
         assert after.cash_usd >= 0.0
         # the whole bankroll goes to notional + fee
@@ -51,17 +52,17 @@ class TestRebalance:
         )
 
     def test_sell_side_fee_comes_from_proceeds(self):
-        state = PortfolioState(date=D, btc_units=2.0, cash_usd=0.0, mark_price=50.0)
+        state = PortfolioState(btc_units=2.0, cash_usd=0.0, mark_price=50.0)
         after = rebalance(state, Allocation(0.0), 50.0, FeeModel(fee_bps=10.0))
         assert after.btc_units == pytest.approx(0.0, abs=1e-15)
         assert after.cash_usd == pytest.approx(100.0 - 100.0 * 0.001, abs=1e-9)
 
     def test_zero_fee_conserves_value_exactly(self):
         rng = random.Random(31)
-        state = PortfolioState.all_cash(D, 12_345.0, 90.0)
+        state = PortfolioState.all_cash(12_345.0, 90.0)
         for _ in range(2000):
             price = rng.uniform(10.0, 100_000.0)
-            marked = mark(state, D, price)
+            marked = mark(state, price)
             value_before = marked.value_usd
             state = rebalance(marked, Allocation(rng.random()), price)
             assert state.value_usd == value_before
@@ -73,9 +74,9 @@ class TestRebalance:
             p0 = rng.uniform(100.0, 90_000.0)
             p1 = p0 * (1.0 + rng.uniform(-0.2, 0.2))
             target = rng.random()
-            state = rebalance(PortfolioState.all_cash(D, initial, p0), Allocation(target), p0)
-            frac = state.btc_fraction
-            marked = mark(state, D, p1)
+            state = rebalance(PortfolioState.all_cash(initial, p0), Allocation(target), p0)
+            frac = btc_fraction(state)
+            marked = mark(state, p1)
             portfolio_return = marked.value_usd / state.value_usd - 1.0
             btc_return = p1 / p0 - 1.0
             assert portfolio_return == pytest.approx(frac * btc_return, abs=1e-12)
@@ -96,7 +97,7 @@ class TestRebalance:
         fee_bps=st.one_of(st.just(0.0), st.floats(0.0, 9999.0)),
     )
     def test_value_is_conserved_up_to_the_fee(self, units, cash, mark_price, price, target, fee_bps):
-        state = PortfolioState(date=D, btc_units=units, cash_usd=cash, mark_price=mark_price)
+        state = PortfolioState(btc_units=units, cash_usd=cash, mark_price=mark_price)
         fees = FeeModel(fee_bps=fee_bps)
         before = units * price + cash
         after = rebalance(state, Allocation(target), price, fees)
@@ -108,7 +109,7 @@ class TestRebalance:
 
     def test_non_negative_state_always(self):
         rng = random.Random(33)
-        state = PortfolioState.all_cash(D, 5_000.0, 60_000.0)
+        state = PortfolioState.all_cash(5_000.0, 60_000.0)
         for _ in range(1000):
             price = state.mark_price * (1.0 + rng.uniform(-0.1, 0.1))
             state = rebalance(state, Allocation(rng.random()), price, FeeModel(fee_bps=25.0))
@@ -118,26 +119,26 @@ class TestRebalance:
 
 class TestMark:
     def test_price_move_changes_value_only(self):
-        state = PortfolioState(date=D, btc_units=1.0, cash_usd=0.0, mark_price=100.0)
-        marked = mark(state, D, 110.0)
+        state = PortfolioState(btc_units=1.0, cash_usd=0.0, mark_price=100.0)
+        marked = mark(state, 110.0)
         assert marked.value_usd == pytest.approx(110.0)
         assert marked.btc_units == 1.0
         assert marked.cash_usd == 0.0
 
     def test_all_cash_ignores_price(self):
-        state = PortfolioState.all_cash(D, 500.0, 100.0)
-        assert mark(state, D, 170.0).value_usd == 500.0
+        state = PortfolioState.all_cash(500.0, 100.0)
+        assert mark(state, 170.0).value_usd == 500.0
 
     def test_partial_exposure_scales_move(self):
         # 40% BTC, BTC +2.24% -> portfolio +0.896%
-        state = rebalance(PortfolioState.all_cash(D, 10_000.0, 62_500.0), Allocation(0.4), 62_500.0)
-        marked = mark(state, D, 63_900.0)
+        state = rebalance(PortfolioState.all_cash(10_000.0, 62_500.0), Allocation(0.4), 62_500.0)
+        marked = mark(state, 63_900.0)
         assert marked.value_usd / state.value_usd - 1.0 == pytest.approx(0.00896, abs=1e-9)
 
     def test_rejects_bad_price(self):
-        state = PortfolioState.all_cash(D, 10.0, 1.0)
+        state = PortfolioState.all_cash(10.0, 1.0)
         with pytest.raises(InvariantViolation):
-            mark(state, D, 0.0)
+            mark(state, 0.0)
 
 
 def dyadic_prices(rng, n, p0=32768.0):
@@ -185,8 +186,8 @@ class TestBaselines:
 class TestPortfolioStateInvariants:
     def test_negative_units_rejected(self):
         with pytest.raises(InvariantViolation):
-            PortfolioState(date=D, btc_units=-0.1, cash_usd=0.0, mark_price=1.0)
+            PortfolioState(btc_units=-0.1, cash_usd=0.0, mark_price=1.0)
 
     def test_value_identity_is_definitional(self):
-        state = PortfolioState(date=D, btc_units=0.37, cash_usd=123.45, mark_price=61_000.0)
+        state = PortfolioState(btc_units=0.37, cash_usd=123.45, mark_price=61_000.0)
         assert state.value_usd == 0.37 * 61_000.0 + 123.45

@@ -154,6 +154,15 @@ RETYPED_LEAVES = [
     if retyped(leaf_value(SWEPT[name], path)) is not None
 ]
 
+# the number leaves, and the nullable number `confidence` where it is null
+NUMBER_LEAVES = [
+    leaf
+    for leaf, (name, path) in LEAVES.items()
+    if type(leaf_value(SWEPT[name], path)) in (int, float) or path[-1] == "confidence"
+]
+# numbers json.loads reads and canonical_json seals, but that no run writes
+OUT_OF_RANGE = (float("nan"), float("inf"), float("-inf"), 10**400)
+
 
 def resealed_leaf_edit(name, path, edit=edited):
     """A copy of the fees/fallback journal with one leaf edited and its record resealed."""
@@ -203,6 +212,29 @@ class TestResealedLeaves:
     @pytest.mark.parametrize("leaf", RETYPED_LEAVES)
     def test_retype_fails_replay_unless_digest_only(self, leaf):
         self.check(leaf, retyped)
+
+    def test_number_sweep_covers_every_kind_of_number(self):
+        for leaf in (
+            "day3.seq",
+            "day3.next_close",
+            "day3.baseline.static5050_value",
+            "day3.roles.quants.confidence",
+            "day9.roles.decision.portfolio.value_usd",
+            "weekly0.stats.signals.sharpe",
+        ):
+            assert leaf in NUMBER_LEAVES
+
+    @pytest.mark.parametrize("leaf", NUMBER_LEAVES)
+    def test_number_out_of_float_range_names_its_line_and_field(self, leaf):
+        name, path = LEAVES[leaf]
+        line = FEES_FALLBACK.entries.index(SWEPT[name]) + 2
+        message = f"journal line {line}: field {'.'.join(map(str, path))} is missing, of the wrong type or out of range"
+        for number in OUT_OF_RANGE:
+            journal = resealed_leaf_edit(name, path, lambda _: number)
+            journal.verify()
+            with pytest.raises(JournalCorrupt) as exc:
+                outputs_from_journal(journal)
+            assert str(exc.value) == message
 
     def test_raw_edit_that_parses_alike_fails_replay(self):
         def add_prose(raw):
