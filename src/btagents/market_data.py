@@ -1,7 +1,7 @@
 """Per-date market inputs: domain types, CSV loaders, alignment and slicing.
 
-One CSV file per series, UTF-8 (a leading BOM is skipped), ISO-8601 dates,
-header required:
+One CSV file per series, UTF-8 (a leading BOM is skipped), `YYYY-MM-DD`
+dates, header required:
 
     bars.csv       date,open,high,low,close,volume
     onchain.csv    date,tx_count,active_addresses,transfer_volume_usd
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -28,6 +29,18 @@ from .errors import (
 
 GAP_CARRY = "carry"
 GAP_STRICT = "strict"
+
+_by_day = attrgetter("date")
+
+
+def parse_date(text: str) -> Date:
+    """The one date rule, `YYYY-MM-DD` on every supported Python: from 3.11 on,
+    `date.fromisoformat` also takes `20240101` and week dates such as
+    `2024-W01-2`, which 3.10 rejects in these words."""
+    day = Date.fromisoformat(text)
+    if len(text) != 10 or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
 
 
 @dataclass(frozen=True)
@@ -44,8 +57,9 @@ class Bar:
     def __post_init__(self):
         # written as bounds on both sides so that NaN, for which every
         # comparison is false, fails them too
-        for name in ("open", "high", "low", "close"):
-            if not 0 < getattr(self, name) < math.inf:
+        prices = self.open, self.high, self.low, self.close
+        for name, price in zip(("open", "high", "low", "close"), prices):
+            if not 0 < price < math.inf:
                 raise InvariantViolation(f"{self.date}: {name} must be finite and > 0")
         if not 0 <= self.volume < math.inf:
             raise InvariantViolation(f"{self.date}: volume must be finite and >= 0")
@@ -125,11 +139,12 @@ class MarketDataset:
 
     def __post_init__(self):
         # a day's window, and the next bar that marks it, are read by position
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.date == prev.date:
-                raise DuplicateDate(f"duplicate bar date {cur.date}")
-            if cur.date < prev.date:
-                raise InvariantViolation(f"bar date {cur.date} is listed after {prev.date}")
+        dates = [r.bar.date for r in self.records]
+        for prev, cur in zip(dates, dates[1:]):
+            if cur == prev:
+                raise DuplicateDate(f"duplicate bar date {cur}")
+            if cur < prev:
+                raise InvariantViolation(f"bar date {cur} is listed after {prev}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -149,10 +164,6 @@ class MarketDataset:
             raise DateNotFound(f"{date} not in dataset") from None
 
 
-def _parse_date(raw: str) -> Date:
-    return Date.fromisoformat(raw.strip())
-
-
 def _not_utf8(path: str) -> MalformedRow:
     """The error for a file that failed to decode, naming its first bad line.
     Lines end at \n, \r or \r\n, as they do for `reader.line_num` in read_csv."""
@@ -165,11 +176,11 @@ def _not_utf8(path: str) -> MalformedRow:
     return MalformedRow(path, 1, "not UTF-8 text")
 
 
-def read_csv(path: str, expected_header: Sequence[str], build: Callable[[dict[str, str]], object]) -> list:
+def read_csv(path: str, expected_header: Sequence[str], build: Callable[..., object]) -> list:
     """The CSV reader every input file goes through: checks the header, skips
-    blank rows and builds one item per row from its fields by header name. A
-    row it cannot build, and a byte that is not UTF-8, fail with MalformedRow
-    naming the file and the physical line."""
+    blank rows and builds one item per row with `build(*fields)`, the fields
+    in header order. A row it cannot build, and a byte that is not UTF-8, fail
+    with MalformedRow naming the file and the physical line."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
@@ -183,15 +194,14 @@ def read_csv(path: str, expected_header: Sequence[str], build: Callable[[dict[st
                 raise MalformedRow(
                     path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
                 )
+            width = len(header)
             for raw in reader:
-                if not any(cell.strip() for cell in raw):
+                if not "".join(raw).strip():
                     continue
-                if len(raw) != len(expected_header):
-                    raise MalformedRow(
-                        path, reader.line_num, f"expected {len(expected_header)} fields, got {len(raw)}"
-                    )
+                if len(raw) != width:
+                    raise MalformedRow(path, reader.line_num, f"expected {width} fields, got {len(raw)}")
                 try:
-                    rows.append(build(dict(zip(expected_header, raw))))
+                    rows.append(build(*raw))
                 except ValueError as exc:
                     raise MalformedRow(path, reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
@@ -201,7 +211,7 @@ def read_csv(path: str, expected_header: Sequence[str], build: Callable[[dict[st
 
 def _load_series(path: str, header: Sequence[str], build: Callable, allow_duplicate_dates: bool = False) -> list:
     """A dated series read by read_csv, sorted by date."""
-    rows = sorted(read_csv(path, header, build), key=lambda item: item.date)
+    rows = sorted(read_csv(path, header, build), key=_by_day)
     if not allow_duplicate_dates:
         for a, b in zip(rows, rows[1:]):
             if a.date == b.date:
@@ -209,61 +219,42 @@ def _load_series(path: str, header: Sequence[str], build: Callable, allow_duplic
     return rows
 
 
+def _bar(date, open_, high, low, close, volume) -> Bar:
+    return Bar(parse_date(date.strip()), float(open_), float(high), float(low), float(close), float(volume))
+
+
+def _onchain(date, tx_count, active_addresses, transfer_volume_usd) -> OnChainDaily:
+    return OnChainDaily(
+        parse_date(date.strip()), int(tx_count), int(active_addresses), float(transfer_volume_usd)
+    )
+
+
+def _sentiment(date, social_score_mean, fgi_value, fgi_label) -> SentimentDaily:
+    return SentimentDaily(
+        parse_date(date.strip()), float(social_score_mean), int(fgi_value), fgi_label.strip()
+    )
+
+
+def _news(date, source, headline, summary) -> NewsItem:
+    return NewsItem(parse_date(date.strip()), source.strip(), headline.strip(), summary.strip())
+
+
 def load_bars(path: str) -> list[Bar]:
     """Load and validate an OHLCV series, sorted ascending by date."""
-    return _load_series(
-        path,
-        ("date", "open", "high", "low", "close", "volume"),
-        lambda f: Bar(
-            date=_parse_date(f["date"]),
-            open=float(f["open"]),
-            high=float(f["high"]),
-            low=float(f["low"]),
-            close=float(f["close"]),
-            volume=float(f["volume"]),
-        ),
-    )
+    return _load_series(path, ("date", "open", "high", "low", "close", "volume"), _bar)
 
 
 def load_onchain(path: str) -> list[OnChainDaily]:
-    return _load_series(
-        path,
-        ("date", "tx_count", "active_addresses", "transfer_volume_usd"),
-        lambda f: OnChainDaily(
-            date=_parse_date(f["date"]),
-            tx_count=int(f["tx_count"]),
-            active_addresses=int(f["active_addresses"]),
-            transfer_volume_usd=float(f["transfer_volume_usd"]),
-        ),
-    )
+    return _load_series(path, ("date", "tx_count", "active_addresses", "transfer_volume_usd"), _onchain)
 
 
 def load_sentiment(path: str) -> list[SentimentDaily]:
-    return _load_series(
-        path,
-        ("date", "social_score_mean", "fgi_value", "fgi_label"),
-        lambda f: SentimentDaily(
-            date=_parse_date(f["date"]),
-            social_score_mean=float(f["social_score_mean"]),
-            fgi_value=int(f["fgi_value"]),
-            fgi_label=f["fgi_label"].strip(),
-        ),
-    )
+    return _load_series(path, ("date", "social_score_mean", "fgi_value", "fgi_label"), _sentiment)
 
 
 def load_news(path: str) -> list[NewsItem]:
     """Load news items; multiple items per date are expected."""
-    return _load_series(
-        path,
-        ("date", "source", "headline", "summary"),
-        lambda f: NewsItem(
-            date=_parse_date(f["date"]),
-            source=f["source"].strip(),
-            headline=f["headline"].strip(),
-            summary=f["summary"].strip(),
-        ),
-        allow_duplicate_dates=True,
-    )
+    return _load_series(path, ("date", "source", "headline", "summary"), _news, allow_duplicate_dates=True)
 
 
 def dedupe_news(items: Iterable[NewsItem]) -> list[NewsItem]:
@@ -314,15 +305,17 @@ def align(
         raise ValueError(f"unknown gap policy {gap_policy!r}")
 
     _by_date("bar", bars)
-    ordered = sorted(bars, key=lambda b: b.date)
+    ordered = sorted(bars, key=_by_day)
+    one_day = timedelta(days=1)
     for prev, cur in zip(ordered, ordered[1:]):
-        if cur.date != prev.date + timedelta(days=1):
-            raise GapError("bars", prev.date + timedelta(days=1))
+        if cur.date != prev.date + one_day:
+            raise GapError("bars", prev.date + one_day)
 
     onchain_by_date = _by_date("onchain", onchain)
     sentiment_by_date = _by_date("sentiment", sentiment)
+    # sorted once, so each day's items are listed by (source, headline)
     news_by_date: dict[Date, list[NewsItem]] = {}
-    for item in dedupe_news(news):
+    for item in sorted(dedupe_news(news), key=attrgetter("date", "source", "headline")):
         news_by_date.setdefault(item.date, []).append(item)
 
     def resolve(series: str, table: dict, day: Date, last):
@@ -340,10 +333,8 @@ def align(
     for bar in ordered:
         last_onchain = resolve("onchain", onchain_by_date, bar.date, last_onchain)
         last_sentiment = resolve("sentiment", sentiment_by_date, bar.date, last_sentiment)
-        day_news = tuple(sorted(news_by_date.get(bar.date, ()), key=lambda n: (n.source, n.headline)))
-        records.append(
-            MarketRecord(bar=bar, onchain=last_onchain, sentiment=last_sentiment, news=day_news)
-        )
+        day_news = tuple(news_by_date.get(bar.date, ()))
+        records.append(MarketRecord(bar, last_onchain, last_sentiment, day_news))
     return MarketDataset(records=tuple(records))
 
 

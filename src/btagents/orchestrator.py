@@ -39,7 +39,7 @@ from .agents import (
 from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowTooShort
 from .indicators import IndicatorParams, pair_terms, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
-from .market_data import MarketDataset, slice_window
+from .market_data import MarketDataset, parse_date, slice_window
 from .metrics import prediction_correct
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
 from .portfolio import baseline_buy_and_hold, baseline_static_5050
@@ -109,8 +109,8 @@ class RunConfig:
         keys at any level and values the dataclasses reject raise ConfigError."""
         try:
             kwargs = dict(d)
-            kwargs["start"] = Date.fromisoformat(kwargs["start"])
-            kwargs["end"] = Date.fromisoformat(kwargs["end"])
+            kwargs["start"] = parse_date(kwargs["start"])
+            kwargs["end"] = parse_date(kwargs["end"])
             for name, kind in _PARTS:
                 tree = kwargs.get(name, {})
                 _check_types(kind, tree)  # before the part's own checks compare values
@@ -483,8 +483,8 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     if not days:
         raise JournalCorrupt("journal has no day records")
     try:
-        value_dates = [Date.fromisoformat(days[0]["date"])]
-        value_dates += [Date.fromisoformat(day["next_date"]) for day in days]
+        value_dates = [parse_date(days[0]["date"])]
+        value_dates += [parse_date(day["next_date"]) for day in days]
     except ValueError as exc:
         raise JournalCorrupt(f"bad day record date: {exc}") from None
     for i, day in enumerate(days):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from datetime import date as Date
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -34,6 +33,7 @@ from .errors import (
     SchemaError,
 )
 from .journal import LONE_SURROGATE, read_json
+from .market_data import parse_date
 from .metrics import prediction_correct, regret, sharpe, total_return
 
 AGENT_ROLES = ("quants", "signals", "decision")
@@ -124,7 +124,7 @@ def build_reflect_prompt(day: Mapping) -> PromptBundle:
     )
     return PromptBundle(
         role=Role.REFLECT,
-        date=Date.fromisoformat(day["date"]),
+        date=parse_date(day["date"]),
         system_text=REFLECT_SYSTEM,
         user_text="\n".join(lines),
     )

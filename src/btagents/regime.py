@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import ConfigError, CoverageError, WindowTooShort
-from .market_data import read_csv
+from .market_data import parse_date, read_csv
 
 
 class RegimeLabel(str, Enum):
@@ -134,13 +134,11 @@ def segment(
     return RegimeSegmentation(spans=spans)
 
 
-def _override_span(fields: dict[str, str]) -> RegimeSpan:
-    start = Date.fromisoformat(fields["start_date"].strip())
-    end = Date.fromisoformat(fields["end_date"].strip())
-    label = RegimeLabel(fields["label"].strip())
-    if end < start:
+def _override_span(start_date: str, end_date: str, label: str) -> RegimeSpan:
+    span = RegimeSpan(parse_date(start_date.strip()), parse_date(end_date.strip()), RegimeLabel(label.strip()))
+    if span.end_date < span.start_date:
         raise ValueError("end_date before start_date")
-    return RegimeSpan(start_date=start, end_date=end, label=label)
+    return span
 
 
 def load_segmentation(path: str) -> RegimeSegmentation:

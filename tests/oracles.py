@@ -2,11 +2,14 @@
 
 These deliberately recompute everything from scratch (closed-form weights,
 explicit loops, no shared helpers with the package) so a bug in the
-implementation cannot hide in its own oracle.
+implementation cannot hide in its own oracle. The reference CSV loader reads
+each field by its header name, where the package reads fields by position.
 """
 
+import csv
 import math
 import re
+from datetime import date
 
 from btagents.agents import INDICATOR_TERMS, NEWS_SENTIMENT_TERMS
 from btagents.errors import DegenerateRange, InvariantViolation, WindowTooShort, ZeroVolume
@@ -440,3 +443,31 @@ def window_chain_rows(onchain):
         f"active addresses {o.active_addresses}  transfer volume {o.transfer_volume_usd:,.0f} USD"
         for o in onchain[-5:]
     ]
+
+
+def _reference_date(cell):
+    text = cell.strip()
+    return date(int(text[0:4]), int(text[5:7]), int(text[8:10]))
+
+
+# each input file's columns, by header name, and how a cell is read
+REFERENCE_COLUMNS = {
+    "bars": {"date": _reference_date, "open": float, "high": float, "low": float, "close": float, "volume": float},
+    "onchain": {"date": _reference_date, "tx_count": int, "active_addresses": int, "transfer_volume_usd": float},
+    "sentiment": {"date": _reference_date, "social_score_mean": float, "fgi_value": int, "fgi_label": str.strip},
+    "news": {"date": _reference_date, "source": str.strip, "headline": str.strip, "summary": str.strip},
+}
+
+
+def reference_load(path, series):
+    """A well-formed input file as one {column: value} dict per row, read with
+    csv.DictReader: rows whose cells are all blank are skipped and the rest are
+    sorted by date, keeping file order within a date."""
+    columns = REFERENCE_COLUMNS[series]
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [
+            {name: read(row[name]) for name, read in columns.items()}
+            for row in csv.DictReader(fh)
+            if any(cell.strip() for cell in row.values())
+        ]
+    return sorted(rows, key=lambda row: row["date"])

@@ -392,6 +392,19 @@ class TestStrictConfig:
         assert not (tmp_path / "journal.jsonl").exists()
 
     @pytest.mark.parametrize(
+        "start, end, bad",
+        [("20241104", "2024-11-05", "20241104"), ("2024-11-04", "2024-W45-2", "2024-W45-2")],
+        ids=["basic", "week"],
+    )
+    def test_date_not_spelled_yyyy_mm_dd_is_runtime_error(self, tmp_path, capsys, start, end, bad):
+        """Python 3.11 and later read both spellings as dates, 3.10 does not;
+        a config date is `YYYY-MM-DD` on every supported Python."""
+        config = write_config(tmp_path, run={"start": start, "end": end})
+        assert self.run_backtest_at(config) == 1
+        assert capsys.readouterr().err == f"error: {config}: bad config: Invalid isoformat string: '{bad}'\n"
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"run": {"start": "2024-11-04", "end": "2024-11-05", "neutral_band": "0.01"}},

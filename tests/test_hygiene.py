@@ -113,6 +113,15 @@ def callers(source: str, name: str) -> list[str]:
     return found
 
 
+def test_one_date_parser():
+    """`market_data.parse_date` is the one date parser, so a date read from a
+    CSV file, a config or a journal follows one rule on every supported Python."""
+    found = [
+        (p.name, scope) for p in MODULES for scope in callers(p.read_text(encoding="utf-8"), "fromisoformat")
+    ]
+    assert found == [("market_data.py", "parse_date")]
+
+
 def test_one_json_file_reader():
     """`journal.read_json` is the one JSON file reader, so the config, fixture
     and templates loaders share its UTF-8 and nesting rules; `read_journal`

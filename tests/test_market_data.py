@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import random
 from datetime import date
 
@@ -27,6 +29,7 @@ from btagents.market_data import (
 )
 
 from conftest import FIXTURE_DIR, bars_from_closes
+from oracles import REFERENCE_COLUMNS, reference_load
 
 
 def write(tmp_path, name, text):
@@ -224,6 +227,63 @@ def test_errors_name_the_physical_line_after_a_two_line_field(tmp_path):
     assert exc.value.line_no == 4
 
 
+@pytest.mark.parametrize("spelling", ["20240101", "2024-W01-2"], ids=["basic", "week"])
+def test_date_not_spelled_yyyy_mm_dd_names_its_line(tmp_path, spelling):
+    """Python 3.11 and later read both spellings as dates and 3.10 does not;
+    the loaders take `YYYY-MM-DD` alone, in 3.10's words, on every Python."""
+    path = write(
+        tmp_path,
+        "bars.csv",
+        f"date,open,high,low,close,volume\n{spelling},1,1,1,1,1\n2024-01-03,1,1,1,1,1\n",
+    )
+    with pytest.raises(MalformedRow) as exc:
+        load_bars(path)
+    assert (exc.value.line_no, exc.value.reason) == (2, f"Invalid isoformat string: '{spelling}'")
+
+
+LOADERS = {"bars": load_bars, "onchain": load_onchain, "sentiment": load_sentiment, "news": load_news}
+
+
+def random_row(rng, series, day):
+    """One well-formed row of an input file, its cells in header order."""
+    if series == "bars":
+        o, c = rng.uniform(100, 200), rng.uniform(100, 200)
+        hi, lo = max(o, c) * (1 + rng.random() * 0.05), min(o, c) * (1 - rng.random() * 0.05)
+        return [day, f"{o:.4f}", f"{hi:.4f}", f"{lo:.4f}", f"{c:.4f}", f"{rng.uniform(0, 50):.4f}"]
+    if series == "onchain":
+        return [day, rng.randint(0, 10**6), rng.randint(0, 10**6), f"{rng.uniform(0, 1e10):.2f}"]
+    if series == "sentiment":
+        return [day, f"{rng.uniform(-1, 1):.4f}", rng.randint(0, 100), rng.choice(["Fear", "Greed"])]
+    summary = rng.choice(["", "s", 'a "quoted", two-line\nsummary'])
+    return [day, rng.choice(["CNBC", "Reuters, Ltd"]), f"headline {rng.random()}", summary]
+
+
+@pytest.mark.parametrize("series", list(LOADERS))
+def test_every_field_is_read_from_its_own_column(tmp_path, series):
+    """The loaders build items from fields by position; every field of every
+    item equals a reading of the same file by header name, with padded cells,
+    blank rows, rows out of date order and, for news, repeated dates."""
+    rng = random.Random(f"columns|{series}")
+    first = date(2020, 1, 1).toordinal()
+    width = len(REFERENCE_COLUMNS[series])
+    for trial in range(10):
+        days = rng.sample(range(2000), rng.randint(1, 30))
+        if series == "news":
+            days += rng.choices(days, k=len(days))
+            rng.shuffle(days)
+        rows = [random_row(rng, series, date.fromordinal(first + d).isoformat()) for d in days]
+        for _ in range(rng.randint(0, 3)):
+            rows.insert(rng.randint(0, len(rows)), rng.choice([[], [" "] * width]))
+        path = tmp_path / f"{series}-{trial}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(REFERENCE_COLUMNS[series])
+            for row in rows:
+                writer.writerow([" " * rng.randint(0, 2) + f"{cell}" + " " * rng.randint(0, 2) for cell in row])
+        loaded = [dataclasses.asdict(item) for item in LOADERS[series](str(path))]
+        assert loaded == reference_load(str(path), series)
+
+
 def mk_onchain(d):
     return OnChainDaily(date=d, tx_count=1, active_addresses=1, transfer_volume_usd=1.0)
 
@@ -328,6 +388,24 @@ class TestAlign:
             news=[n for r in ds.records for n in r.news],
         )
         assert again == ds
+
+    def test_each_days_news_is_listed_by_source_then_headline(self):
+        d = self.dates[1]
+        items = [
+            NewsItem(date=d, source="Reuters", headline="b", summary="first"),
+            NewsItem(date=d, source="CNBC", headline="z", summary="first"),
+            NewsItem(date=self.dates[0], source="Reuters", headline="c", summary="first"),
+            NewsItem(date=d, source="Reuters", headline="a", summary="first"),
+            NewsItem(date=d, source="CNBC", headline="z", summary="repeat"),
+        ]
+        ds = align(self.bars, news=items)
+        assert [(n.source, n.headline, n.summary) for n in ds.records[1].news] == [
+            ("CNBC", "z", "first"),
+            ("Reuters", "a", "first"),
+            ("Reuters", "b", "first"),
+        ]
+        assert [n.headline for n in ds.records[0].news] == ["c"]
+        assert ds.records[2].news == ()
 
     def test_dedupe_news_order_preserved(self):
         d = self.dates[0]

@@ -8,6 +8,7 @@ import fnmatch
 import hashlib
 import json
 import re
+from datetime import date
 
 import pytest
 
@@ -364,6 +365,21 @@ class TestJournalStructure:
         journal, _, _, _ = run_synth(10)
         reseal_day(journal, 5, lambda rec: rec.update(date=rec["next_date"]))
         with pytest.raises(JournalCorrupt, match="out of sequence"):
+            outputs_from_journal(journal)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first date", "last next_date"])
+    @pytest.mark.parametrize(
+        "spell", [lambda d: d.replace("-", ""), lambda d: date.fromisoformat(d).strftime("%G-W%V-%u")],
+        ids=["basic", "week"],
+    )
+    def test_date_not_spelled_yyyy_mm_dd(self, first, spell):
+        """Python 3.11 and later read both spellings as dates, 3.10 does not;
+        a journal date is `YYYY-MM-DD` on every supported Python."""
+        journal, _, _, _ = run_synth(10)
+        index, field = (0, "date") if first else (len(journal.days) - 1, "next_date")
+        bad = spell(journal.days[index][field])
+        reseal_day(journal, index, lambda rec: rec.update({field: bad}))
+        with pytest.raises(JournalCorrupt, match=f"^bad day record date: Invalid isoformat string: '{bad}'$"):
             outputs_from_journal(journal)
 
     @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
