@@ -62,6 +62,10 @@ class ZeroDispersion(BtAgentsError):
     """Sample dispersion is undefined for fewer than two returns."""
 
 
+class MetricOverflow(BtAgentsError):
+    """A metric of a run's values is outside the float range."""
+
+
 class LengthMismatch(BtAgentsError):
     """Two aligned series have different lengths."""
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, NonPositiveValue, ZeroDispersion
+from .errors import LengthMismatch, MetricOverflow, NonPositiveValue, ZeroDispersion
 
 
 def daily_returns(values: Sequence[float]) -> list[float]:
@@ -19,7 +19,10 @@ def daily_returns(values: Sequence[float]) -> list[float]:
         raise ValueError("need at least two values")
     if any(v <= 0 for v in values):
         raise NonPositiveValue("values must be > 0")
-    return [cur / prev - 1.0 for prev, cur in zip(values, values[1:])]
+    returns = [cur / prev - 1.0 for prev, cur in zip(values, values[1:])]
+    if not all(map(math.isfinite, returns)):
+        raise MetricOverflow("a daily return is outside the float range")
+    return returns
 
 
 def total_return(returns: Sequence[float]) -> float:
@@ -35,8 +38,11 @@ def mean_std(returns: Sequence[float]) -> tuple[float, float]:
     n = len(returns)
     if n < 2:
         raise ZeroDispersion("need at least two returns for dispersion")
-    mu = math.fsum(returns) / n
-    var = math.fsum((r - mu) ** 2 for r in returns) / (n - 1)
+    try:  # fsum and ** raise on overflow
+        mu = math.fsum(returns) / n
+        var = math.fsum((r - mu) ** 2 for r in returns) / (n - 1)
+    except OverflowError:
+        raise MetricOverflow("the spread of the daily returns is outside the float range") from None
     return mu, math.sqrt(var)
 
 
@@ -82,6 +88,11 @@ class MetricsRow:
     sharpe: float | None
     accuracy: float | None
     regret: float | None
+
+    def __post_init__(self):
+        # * and / overflow to inf silently; every figure is printed, some in percent
+        if not all(math.isfinite(100.0 * v) for v in vars(self).values() if v is not None):
+            raise MetricOverflow("a report figure is outside the float range")
 
 
 def _row(

@@ -42,7 +42,6 @@ from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest
 from .market_data import MarketDataset, parse_date, slice_window
 from .metrics import prediction_correct
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
-from .portfolio import baseline_buy_and_hold, baseline_static_5050
 from .reflection import (
     AGENT_ROLES,
     TEMPLATE_KINDS,
@@ -196,12 +195,14 @@ class Ledger:
             traded = rebalance(self.books[role], Allocation(entries[role]["allocation"]), close_t, self.fees)
             self.books[role] = mark(traded, close_next)
             day_returns[role] = self.books[role].value_usd / before - 1.0
-        initial = config.initial_value_usd
-        _, bl_now, bl_next = baseline_static_5050(initial, (self.p0, close_t, close_next))
+        # buy-and-hold holds initial / p0 BTC; static 50/50 half that plus initial / 2 cash
+        initial, p0 = config.initial_value_usd, self.p0
+        half = initial / 2.0
+        bl_next = half + half * close_next / p0
         baseline = {
             "static5050_value": bl_next,
-            "buyhold_value": baseline_buy_and_hold(initial, (self.p0, close_next))[1],
-            "day_return_5050": bl_next / bl_now - 1.0,
+            "buyhold_value": initial * close_next / p0,
+            "day_return_5050": bl_next / (half + half * close_t / p0) - 1.0,
         }
         btc_return = close_next / close_t - 1.0
         roles = evaluate_day(entries, day_returns, btc_return, config.neutral_band, self.counts)

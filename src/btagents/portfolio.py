@@ -1,5 +1,4 @@
-"""BTC/cash portfolio accounting under daily allocation targets, plus the
-static baselines the agents are measured against.
+"""BTC/cash portfolio accounting under daily allocation targets.
 
 States are immutable; every operation returns a new state. Marked value is
 always the expression btc_units * mark_price + cash_usd, so the value
@@ -10,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InvariantViolation
 
@@ -128,23 +126,3 @@ def rebalance(
     units, cash = _settle_units_cash(new_units, price, value - fee)
     return PortfolioState(btc_units=units, cash_usd=cash, mark_price=price)
 
-
-def baseline_buy_and_hold(initial_value: float, prices: Sequence[float]) -> list[float]:
-    """Fully invested from the first price: value_t = V0 * p_t / p_0."""
-    if not prices:
-        return []
-    if any(p <= 0 for p in prices):
-        raise InvariantViolation("prices must be > 0")
-    p0 = prices[0]
-    return [initial_value * p / p0 for p in prices]
-
-
-def baseline_static_5050(initial_value: float, prices: Sequence[float]) -> list[float]:
-    """Half BTC bought at the first price, never rebalanced; half stays cash."""
-    if not prices:
-        return []
-    if any(p <= 0 for p in prices):
-        raise InvariantViolation("prices must be > 0")
-    p0 = prices[0]
-    half = initial_value / 2.0
-    return [half + half * p / p0 for p in prices]

@@ -1,6 +1,6 @@
-"""The one HTTP seam, the chat client's retry loop: transport failures and
-5xx replies are retried, 4xx replies fail. `requests` is imported here only,
-and only on use, so offline runs never load it."""
+"""The one HTTP seam, the chat client's retry loop: transport failures, 5xx
+replies and 408 and 429 replies are retried, other 4xx replies fail. `requests`
+is imported here only, and only on use, so offline runs never load it."""
 
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
     bearer token; a CR, LF or non-Latin-1 character in it raises
     ConfigError before any attempt), `timeout`, `max_retries` and
     `backoff_seconds`. Allows max(1, max_retries) attempts and sleeps
-    backoff_seconds * 2**(k-2) before attempt k >= 2. Returns the reply and
-    the attempt that got it. When every attempt fails, the last failure sets
-    the error: TimeoutError for a timeout, NetworkError otherwise.
+    backoff_seconds * 2**(k-2) before attempt k >= 2, or, after a 408 or 429
+    reply whose Retry-After header is a whole number of seconds, that many
+    seconds, at most `timeout`. Returns the reply and the attempt that got it.
+    When every attempt fails, the last failure sets the error: TimeoutError for
+    a timeout, NetworkError otherwise.
     """
     import requests
 
@@ -42,13 +44,23 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
     headers = {"Authorization": f"Bearer {key}"} if key else {}
     attempts_allowed = max(1, config.max_retries)
     last_error: object = None
+    retry_after = None  # the seconds the last reply asked to wait, if it was a 408 or 429
     for attempt in range(1, attempts_allowed + 1):
-        if attempt > 1 and config.backoff_seconds > 0:
+        if retry_after is not None:
+            if retry_after > 0:
+                time.sleep(retry_after)
+            retry_after = None
+        elif attempt > 1 and config.backoff_seconds > 0:
             time.sleep(config.backoff_seconds * 2 ** (attempt - 2))
         try:
             resp = send(url, headers=headers, timeout=config.timeout, **kwargs)
         except requests.RequestException as exc:
             last_error = exc
+            continue
+        if resp.status_code in (408, 429):  # a request timeout or a rate limit
+            last_error = f"rejected with {resp.status_code}"
+            value = resp.headers.get("Retry-After", "").strip()  # an HTTP-date is left to the backoff
+            retry_after = min(float(value), config.timeout) if value.isascii() and value.isdigit() else None
             continue
         if resp.status_code >= 500:
             last_error = f"server error {resp.status_code}"

@@ -27,8 +27,6 @@ from btagents.orchestrator import outputs_from_journal, replay, run_backtest
 from btagents.portfolio import (
     Allocation,
     PortfolioState,
-    baseline_buy_and_hold,
-    baseline_static_5050,
     mark,
     rebalance,
 )
@@ -55,6 +53,7 @@ from oracles import (
     oracle_vwap,
 )
 from test_agents import SNAPSHOT_FIELD_NAMES
+from test_portfolio import settled_baselines
 from test_reflection import decision_for, settled_day
 
 
@@ -374,12 +373,12 @@ def test_criterion_10_baseline_identities():
         prices = [p0 * (rng.randint(524_288, 2_097_152) / 2**20) for _ in range(200)]
         prices[0] = p0
 
-        bh = baseline_buy_and_hold(initial, prices)
-        bh_total = bh[-1] / bh[0] - 1.0
-        assert bh_total == prices[-1] / prices[0] - 1.0  # exact
+        # each settled day's baselines, valued at that day's marking close
+        for day, price in zip(settled_baselines(initial, prices), prices[1:]):
+            bh_total = day["buyhold_value"] / initial - 1.0
+            assert bh_total == price / prices[0] - 1.0  # exact
 
-        static = baseline_static_5050(initial, prices)
-        static_total = static[-1] / static[0] - 1.0
-        assert static_total == bh_total / 2.0  # exact linearity
+            static_total = day["static5050_value"] / initial - 1.0
+            assert static_total == bh_total / 2.0  # exact linearity
     ok(10, "buy-and-hold return == price ratio - 1 and 50/50 return == half of it, "
            "bit-exact on a 200-day fixture")

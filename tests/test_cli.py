@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,13 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import btagents
 from btagents.cli import main
-from btagents.journal import read_journal, seal, write_journal
+from btagents.journal import canonical_json, read_journal, seal, write_journal
 from btagents.reflection import load_weekly_templates
 
 from conftest import FIXTURE_DIR, run_synth
+from test_simulation_core import leaves
 
 
 def write_config(tmp_path, **overrides):
@@ -220,6 +224,26 @@ class TestBacktest:
         assert "Traceback" not in err
         assert not (tmp_path / "journal.jsonl").exists()
 
+    def test_extreme_marking_close_fails_after_the_journal_is_written(self, tmp_path, capsys):
+        # the bar that marks the last day lies in no gauge window, so only the report sees it
+        text = (FIXTURE_DIR / "bars.csv").read_text(encoding="utf-8")
+        row = "2024-11-06,63900.00,66792.00,63324.90,66000.00,15685.03"
+        assert row in text
+        bars = tmp_path / "bars.csv"
+        bars.write_text(text.replace(row, "2024-11-06,63900.00,1e200,63324.90,1e200,15685.03"), encoding="utf-8")
+        data = {name: str(FIXTURE_DIR / f"{name}.csv") for name in ("onchain", "sentiment", "news")}
+        config = write_config(tmp_path, data={**data, "bars": str(bars)})
+        fixtures = str(FIXTURE_DIR / "responses.json")
+        assert main(["backtest", "--config", str(config), "--fixtures", fixtures]) == 1
+        journal_path = tmp_path / "journal.jsonl"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"journal written to {journal_path}\n"
+            "error: the spread of the daily returns is outside the float range\n"
+        )
+        assert read_journal(str(journal_path)).days[-1]["next_close"] == 1e200
+
 
 class TestReplayAndReport:
     @pytest.fixture()
@@ -302,6 +326,19 @@ class TestReplayAndReport:
         reseal_line(journal_path, 1, edit_reply)
         assert main(["replay", "--journal", journal_path]) == 1
         assert "recorded feedback is not the last reply's" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    def test_value_inside_the_float_range_that_overflows_the_report(self, command, tmp_path, capsys):
+        path = str(tmp_path / "synth.jsonl")
+        write_journal(run_synth(14)[0], path)
+        reseal_line(path, 4, lambda day: day["roles"]["decision"]["portfolio"].update(value_usd=1e308))
+        assert main([command, "--journal", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == {
+            "report": "error: the spread of the daily returns is outside the float range\n",
+            "replay": "error: 2024-02-05 decision: recorded portfolio does not reproduce\n",
+        }[command]
 
     def test_segmentation_override(self, journal_path, tmp_path, capsys):
         seg = tmp_path / "seg.csv"
@@ -683,3 +720,59 @@ import requests
 print(before, isinstance(client._session, requests.Session))
 """
         assert fresh_python(code).splitlines()[-1] == "False True"
+
+
+# ---------------------------------------------------------------------------
+# a seeded property over resealed journal leaves: whatever one or two leaves of
+# a sealed journal hold, `report` and `replay` exit 0, or 1 with one error line
+
+PROPERTY_JOURNAL = run_synth(14)[0]
+PROPERTY_RECORDS = [PROPERTY_JOURNAL.header, *PROPERTY_JOURNAL.entries]
+PROPERTY_LEAVES = [(line, path) for line, record in enumerate(PROPERTY_RECORDS) for path in leaves(record)]
+# a typed pool: each JSON type, the edges of the int and float ranges, and texts
+# that are a market state, a date no calendar has, or not ASCII
+LEAF_VALUES = (
+    None, True, False,
+    0, -1, 2**63, 10**20,
+    0.0, -0.0, 1.5, 1e308, -1e308, 5e-324,
+    "", "x", "bullish", "2024-13-40", "Grüße € \U0001d11e",
+    [], {},
+)
+
+
+def resealed_journal(path, edits):
+    """Write the 14-day journal with each (line, leaf path, value) edit made and its record resealed."""
+    records = json.loads(json.dumps(PROPERTY_RECORDS))
+    for line, leaf, value in edits:
+        owner = records[line]
+        for key in leaf[:-1]:
+            owner = owner[key]
+        owner[leaf[-1]] = value
+    for line in {edit[0] for edit in edits}:
+        records[line].pop("digest")
+        records[line] = seal(records[line])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(canonical_json(record) + "\n" for record in records)
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(PROPERTY_LEAVES), st.sampled_from(LEAF_VALUES)).map(lambda e: (*e[0], e[1])),
+        min_size=1,
+        max_size=2,
+    )
+)
+@example(edits=[(4, ("roles", "decision", "portfolio", "value_usd"), 1e308)])  # day 3's decision book
+def test_resealed_leaves_exit_cleanly(tmp_path, edits):
+    path = str(tmp_path / "edited.jsonl")
+    resealed_journal(path, edits)
+    for command in ("report", "replay"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--journal", path])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from btagents.errors import LengthMismatch, NonPositiveValue
+from btagents.errors import LengthMismatch, MetricOverflow, NonPositiveValue
 from btagents.metrics import (
     daily_returns,
     mean_std,
@@ -130,6 +130,30 @@ class TestTotalReturnComposition:
             assert (1.0 + left) * (1.0 + right) - 1.0 == pytest.approx(
                 total_return(rets), abs=1e-9
             )
+
+
+class TestOverflow:
+    """A figure outside the float range is an error, whether the arithmetic
+    raises OverflowError (fsum, **) or silently yields inf (*, /)."""
+
+    def test_daily_return_past_the_float_range(self):
+        with pytest.raises(MetricOverflow, match="a daily return"):
+            daily_returns([1e-10, 1e300])
+
+    @pytest.mark.parametrize("returns", [[1e200, 0.0], [1.7e308, 1.7e308]], ids=["square", "sum"])
+    def test_spread_past_the_float_range(self, returns):
+        with pytest.raises(MetricOverflow, match="the spread of the daily returns"):
+            mean_std(returns)
+
+    def test_compounded_return_past_the_float_range(self):
+        # each return's spread is zero; only the compounded total overflows
+        with pytest.raises(MetricOverflow, match="a report figure"):
+            regime_report([1e150] * 3)
+
+    def test_percent_past_the_float_range(self):
+        # a regret of 1e307 is a float; in percent it is not
+        with pytest.raises(MetricOverflow, match="a report figure"):
+            regime_report([0.0, 0.0], baseline=[1e307, 0.0])
 
 
 def single_span_segmentation(dates):

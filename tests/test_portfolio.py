@@ -1,18 +1,13 @@
 import random
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from btagents.errors import InvariantViolation
-from btagents.portfolio import (
-    Allocation,
-    FeeModel,
-    PortfolioState,
-    baseline_buy_and_hold,
-    baseline_static_5050,
-    mark,
-    rebalance,
-)
+from btagents.orchestrator import Ledger, RunConfig
+from btagents.portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
+from btagents.reflection import AGENT_ROLES
 
 def btc_fraction(state):
     """The share of the state's marked value held in BTC."""
@@ -116,6 +111,11 @@ class TestRebalance:
             assert state.btc_units >= 0.0
             assert state.cash_usd >= 0.0
 
+    @pytest.mark.parametrize("price", [0.0, -1.0])
+    def test_rejects_non_positive_price(self, price):
+        with pytest.raises(InvariantViolation, match="trade price must be > 0"):
+            rebalance(PortfolioState.all_cash(10.0, 1.0), Allocation(0.5), price)
+
 
 class TestMark:
     def test_price_move_changes_value_only(self):
@@ -146,41 +146,70 @@ def dyadic_prices(rng, n, p0=32768.0):
     return [p0 * (rng.randint(524288, 2097152) / 2**20) for _ in range(n)]
 
 
+def settled_baselines(initial, closes):
+    """The `baseline` field of each day `Ledger.settle` values when the run buys at
+    closes[0] and day i trades at closes[i] and is marked at closes[i + 1]."""
+    start = date(2024, 1, 1)
+    ledger = Ledger(RunConfig(start=start, end=start, initial_value_usd=initial), closes[0])
+    entries = {role: {"allocation": 0.5, "state": "neutral"} for role in AGENT_ROLES}
+    return [
+        ledger.settle(start + timedelta(days=i), entries, close_t, close_next)["baseline"]
+        for i, (close_t, close_next) in enumerate(zip(closes, closes[1:]))
+    ]
+
+
 class TestBaselines:
     def test_buy_and_hold_two_points(self):
-        values = baseline_buy_and_hold(100.0, [100.0, 110.0])
-        assert values[0] == 100.0
-        assert values[1] == pytest.approx(110.0, abs=1e-9)
+        (day,) = settled_baselines(100.0, [100.0, 110.0])
+        assert day["buyhold_value"] == pytest.approx(110.0, abs=1e-9)
 
     def test_buy_and_hold_flat(self):
-        assert baseline_buy_and_hold(250.0, [70.0, 70.0, 70.0]) == [250.0, 250.0, 250.0]
+        days = settled_baselines(250.0, [70.0, 70.0, 70.0])
+        assert [d["buyhold_value"] for d in days] == [250.0, 250.0]
 
     def test_buy_and_hold_return_equals_price_ratio(self):
         rng = random.Random(34)
         prices = dyadic_prices(rng, 50)
-        values = baseline_buy_and_hold(8192.0, prices)
-        assert values[-1] / values[0] - 1.0 == prices[-1] / prices[0] - 1.0
+        days = settled_baselines(8192.0, prices)
+        assert days[-1]["buyhold_value"] / 8192.0 - 1.0 == prices[-1] / prices[0] - 1.0
 
     def test_static_5050_is_half_exposure(self):
-        values = baseline_static_5050(1000.0, [100.0, 120.0])
-        assert values[-1] == pytest.approx(1100.0, abs=1e-9)
+        days = settled_baselines(1000.0, [100.0, 100.0, 120.0])
+        assert days[-1]["static5050_value"] == pytest.approx(1100.0, abs=1e-9)
+        assert days[-1]["day_return_5050"] == pytest.approx(0.1, abs=1e-12)
 
     def test_static_5050_flat(self):
-        assert baseline_static_5050(1000.0, [50.0] * 4) == [1000.0] * 4
+        days = settled_baselines(1000.0, [50.0] * 4)
+        assert [d["static5050_value"] for d in days] == [1000.0] * 3
+        assert [d["day_return_5050"] for d in days] == [0.0] * 3
 
     def test_static_5050_equals_simulated_accounting(self):
         # buy half once at p0, hold: units = (V/2)/p0
         rng = random.Random(35)
         prices = dyadic_prices(rng, 60)
         initial = 8192.0
-        values = baseline_static_5050(initial, prices)
+        days = settled_baselines(initial, prices)
         units = (initial / 2.0) / prices[0]
-        simulated = [units * p + initial / 2.0 for p in prices]
-        assert values == simulated
+        simulated = [units * p + initial / 2.0 for p in prices[1:]]
+        assert [d["static5050_value"] for d in days] == simulated
+
+    @pytest.mark.parametrize("initial", [8192.0, 10_000.0])
+    def test_each_day_equals_the_closed_forms(self, initial):
+        # with p0 = 2**15 and dyadic closes, V0 / p0 BTC valued at a close is exact
+        rng = random.Random(36)
+        closes = [32768.0, *dyadic_prices(rng, 199)]
+        units = initial / closes[0]
+        for day, (close_t, close_next) in zip(settled_baselines(initial, closes), zip(closes, closes[1:])):
+            assert day["buyhold_value"] == units * close_next
+            assert day["static5050_value"] == units / 2.0 * close_next + initial / 2.0
+            now = units / 2.0 * close_t + initial / 2.0
+            assert day["day_return_5050"] == day["static5050_value"] / now - 1.0
 
     def test_rejects_non_positive_prices(self):
-        with pytest.raises(InvariantViolation):
-            baseline_buy_and_hold(100.0, [10.0, -1.0])
+        # a non-positive first or marking close stops the run before a baseline is valued
+        for closes in ([10.0, -1.0], [10.0, 10.0, 0.0], [0.0, 10.0], [-5.0, 10.0]):
+            with pytest.raises(InvariantViolation):
+                settled_baselines(100.0, closes)
 
 
 class TestPortfolioStateInvariants:

@@ -28,7 +28,10 @@ from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
 def chat(plan, **retry):
     """A call through ChatClient, and its fake session holding the unused plan."""
     session = FakeSession(
-        [a if isinstance(a, Exception) else FakeResponse(a) if a != 200 else ok_response("ok") for a in plan]
+        [
+            a if isinstance(a, (Exception, FakeResponse)) else FakeResponse(a) if a != 200 else ok_response("ok")
+            for a in plan
+        ]
     )
     client = ChatClient(ChatClientConfig(base_url="http://fake/v1", **retry), session=session)
     return lambda: client.complete(any_bundle()), session
@@ -58,6 +61,60 @@ def test_4xx_uses_one_attempt():
     assert exc.value.attempts == 1
     assert "rejected with 404" in str(exc.value)
     assert len(fake.plan) == 1
+
+
+def limited(status, retry_after=None):
+    """A 408 or 429 reply, with a Retry-After header if one is given."""
+    resp = FakeResponse(status)
+    resp.headers = {} if retry_after is None else {"Retry-After": retry_after}
+    return resp
+
+
+def test_rate_limit_then_reply_is_retried_at_once(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, fake = chat([limited(429, "0"), 200], max_retries=3, backoff_seconds=0.5)
+    result = call()
+    assert (result.text, result.attempts) == ("ok", 2)
+    assert sleeps == []  # a Retry-After of 0 replaces the backoff
+    assert fake.plan == []
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("7", 7.0),
+        (" 7 ", 7.0),
+        ("600", 30.0),  # at most the timeout
+        ("9" * 5000, 30.0),
+        (None, 0.5),  # no header, an HTTP-date or any other text: the backoff
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+        ("1.5", 0.5),
+        ("-1", 0.5),
+        ("\u0667", 0.5),  # a digit, but not an ASCII one
+    ],
+    ids=["7", "padded", "capped", "5000-digits", "none", "http-date", "fraction", "negative", "arabic-indic"],
+)
+@pytest.mark.parametrize("status", [408, 429])
+def test_retry_after_seconds_replace_the_backoff(monkeypatch, status, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, fake = chat([limited(status, retry_after), 503, 200], max_retries=3, backoff_seconds=0.5, timeout=30.0)
+    assert call().attempts == 3
+    assert sleeps == [slept, 1.0]  # the 503 after it gets the backoff again
+    assert fake.plan == []
+
+
+def test_rate_limit_on_every_attempt_names_it(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, fake = chat([limited(429, "2")] * 3, max_retries=3, backoff_seconds=0.5)
+    with pytest.raises(NetworkError) as exc:
+        call()
+    assert str(exc.value) == "chat completion failed: rejected with 429 (after 3 attempt(s))"
+    assert exc.value.attempts == 3
+    assert sleeps == [2.0, 2.0]
+    assert fake.plan == []
 
 
 def test_last_failure_sets_the_error():
@@ -152,8 +209,8 @@ def test_latin1_key_is_sent(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # a few scripted days through the real ChatClient and `requests`, served from a
-# socket on 127.0.0.1, with one 5xx, one reply slower than the client timeout
-# and one body cut short of its Content-Length
+# socket on 127.0.0.1, with one 5xx, one 429 with a Retry-After of 0, one reply
+# slower than the client timeout and one body cut short of its Content-Length
 
 TIMEOUT = 0.2
 SYSTEM_ROLES = {
@@ -187,6 +244,12 @@ class ChatHandler(BaseHTTPRequestHandler):
         if fault == "503":
             self.send_error(503)
             return
+        if fault == "429":
+            self.send_response(429)
+            self.send_header("Retry-After", "0")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if fault == "slow":
             server.release.wait(50 * TIMEOUT)
         reply = json.dumps({"choices": [{"message": {"content": server.replies[f"{role}:{day}"]}}]}).encode()
@@ -204,7 +267,12 @@ class ChatHandler(BaseHTTPRequestHandler):
 
 
 # (role, day index, attempt or None for every attempt) -> fault
-FAULTS = {("quants", 0, 1): "503", ("signals", 1, None): "slow", ("decision", 2, 1): "cut"}
+FAULTS = {
+    ("quants", 0, 1): "503",
+    ("signals", 0, 1): "429",
+    ("signals", 1, None): "slow",
+    ("decision", 2, 1): "cut",
+}
 
 
 def run_over_loopback(tmp_path, name):
@@ -251,18 +319,19 @@ def test_faults_through_a_real_socket(tmp_path):
     faulted = [(role, attempt, fault) for role, _, attempt, fault in log if fault]
     assert faulted == [
         ("quants", 1, "503"),
+        ("signals", 1, "429"),
         ("signals", 1, "slow"),
         ("signals", 2, "slow"),
         ("decision", 1, "cut"),
     ]
-    assert len(log) == 3 * 4 + 3  # one call per role and day, and one retry per fault
+    assert len(log) == 3 * 4 + 4  # one call per role and day, and one retry per fault
 
     journal = read_journal(str(path))
     replay(journal)
     fallbacks = [
         (i, role) for i, day in enumerate(journal.days) for role, entry in day["roles"].items() if entry["fallback"]
     ]
-    assert fallbacks == [(1, "signals")]  # the 503 and the cut body were retried
+    assert fallbacks == [(1, "signals")]  # the 503, the 429 and the cut body were retried
     assert journal.days[1]["roles"]["signals"]["attempts"] == [
         {"raw": None, "error": "TimeoutError: chat completion timed out after 2 attempt(s)"}
     ]
