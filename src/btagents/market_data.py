@@ -179,8 +179,8 @@ def _not_utf8(path: str) -> MalformedRow:
 def read_csv(path: str, expected_header: Sequence[str], build: Callable[..., object]) -> list:
     """The CSV reader every input file goes through: checks the header, skips
     blank rows and builds one item per row with `build(*fields)`, the fields
-    in header order. A row it cannot build, and a byte that is not UTF-8, fail
-    with MalformedRow naming the file and the physical line."""
+    in header order. A row it cannot build or split, and a byte that is not
+    UTF-8, fail with MalformedRow naming the file and the physical line."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
@@ -206,16 +206,17 @@ def read_csv(path: str, expected_header: Sequence[str], build: Callable[..., obj
                     raise MalformedRow(path, reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except csv.Error as exc:  # a field over the csv module's size limit, or a NUL on Python 3.10
+        raise MalformedRow(path, reader.line_num, str(exc)) from None
     return rows
 
 
-def _load_series(path: str, header: Sequence[str], build: Callable, allow_duplicate_dates: bool = False) -> list:
-    """A dated series read by read_csv, sorted by date."""
+def _load_series(path: str, header: Sequence[str], build: Callable) -> list:
+    """A dated series read by read_csv, sorted by date; a repeated date raises DuplicateDate."""
     rows = sorted(read_csv(path, header, build), key=_by_day)
-    if not allow_duplicate_dates:
-        for a, b in zip(rows, rows[1:]):
-            if a.date == b.date:
-                raise DuplicateDate(f"{path}: duplicate date {a.date}")
+    for a, b in zip(rows, rows[1:]):
+        if a.date == b.date:
+            raise DuplicateDate(f"{path}: duplicate date {a.date}")
     return rows
 
 
@@ -253,21 +254,8 @@ def load_sentiment(path: str) -> list[SentimentDaily]:
 
 
 def load_news(path: str) -> list[NewsItem]:
-    """Load news items; multiple items per date are expected."""
-    return _load_series(path, ("date", "source", "headline", "summary"), _news, allow_duplicate_dates=True)
-
-
-def dedupe_news(items: Iterable[NewsItem]) -> list[NewsItem]:
-    """Drop exact (date, source, headline) repeats; a news file may repeat an item."""
-    seen = set()
-    out = []
-    for item in items:
-        key = (item.date, item.source, item.headline)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(item)
-    return out
+    """Load news items sorted by date, in file order within a date; `align` drops repeats."""
+    return sorted(read_csv(path, ("date", "source", "headline", "summary"), _news), key=_by_day)
 
 
 def _by_date(series: str, items: Iterable) -> dict:
@@ -297,7 +285,8 @@ def align(
     that is absent altogether (empty) is allowed and yields None fields;
     the backtest itself requires both series to be present. A date repeated
     in the bar, on-chain or sentiment series raises DuplicateDate; news may
-    hold many items per date.
+    hold many items per date, and of a repeated (date, source, headline) the
+    first is kept.
     """
     if not bars:
         raise InvariantViolation("align requires at least one bar")
@@ -313,10 +302,14 @@ def align(
 
     onchain_by_date = _by_date("onchain", onchain)
     sentiment_by_date = _by_date("sentiment", sentiment)
-    # sorted once, so each day's items are listed by (source, headline)
+    # the first of a repeated (date, source, headline) is kept, and the keys
+    # are sorted once, so each day's items are listed by (source, headline)
+    unique_news: dict[tuple[Date, str, str], NewsItem] = {}
+    for item in news:
+        unique_news.setdefault((item.date, item.source, item.headline), item)
     news_by_date: dict[Date, list[NewsItem]] = {}
-    for item in sorted(dedupe_news(news), key=attrgetter("date", "source", "headline")):
-        news_by_date.setdefault(item.date, []).append(item)
+    for key in sorted(unique_news):
+        news_by_date.setdefault(key[0], []).append(unique_news[key])
 
     def resolve(series: str, table: dict, day: Date, last):
         if not table:

@@ -6,10 +6,16 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 import time
 from typing import Any, Callable
 
 from .errors import ConfigError, NetworkError
+
+# `time.sleep` refuses a sleep whose end, on the monotonic clock, is past 2**63
+# ns; half of that leaves about 146 years of clock, as `client.timeout` may be
+# as large as `threading.TIMEOUT_MAX`
+LONGEST_SLEEP = threading.TIMEOUT_MAX / 2
 
 
 @functools.cache
@@ -30,7 +36,9 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
     `backoff_seconds`. Allows max(1, max_retries) attempts and sleeps
     backoff_seconds * 2**(k-2) before attempt k >= 2, or, after a 408 or 429
     reply whose Retry-After header is a whole number of seconds, that many
-    seconds, at most `timeout`. Returns the reply and the attempt that got it.
+    seconds; every sleep is at most `timeout` and at most LONGEST_SLEEP, and
+    none is taken when it is not above 0. Returns the reply and the attempt
+    that got it.
     When every attempt fails, the last failure sets the error: TimeoutError for
     a timeout, NetworkError otherwise.
     """
@@ -44,14 +52,16 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
     headers = {"Authorization": f"Bearer {key}"} if key else {}
     attempts_allowed = max(1, config.max_retries)
     last_error: object = None
+    longest = min(config.timeout, LONGEST_SLEEP)
+    backoff = config.backoff_seconds  # doubled after each retry, never past `longest`
     retry_after = None  # the seconds the last reply asked to wait, if it was a 408 or 429
     for attempt in range(1, attempts_allowed + 1):
-        if retry_after is not None:
-            if retry_after > 0:
-                time.sleep(retry_after)
+        if attempt > 1:
+            wait = backoff if retry_after is None else retry_after
+            if wait > 0:
+                time.sleep(min(wait, longest))
+            backoff = min(backoff * 2, longest)
             retry_after = None
-        elif attempt > 1 and config.backoff_seconds > 0:
-            time.sleep(config.backoff_seconds * 2 ** (attempt - 2))
         try:
             resp = send(url, headers=headers, timeout=config.timeout, **kwargs)
         except requests.RequestException as exc:
@@ -60,7 +70,7 @@ def request(send: Callable[..., Any], url: str, config, what: str, **kwargs) -> 
         if resp.status_code in (408, 429):  # a request timeout or a rate limit
             last_error = f"rejected with {resp.status_code}"
             value = resp.headers.get("Retry-After", "").strip()  # an HTTP-date is left to the backoff
-            retry_after = min(float(value), config.timeout) if value.isascii() and value.isdigit() else None
+            retry_after = float(value) if value.isascii() and value.isdigit() else None
             continue
         if resp.status_code >= 500:
             last_error = f"server error {resp.status_code}"

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -767,12 +769,170 @@ def resealed_journal(path, edits):
 )
 @example(edits=[(4, ("roles", "decision", "portfolio", "value_usd"), 1e308)])  # day 3's decision book
 def test_resealed_leaves_exit_cleanly(tmp_path, edits):
-    path = str(tmp_path / "edited.jsonl")
-    resealed_journal(path, edits)
-    for command in ("report", "replay"):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--journal", path])
-        assert code in (0, 1)
-        if code == 1:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:  # a new file: rewriting one can wait on the disk
+        path = str(Path(root) / "edited.jsonl")
+        resealed_journal(path, edits)
+        for command in ("report", "replay"):
+            exits_cleanly([command, "--journal", path])
+
+
+def exits_cleanly(argv):
+    """`main(argv)` returns 0 or 1, and on 1 prints one `error:` line; a
+    backtest may print the line naming its journal once, first. An exception
+    fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        text = err.getvalue()
+        if argv[0] == "backtest" and text.startswith("journal written to "):
+            text = text.partition("\n")[2]
+        assert text.startswith("error: ") and text.count("\n") == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# seeded properties over edited inputs: whatever one or two edits make of the
+# case study's files, `backtest` exits cleanly, and so do `report` and
+# `replay` whatever one to three byte edits make of a 14-day journal
+
+CASE_CSV = {
+    name: list(csv.reader(io.StringIO((FIXTURE_DIR / name).read_text(encoding="utf-8"))))
+    for name in ("bars.csv", "onchain.csv", "sentiment.csv", "news.csv")
+}
+CASE_CELLS = [(name, row, col) for name, rows in CASE_CSV.items() for row in range(len(rows)) for col in range(len(rows[row]))]
+CELL_VALUES = (
+    "", " ", "0", "-1", "-0", "1e-320", "1e400", "nan", "inf", "99999999999999999999",
+    "2024-11-05", "2024-13-40", "20241105", "x", "Grüße € \U0001d11e", '"', "a,b", "a\nb", "\0", "9" * 2**17 + "9",
+)
+CONFIG_KEYS = (
+    ("data", "bars"), ("data", "news"), ("data", "gap_policy"), ("data",), ("journal",), ("bogus",),
+    ("run", "start"), ("run", "end"), ("run", "initial_value_usd"), ("run", "lookback_days"),
+    ("run", "neutral_band"), ("run", "fee_bps"), ("run", "parse_retry_limit"), ("run", "bogus"),
+    ("feedback", "daily"), ("feedback", "weekly"), ("feedback", "regret_threshold"), ("feedback", "templates"),
+    ("indicators", "rsi_window"), ("indicators", "bb_k"), ("indicators", "macd_fast"), ("regime", "ma_window"),
+    ("regime", "slope_threshold"), ("client", "timeout"), ("client", "max_retries"), ("client", "model_name"),
+)
+# a typed pool: each JSON type, values that are no file path, and numbers past the float range
+CONFIG_VALUES = (
+    None, True, False, 0, -1, 1, 7, 2.5, 1e308, 10**400, "", "x", "carry", "strict",
+    "2024-10-01", "2024-11-05", "2024-11-06", "\ud800", [], {}, ["bars.csv"],
+)
+CASE_REPLIES = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))
+DROPPED = object()  # a reply edit that deletes the reply
+REPLY_VALUES = (
+    DROPPED, None, 7, [], "", "x", "{", "{}", "{" * 5000, "Grüße \ud800",
+    '{"state": "bullish", "allocation_btc_pct": 1e400, "reasoning": "r"}',
+    '{"state": "bullish", "allocation_btc_pct": NaN, "reasoning": "r"}',
+    '{"state": "bullish", "allocation_btc_pct": 101, "reasoning": "r"}',
+    '{"quants": "q", "signals": "s", "decision": 5}',
+)
+TEMPLATES = (Path(btagents.__file__).parent / "templates" / "weekly_templates.json").read_text(encoding="utf-8")
+# each makes a templates file of the packaged text and a number k
+TEMPLATE_EDITS = (
+    lambda text, k: json.dumps([k]),
+    lambda text, k: json.dumps({**json.loads(text), "signals": k}),
+    lambda text, k: json.dumps({**json.loads(text), "quants": {**json.loads(text)["quants"], "neutral": k}}),
+    lambda text, k: text.replace('": "', '": "\\ud800', 1),  # an escape for a lone surrogate
+    lambda text, k: "[" * (k * 50) + "]" * (k * 50),
+    lambda text, k: text[:k],
+    lambda text, k: text[:k] + "}" + text[k + 1 :],
+)
+FILE_EDIT = st.one_of(
+    st.tuples(st.just("cell"), st.sampled_from(CASE_CELLS), st.sampled_from(CELL_VALUES)),
+    st.tuples(st.just("config"), st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)),
+    st.tuples(st.just("reply"), st.sampled_from(sorted(CASE_REPLIES)), st.sampled_from(REPLY_VALUES)),
+    st.tuples(st.just("templates"), st.sampled_from(TEMPLATE_EDITS), st.integers(0, len(TEMPLATES))),
+)
+
+
+def edited_case(root: Path, edits) -> list[str]:
+    """Write the case study under `root`, every path in its config absolute,
+    with each (kind, where, what) edit made; returns its backtest arguments."""
+    tables = {name: [row[:] for row in rows] for name, rows in CASE_CSV.items()}
+    config = json.loads((FIXTURE_DIR / "config.json").read_text(encoding="utf-8"))
+    for key in ("bars", "onchain", "sentiment", "news"):
+        config["data"][key] = str(root / config["data"][key])
+    config["feedback"]["templates"] = str(root / "templates.json")
+    replies, templates = dict(CASE_REPLIES), TEMPLATES
+    for kind, where, what in edits:
+        if kind == "cell":
+            name, row, col = where
+            tables[name][row][col] = what
+        elif kind == "config":
+            owner = config
+            for key in where[:-1]:
+                owner = owner.get(key) if isinstance(owner, dict) else None
+            if isinstance(owner, dict):
+                owner[where[-1]] = what
+        elif kind == "reply":
+            if what is DROPPED:
+                replies.pop(where, None)
+            else:
+                replies[where] = what
+        else:
+            templates = where(TEMPLATES, what)
+    for name, rows in tables.items():
+        with open(root / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    (root / "templates.json").write_text(templates, encoding="utf-8")
+    (root / "responses.json").write_text(json.dumps(replies), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    # the journal goes where --journal says, whatever the edited config names
+    return ["--config", str(root / "config.json"), "--fixtures", str(root / "responses.json"), "--journal", str(root / "journal.jsonl")]
+
+
+def test_the_unedited_case_runs(tmp_path):
+    assert main(["backtest", *edited_case(tmp_path, [])]) == 0
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(edits=st.lists(FILE_EDIT, min_size=1, max_size=2))
+@example(edits=[("cell", ("bars.csv", 37, col), "1e200") for col in (2, 4)])  # the 2024-11-06 marking bar
+def test_edited_inputs_exit_cleanly(tmp_path, edits):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        exits_cleanly(["backtest", *edited_case(Path(root), edits)])
+
+
+JOURNAL_BYTES = "".join(canonical_json(record) + "\n" for record in PROPERTY_RECORDS).encode()
+
+
+def byte_edited(data: bytes, edits) -> bytes:
+    """`data` with each (kind, position, n) edit made: flip bit n % 8 of a byte,
+    insert byte n, or delete or duplicate the 1 + n % 64 bytes at the position."""
+    for kind, pos, n in edits:
+        pos %= len(data)
+        end = pos + 1 + n % 64
+        if kind == "flip":
+            data = data[:pos] + bytes([data[pos] ^ 1 << n % 8]) + data[pos + 1 :]
+        elif kind == "insert":
+            data = data[:pos] + bytes([n]) + data[pos:]
+        elif kind == "delete":
+            data = data[:pos] + data[end:]
+        else:
+            data = data[:end] + data[pos:end] + data[end:]
+    return data
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("flip", "insert", "delete", "duplicate")),
+            st.integers(0, len(JOURNAL_BYTES) - 1),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_edited_journal_bytes_exit_cleanly(tmp_path, edits):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        path = Path(root) / "edited.jsonl"
+        path.write_bytes(byte_edited(JOURNAL_BYTES, edits))
+        for command in ("report", "replay"):
+            exits_cleanly([command, "--journal", str(path)])

@@ -3,8 +3,8 @@ module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input and every JSON file goes through one
 reader, predictions are scored in one run-side and one report-side place,
 Sharpe has one formula, the gauges have one entry point, only the transport
-module imports `requests`, and the traced benchmark's wrap targets are still
-the names the program calls."""
+module imports `requests`, the traced benchmark's wrap targets are still
+the names the program calls, and the package ships every data file it holds."""
 
 import ast
 import importlib.util
@@ -220,3 +220,20 @@ def test_bench_wraps_names_the_program_calls(monkeypatch):
     assert restored
     assert len(wrapped) > 10
     assert wrapped - {span[0] for span in rec.spans} == set()
+
+
+def test_package_data_names_every_data_file():
+    """An install copies the modules and the files `[tool.setuptools.package-data]`
+    names, and nothing else; every run reads the weekly templates, and the tests
+    import from `src/`, so a data file left out would fail only once installed."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    package = Path(btagents.__file__).parent
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["btagents"]
+    shipped = {path for pattern in patterns for path in package.glob(pattern)}
+    data = {
+        path for path in package.rglob("*")
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
+    }
+    assert package / "templates" / "weekly_templates.json" in data
+    assert data - shipped == set()

@@ -20,7 +20,6 @@ from btagents.market_data import (
     OnChainDaily,
     SentimentDaily,
     align,
-    dedupe_news,
     load_bars,
     load_news,
     load_onchain,
@@ -227,6 +226,26 @@ def test_errors_name_the_physical_line_after_a_two_line_field(tmp_path):
     assert exc.value.line_no == 4
 
 
+@SERIES
+def test_field_over_the_csv_limit_names_its_line(tmp_path, loader, header, row, eol):
+    """The csv module refuses a field of more than 131072 characters."""
+    path = tmp_path / "series.csv"
+    path.write_text(f"{header}{eol}{row.format('2024-11-03')}{eol}{row.format('2024-11-04')}x{'9' * 2**17}{eol}")
+    with pytest.raises(MalformedRow) as exc:
+        loader(str(path))
+    assert (exc.value.path, exc.value.line_no, exc.value.reason) == (
+        str(path), 3, "field larger than field limit (131072)"
+    )
+
+
+def test_nul_in_a_field_names_its_line(tmp_path):
+    """Python 3.10's csv module refuses a NUL; later ones read it, and the date then fails."""
+    path = write(tmp_path, "bars.csv", "date,open,high,low,close,volume\n2024-01-01,1,1,1,1,1\n2024-01-02\0,1,1,1,1,1\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_bars(path)
+    assert exc.value.line_no == 3
+
+
 @pytest.mark.parametrize("spelling", ["20240101", "2024-W01-2"], ids=["basic", "week"])
 def test_date_not_spelled_yyyy_mm_dd_names_its_line(tmp_path, spelling):
     """Python 3.11 and later read both spellings as dates and 3.10 does not;
@@ -414,8 +433,9 @@ class TestAlign:
             NewsItem(date=d, source="A", headline="1", summary=""),
             NewsItem(date=d, source="B", headline="2", summary="dup"),
         ]
-        out = dedupe_news(items)
-        assert [(n.source, n.headline) for n in out] == [("B", "2"), ("A", "1")]
+        ds = align(self.bars, news=items)
+        # the first of the repeat is kept, and the day is listed by source
+        assert [(n.source, n.headline, n.summary) for n in ds.records[0].news] == [("A", "1", ""), ("B", "2", "")]
 
 
 class TestSlice:

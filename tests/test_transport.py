@@ -1,7 +1,9 @@
 """The one retry loop, `transport.request`, as the chat client sends through
-it: against a fake session, and for a few days of a run over a real socket."""
+it: against a fake session, for whole runs behind a fake session, and for a
+few days of a run over a real socket."""
 
 import json
+import random
 import re
 import socket
 import threading
@@ -12,13 +14,16 @@ import pytest
 import requests
 
 from btagents.agents import DECISION_SYSTEM, QUANTS_SYSTEM, SIGNALS_SYSTEM, ChatClient, ChatClientConfig
+from btagents.cli import main
 from btagents.errors import ConfigError, NetworkError
 from btagents.journal import read_journal, write_journal
 from btagents.orchestrator import RunConfig, replay, run_backtest
-from btagents.reflection import REFLECT_SYSTEM
+from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
+from btagents.transport import LONGEST_SLEEP
 
-from conftest import scripted_plan, synth_dataset
+from conftest import FIXTURE_DIR, scripted_plan, synth_dataset
 from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
+from test_cli import write_config
 
 
 # a plan lists what each attempt gets: an HTTP status (200 is a usable reply)
@@ -114,6 +119,16 @@ def test_rate_limit_on_every_attempt_names_it(monkeypatch):
     assert str(exc.value) == "chat completion failed: rejected with 429 (after 3 attempt(s))"
     assert exc.value.attempts == 3
     assert sleeps == [2.0, 2.0]
+    assert fake.plan == []
+
+
+def test_backoff_stops_doubling_at_the_timeout(monkeypatch):
+    """Past attempt 1025 the doubled backoff is beyond any float; it stays at the timeout."""
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    call, fake = chat([503] * 1100 + [200], max_retries=1101, backoff_seconds=0.5, timeout=30.0)
+    assert call().attempts == 1101
+    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] + [30.0] * 1094
     assert fake.plan == []
 
 
@@ -335,3 +350,104 @@ def test_faults_through_a_real_socket(tmp_path):
     assert journal.days[1]["roles"]["signals"]["attempts"] == [
         {"raw": None, "error": "TimeoutError: chat completion timed out after 2 attempt(s)"}
     ]
+
+
+# ---------------------------------------------------------------------------
+# whole runs behind a fake session: no retry sleep ends a run, and any mix of
+# provider faults leaves a complete journal that replays
+
+
+class ScriptedProvider:
+    """A fake session for ChatClient: each call gets what `outcome` makes of the
+    scripted reply for the call's role and date, a reply or an exception to raise."""
+
+    def __init__(self, replies, outcome):
+        self.replies = replies
+        self.outcome = outcome
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        system, user = (message["content"] for message in json["messages"])
+        day = re.match(r"Date: (\S+)\n", user).group(1)
+        got = self.outcome(self.replies[f"{SYSTEM_ROLES[system]}:{day}"])
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+
+# client settings whose retry sleeps `time.sleep` would refuse if they were not
+# capped, the fault on the run's first call, and the sleep that fault now gets
+HUGE_SLEEPS = {
+    "huge-backoff": ({"backoff_seconds": 1e10}, FakeResponse(503), 120.0),  # capped at the timeout
+    "huge-timeout": ({"timeout": 9223372036}, limited(429, "99999999999"), LONGEST_SLEEP),
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_SLEEPS))
+def test_a_retry_sleep_too_long_for_time_sleep_keeps_the_run(tmp_path, monkeypatch, capsys, name):
+    client, fault, slept = HUGE_SLEEPS[name]
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    faults = [fault]
+    replies = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))
+    provider = ScriptedProvider(replies, lambda reply: faults.pop() if faults else ok_response(reply))
+    monkeypatch.setattr("btagents.agents.default_session", lambda: provider)
+    assert main(["backtest", "--config", str(write_config(tmp_path, client=client))]) == 0
+    assert capsys.readouterr().err == f"journal written to {tmp_path / 'journal.jsonl'}\n"
+    assert sleeps == [slept]
+    assert time.monotonic_ns() + slept * 1e9 < 2**63  # `time.sleep` refuses a sleep that ends past this
+    replay(read_journal(str(tmp_path / "journal.jsonl")))
+
+
+# what a faulty provider can send a call instead of its scripted reply
+PROVIDER_FAULTS = (
+    lambda reply: FakeResponse(500),
+    lambda reply: FakeResponse(503),
+    lambda reply: limited(408),
+    *(lambda reply, wait=wait: limited(429, wait) for wait in ("0", "3", "abc", "", "9" * 30)),
+    lambda reply: requests.ConnectionError("reset"),
+    lambda reply: requests.Timeout("slow"),
+    lambda reply: FakeResponse(200),  # a body that is not JSON
+    lambda reply: FakeResponse(200, [reply]),
+    lambda reply: FakeResponse(200, {"choices": []}),
+    lambda reply: FakeResponse(200, {"choices": [{"message": {"content": 7}}]}),
+    lambda reply: ok_response("x" * 2**21 + reply),  # 2 MB
+    lambda reply: ok_response("Grüße € \U0001d11e " + reply),
+    lambda reply: ok_response(reply + " \ud800"),  # a lone surrogate, as JSON's \ud800 escape decodes
+    lambda reply: ok_response("{" * 5000 + reply),
+    lambda reply: ok_response(reply.replace('"state"', '"stat"', 1).replace('"quants"', '"quant"', 1)),
+)
+
+
+def faulty_run(seed, client, path):
+    """A 14-day run, with daily and weekly feedback, whose calls each get a
+    fault drawn from PROVIDER_FAULTS half the time; its journal goes to `path`."""
+    dataset = synth_dataset(32 + 14 + 2)
+    days = dataset.dates[32:46]
+    config = RunConfig(start=days[0], end=days[-1], client=ChatClientConfig(base_url="http://fake/v1", **client))
+    rng = random.Random(seed)
+
+    def outcome(reply):
+        return ok_response(reply) if rng.random() < 0.5 else rng.choice(PROVIDER_FAULTS)(reply)
+
+    session = ScriptedProvider(scripted_plan(days), outcome)
+    write_journal(run_backtest(config, dataset, ChatClient(config.client, session=session)), str(path))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_provider_faults_keep_a_run_complete_and_replayable(tmp_path, monkeypatch, seed):
+    client = [{}, *(settings for settings, _, _ in HUGE_SLEEPS.values())][seed % 3]
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    faulty_run(seed, client, tmp_path / "a.jsonl")
+    faulty_run(seed, client, tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    journal = read_journal(str(tmp_path / "a.jsonl"))
+    replay(journal)
+    assert len(journal.days) == 14
+    for day in journal.days:
+        for role in AGENT_ROLES:
+            entry = day["roles"][role]
+            assert entry["fallback"] == (entry["raw"] is None and entry["attempts"][-1]["error"] is not None)
+    longest = min(journal.header["config"]["client"]["timeout"], LONGEST_SLEEP)
+    assert sleeps and all(0 < wait <= longest for wait in sleeps)
