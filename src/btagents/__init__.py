@@ -1,13 +1,6 @@
 """Multi-agent BTC/cash trading backtester with verbal feedback loops."""
 
-from .agents import (
-    ChatClient,
-    ChatClientConfig,
-    MarketState,
-    PromptBundle,
-    Role,
-    ScriptedResponder,
-)
+from .agents import MarketState, PromptBundle, Role, ScriptedResponder
 from .indicators import IndicatorParams, IndicatorSnapshot
 from .journal import RunJournal, read_journal, write_journal
 from .market_data import (
@@ -26,6 +19,7 @@ from .market_data import (
 from .orchestrator import RunConfig, RunOutputs, outputs_from_journal, replay, run_backtest
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
 from .regime import RegimeParams, RegimeSegmentation, segment
+from .transport import ChatClient, ChatClientConfig
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,11 @@
-"""Prompt construction, chat-completion transport, and decision parsing.
+"""Prompt construction, scripted replies, and decision parsing.
 
 Each agent sees only its own inputs: the quants prompt carries prices,
 gauges and chain activity; the signals prompt carries press items and mood
 scores; the decision prompt reads only each upstream view's `state` and
 `reasoning` (never its allocation) plus the portfolio value.
-`lint_bundle` enforces those boundaries on every generated prompt.
+`lint_bundle` enforces those boundaries on every generated prompt. The live
+client that sends a bundle to the provider is `transport.ChatClient`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-import threading
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from enum import Enum
@@ -21,7 +21,6 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import (
     BtAgentsError,
-    ConfigError,
     InvariantViolation,
     NetworkError,
     ParseError,
@@ -31,7 +30,6 @@ from .errors import (
 from .indicators import IndicatorSnapshot
 from .journal import read_json
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
-from .transport import default_session, request
 
 
 class MarketState(str, Enum):
@@ -53,24 +51,6 @@ class PromptBundle:
     date: Date
     system_text: str
     user_text: str
-
-
-@dataclass(frozen=True)
-class ChatClientConfig:
-    base_url: str = "http://localhost:8000/v1"
-    model_name: str = "deepseek-r1"
-    api_key_env_var: str = "BTAGENTS_API_KEY"
-    timeout: float = 120.0
-    max_retries: int = 3
-    temperature: float = 0.0
-    backoff_seconds: float = 0.5
-
-    def __post_init__(self):
-        if not self.max_retries >= 0:
-            raise ConfigError("config key 'max_retries' must be >= 0")
-        # socket.settimeout can raise OverflowError on a larger timeout
-        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
-            raise ConfigError(f"config key 'timeout' must be > 0 and at most {threading.TIMEOUT_MAX}")
 
 
 @dataclass(frozen=True)
@@ -344,43 +324,7 @@ def lint_bundle(
 
 
 # ---------------------------------------------------------------------------
-# transports
-
-class ChatClient:
-    """Minimal chat-completions client with bounded retries.
-
-    Retries follow `transport.request`; `max_retries` caps total attempts.
-    """
-
-    def __init__(self, config: ChatClientConfig, session=None):
-        self.config = config
-        self._session = session if session is not None else default_session()
-
-    def complete(self, bundle: PromptBundle) -> InvokeResult:
-        cfg = self.config
-        payload = {
-            "model": cfg.model_name,
-            "messages": [
-                {"role": "system", "content": bundle.system_text},
-                {"role": "user", "content": bundle.user_text},
-            ],
-            "temperature": cfg.temperature,
-        }
-        resp, attempt = request(
-            self._session.post,
-            cfg.base_url.rstrip("/") + "/chat/completions",
-            cfg,
-            "chat completion",
-            json=payload,  # requests sets Content-Type: application/json from it
-        )
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise SchemaError(f"malformed completion body: {exc}") from exc
-        if not isinstance(content, str):
-            raise SchemaError("completion content is not text")
-        return InvokeResult(text=content, attempts=attempt)
-
+# scripted replies
 
 class ScriptedResponder:
     """Deterministic stand-in for the chat endpoint, keyed by role and date.

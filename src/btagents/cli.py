@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .agents import ChatClient, ScriptedResponder
+from .agents import ScriptedResponder
 from .errors import BtAgentsError, ConfigError
 from .journal import LONE_SURROGATE, read_journal, read_json, write_journal
 from .market_data import (
@@ -26,6 +26,7 @@ from .market_data import (
 from .orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from .regime import load_segmentation
 from .report import cumrets_csv, render, resolve_segmentation, table_csv
+from .transport import ChatClient
 
 
 # the RunConfig field each key of the "run" and "feedback" sections sets; no

@@ -23,7 +23,6 @@ from typing import Mapping
 from .agents import (
     PARSE_ERRORS,
     STATE_VALUES,
-    ChatClientConfig,
     CompletionClient,
     PromptBundle,
     build_decision_prompt,
@@ -36,7 +35,7 @@ from .agents import (
     parse_agent_output,
     price_row,
 )
-from .errors import ConfigError, DateNotFound, GapError, JournalCorrupt, WindowTooShort
+from .errors import ConfigError, DateNotFound, GapError, InvariantViolation, JournalCorrupt, WindowTooShort
 from .indicators import IndicatorParams, pair_terms, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
 from .market_data import MarketDataset, parse_date, slice_window
@@ -52,6 +51,7 @@ from .reflection import (
     weekly_feedback,
 )
 from .regime import RegimeParams
+from .transport import ChatClientConfig
 
 BASELINE_NAMES = ("buyhold", "static5050")
 
@@ -93,8 +93,8 @@ class RunConfig:
             raise ConfigError("config key 'fee_bps' must be < 10000")
         if self.end < self.start:
             raise ConfigError("end date before start date")
-        if self.initial_value_usd <= 0:
-            raise ConfigError("initial value must be > 0")
+        if not self.initial_value_usd / 2.0 > 0:  # the static 50/50 baseline starts with half
+            raise ConfigError("initial value must be > 0, and so must half of it")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -187,24 +187,19 @@ class Ledger:
         Returns the settled day, the day record's fields derived here: `date` (ISO),
         `btc_return`, `baseline` and `roles`, each role's `evaluate_day` outcome (its
         entry with the day's scores) and `portfolio`. The critic and the weekly review
-        read it as it is."""
+        read it as it is. Raises InvariantViolation, naming `day`, when a book's value
+        is not a positive float or a `market_moves` figure leaves the float range."""
         config = self.config
+        btc_return, baseline = self.market_moves(day, close_t, close_next)
         day_returns = {}
         for role in AGENT_ROLES:
             before = self.books[role].value_usd  # marked at close_t; the day's fee comes out after
             traded = rebalance(self.books[role], Allocation(entries[role]["allocation"]), close_t, self.fees)
             self.books[role] = mark(traded, close_next)
-            day_returns[role] = self.books[role].value_usd / before - 1.0
-        # buy-and-hold holds initial / p0 BTC; static 50/50 half that plus initial / 2 cash
-        initial, p0 = config.initial_value_usd, self.p0
-        half = initial / 2.0
-        bl_next = half + half * close_next / p0
-        baseline = {
-            "static5050_value": bl_next,
-            "buyhold_value": initial * close_next / p0,
-            "day_return_5050": bl_next / (half + half * close_t / p0) - 1.0,
-        }
-        btc_return = close_next / close_t - 1.0
+            after = self.books[role].value_usd
+            if not 0 < after <= sys.float_info.max:
+                raise InvariantViolation(f"{day}: the {role} book's value {after} is not a positive float")
+            day_returns[role] = after / before - 1.0
         roles = evaluate_day(entries, day_returns, btc_return, config.neutral_band, self.counts)
         for role, outcome in roles.items():
             self.counts[role] = (self.counts[role][0] + outcome["correct"], self.counts[role][1] + 1)
@@ -213,6 +208,23 @@ class Ledger:
         settled = {"date": day.isoformat(), "btc_return": btc_return, "baseline": baseline, "roles": roles}
         self.week = [*self.week[-6:], settled]
         return settled
+
+    def market_moves(self, day: Date, close_t: float, close_next: float) -> tuple[float, dict]:
+        """The day's `btc_return` and `baseline`, which the closes alone decide.
+        Raises InvariantViolation, naming `day`, when one is outside the float range."""
+        # buy-and-hold holds initial / p0 BTC; static 50/50 half that plus initial / 2 cash
+        initial, p0 = self.config.initial_value_usd, self.p0
+        half = initial / 2.0
+        bl_next = half + half * close_next / p0
+        baseline = {
+            "static5050_value": bl_next,
+            "buyhold_value": initial * close_next / p0,
+            "day_return_5050": bl_next / (half + half * close_t / p0) - 1.0,
+        }
+        btc_return = close_next / close_t - 1.0
+        if not all(abs(x) <= sys.float_info.max for x in (btc_return, *baseline.values())):
+            raise InvariantViolation(f"{day}: the BTC return or a baseline is outside the float range")
+        return btc_return, baseline
 
     def weekly_record(self, templates: Mapping) -> dict:
         """The weekly record written after the last seven settled days."""
@@ -248,6 +260,7 @@ def run_backtest(
     terms = pair_terms(bars)
     price_rows = [price_row(b) for b in bars]
     chain_rows = [None if r.onchain is None else onchain_row(r.onchain) for r in records]
+    ledger = Ledger(config, bars[first - lo].close)
     market = []  # each day's window as positions in records, and its gauges
     for i, day in enumerate(days):
         window = slice_window(dataset, day, config.lookback_days)
@@ -258,11 +271,11 @@ def run_backtest(
             raise GapError("sentiment", day)
         stop = first - lo + i + 1
         start = stop - len(window)
+        ledger.market_moves(day, bars[stop - 1].close, bars[stop].close)
         snap = snapshot(bars[start:stop], config.indicator_params, terms.window(start, stop))
         market.append((start, stop, snap))
 
     templates = load_weekly_templates(config.weekly_template_path)
-    ledger = Ledger(config, bars[first - lo].close)
 
     def decide(bundle: PromptBundle) -> dict:
         """The role's journal entry: its prompt and `decide_with_retry`'s fields."""
@@ -456,11 +469,12 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     `neutral_band` if given, by the rule the run scored `correct` with.
 
     Checks every digest, the type of every field `report` and `replay` read
-    or `replay` re-derives (a number must lie within the float range), and
-    the journal's structure: the header's `n_days` day records, numbered in
-    order, each ending after it starts and starting on the date the one
-    before it ends, and a weekly record after every seventh day when weekly
-    feedback is on, and only then. Raises JournalCorrupt otherwise.
+    or `replay` re-derives (a number must lie within the float range, and a
+    close above 0), and the journal's structure: the header's `n_days` day
+    records, numbered in order, each ending after it starts and starting on
+    the date the one before it ends, and a weekly record after every seventh
+    day when weekly feedback is on, and only then. Raises JournalCorrupt
+    otherwise.
     """
     journal.verify()
     _check_shape(journal.header, _HEADER_MISFIT, "journal header")
@@ -480,6 +494,10 @@ def outputs_from_journal(journal: RunJournal, neutral_band: float | None = None)
     misfits = _RECORD_MISFITS[config.daily_feedback]
     for line, entry in enumerate(journal.entries, start=2):
         _check_shape(entry, misfits[entry["type"]], f"journal line {line}")
+        if entry["type"] == "day":
+            for key in ("close", "next_close"):
+                if not entry[key] > 0:  # as every bar's price is
+                    raise JournalCorrupt(f"journal line {line}: field {key} is not above 0")
     days = journal.days
     if not days:
         raise JournalCorrupt("journal has no day records")

@@ -7,8 +7,6 @@ import requests
 
 from btagents import agents as agents_module
 from btagents.agents import (
-    ChatClient,
-    ChatClientConfig,
     DAILY_FEEDBACK_HEADER,
     FORMAT_REMINDER,
     InvokeResult,
@@ -27,6 +25,7 @@ from btagents.agents import (
 from btagents.errors import BtAgentsError, NetworkError, ParseError, RangeError, SchemaError
 from btagents.indicators import IndicatorSnapshot
 from btagents.market_data import NewsItem, OnChainDaily, SentimentDaily
+from btagents.transport import ChatClient, ChatClientConfig
 
 from conftest import quants_rows, random_bars
 

@@ -246,6 +246,30 @@ class TestBacktest:
         )
         assert read_journal(str(journal_path)).days[-1]["next_close"] == 1e200
 
+    def test_marking_close_past_the_baselines_float_range_fails_before_any_call(self, tmp_path, capsys):
+        # 1e308 is a float, but the baselines' initial * close / p0 overflows
+        text = (FIXTURE_DIR / "bars.csv").read_text(encoding="utf-8")
+        row = "2024-11-06,63900.00,66792.00,63324.90,66000.00,15685.03"
+        assert row in text
+        bars = tmp_path / "bars.csv"
+        bars.write_text(text.replace(row, "2024-11-06,63900.00,1e308,63324.90,1e308,15685.03"), encoding="utf-8")
+        data = {name: str(FIXTURE_DIR / f"{name}.csv") for name in ("onchain", "sentiment", "news")}
+        config = write_config(tmp_path, data={**data, "bars": str(bars)})
+        assert main(["backtest", "--config", str(config), "--fixtures", str(FIXTURE_DIR / "responses.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: 2024-11-05: the BTC return or a baseline is outside the float range\n"
+        )
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_initial_value_without_a_half_above_0_is_a_config_error(self, tmp_path, capsys):
+        # 5e-324 is the least float above 0, and half of it rounds to 0
+        run = {"start": "2024-11-04", "end": "2024-11-05", "initial_value_usd": 5e-324}
+        args = ["backtest", "--config", str(write_config(tmp_path, run=run)), "--fixtures", str(FIXTURE_DIR / "responses.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'config.json'}: initial value must be > 0, and so must half of it\n"
+        assert not (tmp_path / "journal.jsonl").exists()
+
 
 class TestReplayAndReport:
     @pytest.fixture()
@@ -653,6 +677,15 @@ class TestMalformedJournal:
             f"error: journal line 2: field {'.'.join(path)} is missing, of the wrong type or out of range\n"
         )
 
+    @pytest.mark.parametrize("key", ["close", "next_close"])
+    @pytest.mark.parametrize("price", [0.0, -63900.0])
+    def test_close_not_above_0(self, command, journal_path, capsys, key, price):
+        reseal_line(journal_path, 1, lambda day: day.update({key: price}))
+        assert main([command, "--journal", journal_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: journal line 2: field {key} is not above 0\n"
+
     def test_day_that_ends_on_its_own_date(self, command, tmp_path, capsys):
         # day 5 starts where day 4 ends, so only the order of dates is broken
         path = str(tmp_path / "six_days.jsonl")
@@ -715,7 +748,7 @@ print(codes, "requests" in sys.modules)
         code = """
 import sys
 from btagents import ChatClient
-from btagents.agents import ChatClientConfig
+from btagents.transport import ChatClientConfig
 before = "requests" in sys.modules
 client = ChatClient(ChatClientConfig())
 import requests
@@ -728,8 +761,13 @@ print(before, isinstance(client._session, requests.Session))
 # a seeded property over resealed journal leaves: whatever one or two leaves of
 # a sealed journal hold, `report` and `replay` exit 0, or 1 with one error line
 
-PROPERTY_JOURNAL = run_synth(14)[0]
+# 59 days leave 60 closes, enough for `report` to segment them at the default RegimeParams
+PROPERTY_JOURNAL = run_synth(59)[0]
 PROPERTY_RECORDS = [PROPERTY_JOURNAL.header, *PROPERTY_JOURNAL.entries]
+# day 48's next_close is the 50th close; minus the sum of the 49 before it, it
+# makes the moving average of the first regime window 0
+DAY_48 = next(i for i, r in enumerate(PROPERTY_RECORDS) if r.get("type") == "day" and r["seq"] == 48)
+ZEROING_CLOSE = -sum([PROPERTY_JOURNAL.days[0]["close"], *(day["next_close"] for day in PROPERTY_JOURNAL.days[:48])])
 PROPERTY_LEAVES = [(line, path) for line, record in enumerate(PROPERTY_RECORDS) for path in leaves(record)]
 # a typed pool: each JSON type, the edges of the int and float ranges, and texts
 # that are a market state, a date no calendar has, or not ASCII
@@ -743,7 +781,7 @@ LEAF_VALUES = (
 
 
 def resealed_journal(path, edits):
-    """Write the 14-day journal with each (line, leaf path, value) edit made and its record resealed."""
+    """Write the 59-day journal with each (line, leaf path, value) edit made and its record resealed."""
     records = json.loads(json.dumps(PROPERTY_RECORDS))
     for line, leaf, value in edits:
         owner = records[line]
@@ -768,6 +806,7 @@ def resealed_journal(path, edits):
     )
 )
 @example(edits=[(4, ("roles", "decision", "portfolio", "value_usd"), 1e308)])  # day 3's decision book
+@example(edits=[(DAY_48, ("next_close",), ZEROING_CLOSE)])
 def test_resealed_leaves_exit_cleanly(tmp_path, edits):
     with tempfile.TemporaryDirectory(dir=tmp_path) as root:  # a new file: rewriting one can wait on the disk
         path = str(Path(root) / "edited.jsonl")
@@ -846,9 +885,10 @@ FILE_EDIT = st.one_of(
 )
 
 
-def edited_case(root: Path, edits) -> list[str]:
+def edited_case(root: Path, edits, csv_bytes=None) -> list[str]:
     """Write the case study under `root`, every path in its config absolute,
-    with each (kind, where, what) edit made; returns its backtest arguments."""
+    with each (kind, where, what) edit made, and with the CSV files `csv_bytes`
+    holds, if given, in place of its tables; returns its backtest arguments."""
     tables = {name: [row[:] for row in rows] for name, rows in CASE_CSV.items()}
     config = json.loads((FIXTURE_DIR / "config.json").read_text(encoding="utf-8"))
     for key in ("bars", "onchain", "sentiment", "news"):
@@ -873,6 +913,9 @@ def edited_case(root: Path, edits) -> list[str]:
         else:
             templates = where(TEMPLATES, what)
     for name, rows in tables.items():
+        if csv_bytes is not None:
+            (root / name).write_bytes(csv_bytes[name])
+            continue
         with open(root / name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
     (root / "templates.json").write_text(templates, encoding="utf-8")
@@ -896,7 +939,58 @@ def test_edited_inputs_exit_cleanly(tmp_path, edits):
         exits_cleanly(["backtest", *edited_case(Path(root), edits)])
 
 
-JOURNAL_BYTES = "".join(canonical_json(record) + "\n" for record in PROPERTY_RECORDS).encode()
+CSV_BYTES = {name: (FIXTURE_DIR / name).read_bytes() for name in CASE_CSV}
+# what an insert puts in a CSV: NUL, bytes that are not UTF-8 (0xff, an encoded
+# surrogate), line ends, a quote, a BOM, U+2028 and numbers no float holds
+CSV_INSERTS = (
+    b"\0", b"\xff", "\ud800".encode("utf-8", "surrogatepass"), b"\r", b"\n", b"\r\n", b'"',
+    b"\xef\xbb\xbf", "\u2028".encode(), b"9" * 400, b"1e400", b"nan",
+)
+CSV_EDIT = st.tuples(
+    st.sampled_from(sorted(CSV_BYTES)),
+    st.sampled_from(("flip", "insert", "delete", "duplicate", "duplicate row", "delete row", "swap rows")),
+    st.integers(0, max(map(len, CSV_BYTES.values()))),
+    st.integers(0, 255),
+)
+
+
+def csv_edited(data: bytes, kind: str, pos: int, n: int) -> bytes:
+    """`data` with one edit made: `byte_edited`'s flip, delete or duplicate, an
+    insert of CSV_INSERTS[n], or line pos duplicated before line n, deleted or
+    swapped with line n (positions taken modulo the count)."""
+    if kind == "insert":
+        pos %= len(data) + 1
+        return data[:pos] + CSV_INSERTS[n % len(CSV_INSERTS)] + data[pos:]
+    if kind.endswith(("row", "rows")):
+        rows = data.splitlines(keepends=True)
+        i, j = pos % len(rows), n % len(rows)
+        if kind == "duplicate row":
+            rows.insert(j, rows[i])
+        elif kind == "delete row":
+            del rows[i]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+        return b"".join(rows)
+    return byte_edited(data, [(kind, pos, n)])
+
+
+@settings(
+    max_examples=300,
+    deadline=5000,  # ms a case may take
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=st.lists(CSV_EDIT, min_size=1, max_size=2))
+def test_edited_csv_bytes_exit_cleanly(tmp_path, edits):
+    files = dict(CSV_BYTES)
+    for name, *edit in edits:
+        files[name] = csv_edited(files[name], *edit)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:  # each file written once: a rewrite can wait on the disk
+        exits_cleanly(["backtest", *edited_case(Path(root), [], files)])
+
+
+BYTES_JOURNAL = run_synth(14)[0]
+JOURNAL_BYTES = "".join(canonical_json(record) + "\n" for record in [BYTES_JOURNAL.header, *BYTES_JOURNAL.entries]).encode()
 
 
 def byte_edited(data: bytes, edits) -> bytes:

@@ -3,8 +3,9 @@ module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input and every JSON file goes through one
 reader, predictions are scored in one run-side and one report-side place,
 Sharpe has one formula, the gauges have one entry point, only the transport
-module imports `requests`, the traced benchmark's wrap targets are still
-the names the program calls, and the package ships every data file it holds."""
+module imports `requests`, every text file the package opens names its
+encoding, the traced benchmark's wrap targets are still the names the program
+calls, and the package ships every data file it holds."""
 
 import ast
 import importlib.util
@@ -187,6 +188,40 @@ def test_requests_imported_only_in_transport():
     package = sorted(Path(btagents.__file__).parent.rglob("*.py"))
     found = [p.name for p in package if imports_requests(p.read_text(encoding="utf-8"))]
     assert found == ["transport.py"]
+
+
+def opens_without_encoding(source: str) -> list[int]:
+    """The lines of `source` that open a file in text mode with no `encoding=`,
+    so in the locale's encoding: an `open(...)` or `.open(...)` but for one whose
+    mode is a literal holding "b", and a `.read_text(...)` or `.write_text(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) or path.open(mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+            if modes and isinstance(modes[0], ast.Constant) and "b" in str(modes[0].value):
+                continue
+        elif name not in ("read_text", "write_text"):
+            continue
+        found.append(node.lineno)
+    return found
+
+
+def test_every_text_file_opened_names_its_encoding():
+    """Journal bytes are pinned across machines, so no text file the package
+    reads or writes may follow the locale's encoding."""
+    checked = (
+        'open(p)\nopen(p, "w")\np.open()\np.open(mode="a")\np.read_text()\np.write_text(s, errors="strict")\n'
+        'open(p, "rb")\np.open(mode="wb")\nopen(p, encoding="utf-8")\np.read_text(encoding="utf-8")\np.read_bytes()\n'
+    )
+    assert opens_without_encoding(checked) == [1, 2, 3, 4, 5, 6]
+    package = sorted(Path(btagents.__file__).parent.rglob("*.py"))
+    found = [(p.name, line) for p in package for line in opens_without_encoding(p.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

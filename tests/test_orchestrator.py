@@ -11,7 +11,6 @@ import btagents.orchestrator
 from btagents.agents import (
     DAILY_FEEDBACK_HEADER,
     WEEKLY_FEEDBACK_HEADER,
-    ChatClientConfig,
     ScriptedResponder,
 )
 from btagents.errors import (
@@ -35,6 +34,7 @@ from btagents.orchestrator import (
 )
 from btagents.reflection import AGENT_ROLES
 from btagents.report import render, resolve_segmentation
+from btagents.transport import ChatClientConfig
 
 from conftest import FIXTURE_DIR, run_synth, scripted_plan, weeklies
 
@@ -131,10 +131,13 @@ class TestPreflight:
         with pytest.raises(ConfigError, match="end date before start date"):
             RunConfig(start=date(2024, 11, 5), end=date(2024, 11, 4))
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, 5e-324])  # half of 5e-324 rounds to 0
     def test_config_initial_value_validated(self, value):
         with pytest.raises(ConfigError, match="initial value must be > 0"):
             RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), initial_value_usd=value)
+
+    def test_least_initial_value_with_a_half_above_0(self):
+        assert RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), initial_value_usd=1e-323).initial_value_usd == 1e-323
 
     @pytest.mark.parametrize(
         "overrides",
@@ -219,6 +222,12 @@ MID = date(2024, 11, 5)  # the case study's second and last day
             InvariantViolation,
             f"^{MID}: a gauge overflows",
         ),
+        (
+            {},
+            edit_day(date(2024, 11, 6), edit_bar(high=1e308, close=1e308)),
+            InvariantViolation,
+            f"^{MID}: the BTC return or a baseline is outside the float range$",
+        ),
     ],
     ids=[
         "empty range",
@@ -230,6 +239,7 @@ MID = date(2024, 11, 5)  # the case study's second and last day
         "no on-chain value in the window before day 0",
         "zero-volume vwap window mid-range",
         "1e200 close mid-range",
+        "1e308 marking close",
     ],
 )
 def test_data_fault_fails_before_any_call(case_study_dataset, config, build, error, match):

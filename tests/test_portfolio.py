@@ -158,6 +158,23 @@ def settled_baselines(initial, closes):
     ]
 
 
+@pytest.mark.parametrize(
+    "fee_bps, closes, value",
+    [
+        (0.0, [1.0, 1e100] * 4, "inf"),  # all in BTC on each rise, all in cash on each fall
+        (9999.0, [1.0] * 200, "0.0"),  # each day's full switch pays 99.99% in fees
+    ],
+    ids=["past the float range", "down to 0"],
+)
+def test_book_value_that_is_not_a_positive_float_is_an_error(fee_bps, closes, value):
+    start = date(2024, 1, 1)
+    ledger = Ledger(RunConfig(start=start, end=start, fee_bps=fee_bps), closes[0])
+    with pytest.raises(InvariantViolation, match=rf"^\S+: the quants book's value {value} is not a positive float$"):
+        for i, (close_t, close_next) in enumerate(zip(closes, closes[1:])):
+            entries = {role: {"allocation": float(i % 2 == 0), "state": "neutral"} for role in AGENT_ROLES}
+            ledger.settle(start + timedelta(days=i), entries, close_t, close_next)
+
+
 class TestBaselines:
     def test_buy_and_hold_two_points(self):
         (day,) = settled_baselines(100.0, [100.0, 110.0])

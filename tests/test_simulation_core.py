@@ -16,8 +16,6 @@ from btagents.agents import (
     DECISION_SYSTEM,
     QUANTS_SYSTEM,
     SIGNALS_SYSTEM,
-    ChatClient,
-    ChatClientConfig,
     InvokeResult,
     ScriptedResponder,
 )
@@ -31,6 +29,7 @@ from btagents.reflection import (
     load_weekly_templates,
     weekly_feedback,
 )
+from btagents.transport import ChatClient, ChatClientConfig
 
 from conftest import run_synth, scripted_plan, synth_dataset, weeklies
 from test_agents import FakeResponse

@@ -1,6 +1,6 @@
-"""The one retry loop, `transport.request`, as the chat client sends through
-it: against a fake session, for whole runs behind a fake session, and for a
-few days of a run over a real socket."""
+"""The live client, `transport.ChatClient`, and its one retry loop: against a
+fake session, for whole runs behind a fake session, and for a few days of a
+run over a real socket."""
 
 import json
 import random
@@ -13,13 +13,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from btagents.agents import DECISION_SYSTEM, QUANTS_SYSTEM, SIGNALS_SYSTEM, ChatClient, ChatClientConfig
+from btagents.agents import DECISION_SYSTEM, QUANTS_SYSTEM, SIGNALS_SYSTEM
 from btagents.cli import main
 from btagents.errors import ConfigError, NetworkError
 from btagents.journal import read_journal, write_journal
 from btagents.orchestrator import RunConfig, replay, run_backtest
 from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
-from btagents.transport import LONGEST_SLEEP
+from btagents.transport import LONGEST_SLEEP, ChatClient, ChatClientConfig
 
 from conftest import FIXTURE_DIR, scripted_plan, synth_dataset
 from test_agents import FakeResponse, FakeSession, any_bundle, ok_response
@@ -390,7 +390,7 @@ def test_a_retry_sleep_too_long_for_time_sleep_keeps_the_run(tmp_path, monkeypat
     faults = [fault]
     replies = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))
     provider = ScriptedProvider(replies, lambda reply: faults.pop() if faults else ok_response(reply))
-    monkeypatch.setattr("btagents.agents.default_session", lambda: provider)
+    monkeypatch.setattr("btagents.transport.default_session", lambda: provider)
     assert main(["backtest", "--config", str(write_config(tmp_path, client=client))]) == 0
     assert capsys.readouterr().err == f"journal written to {tmp_path / 'journal.jsonl'}\n"
     assert sleeps == [slept]
