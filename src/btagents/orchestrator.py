@@ -43,7 +43,6 @@ from .metrics import prediction_correct
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
 from .reflection import (
     AGENT_ROLES,
-    TEMPLATE_KINDS,
     evaluate_day,
     load_weekly_templates,
     parse_reflect_output,
@@ -91,10 +90,12 @@ class RunConfig:
                 raise ConfigError(f"config key '{name}' must be >= 0")
         if self.fee_bps >= 10_000:  # a fee of the whole notional could empty a book
             raise ConfigError("config key 'fee_bps' must be < 10000")
+        if not 100.0 * self.neutral_band <= sys.float_info.max:  # the report prints it in percent
+            raise ConfigError("config key 'neutral_band' must be finite in percent")
         if self.end < self.start:
             raise ConfigError("end date before start date")
-        if not self.initial_value_usd / 2.0 > 0:  # the static 50/50 baseline starts with half
-            raise ConfigError("initial value must be > 0, and so must half of it")
+        if not self.initial_value_usd >= 0.01:  # one cent, the least value the report prints
+            raise ConfigError("config key 'initial_value_usd' must be >= 0.01")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -186,7 +187,8 @@ class Ledger:
         mark it at close_next, value the baselines and score the predictions.
         Returns the settled day, the day record's fields derived here: `date` (ISO),
         `btc_return`, `baseline` and `roles`, each role's `evaluate_day` outcome (its
-        entry with the day's scores) and `portfolio`. The critic and the weekly review
+        entry with the day's scores), its `running_accuracy` over the days settled so
+        far, counted in `counts`, and `portfolio`. The critic and the weekly review
         read it as it is. Raises InvariantViolation, naming `day`, when a book's value
         is not a positive float or a `market_moves` figure leaves the float range."""
         config = self.config
@@ -200,9 +202,11 @@ class Ledger:
             if not 0 < after <= sys.float_info.max:
                 raise InvariantViolation(f"{day}: the {role} book's value {after} is not a positive float")
             day_returns[role] = after / before - 1.0
-        roles = evaluate_day(entries, day_returns, btc_return, config.neutral_band, self.counts)
+        roles = evaluate_day(entries, day_returns, btc_return, config.neutral_band)
         for role, outcome in roles.items():
-            self.counts[role] = (self.counts[role][0] + outcome["correct"], self.counts[role][1] + 1)
+            ok, n = self.counts[role][0] + outcome["correct"], self.counts[role][1] + 1
+            self.counts[role] = (ok, n)
+            outcome["running_accuracy"] = ok / n
             self.held[role] = outcome["allocation"]
             outcome["portfolio"] = _portfolio_dict(self.books[role])
         settled = {"date": day.isoformat(), "btc_return": btc_return, "baseline": baseline, "roles": roles}
@@ -226,11 +230,10 @@ class Ledger:
             raise InvariantViolation(f"{day}: the BTC return or a baseline is outside the float range")
         return btc_return, baseline
 
-    def weekly_record(self, templates: Mapping) -> dict:
-        """The weekly record written after the last seven settled days."""
-        week = weekly_feedback(
-            self.week, templates, self.config.praise_threshold, self.config.regret_threshold
-        )
+    def weekly_record(self) -> dict:
+        """The fields of the weekly record written after the last seven settled
+        days that `weekly_feedback` derives from them; the run adds `texts`."""
+        week = weekly_feedback(self.week, self.config.praise_threshold, self.config.regret_threshold)
         return {"type": "weekly", "after_day": week["week_end"], **week}
 
 
@@ -340,7 +343,7 @@ def run_backtest(
         settled = ledger.settle(day, decided, close_t, close_next)
         reflect = None
         if config.daily_feedback:
-            reflect = run_daily_reflection(client, settled, retry_limit=config.parse_retry_limit)
+            reflect = run_daily_reflection(client, settled, config.parse_retry_limit)
 
         ledger.last_day = seal(
             {
@@ -360,7 +363,9 @@ def run_backtest(
         entries.append(ledger.last_day)
 
         if config.weekly_feedback and (i + 1) % 7 == 0:
-            ledger.last_weekly = seal(ledger.weekly_record(templates))
+            week = ledger.weekly_record()
+            texts = {role: templates[role][kind] for role, kind in week["kinds"].items()}
+            ledger.last_weekly = seal({**week, "texts": texts})
             entries.append(ledger.last_weekly)
 
     return RunJournal(header=header, entries=entries)
@@ -588,10 +593,7 @@ def replay(journal: RunJournal, neutral_band: float | None = None) -> RunOutputs
         if record["type"] == "weekly":
             # the texts come from a template file replay does not read; the
             # next days' weekly_feedback_in checks them
-            texts = record["texts"]
-            templates = {role: dict.fromkeys(TEMPLATE_KINDS, texts[role]) for role in texts}
-            where = f"weekly record after {record['after_day']}"
-            _check_reproduced(where, ledger.weekly_record(templates), record)
+            _check_reproduced(f"weekly record after {record['after_day']}", ledger.weekly_record(), record)
             ledger.last_weekly = record
             continue
         i, where, roles = record["seq"], record["date"], record["roles"]

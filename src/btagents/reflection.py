@@ -5,8 +5,9 @@ day record carries (`date`, `btc_return`, `baseline` and each role's
 outcome). The daily critic is an LLM pass over one settled day; its
 feedback is lexically scope-filtered before it may enter the next day's
 prompts. The weekly reviewer is deliberately not an LLM: it selects one
-hardcoded template per role from the stats of the last seven settled days
-and never touches any quantitative parameter.
+template kind per role from the stats of the last seven settled days, the
+run reads that kind's text from the template pool, and no quantitative
+parameter is ever touched.
 """
 
 from __future__ import annotations
@@ -56,22 +57,18 @@ def evaluate_day(
     portfolio_returns: Mapping[str, float],
     btc_return: float,
     neutral_band: float,
-    prior_counts: Mapping[str, tuple[int, int]],
 ) -> dict[str, dict]:
-    """Each role's outcome in the day record: a copy of its decision entry (the
-    fields of `parse_agent_output` and any others) plus `portfolio_return`,
-    `correct` (its `state` scored against btc_return) and `running_accuracy`."""
+    """Score one day: each role's outcome is a copy of its decision entry (the
+    fields of `parse_agent_output` and any others) plus `portfolio_return` and
+    `correct` (its `state` scored against btc_return)."""
     roles = {}
     for role in AGENT_ROLES:
         if role not in decisions or role not in portfolio_returns:
             raise MissingAgentRecord(f"{role} has no record for the day")
-        prev_ok, prev_n = prior_counts[role]
-        correct = prediction_correct(decisions[role]["state"], btc_return, neutral_band)
         roles[role] = {
             **decisions[role],
             "portfolio_return": portfolio_returns[role],
-            "correct": correct,
-            "running_accuracy": (prev_ok + correct) / (prev_n + 1),
+            "correct": prediction_correct(decisions[role]["state"], btc_return, neutral_band),
         }
     return roles
 
@@ -206,11 +203,7 @@ REFLECT_FORMAT_REMINDER = (
 )
 
 
-def run_daily_reflection(
-    client: CompletionClient,
-    day: Mapping,
-    retry_limit: int = 1,
-) -> dict:
+def run_daily_reflection(client: CompletionClient, day: Mapping, retry_limit: int) -> dict:
     """Invoke the critic on one settled day, parse, and scope-filter its feedback.
 
     Malformed replies get `retry_limit` format-reminder re-asks; a scope
@@ -288,8 +281,8 @@ def load_weekly_templates(path: str | None = None) -> dict[str, dict[str, str]]:
 def select_template_kind(
     return_diff: float,
     regret_value: float,
-    praise_threshold: float = 0.0,
-    regret_threshold: float = 0.01,
+    praise_threshold: float,
+    regret_threshold: float,
 ) -> str:
     """Pure selection rule: outperform -> praise, deep shortfall -> corrective."""
     if return_diff > praise_threshold:
@@ -300,18 +293,15 @@ def select_template_kind(
 
 
 def weekly_feedback(
-    days: Sequence[Mapping],
-    templates: Mapping[str, Mapping[str, str]],
-    praise_threshold: float = 0.0,
-    regret_threshold: float = 0.01,
+    days: Sequence[Mapping], praise_threshold: float, regret_threshold: float
 ) -> dict:
-    """Condense exactly seven settled days into per-role template feedback.
+    """Condense exactly seven settled days into each role's template kind.
 
     Stats (weekly return vs the passive baseline, weekly Sharpe, weekly
-    regret) drive template selection; nothing numeric flows back into the
-    agents, only the selected text. Returns the weekly record's fields:
-    `week_start` and `week_end` as ISO dates, and `texts`, `kinds` and
-    `stats` per role.
+    regret) select the kind; nothing numeric flows back into the agents,
+    only the text the run picks from the pool by that kind. Returns the
+    weekly record's fields derived here: `week_start` and `week_end` as ISO
+    dates, and `kinds` and `stats` per role.
     """
     if len(days) != 7:
         raise IncompleteWeek(f"weekly feedback needs 7 days, got {len(days)}")
@@ -321,7 +311,6 @@ def weekly_feedback(
 
     baseline_returns = [d["baseline"]["day_return_5050"] for d in days]
     baseline_week = total_return(baseline_returns)
-    texts: dict[str, str] = {}
     stats: dict[str, dict] = {}
     kinds: dict[str, str] = {}
     for role in AGENT_ROLES:
@@ -329,9 +318,7 @@ def weekly_feedback(
         week_return = total_return(returns)
         diff = week_return - baseline_week
         reg = regret(returns, baseline_returns)
-        kind = select_template_kind(diff, reg, praise_threshold, regret_threshold)
-        texts[role] = templates[role][kind]
-        kinds[role] = kind
+        kinds[role] = select_template_kind(diff, reg, praise_threshold, regret_threshold)
         stats[role] = {
             "week_return": week_return,
             "baseline_return": baseline_week,
@@ -342,7 +329,6 @@ def weekly_feedback(
     return {
         "week_start": days[0]["date"],
         "week_end": days[-1]["date"],
-        "texts": texts,
         "kinds": kinds,
         "stats": stats,
     }

@@ -344,23 +344,27 @@ def test_criterion_09_template_selection():
             )
             for i in range(7)
         ]
-        return weekly_feedback(days, templates)
+        # the paper's thresholds, which are RunConfig's defaults
+        return weekly_feedback(days, praise_threshold=0.0, regret_threshold=0.01)
+
+    def text(wf, role):
+        return templates[role][wf["kinds"][role]]
 
     outperform = week(0.02, 0.01)
     assert all(outperform["kinds"][r] == "praise" for r in AGENT_ROLES)
-    assert all(PRAISE_PHRASE in outperform["texts"][r] for r in AGENT_ROLES)
+    assert all(PRAISE_PHRASE in text(outperform, r) for r in AGENT_ROLES)
 
     underperform = week(0.0, 0.01)
     assert underperform["stats"]["quants"]["regret"] > 0.01
     assert all(underperform["kinds"][r] == "corrective" for r in AGENT_ROLES)
-    assert CORRECTIVE_QUANTS_PHRASE in underperform["texts"]["quants"]
+    assert CORRECTIVE_QUANTS_PHRASE in text(underperform, "quants")
 
     near = week(0.01, 0.01)
     assert all(near["kinds"][r] == "neutral" for r in AGENT_ROLES)
-    assert all(NEUTRAL_PHRASE in near["texts"][r] for r in AGENT_ROLES)
+    assert all(NEUTRAL_PHRASE in text(near, r) for r in AGENT_ROLES)
 
     again = week(0.02, 0.01)
-    assert again["texts"] == outperform["texts"]
+    assert again == outperform
     ok(9, "weekly stats select praise/corrective/neutral templates with the "
           "required phrases, deterministically")
 

@@ -78,14 +78,15 @@ class TestIngest:
         bars.write_text(
             "date,open,high,low,close,volume\n"
             "2024-01-01,1,2,0.5,1,10\n"
-            "2024-01-02,1,2,0.5,nan,10\n"
+            "2024-01-02,1,2,0.5,nan,10\n",
+            encoding="utf-8",
         )
         assert main(["ingest", "--bars", str(bars)]) == 1
         assert "close must be finite" in capsys.readouterr().err
 
     def test_bad_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bars.csv"
-        bad.write_text("date,open,high,low,close,volume\n2024-01-01,1,0.5,2,1,0\n")
+        bad.write_text("date,open,high,low,close,volume\n2024-01-01,1,0.5,2,1,0\n", encoding="utf-8")
         code = main(["ingest", "--bars", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
@@ -261,13 +262,24 @@ class TestBacktest:
         )
         assert not (tmp_path / "journal.jsonl").exists()
 
-    def test_initial_value_without_a_half_above_0_is_a_config_error(self, tmp_path, capsys):
-        # 5e-324 is the least float above 0, and half of it rounds to 0
-        run = {"start": "2024-11-04", "end": "2024-11-05", "initial_value_usd": 5e-324}
+    # 5e-324 is the least float above 0, and half of it rounds to 0; 1e-320 is
+    # subnormal, and a run from it reported 0.00% for every agent with exit 0
+    @pytest.mark.parametrize("value", [5e-324, 1e-320], ids=["least-float", "subnormal"])
+    def test_initial_value_below_one_cent_is_a_config_error(self, tmp_path, capsys, value):
+        run = {"start": "2024-11-04", "end": "2024-11-05", "initial_value_usd": value}
         args = ["backtest", "--config", str(write_config(tmp_path, run=run)), "--fixtures", str(FIXTURE_DIR / "responses.json")]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {tmp_path / 'config.json'}: initial value must be > 0, and so must half of it\n"
+        assert err == f"error: {tmp_path / 'config.json'}: config key 'initial_value_usd' must be >= 0.01\n"
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_neutral_band_past_the_float_range_in_percent_is_a_config_error(self, tmp_path, capsys):
+        # the report prints the band in percent, and 100 * 1e308 is inf
+        run = {"start": "2024-11-04", "end": "2024-11-05", "neutral_band": 1e308}
+        args = ["backtest", "--config", str(write_config(tmp_path, run=run)), "--fixtures", str(FIXTURE_DIR / "responses.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'config.json'}: config key 'neutral_band' must be finite in percent\n"
         assert not (tmp_path / "journal.jsonl").exists()
 
 
@@ -314,12 +326,13 @@ class TestReplayAndReport:
         accuracy = next(line for line in capsys.readouterr().out.splitlines() if "Accuracy" in line)
         assert accuracy.split()[1:] == ["0.0000", "0.5000", "1.0000", "--"]
 
-    @pytest.mark.parametrize("band", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("band", ["-0.5", "nan", "inf", "1e308"])
     @pytest.mark.parametrize("command", ["replay", "report"])
     def test_bad_neutral_band_is_runtime_error(self, command, band, journal_path, capsys):
         assert main([command, "--journal", journal_path, f"--neutral-band={band}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "config key 'neutral_band'" in captured.err
 
     @pytest.mark.parametrize("command", ["replay", "report"])
@@ -715,7 +728,7 @@ def fresh_python(code: str) -> str:
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

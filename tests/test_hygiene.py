@@ -2,12 +2,14 @@
 module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input and every JSON file goes through one
 reader, predictions are scored in one run-side and one report-side place,
-Sharpe has one formula, the gauges have one entry point, only the transport
+Sharpe has one formula, the gauges have one entry point, a run setting's
+default lives only in the config dataclasses, only the transport
 module imports `requests`, every text file the package opens names its
 encoding, the traced benchmark's wrap targets are still the names the program
 calls, and the package ships every data file it holds."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -19,8 +21,11 @@ import btagents
 import btagents.indicators
 import btagents.metrics
 from btagents.agents import ScriptedResponder
+from btagents.indicators import IndicatorParams
 from btagents.orchestrator import RunConfig, outputs_from_journal, run_backtest
+from btagents.regime import RegimeParams
 from btagents.report import render, resolve_segmentation
+from btagents.transport import ChatClientConfig
 
 from conftest import scripted_plan, synth_dataset
 
@@ -159,6 +164,51 @@ def test_one_sharpe_formula():
     package = Path(btagents.__file__).parent
     naming = sorted(p.name for p in package.glob("*.py") if "ZeroDispersion" in p.read_text(encoding="utf-8"))
     assert naming == ["errors.py", "metrics.py"]
+
+
+SETTINGS = {
+    f.name for kind in (RunConfig, IndicatorParams, RegimeParams, ChatClientConfig) for f in dataclasses.fields(kind)
+} | {"retry_limit"}
+
+
+def defaulted_settings(source: str, names) -> list[str]:
+    """Each parameter in `source` named in `names` whose default is not None,
+    as "function(parameter=default)", in sorted order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        pairs = [*zip(positional[len(positional) - len(a.defaults) :], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+        for arg, default in pairs:
+            if arg.arg in names and default is not None and not (
+                isinstance(default, ast.Constant) and default.value is None
+            ):
+                found.append(f"{getattr(node, 'name', '<lambda>')}({arg.arg}={ast.unparse(default)})")
+    return sorted(found)
+
+
+def test_checker_finds_a_defaulted_setting():
+    source = (
+        "def f(a, fee_bps=0.0, timeout=None, /, *, retry_limit=1, start):\n"
+        "    g = lambda neutral_band=RunConfig.neutral_band: 0\n"
+        "def h(fee_bps, x=1, *, end=None): pass\n"
+    )
+    assert defaulted_settings(source, {"fee_bps", "timeout", "retry_limit", "neutral_band", "start", "end"}) == [
+        "<lambda>(neutral_band=RunConfig.neutral_band)",
+        "f(fee_bps=0.0)",
+        "f(retry_limit=1)",
+    ]
+
+
+def test_one_default_per_run_setting():
+    """A run setting's default lives only in the config dataclasses: no function
+    parameter named after one of their fields, or `retry_limit`, defaults to
+    anything but None, which stands for "not given" (the prompt builders'
+    feedback texts and the band override of `outputs_from_journal` and `replay`)."""
+    found = [(p.name, d) for p in MODULES for d in defaulted_settings(p.read_text(encoding="utf-8"), SETTINGS)]
+    assert found == []
 
 
 def test_one_gauge_entry_point():

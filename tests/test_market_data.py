@@ -230,7 +230,9 @@ def test_errors_name_the_physical_line_after_a_two_line_field(tmp_path):
 def test_field_over_the_csv_limit_names_its_line(tmp_path, loader, header, row, eol):
     """The csv module refuses a field of more than 131072 characters."""
     path = tmp_path / "series.csv"
-    path.write_text(f"{header}{eol}{row.format('2024-11-03')}{eol}{row.format('2024-11-04')}x{'9' * 2**17}{eol}")
+    path.write_text(
+        f"{header}{eol}{row.format('2024-11-03')}{eol}{row.format('2024-11-04')}x{'9' * 2**17}{eol}", encoding="utf-8"
+    )
     with pytest.raises(MalformedRow) as exc:
         loader(str(path))
     assert (exc.value.path, exc.value.line_no, exc.value.reason) == (

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 from datetime import date
 
 import pytest
@@ -32,7 +33,7 @@ from btagents.orchestrator import (
     replay,
     run_backtest,
 )
-from btagents.reflection import AGENT_ROLES
+from btagents.reflection import AGENT_ROLES, TEMPLATE_KINDS
 from btagents.report import render, resolve_segmentation
 from btagents.transport import ChatClientConfig
 
@@ -131,13 +132,18 @@ class TestPreflight:
         with pytest.raises(ConfigError, match="end date before start date"):
             RunConfig(start=date(2024, 11, 5), end=date(2024, 11, 4))
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, 5e-324])  # half of 5e-324 rounds to 0
+    # half of 5e-324 rounds to 0; a subnormal value carries almost no precision
+    @pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, 1e-320, 0.005])
     def test_config_initial_value_validated(self, value):
-        with pytest.raises(ConfigError, match="initial value must be > 0"):
+        with pytest.raises(ConfigError, match=r"^config key 'initial_value_usd' must be >= 0\.01$"):
             RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), initial_value_usd=value)
 
-    def test_least_initial_value_with_a_half_above_0(self):
-        assert RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), initial_value_usd=1e-323).initial_value_usd == 1e-323
+    def test_least_initial_value_is_one_cent(self):
+        """One cent is the least value the report's `Initial value: %.2f USD` prints."""
+        dates = {"start": date(2024, 11, 4), "end": date(2024, 11, 5)}
+        assert RunConfig(**dates, initial_value_usd=0.01).initial_value_usd == 0.01
+        with pytest.raises(ConfigError, match="'initial_value_usd' must be >= 0.01"):
+            RunConfig(**dates, initial_value_usd=math.nextafter(0.01, 0.0))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -361,7 +367,7 @@ class TestReplay:
         ret_wide = [r for r in wide_art.table_rows if r["metric"] == "total_return_pct"]
         assert ret_base == ret_wide
 
-    @pytest.mark.parametrize("band", [-0.5, float("nan"), float("inf"), "0.1"])
+    @pytest.mark.parametrize("band", [-0.5, float("nan"), float("inf"), "0.1", 1e308])
     @pytest.mark.parametrize("read", [outputs_from_journal, replay], ids=["outputs", "replay"])
     def test_bad_neutral_band_override_rejected(self, read, band):
         journal = run_synth(3, daily=False, weekly=False)[0]
@@ -419,6 +425,51 @@ class TestTwentyOneDayRun:
         stats = self.weeklies[0]["stats"]["quants"]
         assert stats["return_diff"] > 0
         assert stats["regret"] == 0.0
+
+
+class TestCustomTemplatePool:
+    """The run picks each weekly text from the pool file by its kind; replay, which
+    never reads the file, checks the texts through the next days' feedback in."""
+
+    @pytest.fixture(autouse=True)
+    def _run(self, tmp_path):
+        # nine texts that all differ
+        self.pool = {
+            role: {kind: f"Week review {kind} for the {role} desk." for kind in TEMPLATE_KINDS} for role in AGENT_ROLES
+        }
+        pool_path = tmp_path / "pool.json"
+        pool_path.write_text(json.dumps(self.pool), encoding="utf-8")
+        self.journal = run_synth(
+            21, alloc_plan=two_phase_alloc, price_step=lambda i: 0.02, weekly_template_path=str(pool_path)
+        )[0]
+        self.path = tmp_path / "run.jsonl"
+        write_journal(self.journal, str(self.path))
+        pool_path.unlink()
+
+    def test_each_weekly_text_is_the_pools_for_its_kind(self):
+        records = weeklies(self.journal)
+        assert {kind for w in records for kind in w["kinds"].values()} >= {"praise", "corrective"}
+        for k, week in enumerate(records[:-1]):
+            assert week["texts"] == {role: self.pool[role][kind] for role, kind in week["kinds"].items()}
+            next_day = self.journal.days[7 * k + 7]
+            assert next_day["weekly_feedback_in"] == week["texts"]
+            for role in AGENT_ROLES:
+                assert WEEKLY_FEEDBACK_HEADER + "\n" + week["texts"][role] in next_day["roles"][role]["user"]
+
+    def test_replay_reproduces_the_report_without_the_file(self):
+        journal = read_journal(str(self.path))
+        assert render(replay(journal), None).text == render(outputs_from_journal(journal), None).text
+
+    def test_resealed_weekly_text_edit_fails_replay(self):
+        journal = read_journal(str(self.path))
+        line = next(i for i, e in enumerate(journal.entries) if e["type"] == "weekly")
+        record = {k: v for k, v in journal.entries[line].items() if k != "digest"}
+        kind = record["kinds"]["signals"]
+        other = next(k for k in self.pool["signals"] if k != kind)
+        record["texts"] = {**record["texts"], "signals": self.pool["signals"][other]}
+        journal.entries[line] = seal(record)
+        with pytest.raises(JournalCorrupt, match="recorded weekly_feedback_in does not reproduce"):
+            replay(journal)
 
 
 def test_week_return_counts_the_fees_paid():

@@ -13,7 +13,7 @@ from btagents.errors import (
     SchemaError,
 )
 from btagents.metrics import prediction_correct
-from btagents.orchestrator import RunConfig, run_backtest
+from btagents.orchestrator import Ledger, RunConfig, run_backtest
 from btagents.reflection import (
     AGENT_ROLES,
     CORRECTIVE_QUANTS_PHRASE,
@@ -40,12 +40,15 @@ def decision_for(state, pct, reasoning="view"):
 
 
 def settled_day(day, btc_return, decisions, returns, baseline_return):
-    """A settled day as `Ledger.settle` returns it, less each role's portfolio."""
+    """A run's first day as `Ledger.settle` returns it, less each role's portfolio."""
+    roles = evaluate_day(decisions, returns, btc_return, 0.005)
+    for outcome in roles.values():
+        outcome["running_accuracy"] = outcome["correct"] / 1
     return {
         "date": day.isoformat(),
         "btc_return": btc_return,
         "baseline": {"day_return_5050": baseline_return},
-        "roles": evaluate_day(decisions, returns, btc_return, 0.005, dict.fromkeys(AGENT_ROLES, (0, 0))),
+        "roles": roles,
     }
 
 
@@ -68,7 +71,6 @@ class TestEvaluateDay:
     def test_bullish_calls_on_a_rally_are_correct(self):
         roles = day_for()["roles"]
         assert all(roles[r]["correct"] for r in AGENT_ROLES)
-        assert roles["decision"]["running_accuracy"] == 1.0
 
     def test_neutral_on_flat_day_is_correct(self):
         roles = day_for(btc_return=0.0, states=("neutral", "neutral", "neutral"))["roles"]
@@ -83,16 +85,6 @@ class TestEvaluateDay:
             for role, state in zip(AGENT_ROLES, states):
                 assert roles[role]["correct"] == prediction_correct(state, r, 0.005)
 
-    def test_running_accuracy_accumulates(self):
-        roles = evaluate_day(
-            decisions={r: decision_for("bullish", 50) for r in AGENT_ROLES},
-            portfolio_returns={r: 0.01 for r in AGENT_ROLES},
-            btc_return=0.02,
-            neutral_band=0.005,
-            prior_counts={r: (1, 3) for r in AGENT_ROLES},
-        )
-        assert roles["quants"]["running_accuracy"] == pytest.approx(2 / 4)
-
     def test_missing_role_raises(self):
         with pytest.raises(MissingAgentRecord):
             evaluate_day(
@@ -100,8 +92,24 @@ class TestEvaluateDay:
                 portfolio_returns={"quants": 0.0},
                 btc_return=0.0,
                 neutral_band=0.005,
-                prior_counts={"quants": (0, 0)},
             )
+
+
+class TestRunningAccuracy:
+    def test_settle_accumulates_each_roles_score(self):
+        # bullish each day: right on the two rallies, wrong on the two falls
+        start = date(2024, 1, 1)
+        ledger = Ledger(RunConfig(start=start, end=start), 100.0)
+        entries = {r: decision_for("bullish", 50) for r in AGENT_ROLES}
+        closes = [100.0, 102.0, 100.0, 98.0, 100.0]
+        accuracies = []
+        for i, (close_t, close_next) in enumerate(zip(closes, closes[1:])):
+            day = ledger.settle(start + timedelta(days=i), entries, close_t, close_next)
+            assert len({day["roles"][r]["running_accuracy"] for r in AGENT_ROLES}) == 1
+            accuracies.append(day["roles"]["quants"]["running_accuracy"])
+        # prior counts (1, 3) and a correct day give 2/4
+        assert accuracies == [1 / 1, 1 / 2, 1 / 3, 2 / 4]
+        assert ledger.counts == dict.fromkeys(AGENT_ROLES, (2, 4))
 
 
 class TestReflectPrompt:
@@ -223,7 +231,7 @@ def reflect_json(quants="fine sizing", signals="good reads", decision="balanced"
 class TestRunDailyReflection:
     def test_clean_path(self):
         client = SeqClient([reflect_json()])
-        outcome = run_daily_reflection(client, day_for())
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert outcome["feedback"]["quants"] == "fine sizing"
         assert outcome["flags"] == []
 
@@ -237,7 +245,7 @@ class TestRunDailyReflection:
         client = SeqClient(
             [reflect_json(signals="use the MACD crossover"), reflect_json(signals="clean note")]
         )
-        outcome = run_daily_reflection(client, day_for())
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert outcome["feedback"]["signals"] == "clean note"
         assert "reflect_scope_retry" in outcome["flags"]
         assert "crossed role boundaries" in client.bundles[1].user_text
@@ -246,7 +254,7 @@ class TestRunDailyReflection:
         client = SeqClient(
             [reflect_json(signals="use the MACD"), reflect_json(signals="still watch RSI")]
         )
-        outcome = run_daily_reflection(client, day_for())
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert outcome["feedback"]["signals"] == ""
         assert outcome["feedback"]["quants"] != ""
         assert "reflect_scope_dropped_signals" in outcome["flags"]
@@ -257,7 +265,7 @@ class TestRunDailyReflection:
             signals="check the RSI and raise your allocation to 80%",
         )
         client = SeqClient([dirty, NetworkError("connection reset", 3)])
-        outcome = run_daily_reflection(client, day_for())
+        outcome = run_daily_reflection(client, day_for(), retry_limit=1)
         assert [v["role"] for v in outcome["violations"]] == ["signals", "quants", "signals"]
         assert outcome["flags"] == [
             "reflect_scope_retry",
@@ -311,62 +319,69 @@ def week_of_days(agent_daily, baseline_daily, start=date(2024, 11, 4)):
     ]
 
 
+def review(days):
+    """`weekly_feedback` at the paper's thresholds, which are RunConfig's defaults."""
+    return weekly_feedback(days, praise_threshold=0.0, regret_threshold=0.01)
+
+
 class TestWeeklyFeedback:
     def setup_method(self):
         self.templates = load_weekly_templates()
 
+    def text(self, wf, role):
+        return self.templates[role][wf["kinds"][role]]
+
     def test_outperformance_selects_praise(self):
         days = week_of_days(agent_daily=0.02, baseline_daily=0.01)
-        wf = weekly_feedback(days, self.templates)
+        wf = review(days)
         for role in AGENT_ROLES:
             assert wf["kinds"][role] == "praise"
-            assert PRAISE_PHRASE in wf["texts"][role]
+            assert PRAISE_PHRASE in self.text(wf, role)
 
     def test_underperformance_with_regret_selects_corrective(self):
         days = week_of_days(agent_daily=0.0, baseline_daily=0.01)
-        wf = weekly_feedback(days, self.templates)
+        wf = review(days)
         assert wf["kinds"]["quants"] == "corrective"
-        assert CORRECTIVE_QUANTS_PHRASE in wf["texts"]["quants"]
+        assert CORRECTIVE_QUANTS_PHRASE in self.text(wf, "quants")
         assert wf["stats"]["quants"]["regret"] > 0.01
 
     def test_near_baseline_selects_neutral(self):
         days = week_of_days(agent_daily=0.01, baseline_daily=0.01)
-        wf = weekly_feedback(days, self.templates)
+        wf = review(days)
         for role in AGENT_ROLES:
             assert wf["kinds"][role] == "neutral"
-            assert NEUTRAL_PHRASE in wf["texts"][role]
+            assert NEUTRAL_PHRASE in self.text(wf, role)
 
     def test_requires_exactly_seven_days(self):
         days = week_of_days(0.01, 0.01)
         with pytest.raises(IncompleteWeek):
-            weekly_feedback(days[:6], self.templates)
+            review(days[:6])
         with pytest.raises(IncompleteWeek):
-            weekly_feedback(days + [days[-1]], self.templates)
+            review(days + [days[-1]])
 
     def test_deterministic_selection(self):
         days = week_of_days(0.016, 0.01)
-        a = weekly_feedback(days, self.templates)
-        b = weekly_feedback(days, self.templates)
-        assert a["texts"] == b["texts"]
-        assert a["kinds"] == b["kinds"]
+        a = review(days)
+        b = review(days)
+        assert a == b
 
     def test_weekly_stats_compound_returns(self):
         days = week_of_days(agent_daily=0.01, baseline_daily=0.005)
-        wf = weekly_feedback(days, self.templates)
+        wf = review(days)
         assert wf["stats"]["quants"]["week_return"] == pytest.approx(1.01 ** 7 - 1.0, abs=1e-12)
         assert wf["stats"]["quants"]["baseline_return"] == pytest.approx(1.005 ** 7 - 1.0, abs=1e-12)
 
     def test_window_dates(self):
         days = week_of_days(0.01, 0.01)
-        wf = weekly_feedback(days, self.templates)
+        wf = review(days)
         assert wf["week_start"] == days[0]["date"]
         assert wf["week_end"] == days[-1]["date"]
 
     def test_selection_rule_edges(self):
-        assert select_template_kind(0.001, 0.0) == "praise"
-        assert select_template_kind(0.0, 0.0) == "neutral"
-        assert select_template_kind(-0.05, 0.05) == "corrective"
-        assert select_template_kind(-0.005, 0.005) == "neutral"
+        assert select_template_kind(0.001, 0.0, 0.0, 0.01) == "praise"
+        assert select_template_kind(0.0, 0.0, 0.0, 0.01) == "neutral"
+        assert select_template_kind(-0.05, 0.05, 0.0, 0.01) == "corrective"
+        assert select_template_kind(-0.005, 0.005, 0.0, 0.01) == "neutral"
 
 
 class TestTemplatePool:

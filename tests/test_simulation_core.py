@@ -459,12 +459,15 @@ class TestRecordIsTheCriticsInput:
 
     def test_weekly_review_rebuilds_from_the_day_records(self, recorded_run):
         templates = load_weekly_templates()
+        config = RunConfig.from_dict(recorded_run.header["config"])
         entries = recorded_run.entries
         for i, record in enumerate(entries):
             if record["type"] == "weekly":
                 week = [e for e in entries[:i] if e["type"] == "day"][-7:]
+                derived = weekly_feedback(week, config.praise_threshold, config.regret_threshold)
+                texts = {role: templates[role][kind] for role, kind in derived["kinds"].items()}
                 skip = ("type", "after_day", "digest")
-                assert weekly_feedback(week, templates) == {k: v for k, v in record.items() if k not in skip}
+                assert {**derived, "texts": texts} == {k: v for k, v in record.items() if k not in skip}
         assert len(weeklies(recorded_run)) >= 1
 
 
