@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agents import ScriptedResponder
 from .errors import BtAgentsError, ConfigError
-from .journal import LONE_SURROGATE, read_journal, read_json, write_journal
+from .journal import LONE_SURROGATE, RunJournal, read_journal, read_json, write_journal
 from .market_data import (
     GAP_CARRY,
     GAP_STRICT,
@@ -23,7 +23,7 @@ from .market_data import (
     load_onchain,
     load_sentiment,
 )
-from .orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
+from .orchestrator import RunConfig, outputs_from_journal, replay, run_records
 from .regime import load_segmentation
 from .report import cumrets_csv, render, resolve_segmentation, table_csv
 from .transport import ChatClient
@@ -139,16 +139,20 @@ def _emit_report(outputs, segmentation_path: str | None, out_dir: str | None) ->
 
 
 def cmd_backtest(args) -> int:
+    """Check the data and the journal path, then write each record as the run seals it."""
     run_config, data, journal_path = _load_config_file(args.config)
     dataset = _build_dataset(data)[0]
     if args.fixtures:
         client = ScriptedResponder.from_file(args.fixtures)
     else:
         client = ChatClient(run_config.client)
-    journal = run_backtest(run_config, dataset, client)
+    records = run_records(run_config, dataset, client)
+    header = next(records)
     out_path = args.journal or journal_path
+    if Path(out_path).is_dir():
+        raise BtAgentsError(f"{out_path}: journal path is a directory")
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_journal(journal, out_path)
+    journal = write_journal(RunJournal(header=header, entries=records), out_path)
     print(f"journal written to {out_path}", file=sys.stderr)
     outputs = outputs_from_journal(journal)
     print(_emit_report(outputs, None, args.report_dir), end="")

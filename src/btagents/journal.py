@@ -155,20 +155,24 @@ def _seals_own_line(line: bytes, record: dict) -> bool:
     return hasher.hexdigest() == digest
 
 
-def write_journal(journal: RunJournal, path: str) -> None:
-    """Write to a temp file beside `path`, then rename it onto `path`, so a
-    failed write leaves no partial journal and any earlier file untouched."""
+def write_journal(journal: RunJournal, path: str) -> RunJournal:
+    """Write the header, then each of `journal.entries` (any iterable) as it is yielded, to a
+    temp file beside `path`, then rename it onto `path`, so a failed write leaves no partial
+    journal and any earlier file untouched. Returns the journal written, its entries a list."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    entries = []
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(journal.header) + "\n")
             for entry in journal.entries:
                 fh.write(canonical_json(entry) + "\n")
+                entries.append(entry)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    return RunJournal(header=journal.header, entries=entries)
 
 
 # a JSON escape of a UTF-16 surrogate, which may decode to a lone one

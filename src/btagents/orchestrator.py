@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass, field
 from datetime import date as Date
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .agents import (
     PARSE_ERRORS,
@@ -240,7 +240,13 @@ class Ledger:
 def run_backtest(
     config: RunConfig, dataset: MarketDataset, client: CompletionClient
 ) -> RunJournal:
-    """Simulate the full pipeline over the configured date range."""
+    """Simulate the full pipeline over the configured date range, holding every record in memory."""
+    header, *entries = run_records(config, dataset, client)
+    return RunJournal(header=header, entries=entries)
+
+
+def run_records(config: RunConfig, dataset: MarketDataset, client: CompletionClient) -> Iterator[dict]:
+    """Yield the sealed header, then each sealed day and weekly record; bad data raises before the header."""
     days = [d for d in dataset.dates if config.start <= d <= config.end]
     if not days:
         raise DateNotFound(f"no trading days in {config.start}..{config.end}")
@@ -286,9 +292,7 @@ def run_backtest(
         entry = decide_with_retry(client, bundle, config.parse_retry_limit, held)
         return {"system": bundle.system_text, "user": bundle.user_text, **entry}
 
-    entries: list[dict] = []
-
-    header = seal(
+    yield seal(
         {
             "type": "header",
             "version": JOURNAL_VERSION,
@@ -360,15 +364,13 @@ def run_backtest(
                 "lint": lint,
             }
         )
-        entries.append(ledger.last_day)
+        yield ledger.last_day
 
         if config.weekly_feedback and (i + 1) % 7 == 0:
             week = ledger.weekly_record()
             texts = {role: templates[role][kind] for role, kind in week["kinds"].items()}
             ledger.last_weekly = seal({**week, "texts": texts})
-            entries.append(ledger.last_weekly)
-
-    return RunJournal(header=header, entries=entries)
+            yield ledger.last_weekly
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,10 @@ from btagents.journal import canonical_json, read_journal, seal, write_journal
 from btagents.reflection import load_weekly_templates
 
 from conftest import FIXTURE_DIR, run_synth
-from test_simulation_core import leaves
+from test_simulation_core import CASE_STUDY_SHA256, leaves
+
+# sha256 of what `backtest` prints for `write_config`'s run of the case study
+CASE_STUDY_STDOUT_SHA256 = "f40ee99ac74efca4908d64b033bb72a60aa99ab6eda4db10dcdaa895ad1d4d9c"
 
 
 def write_config(tmp_path, **overrides):
@@ -35,6 +39,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def before_each_reply(monkeypatch, hook):
+    """Call `hook(bundle)` before each reply a `ScriptedResponder` gives."""
+    complete = btagents.agents.ScriptedResponder.complete
+    monkeypatch.setattr(btagents.agents.ScriptedResponder, "complete", lambda self, bundle: hook(bundle) or complete(self, bundle))
 
 
 class TestIngest:
@@ -127,6 +137,48 @@ class TestBacktest:
         cumrets = (report_dir / "cumrets.csv").read_text(encoding="utf-8")
         assert cumrets.splitlines()[0] == "date,quants,signals,decision,baseline"
         assert len(cumrets.splitlines()) == 4  # header + start + two marks
+
+    def test_journal_and_report_bytes(self, tmp_path, capsys):
+        """The journal the CLI streams to disk is the library's, byte for byte."""
+        report_dir = tmp_path / "out"
+        args = ["backtest", "--config", str(write_config(tmp_path)), "--fixtures", str(FIXTURE_DIR / "responses.json")]
+        assert main([*args, "--report-dir", str(report_dir)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == CASE_STUDY_SHA256
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CASE_STUDY_STDOUT_SHA256
+        assert (report_dir / "report.txt").read_text(encoding="utf-8") == out
+
+    def test_journal_temp_file_is_open_at_every_call(self, tmp_path, capsys, monkeypatch):
+        temp_files = []
+        before_each_reply(monkeypatch, lambda bundle: temp_files.append(len(list(tmp_path.glob("*.tmp")))))
+        assert main(["backtest", "--config", str(write_config(tmp_path)), "--fixtures", str(FIXTURE_DIR / "responses.json")]) == 0
+        assert temp_files == [1] * 8  # four calls on each of two days
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_data_fault_makes_no_journal_directory(self, tmp_path, capsys):
+        run = {"start": "2024-11-04", "end": "2024-11-05", "lookback_days": 5}  # below the warm-up
+        config = write_config(tmp_path, run=run, journal=str(tmp_path / "runs" / "journal.jsonl"))
+        assert main(["backtest", "--config", str(config), "--fixtures", str(FIXTURE_DIR / "responses.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lookback_days 5 is shorter than the indicator warm-up") and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind", ["under-a-file", "directory"])
+    def test_journal_path_that_cannot_be_written_fails_before_any_call(self, tmp_path, capsys, monkeypatch, kind):
+        calls = []
+        before_each_reply(monkeypatch, calls.append)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        named, journal = {
+            "under-a-file": (tmp_path / "file", tmp_path / "file" / "j.jsonl"),
+            "directory": (tmp_path / "dir", tmp_path / "dir"),
+        }[kind]
+        args = ["backtest", "--config", str(write_config(tmp_path)), "--journal", str(journal)]
+        assert main([*args, "--fixtures", str(FIXTURE_DIR / "responses.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+        assert calls == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_reply_with_lone_surrogate_falls_back_and_replays(self, tmp_path, capsys):
         responses = json.loads((FIXTURE_DIR / "responses.json").read_text(encoding="utf-8"))

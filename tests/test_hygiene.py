@@ -2,11 +2,12 @@
 module is reached from the CLI, the package exports every public name its
 `__init__` imports, every CSV input and every JSON file goes through one
 reader, predictions are scored in one run-side and one report-side place,
-Sharpe has one formula, the gauges have one entry point, a run setting's
-default lives only in the config dataclasses, only the transport
-module imports `requests`, every text file the package opens names its
-encoding, the traced benchmark's wrap targets are still the names the program
-calls, and the package ships every data file it holds."""
+Sharpe has one formula, the gauges have one entry point, no prompt builder or
+review rule reaches `regime`, a run setting's default lives only in the config
+dataclasses, only the transport module imports `requests`, every text file the
+package opens names its encoding, the traced benchmark's wrap targets are
+still the names the program calls, and the package ships every data file it
+holds."""
 
 import ast
 import dataclasses
@@ -70,17 +71,32 @@ def test_relative_imports_reads_nested_and_bare_imports():
     assert relative_imports("from .a.b import x\nfrom .. import up\nfrom c import d\n") == {"a"}
 
 
-def test_every_module_is_reached_from_the_cli():
-    """The package is what its commands run: each module is imported, directly
-    or through another, by `cli.py`."""
+def reached_from(*names: str) -> set[str]:
+    """The package modules `names` import, directly or through another, and `names` themselves."""
     package = Path(btagents.__file__).parent
-    reached, todo = set(), ["cli"]
+    reached, todo = set(), list(names)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo += relative_imports((package / f"{name}.py").read_text(encoding="utf-8"))
+    return reached
+
+
+def test_every_module_is_reached_from_the_cli():
+    """The package is what its commands run: each module is imported, directly
+    or through another, by `cli.py`."""
+    reached = reached_from("cli")
     assert sorted(p.name for p in MODULES if p.stem not in reached) == []
+
+
+def test_no_prompt_builder_or_review_rule_reaches_regime():
+    """`regime.segment` labels each day from later closes, as the report's
+    regime table needs, so a regime label must never reach a prompt: neither
+    the prompt builders (`agents`) nor the review rules (`reflection`) import
+    `regime`, directly or through another module."""
+    assert "regime" not in reached_from("agents", "reflection")
+    assert "regime" in reached_from("report")  # the check can see an import
 
 
 def test_package_exports_match_its_imports():
