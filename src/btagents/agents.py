@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     NetworkError,
     ParseError,
+    ProviderRefused,
     RangeError,
     SchemaError,
 )
@@ -468,6 +469,8 @@ def ask_until_parsed(
         try:
             result = client.complete(bundle)
             _check_unicode(result.text)
+        except ProviderRefused:  # a wrong key, model or URL fails every call: the run ends
+            raise
         except (NetworkError, TimeoutError, SchemaError) as exc:
             attempts.append({"raw": None, "error": f"{type(exc).__name__}: {exc}"})
             break

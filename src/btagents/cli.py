@@ -1,7 +1,7 @@
 """Command-line entry points: ingest, backtest, replay, report.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error. The backtest
-subcommand runs fully offline when given a scripted-responder fixture.
+Exit codes: 0 success, 1 runtime error, 2 usage error. `ingest` makes no LLM
+call; `backtest` runs offline when given a scripted-responder fixture.
 """
 
 from __future__ import annotations
@@ -104,24 +104,22 @@ def _build_dataset(data: dict):
 
 
 def cmd_ingest(args) -> int:
-    data = {
-        "bars": args.bars,
-        "onchain": args.onchain,
-        "sentiment": args.sentiment,
-        "news": args.news,
-        "gap_policy": args.gap_policy,
-    }
+    """Summarize a config's inputs, then take its run's header through a responder that refuses every call."""
+    run_config, data, _ = _load_config_file(args.config)
     dataset, inputs = _build_dataset(data)
     dates = dataset.dates
     print(f"aligned dataset: {len(dataset)} records, {dates[0]} .. {dates[-1]}")
     for name in ("onchain", "sentiment"):
-        if data[name]:
+        if data.get(name):
             have = {row.date for row in inputs[name]}
             carried = sum(1 for d in dates if d not in have)
             print(f"{name}: {len(have)} rows, {carried} dataset date(s) carried forward")
-    if args.news:
+    if data.get("news"):
         n_items = sum(len(r.news) for r in dataset.records)
         print(f"news: {n_items} items after dedup")
+    header = next(run_records(run_config, dataset, ScriptedResponder({})))  # a call would raise
+    n_days, digest = header["n_days"], header["dataset_digest"]
+    print(f"run: {n_days} day(s), {run_config.start} .. {run_config.end}, dataset digest {digest}")
     return 0
 
 
@@ -175,14 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_ingest = sub.add_parser("ingest", help="validate and align data files")
-    p_ingest.add_argument("--bars", required=True, help="OHLCV CSV path")
-    p_ingest.add_argument("--onchain", help="on-chain CSV path")
-    p_ingest.add_argument("--sentiment", help="sentiment CSV path")
-    p_ingest.add_argument("--news", help="news CSV path")
-    p_ingest.add_argument(
-        "--gap-policy", choices=[GAP_CARRY, GAP_STRICT], default=GAP_CARRY
-    )
+    p_ingest = sub.add_parser("ingest", help="check a config's data and run range; no LLM call")
+    p_ingest.add_argument("--config", required=True, help="JSON config path")
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_backtest = sub.add_parser("backtest", help="run a backtest from a config file")

@@ -84,6 +84,10 @@ class NetworkError(BtAgentsError):
         self.attempts = attempts
 
 
+class ProviderRefused(NetworkError):
+    """A 401, 403 or 404 reply: a wrong key, model or URL, which ends the run."""
+
+
 class SchemaError(BtAgentsError):
     """A response parsed as JSON but is missing or mistyping required fields."""
 

@@ -99,6 +99,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
+        # a float setting given as an int seals as the float the run computes with
+        for tree, kind in ((d, RunConfig), *((d[name], kind) for name, kind in _PARTS)):
+            for f in dataclasses.fields(kind):
+                if type(f.default) is float:
+                    tree[f.name] = float(tree[f.name])
         d["start"] = self.start.isoformat()
         d["end"] = self.end.isoformat()
         return d

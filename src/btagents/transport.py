@@ -1,7 +1,7 @@
 """The one HTTP seam, the live chat-completions client: its config, its
-session and its retry loop. Transport failures, 5xx replies and 408 and 429
-replies are retried, other 4xx replies fail. `requests` is imported here only,
-and only on use, so offline runs never load it."""
+session and its retry loop. Transport failures and 5xx, 408 and 429 replies
+are retried; other 4xx replies fail, and 401, 403 and 404 end the run.
+`requests` is imported here only, on use, so offline runs never load it."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .agents import InvokeResult, PromptBundle
-from .errors import ConfigError, NetworkError, SchemaError
+from .errors import ConfigError, NetworkError, ProviderRefused, SchemaError
 
 # `time.sleep` refuses a sleep whose end, on the monotonic clock, is past 2**63
 # ns; half of that leaves about 146 years of clock, as `client.timeout` may be
@@ -66,7 +66,8 @@ class ChatClient:
         LONGEST_SLEEP, and none is taken when it is not above 0.
         When every attempt fails, the last failure sets the error: TimeoutError
         for a timeout, NetworkError otherwise. A 200 reply whose body holds no
-        text content is a SchemaError, and is not retried.
+        text content is a SchemaError, a 401, 403 or 404 reply ProviderRefused,
+        and neither is retried.
         """
         import requests
 
@@ -112,8 +113,9 @@ class ChatClient:
             if resp.status_code >= 500:
                 last_error = f"server error {resp.status_code}"
                 continue
-            if resp.status_code >= 400:
-                raise NetworkError(f"chat completion rejected with {resp.status_code}", attempt)
+            if resp.status_code >= 400:  # 401, 403 and 404 name a wrong key, model or URL
+                error = ProviderRefused if resp.status_code in (401, 403, 404) else NetworkError
+                raise error(f"chat completion rejected with {resp.status_code}", attempt)
             # read outside the `except` above: requests' JSONDecodeError is a RequestException
             try:
                 content = resp.json()["choices"][0]["message"]["content"]

@@ -22,16 +22,13 @@ from test_simulation_core import CASE_STUDY_SHA256, leaves
 
 # sha256 of what `backtest` prints for `write_config`'s run of the case study
 CASE_STUDY_STDOUT_SHA256 = "f40ee99ac74efca4908d64b033bb72a60aa99ab6eda4db10dcdaa895ad1d4d9c"
+# the case study's four data files
+CASE_DATA = {name: str(FIXTURE_DIR / f"{name}.csv") for name in ("bars", "onchain", "sentiment", "news")}
 
 
 def write_config(tmp_path, **overrides):
     cfg = {
-        "data": {
-            "bars": str(FIXTURE_DIR / "bars.csv"),
-            "onchain": str(FIXTURE_DIR / "onchain.csv"),
-            "sentiment": str(FIXTURE_DIR / "sentiment.csv"),
-            "news": str(FIXTURE_DIR / "news.csv"),
-        },
+        "data": dict(CASE_DATA),
         "run": {"start": "2024-11-04", "end": "2024-11-05"},
         "journal": str(tmp_path / "journal.jsonl"),
     }
@@ -41,6 +38,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def in_case_study_copy(tmp_path, monkeypatch):
+    """Copy the case study's directory to `tmp_path` and work there, as the README quickstart does."""
+    for path in FIXTURE_DIR.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+
 def before_each_reply(monkeypatch, hook):
     """Call `hook(bundle)` before each reply a `ScriptedResponder` gives."""
     complete = btagents.agents.ScriptedResponder.complete
@@ -48,17 +52,11 @@ def before_each_reply(monkeypatch, hook):
 
 
 class TestIngest:
-    def test_exit_zero_and_summary(self, capsys):
-        code = main(
-            [
-                "ingest",
-                "--bars", str(FIXTURE_DIR / "bars.csv"),
-                "--onchain", str(FIXTURE_DIR / "onchain.csv"),
-                "--sentiment", str(FIXTURE_DIR / "sentiment.csv"),
-                "--news", str(FIXTURE_DIR / "news.csv"),
-            ]
-        )
-        assert code == 0
+    """`ingest` reads a backtest's config, summarizes its inputs and takes its
+    run's header: every data fault met before the first call, for no call."""
+
+    def test_exit_zero_and_summary(self, tmp_path, capsys):
+        assert main(["ingest", "--config", str(write_config(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "aligned dataset: 37 records" in out
 
@@ -72,16 +70,18 @@ class TestIngest:
         rows = (FIXTURE_DIR / "onchain.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         onchain = tmp_path / "onchain.csv"
         onchain.write_text("".join(rows[:10] + rows[12:]), encoding="utf-8")  # two dates carried
-        args = ["--bars", str(FIXTURE_DIR / "bars.csv"), "--onchain", str(onchain)]
-        args += ["--sentiment", str(FIXTURE_DIR / "sentiment.csv"), "--news", str(FIXTURE_DIR / "news.csv")]
-        assert main(["ingest", *args]) == 0
+        config = write_config(tmp_path, data={**CASE_DATA, "onchain": str(onchain)})
+        assert main(["ingest", "--config", str(config)]) == 0
         assert sorted(calls) == ["load_bars", "load_news", "load_onchain", "load_sentiment"]
-        assert capsys.readouterr().out == (
+        out = capsys.readouterr().out
+        assert out.startswith(
             "aligned dataset: 37 records, 2024-10-01 .. 2024-11-06\n"
             "onchain: 35 rows, 2 dataset date(s) carried forward\n"
             "sentiment: 37 rows, 0 dataset date(s) carried forward\n"
             "news: 6 items after dedup\n"
+            "run: 2 day(s), 2024-11-04 .. 2024-11-05, dataset digest "
         )
+        assert out.count("\n") == 5
 
     def test_nan_close_is_runtime_error(self, tmp_path, capsys):
         bars = tmp_path / "bars.csv"
@@ -91,28 +91,83 @@ class TestIngest:
             "2024-01-02,1,2,0.5,nan,10\n",
             encoding="utf-8",
         )
-        assert main(["ingest", "--bars", str(bars)]) == 1
+        assert main(["ingest", "--config", str(write_config(tmp_path, data={"bars": str(bars)}))]) == 1
         assert "close must be finite" in capsys.readouterr().err
 
     def test_bad_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bars.csv"
         bad.write_text("date,open,high,low,close,volume\n2024-01-01,1,0.5,2,1,0\n", encoding="utf-8")
-        code = main(["ingest", "--bars", str(bad)])
+        code = main(["ingest", "--config", str(write_config(tmp_path, data={"bars": str(bad)}))])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
     def test_bars_with_a_leading_bom(self, tmp_path, capsys):
         bars = tmp_path / "bars.csv"
         bars.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "bars.csv").read_bytes())
-        assert main(["ingest", "--bars", str(bars)]) == 0
+        config = write_config(tmp_path, data={**CASE_DATA, "bars": str(bars)})
+        assert main(["ingest", "--config", str(config)]) == 0
         assert capsys.readouterr().out.startswith("aligned dataset: 37 records, 2024-10-01 .. 2024-11-06\n")
 
     def test_news_byte_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
         news = tmp_path / "news.csv"
         news.write_bytes(b"date,source,headline,summary\n2024-11-04,CNBC,BTC \xff rallies,x\n")
-        code = main(["ingest", "--bars", str(FIXTURE_DIR / "bars.csv"), "--news", str(news)])
+        config = write_config(tmp_path, data={"bars": CASE_DATA["bars"], "news": str(news)})
+        code = main(["ingest", "--config", str(config)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {news}:2: byte 0xff is not UTF-8\n"
+
+    def test_case_study_summary(self, tmp_path, monkeypatch, capsys):
+        """The README's `ingest` of the case study, in a copy of its directory."""
+        in_case_study_copy(tmp_path, monkeypatch)
+        assert main(["ingest", "--config", "config.json"]) == 0
+        assert capsys.readouterr().out == (
+            "aligned dataset: 37 records, 2024-10-01 .. 2024-11-06\n"
+            "onchain: 37 rows, 0 dataset date(s) carried forward\n"
+            "sentiment: 37 rows, 0 dataset date(s) carried forward\n"
+            "news: 6 items after dedup\n"
+            "run: 2 day(s), 2024-11-04 .. 2024-11-05, "
+            "dataset digest 7ed55e7c7458ad1e5946fd8bca94d34aa119ccb5df20c6fccc6775bca8e28c9a\n"
+        )
+
+    def test_makes_no_call_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        before_each_reply(monkeypatch, calls.append)
+        monkeypatch.setattr(btagents.cli, "ChatClient", lambda config: pytest.fail("ingest built a ChatClient"))
+        config = write_config(tmp_path, journal=str(tmp_path / "runs" / "journal.jsonl"))
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert calls == []
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"run": {"start": "2024-11-04", "end": "2024-11-05", "lookback_days": 5}},
+                "lookback_days 5 is shorter than the indicator warm-up of 29 bars",
+            ),
+            ({"run": {"start": "2024-11-04", "end": "2024-11-06"}}, "need a bar after 2024-11-06 to mark the last day"),
+            (
+                {"data": {"bars": CASE_DATA["bars"], "onchain": CASE_DATA["onchain"]}},
+                "series 'sentiment' has no value for 2024-11-04",
+            ),
+            ({"feedback": {"templates": "missing.json"}}, "missing.json"),
+        ],
+        ids=["lookback below warm-up", "no bar after the last day", "no sentiment on day 0", "no templates file"],
+    )
+    def test_data_fault_fails_before_any_call(self, tmp_path, monkeypatch, capsys, overrides, message):
+        calls = []
+        before_each_reply(monkeypatch, calls.append)
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--config", str(write_config(tmp_path, **overrides))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("aligned dataset: 37 records")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert calls == []
+
+    def test_data_flags_are_gone(self, capsys):
+        assert main(["ingest", "--bars", CASE_DATA["bars"]]) == 2
+        assert "--config" in capsys.readouterr().err
 
 
 class TestBacktest:
@@ -147,6 +202,13 @@ class TestBacktest:
         assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == CASE_STUDY_SHA256
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CASE_STUDY_STDOUT_SHA256
         assert (report_dir / "report.txt").read_text(encoding="utf-8") == out
+
+    def test_quickstart_journal_is_the_library_run(self, tmp_path, monkeypatch, capsys):
+        """The README quickstart, in a copy of the case study's directory: its
+        config writes `initial_value_usd` as an int, and the journal seals it as a float."""
+        in_case_study_copy(tmp_path, monkeypatch)
+        assert main(["backtest", "--config", "config.json", "--fixtures", "responses.json"]) == 0
+        assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == CASE_STUDY_SHA256
 
     def test_journal_temp_file_is_open_at_every_call(self, tmp_path, capsys, monkeypatch):
         temp_files = []
@@ -798,13 +860,14 @@ import sys
 import btagents, btagents.cli, btagents.report
 from btagents.cli import main
 codes = [
+    main(["ingest", "--config", {str(config_path)!r}]),
     main(["backtest", "--config", {str(config_path)!r}, "--fixtures", {str(FIXTURE_DIR / "responses.json")!r}]),
     main(["replay", "--journal", {str(journal_path)!r}, "--out-dir", {str(tmp_path / "replay")!r}]),
     main(["report", "--journal", {str(journal_path)!r}, "--out-dir", {str(tmp_path / "report")!r}]),
 ]
 print(codes, "requests" in sys.modules)
 """
-        assert fresh_python(code).splitlines()[-1] == "[0, 0, 0] False"
+        assert fresh_python(code).splitlines()[-1] == "[0, 0, 0, 0] False"
         assert (tmp_path / "replay" / "report.txt").read_text(encoding="utf-8") == (
             tmp_path / "report" / "report.txt"
         ).read_text(encoding="utf-8")
@@ -883,7 +946,7 @@ def test_resealed_leaves_exit_cleanly(tmp_path, edits):
 def exits_cleanly(argv):
     """`main(argv)` returns 0 or 1, and on 1 prints one `error:` line; a
     backtest may print the line naming its journal once, first. An exception
-    fails the test."""
+    fails the test. Returns the exit code."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -893,6 +956,7 @@ def exits_cleanly(argv):
         if argv[0] == "backtest" and text.startswith("journal written to "):
             text = text.partition("\n")[2]
         assert text.startswith("error: ") and text.count("\n") == 1, err.getvalue()
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +1064,12 @@ def test_the_unedited_case_runs(tmp_path):
 @given(edits=st.lists(FILE_EDIT, min_size=1, max_size=2))
 @example(edits=[("cell", ("bars.csv", 37, col), "1e200") for col in (2, 4)])  # the 2024-11-06 marking bar
 def test_edited_inputs_exit_cleanly(tmp_path, edits):
+    """`ingest` of the edited case exits cleanly too, and fails only where the
+    backtest fails; a call it made would fail it, as its responder has no reply."""
     with tempfile.TemporaryDirectory(dir=tmp_path) as root:
-        exits_cleanly(["backtest", *edited_case(Path(root), edits)])
+        args = edited_case(Path(root), edits)
+        checked = exits_cleanly(["ingest", *args[:2]])
+        assert exits_cleanly(["backtest", *args]) == 1 or checked == 0
 
 
 CSV_BYTES = {name: (FIXTURE_DIR / name).read_bytes() for name in CASE_CSV}

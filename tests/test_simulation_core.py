@@ -20,6 +20,7 @@ from btagents.agents import (
     ScriptedResponder,
 )
 from btagents.errors import JournalCorrupt
+from btagents.indicators import IndicatorParams
 from btagents.journal import RunJournal, read_journal, seal, write_journal
 from btagents.orchestrator import RunConfig, outputs_from_journal, replay, run_backtest
 from btagents.reflection import (
@@ -29,6 +30,7 @@ from btagents.reflection import (
     load_weekly_templates,
     weekly_feedback,
 )
+from btagents.regime import RegimeParams
 from btagents.transport import ChatClient, ChatClientConfig
 
 from conftest import run_synth, scripted_plan, synth_dataset, weeklies
@@ -60,6 +62,24 @@ class TestPinnedJournalBytes:
     ):
         journal = run_backtest(case_study_config, case_study_dataset, case_study_responder)
         assert journal_sha256(journal, tmp_path) == CASE_STUDY_SHA256
+
+    def test_float_settings_given_as_ints_seal_as_floats(self, tmp_path, case_study_dataset, case_study_responder):
+        """An int where a float setting belongs, in the config or any of its
+        parts, seals as the float the run computes with."""
+        config = RunConfig(
+            start=date(2024, 11, 4),
+            end=date(2024, 11, 5),
+            initial_value_usd=10000,
+            fee_bps=0,
+            praise_threshold=0,
+            indicator_params=IndicatorParams(bb_k=2),
+            client=ChatClientConfig(timeout=120, temperature=0),
+        )
+        journal = run_backtest(config, case_study_dataset, case_study_responder)
+        assert journal_sha256(journal, tmp_path) == CASE_STUDY_SHA256
+        replay(read_journal(str(tmp_path / "run.jsonl")))
+        regime = RunConfig(start=date(2024, 11, 4), end=date(2024, 11, 5), regime_params=RegimeParams(slope_threshold=0))
+        assert repr(regime.to_dict()["regime_params"]["slope_threshold"]) == "0.0"
 
     def test_fees_and_fallback_journal(self, tmp_path):
         journal = fees_fallback_run()

@@ -15,7 +15,7 @@ import requests
 
 from btagents.agents import DECISION_SYSTEM, QUANTS_SYSTEM, SIGNALS_SYSTEM
 from btagents.cli import main
-from btagents.errors import ConfigError, NetworkError
+from btagents.errors import ConfigError, NetworkError, ProviderRefused
 from btagents.journal import read_journal, write_journal
 from btagents.orchestrator import RunConfig, replay, run_backtest
 from btagents.reflection import AGENT_ROLES, REFLECT_SYSTEM
@@ -66,6 +66,47 @@ def test_4xx_uses_one_attempt():
     assert exc.value.attempts == 1
     assert "rejected with 404" in str(exc.value)
     assert len(fake.plan) == 1
+
+
+@pytest.mark.parametrize("status", [401, 403, 404])
+def test_a_refused_request_ends_the_run_at_its_first_post(status):
+    """A wrong key, model or URL fails every call alike, so the run ends, rather
+    than journaling 30 days of fallbacks."""
+    dataset = synth_dataset(32 + 30 + 2)
+    days = dataset.dates[32:62]
+    config = RunConfig(start=days[0], end=days[-1], client=ChatClientConfig(base_url="http://fake/v1"))
+    session = FakeSession([FakeResponse(status)] * 4 * 30)
+    with pytest.raises(ProviderRefused, match=rf"^chat completion rejected with {status} \(after 1 attempt\(s\)\)$"):
+        run_backtest(config, dataset, ChatClient(config.client, session=session))
+    assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize("status", [400, 413, 422])
+def test_a_refused_prompt_is_one_fallback(status):
+    """A provider may refuse one prompt (too long, filtered) and take the next."""
+    dataset = synth_dataset(32 + 3 + 2)
+    days = dataset.dates[32:35]
+    config = RunConfig(start=days[0], end=days[-1], client=ChatClientConfig(base_url="http://fake/v1"))
+    faults = [FakeResponse(status)]
+    session = ScriptedProvider(scripted_plan(days), lambda reply: faults.pop() if faults else ok_response(reply))
+    journal = run_backtest(config, dataset, ChatClient(config.client, session=session))
+    quants = journal.days[0]["roles"]["quants"]
+    assert quants["fallback"] is True
+    assert quants["attempts"] == [
+        {"raw": None, "error": f"NetworkError: chat completion rejected with {status} (after 1 attempt(s))"}
+    ]
+    assert [role for day in journal.days for role, e in day["roles"].items() if e["fallback"]] == ["quants"]
+    replay(journal)
+
+
+def test_backtest_refused_by_the_provider_writes_no_journal(tmp_path, monkeypatch, capsys):
+    session = FakeSession([FakeResponse(403)])
+    monkeypatch.setattr("btagents.transport.default_session", lambda: session)
+    assert main(["backtest", "--config", str(write_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == "error: chat completion rejected with 403 (after 1 attempt(s))\n"
+    assert len(session.requests) == 1
+    assert not (tmp_path / "journal.jsonl").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def limited(status, retry_after=None):
