@@ -103,9 +103,19 @@ def _build_dataset(data: dict):
     return align(bars, **inputs, gap_policy=data.get("gap_policy", GAP_CARRY)), inputs
 
 
+def _check_journal_path(path: str) -> None:
+    """Fail on a journal path that is a directory or lies under a regular file."""
+    if Path(path).is_dir():
+        raise BtAgentsError(f"{path}: journal path is a directory")
+    for parent in Path(path).parents:
+        if parent.is_file():
+            raise BtAgentsError(f"{path}: journal path lies under the file {parent}")
+
+
 def cmd_ingest(args) -> int:
-    """Summarize a config's inputs, then take its run's header through a responder that refuses every call."""
-    run_config, data, _ = _load_config_file(args.config)
+    """Summarize a config's inputs, take its run's header through a responder that
+    refuses every call, then check its journal path as `backtest` does."""
+    run_config, data, journal_path = _load_config_file(args.config)
     dataset, inputs = _build_dataset(data)
     dates = dataset.dates
     print(f"aligned dataset: {len(dataset)} records, {dates[0]} .. {dates[-1]}")
@@ -118,6 +128,7 @@ def cmd_ingest(args) -> int:
         n_items = sum(len(r.news) for r in dataset.records)
         print(f"news: {n_items} items after dedup")
     header = next(run_records(run_config, dataset, ScriptedResponder({})))  # a call would raise
+    _check_journal_path(journal_path)
     n_days, digest = header["n_days"], header["dataset_digest"]
     print(f"run: {n_days} day(s), {run_config.start} .. {run_config.end}, dataset digest {digest}")
     return 0
@@ -147,8 +158,7 @@ def cmd_backtest(args) -> int:
     records = run_records(run_config, dataset, client)
     header = next(records)
     out_path = args.journal or journal_path
-    if Path(out_path).is_dir():
-        raise BtAgentsError(f"{out_path}: journal path is a directory")
+    _check_journal_path(out_path)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     journal = write_journal(RunJournal(header=header, entries=records), out_path)
     print(f"journal written to {out_path}", file=sys.stderr)

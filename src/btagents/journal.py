@@ -25,9 +25,29 @@ JOURNAL_VERSION = 1
 
 # a journal repeats its strings (each role's system prompt every day, feedback
 # in every prompt it is injected into, a reply in `raw` and in its attempt),
-# so the escaped form of each recent string is kept
+# so the escaped form of each recent string is kept, and a read keeps one copy (`_share_texts`)
 _escape = functools.lru_cache(maxsize=256)(json.encoder.encode_basestring)
 _default = json.JSONEncoder().default
+
+
+def _share_texts(record: dict, memo: dict) -> None:
+    """Swap each text of a decoded record at the sites named above for the equal `str` in
+    `memo`, entered if new, and a call's `raw` for its last attempt's equal one. Skip odd shapes."""
+    roles, reflect = record.get("roles"), record.get("reflect")
+    for call in (*roles.values(), reflect) if isinstance(roles, dict) else (reflect,):
+        if not isinstance(call, dict):
+            continue
+        system, attempts = call.get("system"), call.get("attempts")
+        if isinstance(system, str):
+            call["system"] = memo.setdefault(system, system)
+        last = attempts[-1] if isinstance(attempts, list) and attempts else None
+        if isinstance(last, dict) and isinstance(last.get("raw"), str) and last["raw"] == call.get("raw"):
+            call["raw"] = last["raw"]
+    feedback = reflect.get("feedback") if isinstance(reflect, dict) else None
+    for texts in (feedback, *map(record.get, ("daily_feedback_in", "weekly_feedback_in", "texts"))):
+        for key, text in texts.items() if isinstance(texts, dict) else ():
+            if isinstance(text, str):
+                texts[key] = memo.setdefault(text, text)
 
 
 def canonical_json(obj) -> str:
@@ -183,12 +203,14 @@ LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 def read_journal(path: str, verify: bool = True) -> RunJournal:
     """Read a journal, failing with JournalCorrupt on a line that is not UTF-8
-    (or escapes a lone surrogate), not JSON or not an object. With `verify`,
+    (or escapes a lone surrogate), not JSON or not an object; each record keeps
+    the copies already read of the texts it repeats (`_share_texts`). With `verify`,
     then run `RunJournal.verify`'s checks in its order; a record whose line is
     the text its digest seals skips the re-encode."""
     header = None
     entries = []
     sealed_lines = []  # per record read, whether its line is the text its digest seals
+    memo = {}  # each text `_share_texts` has kept, to itself
     # bytes that are not UTF-8 decode to lone surrogates, which `encode` rejects
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -206,6 +228,7 @@ def read_journal(path: str, verify: bool = True) -> RunJournal:
                 raise JournalCorrupt(f"{path}:{line_no}: not valid JSON") from exc
             if not isinstance(record, dict):
                 raise JournalCorrupt(f"{path}:{line_no}: not a JSON object")
+            _share_texts(record, memo)
             if header is None:  # the first record, after any blank lines
                 if record.get("type") != "header":
                     raise JournalCorrupt(f"{path}: first record is not a header")

@@ -165,6 +165,20 @@ class TestIngest:
         assert message in captured.err
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["under-a-file", "directory"])
+    def test_journal_path_backtest_rejects_fails(self, tmp_path, monkeypatch, capsys, kind):
+        calls = []
+        before_each_reply(monkeypatch, calls.append)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        journal = {"under-a-file": tmp_path / "file" / "runs" / "j.jsonl", "directory": tmp_path / "dir"}[kind]
+        config = write_config(tmp_path, journal=str(journal))
+        assert main(["ingest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {journal}: journal path ") and err.count("\n") == 1
+        assert calls == []
+        assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == ["config.json", "dir", "file"]
+
     def test_data_flags_are_gone(self, capsys):
         assert main(["ingest", "--bars", CASE_DATA["bars"]]) == 2
         assert "--config" in capsys.readouterr().err
@@ -935,6 +949,13 @@ def resealed_journal(path, edits):
 )
 @example(edits=[(4, ("roles", "decision", "portfolio", "value_usd"), 1e308)])  # day 3's decision book
 @example(edits=[(DAY_48, ("next_close",), ZEROING_CLOSE)])
+# odd shapes at the sites where a read keeps one copy of a repeated text (record 8 is
+# the first weekly record, record 9 the day after it)
+@example(edits=[(9, ("roles",), ["quants", "signals", "decision"])])
+@example(edits=[(9, ("roles", "quants", "attempts"), [])])
+@example(edits=[(9, ("roles", "quants", "raw"), 3)])
+@example(edits=[(9, ("reflect",), "x")])
+@example(edits=[(8, ("texts",), None)])
 def test_resealed_leaves_exit_cleanly(tmp_path, edits):
     with tempfile.TemporaryDirectory(dir=tmp_path) as root:  # a new file: rewriting one can wait on the disk
         path = str(Path(root) / "edited.jsonl")

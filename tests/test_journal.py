@@ -1,7 +1,7 @@
 """Reading a journal back: digests checked against the lines they were read
-from, the fallback to re-encoding, blank lines before the header, error
-precedence, the UTF-8 rule, lines nested too deeply, and a header's `n_days`
-bounded by the records present."""
+from, the fallback to re-encoding, one copy of each repeated text, blank
+lines before the header, error precedence, the UTF-8 rule, lines nested too
+deeply, and a header's `n_days` bounded by the records present."""
 
 import hashlib
 import json
@@ -99,6 +99,52 @@ class TestDigestOfTheLine:
         rewrite_line(path, 2, lambda r: canonical_json({**r, "close": 1.0}).encode())
         with pytest.raises(JournalCorrupt, match="digest mismatch on day record"):
             read_journal(str(path))
+
+
+@pytest.mark.parametrize("verify", [True, False])
+class TestSharedTexts:
+    """A journal read back holds one `str` for each text its records repeat, and
+    never one dict or list in two places."""
+
+    def test_system_prompts_are_one_object_across_days(self, path, verify):
+        days = read_journal(str(path), verify=verify).days
+        for role in ("quants", "signals", "decision"):
+            assert len({id(day["roles"][role]["system"]) for day in days}) == 1
+        assert len({id(day["reflect"]["system"]) for day in days}) == 1
+
+    def test_raw_is_the_last_attempts_reply(self, path, verify):
+        entries = [entry for day in read_journal(str(path), verify=verify).days for entry in day["roles"].values()]
+        assert all(entry["raw"] is entry["attempts"][-1]["raw"] for entry in entries)
+        assert all(isinstance(entry["raw"], str) for entry in entries)
+
+    def test_feedback_in_is_the_text_it_repeats(self, path, verify):
+        last_day = last_weekly = None
+        carried = 0
+        for record in read_journal(str(path), verify=verify).entries:
+            if record["type"] == "weekly":
+                last_weekly = record
+                continue
+            for texts, source in (
+                (record["daily_feedback_in"], last_day and last_day["reflect"]["feedback"]),
+                (record["weekly_feedback_in"], last_weekly and last_weekly["texts"]),
+            ):
+                assert bool(texts) == bool(source)
+                for role, text in texts.items():
+                    assert text is source[role]
+                    carried += 1
+            last_day = record
+        assert carried == 13 * 3 + 7 * 3  # daily feedback from day 1, weekly from day 7
+
+    def test_no_dict_or_list_appears_twice(self, path, verify):
+        back = read_journal(str(path), verify=verify)
+        seen = set()
+        stack = [back.header, *back.entries]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                assert id(node) not in seen
+                seen.add(id(node))
+                stack.extend(node.values() if isinstance(node, dict) else node)
 
 
 def test_n_days_beyond_the_records_is_rejected_without_per_day_work(written):
