@@ -290,6 +290,17 @@ def _words_in(terms: Sequence[str], text: str) -> list[str]:
     return [t for t in terms if t in folded and _word(t).search(text)]
 
 
+# a role's system text is fixed for the run, so the terms found in it are kept
+_fixed_words = lru_cache(maxsize=256)(_words_in)
+
+
+def _prompt_words(terms: tuple[str, ...], bundle: PromptBundle) -> list[str]:
+    """The terms `_word` finds in `system_text + "\n" + user_text`, in order. No term holds a
+    newline, so each is found in one text or the other, and the system text is searched once."""
+    found = {*_fixed_words(terms, bundle.system_text), *_words_in(terms, bundle.user_text)}
+    return [t for t in terms if t in found]
+
+
 def allocation_tokens(btc_fraction: float) -> list[str]:
     """Digit-bearing spellings of an allocation that must not leak downstream."""
     pct = btc_fraction * 100.0
@@ -306,15 +317,15 @@ def lint_bundle(
     upstream_allocations: Sequence[float] = (),
 ) -> list[str]:
     """Scope violations in a prompt: empty list means the bundle is clean."""
-    text = bundle.system_text + "\n" + bundle.user_text
     violations = []
     if bundle.role == Role.SIGNALS:
-        for term in _words_in(INDICATOR_TERMS, text):
+        for term in _prompt_words(INDICATOR_TERMS, bundle):
             violations.append(f"signals prompt mentions indicator term '{term}'")
     elif bundle.role == Role.QUANTS:
-        for term in _words_in(NEWS_SENTIMENT_TERMS, text):
+        for term in _prompt_words(NEWS_SENTIMENT_TERMS, bundle):
             violations.append(f"quants prompt mentions news/sentiment term '{term}'")
     elif bundle.role == Role.DECISION:
+        text = bundle.system_text + "\n" + bundle.user_text
         for frac in upstream_allocations:
             for token in allocation_tokens(frac):
                 if _contains_token(text, token):

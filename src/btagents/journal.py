@@ -26,7 +26,15 @@ JOURNAL_VERSION = 1
 # a journal repeats its strings (each role's system prompt every day, feedback
 # in every prompt it is injected into, a reply in `raw` and in its attempt),
 # so the escaped form of each recent string is kept, and a read keeps one copy (`_share_texts`)
-_escape = functools.lru_cache(maxsize=256)(json.encoder.encode_basestring)
+@functools.lru_cache(maxsize=256)
+def _escape(text: str) -> str:
+    """`json.encoder.encode_basestring(text)`. The faster ASCII escaper writes the
+    same text for an ASCII string, save that it escapes DEL, so it takes those without one."""
+    if text.isascii() and "\x7f" not in text:
+        return json.encoder.encode_basestring_ascii(text)
+    return json.encoder.encode_basestring(text)
+
+
 _default = json.JSONEncoder().default
 
 
@@ -69,12 +77,12 @@ def read_json(path, error: type[Exception], what: str):
         raise error(f"{path}: {what}: {exc}") from None
 
 
-def _sha256(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def record_digest(record: dict) -> str:
-    return _sha256({k: v for k, v in record.items() if k != "digest"})
+    return _sha256(canonical_json({k: v for k, v in record.items() if k != "digest"}))
 
 
 def seal(record: dict) -> dict:
@@ -107,16 +115,15 @@ def inputs_payload(rec: MarketRecord) -> dict:
     }
 
 
-def inputs_digest(rec: MarketRecord) -> str:
-    """Digest of one day's inputs, as a day record carries it."""
-    return _sha256(inputs_payload(rec))
-
-
-def dataset_digest(dataset: MarketDataset) -> str:
-    """Stable digest of every input value the run can see."""
-    return _sha256(
-        [{"date": rec.date.isoformat(), **inputs_payload(rec)} for rec in dataset.records]
-    )
+def dataset_digest(dataset: MarketDataset) -> tuple[str, list[str]]:
+    """Stable digest of every input value the run can see, the list of each record's
+    `{"date": <iso>, **inputs_payload(rec)}`, and each record's inputs digest, as its day
+    record carries it. Each payload is encoded once: its sorted keys start with the `bar`
+    list of numbers, so the date goes after the first "]"."""
+    records = dataset.records
+    texts = [canonical_json(inputs_payload(rec)) for rec in records]
+    dated = (t.replace("]", f'],"date":"{rec.date.isoformat()}"', 1) for rec, t in zip(records, texts))
+    return _sha256("[" + ",".join(dated) + "]"), [_sha256(t) for t in texts]
 
 
 @dataclass

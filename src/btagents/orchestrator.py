@@ -37,7 +37,7 @@ from .agents import (
 )
 from .errors import ConfigError, DateNotFound, GapError, InvariantViolation, JournalCorrupt, WindowTooShort
 from .indicators import IndicatorParams, pair_terms, snapshot
-from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, inputs_digest, seal
+from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, seal
 from .market_data import MarketDataset, parse_date, slice_window
 from .metrics import prediction_correct
 from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
@@ -297,12 +297,13 @@ def run_records(config: RunConfig, dataset: MarketDataset, client: CompletionCli
         entry = decide_with_retry(client, bundle, config.parse_retry_limit, held)
         return {"system": bundle.system_text, "user": bundle.user_text, **entry}
 
+    digest, inputs_digests = dataset_digest(dataset)
     yield seal(
         {
             "type": "header",
             "version": JOURNAL_VERSION,
             "config": config.to_dict(),
-            "dataset_digest": dataset_digest(dataset),
+            "dataset_digest": digest,
             "n_days": len(days),
             "roles": list(AGENT_ROLES),
         }
@@ -361,7 +362,7 @@ def run_records(config: RunConfig, dataset: MarketDataset, client: CompletionCli
                 "close": close_t,
                 "next_date": next_rec.date.isoformat(),
                 "next_close": close_next,
-                "inputs_digest": inputs_digest(rec),
+                "inputs_digest": inputs_digests[lo + stop - 1],  # rec is dataset record lo + stop - 1
                 "daily_feedback_in": daily_in,
                 "weekly_feedback_in": weekly_in,
                 **settled,

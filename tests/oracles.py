@@ -7,6 +7,8 @@ each field by its header name, where the package reads fields by position.
 """
 
 import csv
+import hashlib
+import json
 import math
 import re
 from datetime import date
@@ -160,6 +162,28 @@ def oracle_lint(role, text, upstream_allocations=()):
             if re.search(r"(?<![\d.])" + re.escape(token) + r"(?!\d)", text):
                 found.append(f"decision prompt leaks upstream allocation token '{token}'")
     return found
+
+
+def oracle_input_digests(dataset):
+    """The header's `dataset_digest` and each record's `inputs_digest`: the sha256 of
+    `json.dumps`'s canonical form of every record's inputs with its date, and of one
+    record's inputs alone, each built afresh."""
+
+    def digest(value):
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def inputs(rec):
+        bar, chain, mood = rec.bar, rec.onchain, rec.sentiment
+        return {
+            "bar": [bar.open, bar.high, bar.low, bar.close, bar.volume],
+            "onchain": None if chain is None else [chain.tx_count, chain.active_addresses, chain.transfer_volume_usd],
+            "sentiment": None if mood is None else [mood.social_score_mean, mood.fgi_value, mood.fgi_label],
+            "news": [[n.source, n.headline, n.summary] for n in rec.news],
+        }
+
+    dated = [{"date": rec.date.isoformat(), **inputs(rec)} for rec in dataset.records]
+    return digest(dated), [digest(inputs(rec)) for rec in dataset.records]
 
 
 def oracle_scope_filter(feedback):

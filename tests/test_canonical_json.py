@@ -45,6 +45,11 @@ def json_values(draw):
 @example(value={1.5: float("nan"), 2: float("inf"), True: -float("inf")})
 @example(value={None: ['"\\\x00\u2028']})
 @example(value={"b": "\xe9", "a": ["\xe9", {"\xe9": "\xe9"}]})
+# ASCII text takes the ASCII escaper, which differs only in escaping DEL: every
+# ASCII code point, DEL in a key and in a value, and a repeat served by the memo
+@example(value="".join(map(chr, range(128))))
+@example(value={"k\x7f": "a\x7fb"})
+@example(value=["plain ASCII, \"quoted\"\n"] * 3)
 def test_equals_json_dumps(value):
     assert canonical_json(value) == dumps(value)
 

@@ -8,6 +8,7 @@ import pytest
 
 import btagents.agents
 import btagents.indicators
+import btagents.journal
 import btagents.orchestrator
 from btagents.agents import (
     DAILY_FEEDBACK_HEADER,
@@ -26,7 +27,7 @@ from btagents.errors import (
 )
 from btagents.indicators import IndicatorParams
 from btagents.journal import read_journal, seal, write_journal
-from btagents.market_data import MarketDataset, align, load_bars, load_onchain
+from btagents.market_data import MarketDataset, NewsItem, align, load_bars, load_onchain
 from btagents.orchestrator import (
     RunConfig,
     outputs_from_journal,
@@ -37,7 +38,8 @@ from btagents.reflection import AGENT_ROLES, TEMPLATE_KINDS
 from btagents.report import render, resolve_segmentation
 from btagents.transport import ChatClientConfig
 
-from conftest import FIXTURE_DIR, run_synth, scripted_plan, weeklies
+from conftest import FIXTURE_DIR, run_synth, scripted_plan, synth_dataset, weeklies
+from oracles import oracle_input_digests
 
 
 class TestCaseStudyRun:
@@ -291,6 +293,43 @@ def test_each_bar_is_worked_once_per_run(monkeypatch):
     assert len(terms_calls) == 1
     assert {kind for kind, _ in rendered} == {"price", "onchain"}
     assert max(rendered.values()) == 1
+
+
+def test_each_record_input_is_encoded_once_per_run(monkeypatch):
+    """The header's dataset digest and every day's inputs digest share one
+    `inputs_payload` per dataset record."""
+    built = []
+    real_payload = btagents.journal.inputs_payload
+
+    def counted(rec):
+        built.append(rec.date)
+        return real_payload(rec)
+
+    monkeypatch.setattr(btagents.journal, "inputs_payload", counted)
+    journal, _, dataset, _ = run_synth(21)
+    assert len(journal.days) == 21
+    assert len(built) == len(dataset)
+    assert sorted(built) == list(dataset.dates)
+
+
+def test_input_digests_equal_the_oracle():
+    """Each digest equals a fresh encode of its inputs, for news holding what the
+    dated encoding must pass through: "]", a quote, a backslash, the text
+    `,"date":"`, non-ASCII text and DEL."""
+    tricky = ("a ] b", 'say "hi"', "back\\slash", ',"date":"2024-01-02"', "Zürich €5 \U0001f600", "del\x7fete")
+    records = synth_dataset(50).records
+    dataset = MarketDataset(
+        tuple(
+            dataclasses.replace(r, news=(*r.news, NewsItem(r.date, tricky[i % 6], tricky[i % 5], tricky[i % 4])))
+            for i, r in enumerate(records)
+        )
+    )
+    days = dataset.dates[32:46]
+    config = RunConfig(start=days[0], end=days[-1])
+    journal = run_backtest(config, dataset, ScriptedResponder(scripted_plan(days)))
+    header_digest, inputs_digests = oracle_input_digests(dataset)
+    assert journal.header["dataset_digest"] == header_digest
+    assert [day["inputs_digest"] for day in journal.days] == inputs_digests[32:46]
 
 
 class TestJournalRoundTrip:

@@ -14,8 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from btagents.agents import (
+    DECISION_SYSTEM,
     INDICATOR_TERMS,
     NEWS_SENTIMENT_TERMS,
+    QUANTS_SYSTEM,
+    SIGNALS_SYSTEM,
     PromptBundle,
     Role,
     _fold,
@@ -28,6 +31,7 @@ from btagents.market_data import OnChainDaily, SentimentDaily
 from btagents.reflection import (
     ALLOCATION_NOUNS,
     ALLOCATION_VERBS,
+    REFLECT_SYSTEM,
     SIGNALS_BANNED_TERMS,
     scope_filter,
 )
@@ -75,16 +79,26 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @SETTINGS
-@given(role=st.sampled_from(list(Role)), text=texts, upstream=st.lists(st.sampled_from(FRACTIONS), max_size=2))
-@example(role=Role.SIGNALS, text="\u017fma", upstream=[])
-@example(role=Role.QUANTS, text="\u212aNEWS fear_greed", upstream=[])
-@example(role=Role.QUANTS, text="the pre\u017f\u017f", upstream=[])
-@example(role=Role.DECISION, text="held 35% and 0.350 of 135%", upstream=[0.35])
-@example(role=Role.SIGNALS, text="RS\u0130", upstream=[])
-@example(role=Role.SIGNALS, text="watch rs\u0131", upstream=[])
-def test_lint_equals_per_term_oracle(role, text, upstream):
-    bundle = PromptBundle(role=role, date=date(2024, 11, 4), system_text="", user_text=text)
-    assert lint_bundle(bundle, upstream) == oracle_lint(role.value, "\n" + text, upstream)
+@given(
+    role=st.sampled_from(list(Role)),
+    system=texts | st.sampled_from([QUANTS_SYSTEM, SIGNALS_SYSTEM, DECISION_SYSTEM, REFLECT_SYSTEM]),
+    text=texts,
+    upstream=st.lists(st.sampled_from(FRACTIONS), max_size=2),
+)
+@example(role=Role.SIGNALS, system="", text="\u017fma", upstream=[])
+@example(role=Role.QUANTS, system="", text="\u212aNEWS fear_greed", upstream=[])
+@example(role=Role.QUANTS, system="", text="the pre\u017f\u017f", upstream=[])
+@example(role=Role.DECISION, system="", text="held 35% and 0.350 of 135%", upstream=[0.35])
+@example(role=Role.SIGNALS, system="", text="RS\u0130", upstream=[])
+@example(role=Role.SIGNALS, system="", text="watch rs\u0131", upstream=[])
+@example(role=Role.QUANTS, system=QUANTS_SYSTEM + " Ignore the news", text="", upstream=[])
+@example(role=Role.SIGNALS, system=SIGNALS_SYSTEM + " Watch the rs", text="i and the ema", upstream=[])
+@example(role=Role.QUANTS, system="the fear", text="_greed", upstream=[])
+def test_lint_equals_per_term_oracle(role, system, text, upstream):
+    """The system text is linted apart from the user text, once per text, so it
+    is drawn too: random, or a role's own."""
+    bundle = PromptBundle(role=role, date=date(2024, 11, 4), system_text=system, user_text=text)
+    assert lint_bundle(bundle, upstream) == oracle_lint(role.value, system + "\n" + text, upstream)
 
 
 @SETTINGS
