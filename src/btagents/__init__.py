@@ -1,6 +1,6 @@
 """Multi-agent BTC/cash trading backtester with verbal feedback loops."""
 
-from .agents import MarketState, PromptBundle, Role, ScriptedResponder
+from .agents import PromptBundle, Role, ScriptedResponder
 from .indicators import IndicatorParams, IndicatorSnapshot
 from .journal import RunJournal, read_journal, write_journal
 from .market_data import (
@@ -17,22 +17,19 @@ from .market_data import (
     slice_window,
 )
 from .orchestrator import RunConfig, RunOutputs, outputs_from_journal, replay, run_backtest
-from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
+from .portfolio import PortfolioState, mark, rebalance
 from .regime import RegimeParams, RegimeSegmentation, segment
 from .transport import ChatClient, ChatClientConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
     "Bar",
     "ChatClient",
     "ChatClientConfig",
-    "FeeModel",
     "IndicatorParams",
     "IndicatorSnapshot",
     "MarketDataset",
-    "MarketState",
     "NewsItem",
     "OnChainDaily",
     "PortfolioState",

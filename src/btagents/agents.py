@@ -33,12 +33,6 @@ from .journal import read_json
 from .market_data import Bar, NewsItem, OnChainDaily, SentimentDaily
 
 
-class MarketState(str, Enum):
-    BULLISH = "bullish"
-    BEARISH = "bearish"
-    NEUTRAL = "neutral"
-
-
 class Role(str, Enum):
     QUANTS = "quants"
     SIGNALS = "signals"
@@ -386,7 +380,7 @@ def _iter_json_objects(text: str):
 REQUIRED_KEYS = ("state", "allocation_btc_pct", "reasoning")
 PARSE_ERRORS = (ParseError, SchemaError, RangeError)  # what a reply that does not parse raises
 _REQUIRED = frozenset(REQUIRED_KEYS)
-STATE_VALUES = frozenset(s.value for s in MarketState)
+STATE_VALUES = frozenset(("bullish", "bearish", "neutral"))
 
 
 def _first_object_with(raw: str, keys: frozenset, who: str, missing: str) -> dict:

@@ -85,7 +85,8 @@ class NetworkError(BtAgentsError):
 
 
 class ProviderRefused(NetworkError):
-    """A 401, 403 or 404 reply: a wrong key, model or URL, which ends the run."""
+    """A provider that ends the run: a 401, 403 or 404 reply (a wrong key, model
+    or URL), or a simulated day on which no call got a reply (a provider down)."""
 
 
 class SchemaError(BtAgentsError):

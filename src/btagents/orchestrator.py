@@ -35,12 +35,14 @@ from .agents import (
     parse_agent_output,
     price_row,
 )
-from .errors import ConfigError, DateNotFound, GapError, InvariantViolation, JournalCorrupt, WindowTooShort
+from .errors import (
+    ConfigError, DateNotFound, GapError, InvariantViolation, JournalCorrupt, ProviderRefused, WindowTooShort,
+)
 from .indicators import IndicatorParams, pair_terms, snapshot
 from .journal import JOURNAL_VERSION, LONE_SURROGATE, RunJournal, dataset_digest, seal
 from .market_data import MarketDataset, parse_date, slice_window
 from .metrics import prediction_correct
-from .portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
+from .portfolio import PortfolioState, mark, rebalance
 from .reflection import (
     AGENT_ROLES,
     evaluate_day,
@@ -169,7 +171,6 @@ class Ledger:
 
     def __init__(self, config: RunConfig, p0: float):
         self.config = config
-        self.fees = FeeModel(fee_bps=config.fee_bps)
         self.p0 = p0  # the first close, at which the baselines buy
         cash = config.initial_value_usd
         self.books = {role: PortfolioState.all_cash(cash, p0) for role in AGENT_ROLES}
@@ -201,7 +202,7 @@ class Ledger:
         day_returns = {}
         for role in AGENT_ROLES:
             before = self.books[role].value_usd  # marked at close_t; the day's fee comes out after
-            traded = rebalance(self.books[role], Allocation(entries[role]["allocation"]), close_t, self.fees)
+            traded = rebalance(self.books[role], entries[role]["allocation"], close_t, config.fee_bps)
             self.books[role] = mark(traded, close_next)
             after = self.books[role].value_usd
             if not 0 < after <= sys.float_info.max:
@@ -354,6 +355,10 @@ def run_records(config: RunConfig, dataset: MarketDataset, client: CompletionCli
         reflect = None
         if config.daily_feedback:
             reflect = run_daily_reflection(client, settled, config.parse_retry_limit)
+        tried = [a for entry in (*decided.values(), reflect) if entry for a in entry["attempts"]]
+        if all(a["raw"] is None for a in tried):  # no reply all day: the provider is down, so the run ends
+            failed = f"{day}: the last call failed with {tried[-1]['error']}; no call of the day got a reply"
+            raise ProviderRefused(failed, len(tried))
 
         ledger.last_day = seal(
             {

@@ -14,32 +14,6 @@ from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """Target fraction of portfolio value held in BTC. No leverage, no shorts."""
-
-    btc_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.btc_fraction <= 1.0:
-            raise InvariantViolation(f"btc_fraction {self.btc_fraction} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class FeeModel:
-    """Proportional fee in basis points of traded notional."""
-
-    fee_bps: float = 0.0
-
-    def __post_init__(self):
-        if self.fee_bps < 0:
-            raise InvariantViolation("fee_bps must be >= 0")
-
-    @property
-    def rate(self) -> float:
-        return self.fee_bps / 10_000.0
-
-
-@dataclass(frozen=True)
 class PortfolioState:
     btc_units: float
     cash_usd: float
@@ -91,29 +65,30 @@ def _settle_units_cash(units: float, price: float, value_target: float) -> tuple
     return units, max(value_target - btc_value, 0.0)
 
 
-def rebalance(
-    state: PortfolioState,
-    target: Allocation,
-    price: float,
-    fees: FeeModel = FeeModel(),
-) -> PortfolioState:
-    """Trade at `price` so the BTC value fraction meets the target.
+def rebalance(state: PortfolioState, btc_fraction: float, price: float, fee_bps: float) -> PortfolioState:
+    """Trade at `price` so the BTC value fraction meets `btc_fraction`.
 
-    The target applies to the pre-trade value at `price`; the fee on traded
-    notional comes out of cash. A buy that fees would push past available
-    cash is scaled down so cash never goes negative. Sub-ulp targets
-    (notional below 1e-12 of value) are treated as already met: no trade.
+    The target fraction lies in [0, 1]: no leverage, no shorts. It applies
+    to the pre-trade value at `price`; a proportional fee of `fee_bps` basis
+    points of traded notional comes out of cash. A buy that fees would push
+    past available cash is scaled down so cash never goes negative. Sub-ulp
+    targets (notional below 1e-12 of value) are treated as already met: no
+    trade.
     """
+    if not 0.0 <= btc_fraction <= 1.0:
+        raise InvariantViolation(f"btc_fraction {btc_fraction} outside [0, 1]")
+    if fee_bps < 0:
+        raise InvariantViolation("fee_bps must be >= 0")
     if price <= 0:
         raise InvariantViolation("trade price must be > 0")
     value = state.btc_units * price + state.cash_usd
     held_btc_value = state.btc_units * price
-    target_btc_value = target.btc_fraction * value
+    target_btc_value = btc_fraction * value
     notional = target_btc_value - held_btc_value
     if abs(notional) <= 1e-12 * value:
         return mark(state, price)
 
-    rate = fees.rate
+    rate = fee_bps / 10_000.0
     if notional > 0 and rate > 0:
         # cap the buy so notional + fee never exceeds available cash
         max_notional = state.cash_usd / (1.0 + rate)

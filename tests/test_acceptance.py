@@ -13,7 +13,7 @@ from datetime import date, timedelta
 import pytest
 
 from btagents.agents import (
-    MarketState,
+    STATE_VALUES,
     build_decision_prompt,
     build_quants_prompt,
     build_signals_prompt,
@@ -25,7 +25,6 @@ from btagents.market_data import NewsItem, OnChainDaily, SentimentDaily
 from btagents.metrics import mean_std, sharpe
 from btagents.orchestrator import outputs_from_journal, replay, run_backtest
 from btagents.portfolio import (
-    Allocation,
     PortfolioState,
     mark,
     rebalance,
@@ -141,7 +140,7 @@ def test_criterion_04_accounting_conservation():
         for _ in range(50):
             marked = mark(state, price)
             pre_value = marked.value_usd
-            state = rebalance(marked, Allocation(rng.random()), price)
+            state = rebalance(marked, rng.random(), price, 0.0)
             assert state.value_usd == pre_value  # exact, zero fees
             next_price = price * (1.0 + rng.uniform(-0.15, 0.15))
             moved = mark(state, next_price)
@@ -207,9 +206,9 @@ def test_criterion_05_prompt_scoping():
         upstream = [rng.randint(0, 100) / 100.0, rng.randint(0, 100) / 100.0]
         decision_bundle = build_decision_prompt(
             day,
-            {"state": rng.choice(list(MarketState)).value, "allocation": upstream[0],
+            {"state": rng.choice(sorted(STATE_VALUES)), "allocation": upstream[0],
              "reasoning": rng.choice(CLEAN_REASONS)},
-            {"state": rng.choice(list(MarketState)).value, "allocation": upstream[1],
+            {"state": rng.choice(sorted(STATE_VALUES)), "allocation": upstream[1],
              "reasoning": rng.choice(CLEAN_REASONS)},
             portfolio_value=rng.uniform(1_000.0, 100_000.0),
             daily_feedback=rng.choice((None, "yesterday's sizing was defensible")),

@@ -9,8 +9,8 @@ from btagents import agents as agents_module
 from btagents.agents import (
     DAILY_FEEDBACK_HEADER,
     FORMAT_REMINDER,
+    STATE_VALUES,
     InvokeResult,
-    MarketState,
     ScriptedResponder,
     WEEKLY_FEEDBACK_HEADER,
     allocation_tokens,
@@ -265,13 +265,13 @@ class TestParseAgentOutput:
         assert decision["confidence"] is None
 
     def test_round_trip_full_grid(self):
-        for state in MarketState:
+        for state in sorted(STATE_VALUES):
             for pct in range(0, 101):
                 raw = json.dumps(
-                    {"state": state.value, "allocation_btc_pct": pct, "reasoning": "grid"}
+                    {"state": state, "allocation_btc_pct": pct, "reasoning": "grid"}
                 )
                 decision = parse_agent_output(raw)
-                assert decision["state"] == state.value
+                assert decision["state"] == state
                 assert decision["allocation"] == pct / 100.0
 
 

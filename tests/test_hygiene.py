@@ -182,25 +182,31 @@ def test_one_sharpe_formula():
     assert naming == ["errors.py", "metrics.py"]
 
 
-SETTINGS = {
-    f.name for kind in (RunConfig, IndicatorParams, RegimeParams, ChatClientConfig) for f in dataclasses.fields(kind)
-} | {"retry_limit"}
+CONFIG_CLASSES = (RunConfig, IndicatorParams, RegimeParams, ChatClientConfig)
+SETTINGS = {f.name for kind in CONFIG_CLASSES for f in dataclasses.fields(kind)} | {"retry_limit"}
 
 
 def defaulted_settings(source: str, names) -> list[str]:
     """Each parameter in `source` named in `names` whose default is not None,
-    as "function(parameter=default)", in sorted order."""
+    as "function(parameter=default)", and each annotated field of a class body
+    outside the config dataclasses so named that holds a value but None, as
+    "Class.field=value", in sorted order."""
+    def given(default) -> bool:
+        return default is not None and not (isinstance(default, ast.Constant) and default.value is None)
+
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name not in {kind.__name__ for kind in CONFIG_CLASSES}:
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) in names and given(stmt.value):
+                    found.append(f"{node.name}.{stmt.target.id}={ast.unparse(stmt.value)}")
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         a = node.args
         positional = a.posonlyargs + a.args
         pairs = [*zip(positional[len(positional) - len(a.defaults) :], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
         for arg, default in pairs:
-            if arg.arg in names and default is not None and not (
-                isinstance(default, ast.Constant) and default.value is None
-            ):
+            if arg.arg in names and given(default):
                 found.append(f"{getattr(node, 'name', '<lambda>')}({arg.arg}={ast.unparse(default)})")
     return sorted(found)
 
@@ -210,9 +216,17 @@ def test_checker_finds_a_defaulted_setting():
         "def f(a, fee_bps=0.0, timeout=None, /, *, retry_limit=1, start):\n"
         "    g = lambda neutral_band=RunConfig.neutral_band: 0\n"
         "def h(fee_bps, x=1, *, end=None): pass\n"
+        "class Fees:\n"
+        "    fee_bps: float = 0.0\n"
+        "    start: str\n"
+        "    end: str | None = None\n"
+        "    timeout = 5\n"
+        "class RunConfig:\n"
+        "    fee_bps: float = 0.0\n"
     )
     assert defaulted_settings(source, {"fee_bps", "timeout", "retry_limit", "neutral_band", "start", "end"}) == [
         "<lambda>(neutral_band=RunConfig.neutral_band)",
+        "Fees.fee_bps=0.0",
         "f(fee_bps=0.0)",
         "f(retry_limit=1)",
     ]
@@ -222,7 +236,8 @@ def test_one_default_per_run_setting():
     """A run setting's default lives only in the config dataclasses: no function
     parameter named after one of their fields, or `retry_limit`, defaults to
     anything but None, which stands for "not given" (the prompt builders'
-    feedback texts and the band override of `outputs_from_journal` and `replay`)."""
+    feedback texts and the band override of `outputs_from_journal` and `replay`),
+    and no annotated field of another class so named holds a value but None."""
     found = [(p.name, d) for p in MODULES for d in defaulted_settings(p.read_text(encoding="utf-8"), SETTINGS)]
     assert found == []
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from btagents.errors import InvariantViolation
 from btagents.orchestrator import Ledger, RunConfig
-from btagents.portfolio import Allocation, FeeModel, PortfolioState, mark, rebalance
+from btagents.portfolio import PortfolioState, mark, rebalance
 from btagents.reflection import AGENT_ROLES
 
 def btc_fraction(state):
@@ -17,14 +17,14 @@ def btc_fraction(state):
 class TestRebalance:
     def test_all_cash_to_sixty_percent(self):
         state = PortfolioState.all_cash(100.0, 50.0)
-        after = rebalance(state, Allocation(0.6), 50.0)
+        after = rebalance(state, 0.6, 50.0, 0.0)
         assert after.btc_units == pytest.approx(1.2, abs=1e-12)
         assert after.cash_usd == pytest.approx(40.0, abs=1e-12)
         assert after.value_usd == 100.0
 
     def test_noop_when_target_matches(self):
         state = PortfolioState(btc_units=1.2, cash_usd=40.0, mark_price=50.0)
-        after = rebalance(state, Allocation(btc_fraction(state)), 50.0)
+        after = rebalance(state, btc_fraction(state), 50.0, 0.0)
         assert after.btc_units == state.btc_units
         assert after.cash_usd == state.cash_usd
 
@@ -32,14 +32,14 @@ class TestRebalance:
         # V=100 all cash, target 0.4 at price 50, 10 bps:
         # notional 40, fee 0.04, cash 100-40-0.04, units 0.8
         state = PortfolioState.all_cash(100.0, 50.0)
-        after = rebalance(state, Allocation(0.4), 50.0, FeeModel(fee_bps=10.0))
+        after = rebalance(state, 0.4, 50.0, 10.0)
         assert after.btc_units == pytest.approx(0.8, abs=1e-12)
         assert after.cash_usd == pytest.approx(59.96, abs=1e-12)
         assert after.value_usd == pytest.approx(99.96, abs=1e-12)
 
     def test_full_allocation_with_fee_scales_down(self):
         state = PortfolioState.all_cash(100.0, 50.0)
-        after = rebalance(state, Allocation(1.0), 50.0, FeeModel(fee_bps=100.0))
+        after = rebalance(state, 1.0, 50.0, 100.0)
         assert after.cash_usd >= 0.0
         # the whole bankroll goes to notional + fee
         assert after.btc_units * 50.0 + after.cash_usd == pytest.approx(
@@ -48,7 +48,7 @@ class TestRebalance:
 
     def test_sell_side_fee_comes_from_proceeds(self):
         state = PortfolioState(btc_units=2.0, cash_usd=0.0, mark_price=50.0)
-        after = rebalance(state, Allocation(0.0), 50.0, FeeModel(fee_bps=10.0))
+        after = rebalance(state, 0.0, 50.0, 10.0)
         assert after.btc_units == pytest.approx(0.0, abs=1e-15)
         assert after.cash_usd == pytest.approx(100.0 - 100.0 * 0.001, abs=1e-9)
 
@@ -59,7 +59,7 @@ class TestRebalance:
             price = rng.uniform(10.0, 100_000.0)
             marked = mark(state, price)
             value_before = marked.value_usd
-            state = rebalance(marked, Allocation(rng.random()), price)
+            state = rebalance(marked, rng.random(), price, 0.0)
             assert state.value_usd == value_before
 
     def test_return_equals_fraction_times_btc_return(self):
@@ -69,7 +69,7 @@ class TestRebalance:
             p0 = rng.uniform(100.0, 90_000.0)
             p1 = p0 * (1.0 + rng.uniform(-0.2, 0.2))
             target = rng.random()
-            state = rebalance(PortfolioState.all_cash(initial, p0), Allocation(target), p0)
+            state = rebalance(PortfolioState.all_cash(initial, p0), target, p0, 0.0)
             frac = btc_fraction(state)
             marked = mark(state, p1)
             portfolio_return = marked.value_usd / state.value_usd - 1.0
@@ -77,10 +77,23 @@ class TestRebalance:
             assert portfolio_return == pytest.approx(frac * btc_return, abs=1e-12)
 
     def test_rejects_out_of_range_target(self):
-        with pytest.raises(InvariantViolation):
-            Allocation(1.2)
-        with pytest.raises(InvariantViolation):
-            Allocation(-0.1)
+        for target in (1.2, -0.1):
+            with pytest.raises(InvariantViolation, match=rf"btc_fraction {target} outside \[0, 1\]"):
+                rebalance(PortfolioState.all_cash(10.0, 1.0), target, 1.0, 0.0)
+
+    def test_rejects_negative_fee(self):
+        with pytest.raises(InvariantViolation, match="fee_bps must be >= 0"):
+            rebalance(PortfolioState.all_cash(10.0, 1.0), 0.5, 1.0, -5.0)
+
+    def test_checks_the_fraction_then_the_fee_then_the_price(self):
+        state = PortfolioState.all_cash(10.0, 1.0)
+        for fraction, price, fee_bps, message in [
+            (1.5, 0.0, 0.0, r"btc_fraction 1.5 outside \[0, 1\]"),
+            (1.5, 1.0, -5.0, r"btc_fraction 1.5 outside \[0, 1\]"),
+            (0.5, 0.0, -5.0, "fee_bps must be >= 0"),
+        ]:
+            with pytest.raises(InvariantViolation, match=message):
+                rebalance(state, fraction, price, fee_bps)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -93,28 +106,27 @@ class TestRebalance:
     )
     def test_value_is_conserved_up_to_the_fee(self, units, cash, mark_price, price, target, fee_bps):
         state = PortfolioState(btc_units=units, cash_usd=cash, mark_price=mark_price)
-        fees = FeeModel(fee_bps=fee_bps)
         before = units * price + cash
-        after = rebalance(state, Allocation(target), price, fees)
+        after = rebalance(state, target, price, fee_bps)
         assert after.btc_units >= 0.0 and after.cash_usd >= 0.0
         if fee_bps == 0.0:
             assert after.value_usd == before
         traded = abs(after.btc_units - units) * price
-        assert 0.0 <= before - after.value_usd <= fees.rate * traded + 1e-9 * before
+        assert 0.0 <= before - after.value_usd <= fee_bps / 10_000.0 * traded + 1e-9 * before
 
     def test_non_negative_state_always(self):
         rng = random.Random(33)
         state = PortfolioState.all_cash(5_000.0, 60_000.0)
         for _ in range(1000):
             price = state.mark_price * (1.0 + rng.uniform(-0.1, 0.1))
-            state = rebalance(state, Allocation(rng.random()), price, FeeModel(fee_bps=25.0))
+            state = rebalance(state, rng.random(), price, 25.0)
             assert state.btc_units >= 0.0
             assert state.cash_usd >= 0.0
 
     @pytest.mark.parametrize("price", [0.0, -1.0])
     def test_rejects_non_positive_price(self, price):
         with pytest.raises(InvariantViolation, match="trade price must be > 0"):
-            rebalance(PortfolioState.all_cash(10.0, 1.0), Allocation(0.5), price)
+            rebalance(PortfolioState.all_cash(10.0, 1.0), 0.5, price, 0.0)
 
 
 class TestMark:
@@ -131,7 +143,7 @@ class TestMark:
 
     def test_partial_exposure_scales_move(self):
         # 40% BTC, BTC +2.24% -> portfolio +0.896%
-        state = rebalance(PortfolioState.all_cash(10_000.0, 62_500.0), Allocation(0.4), 62_500.0)
+        state = rebalance(PortfolioState.all_cash(10_000.0, 62_500.0), 0.4, 62_500.0, 0.0)
         marked = mark(state, 63_900.0)
         assert marked.value_usd / state.value_usd - 1.0 == pytest.approx(0.00896, abs=1e-9)
 

@@ -2,6 +2,7 @@
 fake session, for whole runs behind a fake session, and for a few days of a
 run over a real socket."""
 
+import itertools
 import json
 import random
 import re
@@ -107,6 +108,66 @@ def test_backtest_refused_by_the_provider_writes_no_journal(tmp_path, monkeypatc
     assert len(session.requests) == 1
     assert not (tmp_path / "journal.jsonl").exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+DOWN = (
+    "{day}: the last call failed with NetworkError: chat completion failed: server error 503 (after 3 attempt(s)); "
+    "no call of the day got a reply (after 4 attempt(s))"
+)
+
+
+def test_a_provider_down_all_day_ends_the_run_on_that_day(monkeypatch):
+    """When no call of a day gets a reply, the run ends there, rather than
+    sleeping through backoffs for 30 days of fallbacks."""
+    sleeps = []
+    monkeypatch.setattr("btagents.transport.time.sleep", sleeps.append)
+    dataset = synth_dataset(32 + 30 + 2)
+    days = dataset.dates[32:62]
+    config = RunConfig(start=days[0], end=days[-1], client=ChatClientConfig(base_url="http://fake/v1"))
+    session = FakeSession([FakeResponse(503)] * 12 * 30)
+    with pytest.raises(ProviderRefused) as exc:
+        run_backtest(config, dataset, ChatClient(config.client, session=session))
+    assert str(exc.value) == DOWN.format(day=days[0])
+    assert exc.value.attempts == 4  # the day's three roles and its reflect call, one journal attempt each
+    assert len(session.requests) == 12
+    assert sum(sleeps) == 6.0
+
+
+def test_backtest_with_the_provider_down_writes_no_journal(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("btagents.transport.time.sleep", lambda seconds: None)
+    session = FakeSession([FakeResponse(503)] * 12 * 2)
+    monkeypatch.setattr("btagents.transport.default_session", lambda: session)
+    assert main(["backtest", "--config", str(write_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == f"error: {DOWN.format(day='2024-11-04')}\n"
+    assert len(session.requests) == 12
+    assert not (tmp_path / "journal.jsonl").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "daily_feedback, fallbacks",
+    [
+        (True, [(1, "signals"), (1, "decision"), (2, "quants"), (2, "signals"), (2, "decision")]),
+        (False, [(1, "signals"), (1, "decision"), (2, "quants"), (2, "signals")]),
+    ],
+)
+def test_an_outage_over_part_of_two_days_keeps_the_run(daily_feedback, fallbacks):
+    """A day on which one call got a reply goes on: an outage from day 1's
+    second call to day 2's second-to-last leaves a complete run that replays."""
+    dataset = synth_dataset(32 + 4 + 2)
+    days = dataset.dates[32:36]
+    client = ChatClientConfig(base_url="http://fake/v1", max_retries=1)
+    config = RunConfig(start=days[0], end=days[-1], daily_feedback=daily_feedback, client=client)
+    calls = 4 if daily_feedback else 3  # a day's calls, one post each
+    down, posts = range(calls + 1, 3 * calls - 1), itertools.count()
+    session = ScriptedProvider(
+        scripted_plan(days), lambda reply: FakeResponse(503) if next(posts) in down else ok_response(reply)
+    )
+    journal = run_backtest(config, dataset, ChatClient(client, session=session))
+    assert next(posts) == 4 * calls
+    found = [(i, role) for i, day in enumerate(journal.days) for role, entry in day["roles"].items() if entry["fallback"]]
+    assert found == fallbacks
+    replay(journal)
 
 
 def limited(status, retry_after=None):
